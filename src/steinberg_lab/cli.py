@@ -29,17 +29,22 @@ EXIT_USAGE = 2
 
 
 def parse_ring(spec: str):
-    """Ring specs: int | rat | Fp:<p> | Zmod:<n> | intpoly:<var>."""
-    if spec == "int":
-        return ZZ()
-    if spec == "rat":
-        return QQ()
-    if spec.startswith("Fp:"):
-        return GF(int(spec.split(":", 1)[1]))
-    if spec.startswith("Zmod:"):
-        return quotient(ZZ(), int(spec.split(":", 1)[1]))
-    if spec.startswith("intpoly:"):
-        return poly_ring(ZZ(), (spec.split(":", 1)[1],))
+    """Ring specs: int | rat | Fp:<p> | Zmod:<n> | intpoly:<var>.  Used as
+    an argparse type, so a bad spec is a usage error (exit 2)."""
+    kind, _, arg = spec.partition(":")
+    try:
+        if spec == "int":
+            return ZZ()
+        if spec == "rat":
+            return QQ()
+        if kind == "Fp":
+            return GF(int(arg))
+        if kind == "Zmod":
+            return quotient(ZZ(), int(arg))
+        if kind == "intpoly":
+            return poly_ring(ZZ(), (arg,))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad ring spec {spec!r}: {exc}") from None
     raise argparse.ArgumentTypeError(f"unknown ring spec {spec!r}")
 
 
@@ -90,10 +95,8 @@ def cmd_word(args) -> int:
         return EXIT_OK
     if args.action == "symbol":
         system = build_root_system(args.type, args.rank)
-        ring = parse_ring(args.ring)
         root = system.simple_roots[args.root_index]
-        w = words.steinberg_symbol(system, ring, root, ring.from_int(args.u),
-                                   ring.from_int(args.v))
+        w = words.steinberg_symbol(system, args.ring, root, args.u, args.v)
         _emit(word_to_json(w), args.pretty)
         return EXIT_OK
     raise AssertionError(args.action)
@@ -135,8 +138,7 @@ def cmd_k2m(args) -> int:
 
 def cmd_simplicial(args) -> int:
     if args.action == "check":
-        base = parse_ring(args.ring)
-        report = simplicial.simplicial_identity_report(base, args.nmax)
+        report = simplicial.simplicial_identity_report(args.ring, args.nmax)
         bad = [name for name, ok in report if not ok]
         _emit({"check": "simplicial-identities", "samples": len(report),
                "failures": len(bad)}, args.pretty)
@@ -158,13 +160,8 @@ def cmd_simplicial(args) -> int:
     raise AssertionError(args.action)
 
 
-def _patch_datum(args):
-    B = parse_ring(args.B)
-    return patching.zariski_datum(B, B.from_int(args.a), B.from_int(args.b))
-
-
 def cmd_patch(args) -> int:
-    datum = _patch_datum(args)
+    datum = patching.zariski_datum(args.B, args.a, args.b)
     system = build_root_system(args.phi[0], int(args.phi[1:]))
     rep = reps.build_representation(system, "adjoint")
     wants_verify = args.action == "verify" or args.relations or (
@@ -462,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", default="adjoint")
     p.add_argument("--type", choices=("A", "D"), default="A")
     p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--ring", default="Fp:5")
+    p.add_argument("--ring", type=parse_ring, default="Fp:5")
     p.add_argument("--root-index", type=int, default=0)
     p.add_argument("--u", type=int, default=2)
     p.add_argument("--v", type=int, default=3)
@@ -484,13 +481,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("simplicial", help="simplicial ring checks")
     p.add_argument("action", choices=("check", "lift"))
     p.add_argument("--nmax", type=int, default=3)
-    p.add_argument("--ring", default="int")
+    p.add_argument("--ring", type=parse_ring, default="int")
     p.add_argument("--word", help="level-1 generator JSON for lift")
     p.set_defaults(fn=cmd_simplicial)
 
     p = add_parser("patch", help="patching demo and verification")
     p.add_argument("action", choices=("demo", "verify"), nargs="?")
-    p.add_argument("--B", default="int")
+    p.add_argument("--B", type=parse_ring, default="int")
     p.add_argument("--a", type=int, default=2)
     p.add_argument("--b", type=int, default=3)
     p.add_argument("--phi", default="A3")

@@ -12,21 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rings import RationalField, Ring, RingElement
+from .rings import RationalField, Ring, _is_prime
 
 __all__ = [
     "MilnorSymbolSum", "TameSymbolImage", "symbol", "symbol_normalize",
     "tame_symbol", "tame_symbol_term", "steinberg_to_milnor",
     "relevant_odd_primes", "factor_positive",
 ]
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, RingElement):
-        if not isinstance(x.ring, RationalField):
-            raise ValueError("symbol entries must be rational")
-        return x.payload
-    return Fraction(x)
 
 
 def factor_positive(n: int) -> dict:
@@ -182,7 +174,7 @@ def tame_symbol_term(a, b, p: int) -> int:
 
 def tame_symbol(s: MilnorSymbolSum, p: int) -> TameSymbolImage:
     """Image of the symbol sum in F_p^x at an odd prime p."""
-    if p == 2 or not _is_odd_prime(p):
+    if p == 2 or not _is_prime(p):
         raise ValueError("tame symbols are computed at odd primes only")
     if not isinstance(s.field, RationalField):
         raise ValueError("tame symbols are defined over Q here")
@@ -194,17 +186,6 @@ def tame_symbol(s: MilnorSymbolSum, p: int) -> TameSymbolImage:
         else:
             val = (val * pow(pow(t, -1, p), -mult, p)) % p
     return TameSymbolImage(p, val)
-
-
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Patching across a localization square: truncated pro-rngs, conjugation
-homomorphisms, the orbit-set translation operators, and a glueing demo.
+"""Patching across a localization square: conjugation homomorphisms, the
+orbit-set translation operators, and a glueing demo.
 
 The construction works over a datum (B, A, iota, h) with B/h = A/h
 effective; the supported instances are the identity case A = B and the
@@ -12,10 +12,9 @@ constructively (any valid bound works) and are deliberately conservative.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from .rings import (Ideal, LocalizationRing, Ring, RingElement, RingHom,
+from .rings import (LocalizationRing, Ring, RingElement, RingHom,
                     decompose_modulo_power, identity_hom, localization_hom,
                     localization_functor_hom, localize)
 from .roots import RootSystem
@@ -23,19 +22,12 @@ from .words import SteinbergWord, gen, identity_word, substitute
 from . import reps
 
 __all__ = [
-    "PatchDatum", "zariski_datum", "identity_datum", "TruncatedProRng",
+    "PatchDatum", "zariski_datum", "identity_datum",
     "ConjugationHom", "conj_bound", "conj_on_generator", "PatchPair", "star_reduce",
     "left_translation", "mu_image", "verify_conjugation",
     "verify_translation_relations", "glueing_demo", "PatchReport",
-    "InsufficientLevelError", "GlueingError", "DEFAULT_DEPTH", "default_depth",
+    "InsufficientLevelError", "GlueingError",
 ]
-
-def default_depth() -> int:
-    """Pro-object truncation depth; STEINBERG_LAB_DEPTH overrides."""
-    return int(os.environ.get("STEINBERG_LAB_DEPTH", "16"))
-
-
-DEFAULT_DEPTH = default_depth()
 
 
 class InsufficientLevelError(ValueError):
@@ -46,35 +38,11 @@ class GlueingError(ValueError):
     """The glueing demo could not certify its output."""
 
 
-class TruncatedProRng:
-    """The ideals h^k R as non-unital rings, truncated at a fixed depth;
-    structure maps are the inclusions of deeper levels into shallower ones."""
-
-    def __init__(self, base: Ring, h: RingElement, depth: int | None = None):
-        self.base = base
-        self.h = base.el(h)
-        self.depth = default_depth() if depth is None else depth
-        self._levels: dict[int, Ideal] = {}
-
-    def level(self, k: int) -> Ideal:
-        if not 0 <= k <= self.depth:
-            raise ValueError(f"level {k} outside truncation depth {self.depth}")
-        if k not in self._levels:
-            self._levels[k] = Ideal(self.base, [self.h ** k])
-        return self._levels[k]
-
-    def includes(self, k_deep: int, k_shallow: int, x) -> bool:
-        """Membership transport along h^k_deep R -> h^k_shallow R."""
-        if k_deep < k_shallow:
-            raise ValueError("structure maps go from deeper to shallower levels")
-        return self.level(k_deep).contains(x) and self.level(k_shallow).contains(x)
-
-
 class PatchDatum:
     """(B, A, iota, h) with an effective decomposition A = A h^k + B."""
 
     def __init__(self, B: Ring, A: Ring, iota: RingHom, h: RingElement,
-                 kind: str, depth: int | None = None):
+                 kind: str):
         self.B = B
         self.A = A
         self.iota = iota
@@ -82,15 +50,12 @@ class PatchDatum:
         if self.h.is_zero:
             raise ValueError("h must be nonzero")
         self.kind = kind
-        self.depth = default_depth() if depth is None else depth
         self.h_in_A = iota(self.h)
         self.B_h = localize(B, self.h)
         self.A_h = localize(A, self.h_in_A)
         self.lam_B = localization_hom(B, self.B_h)
         self.lam_A = localization_hom(A, self.A_h)
         self.iota_loc = localization_functor_hom(self.B_h, self.A_h, iota)
-        self.pro_B = TruncatedProRng(B, self.h, depth)
-        self.pro_A = TruncatedProRng(A, self.h_in_A, depth)
 
     def __repr__(self):
         return f"PatchDatum[{self.kind}]({self.B} -> {self.A}, h={self.h!r})"
@@ -116,16 +81,16 @@ class PatchDatum:
         return self.A.base_part(self.A.el(x))
 
 
-def zariski_datum(B: Ring, m, h, depth: int | None = None) -> PatchDatum:
+def zariski_datum(B: Ring, m, h) -> PatchDatum:
     """B -> B_m with h coprime to m: the localization instance of the
     excision square."""
     A = localize(B, B.el(m))
-    return PatchDatum(B, A, localization_hom(B, A), B.el(h), "zariski", depth)
+    return PatchDatum(B, A, localization_hom(B, A), B.el(h), "zariski")
 
 
-def identity_datum(R: Ring, h=None, depth: int | None = None) -> PatchDatum:
+def identity_datum(R: Ring, h=None) -> PatchDatum:
     h = R.one if h is None else R.el(h)
-    return PatchDatum(R, R, identity_hom(R), h, "identity", depth)
+    return PatchDatum(R, R, identity_hom(R), h, "identity")
 
 
 # ---------------------------------------------------------------------------

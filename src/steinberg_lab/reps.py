@@ -133,13 +133,18 @@ class Representation:
 
     def root_matrix(self, root):
         """Dense integer matrix of the basis nilpotent e_root."""
-        m = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for i, j, c in self.m1[root]:
-            m[i, j] = c
-        return m
+        return _dense(self.dim, self.m1[root])
 
     def describe(self) -> str:
         return f"{self.kind}({self.system})"
+
+
+def _dense(dim: int, entries):
+    """Dense int64 matrix from sparse (i, j, coeff) entries."""
+    m = np.zeros((dim, dim), dtype=np.int64)
+    for i, j, c in entries:
+        m[i, j] = c
+    return m
 
 
 _REP_CACHE: dict = {}
@@ -208,8 +213,10 @@ class GroupMatrix:
     @classmethod
     def identity(cls, ring: Ring, dim: int) -> "GroupMatrix":
         zero, one = ring._from_int(0), ring._from_int(1)
-        return cls(ring, [[one if i == j else zero for j in range(dim)]
-                          for i in range(dim)])
+        rows = [[zero] * dim for _ in range(dim)]
+        for i in range(dim):
+            rows[i][i] = one
+        return cls(ring, rows)
 
     @property
     def dim(self) -> int:
@@ -314,19 +321,27 @@ def _apply_letter(ring: Ring, rows, m1, m2, xi):
     return out
 
 
+def _image_rows(ring: Ring, rep: Representation, letters):
+    """Rows of the product of x_root(xi) over (root, payload) letters,
+    multiplied left to right."""
+    zero = ring._from_int(0)
+    rows = GroupMatrix.identity(ring, rep.dim).rows
+    for root, xi in letters:
+        if xi != zero:
+            rows = _apply_letter(ring, rows, rep.m1[root], rep.m2[root], xi)
+    return rows
+
+
 def evaluate(word, rep: Representation, hom: RingHom | None = None) -> GroupMatrix:
     """Image of a word under the representation; letters are multiplied
     left to right, with arguments mapped through `hom` when given."""
-    ring = hom.codomain if hom is not None else word.ring
-    zero = ring._from_int(0)
-    ident = GroupMatrix.identity(ring, rep.dim)
-    rows = [row[:] for row in ident.rows]
-    for root, arg in word.letters:
-        xi = hom.map_payload(arg.payload) if hom is not None else arg.payload
-        if xi == zero:
-            continue
-        rows = _apply_letter(ring, rows, rep.m1[root], rep.m2[root], xi)
-    return GroupMatrix(ring, rows)
+    if hom is None:
+        ring = word.ring
+        letters = ((root, arg.payload) for root, arg in word.letters)
+    else:
+        ring = hom.codomain
+        letters = ((root, hom.map_payload(arg.payload)) for root, arg in word.letters)
+    return GroupMatrix(ring, _image_rows(ring, rep, letters))
 
 
 def k2_membership(word, rep: Representation, hom: RingHom | None = None) -> bool:
@@ -411,17 +426,8 @@ def _np_generator(dense1, dense2, xi, k, mod):
 def _np_verify(rep: Representation, ring: Ring, samples: int, rng, profile):
     k, mod, bound = profile
     d = rep.dim
-    dense1, dense2 = {}, {}
-    for root in rep.system.roots:
-        m = np.zeros((d, d), dtype=np.int64)
-        for i, j, c in rep.m1[root]:
-            m[i, j] = c
-        dense1[root] = m
-        if rep.m2[root]:
-            m = np.zeros((d, d), dtype=np.int64)
-            for i, j, c in rep.m2[root]:
-                m[i, j] = c
-            dense2[root] = m
+    dense1 = {root: _dense(d, rep.m1[root]) for root in rep.system.roots}
+    dense2 = {root: _dense(d, rep.m2[root]) for root in rep.system.roots if rep.m2[root]}
 
     nprng = np.random.default_rng(rng.randrange(2 ** 63))
 
@@ -470,24 +476,14 @@ def _np_verify(rep: Representation, ring: Ring, samples: int, rng, profile):
 
 def _generic_verify(rep: Representation, ring: Ring, samples: int, rng):
     system = rep.system
-    zero = ring._from_int(0)
-    ident = GroupMatrix.identity(ring, rep.dim).rows
-
-    def image(letters):
-        rows = [row[:] for row in ident]
-        for root, xi in letters:
-            if xi == zero:
-                continue
-            rows = _apply_letter(ring, rows, rep.m1[root], rep.m2[root], xi)
-        return rows
-
     violations = []
     pairs = 0
     for alpha in system.roots:
         pairs += 1
         for _ in range(samples):
             a, b = ring._sample(rng, 6), ring._sample(rng, 6)
-            if image([(alpha, a), (alpha, b)]) != image([(alpha, ring._add(a, b))]):
+            left = _image_rows(ring, rep, [(alpha, a), (alpha, b)])
+            if left != _image_rows(ring, rep, [(alpha, ring._add(a, b))]):
                 violations.append(("R1", alpha))
                 break
     for alpha in system.roots:
@@ -498,17 +494,17 @@ def _generic_verify(rep: Representation, ring: Ring, samples: int, rng):
             pairs += 1
             for _ in range(samples):
                 a, b = ring._sample(rng, 6), ring._sample(rng, 6)
-                left = image([(alpha, a), (beta, b)])
+                left = _image_rows(ring, rep, [(alpha, a), (beta, b)])
                 if s is None:
-                    right = image([(beta, b), (alpha, a)])
+                    right = _image_rows(ring, rep, [(beta, b), (alpha, a)])
                     if left != right:
                         violations.append(("R2", alpha, beta))
                         break
                 else:
                     prod = ring._mul(a, b)
                     n = system.structure_constant(alpha, beta)
-                    right = image([(s, prod if n == 1 else ring._neg(prod)),
-                                   (beta, b), (alpha, a)])
+                    right = _image_rows(ring, rep, [(s, prod if n == 1 else ring._neg(prod)),
+                                                    (beta, b), (alpha, a)])
                     if left != right:
                         violations.append(("R3", alpha, beta))
                         break

@@ -21,7 +21,7 @@ __all__ = [
     "milnor_square_ring",
     "RingMismatchError", "NonUnitError", "CompatibilityError",
     "DecompositionError",
-    "identity_hom", "localization_hom", "quotient_hom", "inclusion_hom",
+    "identity_hom", "localization_hom", "quotient_hom",
     "product_projection", "substitution_hom", "coarser_localization_hom",
     "localization_functor_hom", "fraction_field_hom",
     "ext_gcd", "bezout_identity", "bezout_decompose",
@@ -332,16 +332,35 @@ class RationalField(Ring):
         return Fraction(data["n"], data["d"])
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# The first 13 primes are strong-pseudoprime witnesses for every odd
+# composite below psi_13 (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact below psi_13, ValueError above."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality is decided only below {_MR_LIMIT}, got {n}")
+    if n < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -393,6 +412,31 @@ def _grlex_key(exps):
 
 def _poly_canonical(terms: dict):
     return tuple(sorted(terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True))
+
+
+def _poly_divmod(P: PolynomialRing, a, b):
+    """Leading-term division of a by b != 0 in P: (quotient, remainder).
+
+    Stops at the first remainder whose leading term is not a multiple of
+    lt(b), so over a domain b divides a exactly iff the remainder is 0.
+    For univariate b with a unit leading coefficient this is division
+    with remainder."""
+    base = P.base
+    lt_e, lt_c = b[0]
+    quo = {}
+    rem = a
+    while rem:
+        re, rc = rem[0]
+        de = tuple(x - y for x, y in zip(re, lt_e))
+        if min(de) < 0:
+            break
+        qc = base._try_divide(rc, lt_c)
+        if qc is None:
+            break
+        # leading monomials strictly decrease, so each de is new
+        quo[de] = qc
+        rem = P._add(rem, P._neg(P._mul(((de, qc),), b)))
+    return _poly_canonical(quo), rem
 
 
 class PolynomialRing(Ring):
@@ -465,24 +509,10 @@ class PolynomialRing(Ring):
         return (((0,) * self.nvars, c),)
 
     def _try_divide(self, a, b):
-        # leading-term division; exact quotients only (base is a domain)
         if not b:
             return None
-        lt_e, lt_c = b[0]
-        quo = {}
-        rem = a
-        bz = self.base._from_int(0)
-        while rem:
-            re, rc = rem[0]
-            de = tuple(x - y for x, y in zip(re, lt_e))
-            if any(x < 0 for x in de):
-                return None
-            qc = self.base._try_divide(rc, lt_c)
-            if qc is None:
-                return None
-            quo[de] = self.base._add(quo.get(de, bz), qc)
-            rem = self._add(rem, self._neg(self._mul(((de, qc),), b)))
-        return _poly_canonical({e: c for e, c in quo.items() if c != bz})
+        q, r = _poly_divmod(self, a, b)
+        return None if r else q
 
     def _sample(self, rng, size):
         terms = {}
@@ -682,16 +712,7 @@ class QuotientRing(Ring):
     def _reduce(self, a):
         if self.n is not None:
             return a % self.n
-        # monic univariate long division remainder
-        P = self.base
-        m = self.modulus.payload
-        dm = P.degree(m)
-        rem = a
-        while rem and P.degree(rem) >= dm:
-            re, rc = rem[0]
-            shift = ((re[0] - dm,), rc)
-            rem = P._add(rem, P._neg(P._mul((shift,), m)))
-        return rem
+        return _poly_divmod(self.base, a, self.modulus.payload)[1]
 
     def _add(self, a, b):
         return self._reduce(self.base._add(a, b))
@@ -719,33 +740,23 @@ class QuotientRing(Ring):
         return self._poly_quotient_divide(a, b)
 
     def _poly_quotient_divide(self, a, b):
+        """a * b^-1, with the inverse taken over the fraction field.  The
+        modulus is monic, so ZZ[t]/(f) embeds in QQ[t]/(f) and b is a unit
+        over ZZ iff its unique inverse there has integer coefficients."""
         P = self.base
-        if P.base.is_field:
-            g, x, _ = _poly_ext_gcd(P, b, self.modulus.payload)
-            if P.degree(g) != 0:
-                return None
-            ginv = P.base._try_divide(P.base._from_int(1), g[0][1])
-            inv = self._reduce(P._mul(x, P.constant(RingElement(P.base, ginv)).payload))
-            return self._mul(a, inv)
-        # base ZZ with modulus t^k: geometric-series inversion for +-1 units
         m = self.modulus.payload
-        if isinstance(P.base, IntegerRing) and len(m) == 1:
-            k = m[0][0][0]
-            const = 0
-            for e, c in b:
-                if e == (0,):
-                    const = c
-            if const not in (1, -1):
+        if P.base.is_field:
+            inv = _inverse_mod(P, b, m)
+        elif isinstance(P.base, IntegerRing):
+            F = PolynomialRing(RationalField(), P.names)
+            inv = _inverse_mod(F, tuple((e, Fraction(c)) for e, c in b),
+                               tuple((e, Fraction(c)) for e, c in m))
+            if inv is None or any(c.denominator != 1 for _, c in inv):
                 return None
-            nil = self._reduce(P._add(b, P._neg(P._from_int(const))))
-            inv = P._from_int(const)
-            power = P._from_int(const)
-            for _ in range(1, k):
-                power = self._reduce(P._neg(P._mul(P._mul(power, nil), P._from_int(const))))
-                inv = P._add(inv, power)
-            inv = self._reduce(inv)
-            return self._mul(a, inv)
-        return None
+            inv = tuple((e, c.numerator) for e, c in inv)
+        else:
+            return None
+        return None if inv is None else self._mul(a, inv)
 
     def _sample(self, rng, size):
         return self._reduce(self.base._sample(rng, size))
@@ -1017,10 +1028,6 @@ def quotient_hom(base: Ring, quo: QuotientRing) -> RingHom:
     return RingHom(base, quo, quo._reduce, "project")
 
 
-def inclusion_hom(domain: Ring, codomain: Ring, fn, label: str = "incl") -> RingHom:
-    return RingHom(domain, codomain, fn, label)
-
-
 def product_projection(prod: ProductRing, side: int) -> RingHom:
     target = prod.left if side == 0 else prod.right
     return RingHom(prod, target, lambda p: p[side], f"pr{side}")
@@ -1119,24 +1126,6 @@ def fraction_field_hom(ring: Ring) -> RingHom:
 # extended gcd / Bezout identities
 # ---------------------------------------------------------------------------
 
-def _poly_divmod(P: PolynomialRing, a, b):
-    """Univariate division with remainder; divisor leading coeff must be
-    invertible in the base (fields) or the division must be exact."""
-    base = P.base
-    m_e, m_c = b[0]
-    quo = ()
-    rem = a
-    while rem and rem[0][0][0] >= m_e[0]:
-        re, rc = rem[0]
-        qc = base._try_divide(rc, m_c)
-        if qc is None:
-            raise NonUnitError("leading coefficient not invertible")
-        term = (((re[0] - m_e[0],), qc),)
-        quo = P._add(quo, term)
-        rem = P._add(rem, P._neg(P._mul(term, b)))
-    return quo, rem
-
-
 def _poly_ext_gcd(P: PolynomialRing, a, b):
     zero, one = P._from_int(0), P._from_int(1)
     r0, r1 = a, b
@@ -1148,6 +1137,15 @@ def _poly_ext_gcd(P: PolynomialRing, a, b):
         s0, s1 = s1, P._add(s0, P._neg(P._mul(q, s1)))
         t0, t1 = t1, P._add(t0, P._neg(P._mul(q, t1)))
     return r0, s0, t0
+
+
+def _inverse_mod(F: PolynomialRing, b, m):
+    """Inverse of b modulo m in the univariate ring F over a field, or None."""
+    g, x, _ = _poly_ext_gcd(F, b, m)
+    if F.degree(g) != 0:
+        return None
+    ginv = F.base._try_divide(F.base._from_int(1), g[0][1])
+    return _poly_divmod(F, F._mul(x, ((g[0][0], ginv),)), m)[1]
 
 
 def ext_gcd(a: RingElement, b: RingElement):

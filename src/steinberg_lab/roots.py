@@ -33,12 +33,6 @@ def _neg(root: Root) -> Root:
     return tuple(-x for x in root)
 
 
-def _basis_vec(dim: int, i: int, sign: int = 1) -> Root:
-    v = [0] * dim
-    v[i] = sign
-    return tuple(v)
-
-
 def _positive_roots(kind: str, rank: int, dim: int):
     pos = []
     if kind == "A":
@@ -198,10 +192,6 @@ class RootSystem:
             if delta in self._root_set:
                 return gamma, delta
         raise ValueError(f"no commutator decomposition for {beta}")
-
-    def ordered_pairs_with_root_sum(self):
-        for (a, b), s in self.addition_table.items():
-            yield a, b, s, self.constants_table[(a, b)]
 
 
 _CACHE: dict = {}

@@ -15,7 +15,7 @@ from .roots import RootSystem
 from . import reps
 
 __all__ = [
-    "SteinbergWord", "RelativeWord", "gen", "identity_word", "concat",
+    "SteinbergWord", "RelativeWord", "gen", "identity_word",
     "weyl_element", "torus_element", "steinberg_symbol",
     "opposite_commutator", "commutator", "conjugated",
     "substitute", "commutator_reduce", "check_commutator_congruence",
@@ -102,13 +102,6 @@ def gen(system: RootSystem, ring: Ring, root, arg) -> SteinbergWord:
     return SteinbergWord(system, ring, ((root, ring.el(arg)),))
 
 
-def concat(*words: SteinbergWord) -> SteinbergWord:
-    out = words[0]
-    for w in words[1:]:
-        out = out * w
-    return out
-
-
 def weyl_element(system: RootSystem, ring: Ring, root, u) -> SteinbergWord:
     """w_root(u) = x_root(u) x_(-root)(-u^-1) x_root(u); u must be a unit."""
     u = ring.el(u)
@@ -161,7 +154,7 @@ def substitute(w: SteinbergWord, hom: RingHom) -> SteinbergWord:
 # commutator collection
 # ---------------------------------------------------------------------------
 
-def commutator_reduce(w: SteinbergWord, fuel: int | None = None) -> SteinbergWord:
+def commutator_reduce(w: SteinbergWord) -> SteinbergWord:
     """Sort letters into enumeration order using only the sound moves
     allowed by the commutation relations; pairs on opposite roots block.
     The result equals the input in the Steinberg group but no claim of a
@@ -169,8 +162,7 @@ def commutator_reduce(w: SteinbergWord, fuel: int | None = None) -> SteinbergWor
     system, ring = w.system, w.ring
     order = system.index
     letters = list(w.letters)
-    if fuel is None:
-        fuel = 16 * (len(letters) + 2) ** 2
+    fuel = 16 * (len(letters) + 2) ** 2
     changed = True
     while changed and fuel > 0:
         changed = False

@@ -147,3 +147,17 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["roots"])          # missing required flags
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["word", "symbol", "--ring", "Fp:4"],
+    ["word", "symbol", "--ring", "bogus"],
+    ["word", "symbol", "--ring", "Zmod:0"],
+    ["simplicial", "check", "--ring", "Fp:4"],
+    ["patch", "verify", "--B", "bogus"],
+])
+def test_bad_ring_spec_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "ring spec" in capsys.readouterr().err

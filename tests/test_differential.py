@@ -1,0 +1,108 @@
+"""Differential tests of primality and polynomial division against sympy,
+and a property test of exact multivariate division."""
+
+import random
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from steinberg_lab.milnor import symbol, tame_symbol
+from steinberg_lab.rings import (GF, ZZ, _is_prime, _poly_canonical, _poly_divmod,
+                                 poly_ring)
+
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+# -- primality ---------------------------------------------------------------
+
+def test_is_prime_matches_sympy_below_1e5():
+    assert [n for n in range(-5, 10 ** 5) if _is_prime(n) != sympy.isprime(n)] == []
+
+
+def test_is_prime_matches_sympy_on_80_bit_inputs():
+    rng = random.Random(80)
+    odd = [rng.getrandbits(80) | (1 << 79) | 1 for _ in range(300)]
+    primes = [sympy.nextprime(n) for n in odd[:30]]
+    for n in odd + primes:
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
+@pytest.mark.parametrize("n", [561, 2047, 3215031751, 3825123056546413051])
+def test_strong_pseudoprimes_and_carmichael_are_composite(n):
+    assert not sympy.isprime(n)
+    assert not _is_prime(n)
+
+
+def test_is_prime_refuses_above_psi_13():
+    assert _is_prime(PSI_13 - 2) == sympy.isprime(PSI_13 - 2)
+    for n in (PSI_13, PSI_13 + 2 ** 70):
+        with pytest.raises(ValueError):
+            _is_prime(n)
+
+
+def test_mersenne_61_field_and_tame_symbol():
+    p = 2 ** 61 - 1
+    assert GF(p).p == p
+    image = tame_symbol(symbol(2, 3), p)
+    assert image.prime == p and 0 < image.value < p
+
+
+# -- univariate division against sympy's div -------------------------------
+
+def _random_payload(P, rng, deg):
+    terms = {}
+    for e in range(deg + 1):
+        c = P.base._from_int(rng.randint(-9, 9))
+        if c != P.base._from_int(0):
+            terms[(e,)] = c
+    return P.el(_poly_canonical(terms))
+
+
+def _to_sympy(f, x, modulus):
+    expr = sum(int(c) * x ** e[0] for e, c in f.payload)
+    if modulus is None:
+        return sympy.Poly(expr, x, domain="ZZ")
+    return sympy.Poly(expr, x, modulus=modulus)
+
+
+@pytest.mark.parametrize("modulus", [None, 7])
+def test_poly_divmod_matches_sympy_div(modulus):
+    base = ZZ() if modulus is None else GF(modulus)
+    P = poly_ring(base, ("x",))
+    x = sympy.Symbol("x")
+    rng = random.Random(7 if modulus else 0)
+    checked = 0
+    while checked < 200:
+        a = _random_payload(P, rng, rng.randint(0, 7))
+        b = _random_payload(P, rng, rng.randint(0, 4))
+        if b.is_zero:
+            continue
+        q, r = _poly_divmod(P, a.payload, b.payload)
+        # auto=False keeps sympy in ZZ[x] instead of moving to QQ[x]
+        sq, sr = _to_sympy(a, x, modulus).div(_to_sympy(b, x, modulus), auto=False)
+        assert _to_sympy(P.el(q), x, modulus) == sq
+        assert _to_sympy(P.el(r), x, modulus) == sr
+        checked += 1
+
+
+# -- exact multivariate division -------------------------------------------
+
+P3 = poly_ring(ZZ(), ("x", "y", "z"))
+
+polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3),
+    st.integers(-6, 6).filter(bool),
+    max_size=5,
+).map(lambda terms: P3.el(_poly_canonical(terms)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(polys, polys)
+def test_exact_division_recovers_factor(f, g):
+    if g.is_zero:
+        return
+    assert (f * g).try_divide(g) == f
+    if P3.degree(g.payload) > 0:
+        # g cannot divide f*g + 1 without dividing the unit 1
+        assert (f * g + 1).try_divide(g) is None

@@ -9,8 +9,7 @@ from steinberg_lab.roots import build_root_system
 from steinberg_lab import reps, words
 from steinberg_lab.patching import (ConjugationHom, GlueingError,
                                     InsufficientLevelError, PatchPair,
-                                    TruncatedProRng, conj_bound,
-                                    conj_on_generator, glueing_demo,
+                                    conj_bound, conj_on_generator, glueing_demo,
                                     identity_datum, left_translation,
                                     mu_image, star_reduce,
                                     translate_by_word, verify_conjugation,
@@ -36,7 +35,7 @@ def random_g(datum, rng, max_len=2, s_max=2):
     return g
 
 
-# -- datum and pro-rng -------------------------------------------------------
+# -- datum -------------------------------------------------------------------
 
 def test_datum_construction():
     datum = make_datum()
@@ -45,26 +44,6 @@ def test_datum_construction():
     assert datum.pullback_arg(datum.A.fraction(Z.from_int(5), 1)) is None
     with pytest.raises(ValueError):
         zariski_datum(Z, 2, 0)
-
-
-def test_depth_env_override(monkeypatch):
-    monkeypatch.setenv("STEINBERG_LAB_DEPTH", "5")
-    datum = make_datum()
-    assert datum.depth == 5 and datum.pro_B.depth == 5
-    monkeypatch.delenv("STEINBERG_LAB_DEPTH")
-    assert make_datum().depth == 16
-
-
-def test_truncated_pro_rng_levels():
-    pro = TruncatedProRng(Z, Z.from_int(3), depth=5)
-    assert pro.level(2).contains(Z.from_int(18))
-    assert not pro.level(2).contains(Z.from_int(6))
-    # structure maps are inclusions of deeper levels
-    assert pro.includes(3, 1, Z.from_int(27))
-    with pytest.raises(ValueError):
-        pro.level(6)
-    with pytest.raises(ValueError):
-        pro.includes(1, 3, Z.from_int(27))
 
 
 def test_decompose_shifted_reconstructs():

@@ -111,6 +111,21 @@ def test_quotient_rings():
     assert Z1.one == Z1.zero
 
 
+def test_quotient_units_over_integers():
+    Pt = poly_ring(ZZ(), ("t",))
+    t = Pt.var("t")
+    Q = quotient(Pt, t ** 2 + 1)
+    tq = Q.project(t)
+    assert tq.is_unit() and tq.inverse() == -tq
+    assert not (1 + tq).is_unit()          # norm 2
+    Q2 = quotient(Pt, t ** 2 - 2)
+    assert (1 + Q2.project(t)).inverse() == Q2.project(t - 1)
+    T3 = quotient(Pt, t ** 3)
+    u = T3.project(1 + 2 * t + 5 * t ** 2)
+    assert u.inverse() == T3.project(1 - 2 * t - t ** 2)
+    assert not T3.project(2 + t).is_unit()
+
+
 def test_ideals():
     Z = ZZ()
     I2 = Ideal(Z, [2])
