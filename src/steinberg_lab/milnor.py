@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .rings import RationalField, Ring, _is_prime
+from .rings import _MR_LIMIT, RationalField, Ring, _is_prime
 
 __all__ = [
     "MilnorSymbolSum", "TameSymbolImage", "symbol", "symbol_normalize",
@@ -21,8 +22,16 @@ __all__ = [
 ]
 
 
+_TRIAL_CAP = 1 << 32   # trial division runs while d * d <= min(n, cap)
+_RHO_STEPS = 1 << 18   # Pollard rho steps tried on a cofactor at or above psi_13
+
+
 def factor_positive(n: int) -> dict:
-    """Prime factorization of a positive integer by trial division."""
+    """Prime factorization of a positive integer.  Up to 2^32 by trial
+    division; above, trial division to 2^16, then Miller-Rabin and
+    Pollard rho on the cofactor.  A cofactor at or above psi_13, where
+    Miller-Rabin is not exact, gets _RHO_STEPS rho steps (about half a
+    second); ValueError if they find no factor."""
     if n <= 0:
         raise ValueError("argument must be positive")
     out = {}
@@ -30,16 +39,62 @@ def factor_positive(n: int) -> dict:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
+    cap = min(n, _TRIAL_CAP)
     d = 5
-    while d * d <= n:
+    while d * d <= cap:
         for p in (d, d + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
+                cap = min(n, cap)
         d += 6
-    if n > 1:
+    if n > _TRIAL_CAP:
+        for p in _large_factors(n):
+            out[p] = out.get(p, 0) + 1
+    elif n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _large_factors(n: int) -> list:
+    """Prime factors, with repetition, of n > 1 free of primes below
+    2^16: such an n below 2^32 is prime."""
+    if n < _MR_LIMIT:
+        if n <= _TRIAL_CAP or _is_prime(n):
+            return [n]
+        d = _pollard_rho(n)
+    else:
+        d = _pollard_rho(n, _RHO_STEPS)
+        if d is None:
+            raise ValueError(f"cannot factor {n}: no factor below 2^16 or in "
+                             f"{_RHO_STEPS} Pollard rho steps, and its primality "
+                             f"is decided only below {_MR_LIMIT}")
+    return _large_factors(d) + _large_factors(n // d)
+
+
+def _pollard_rho(n: int, steps=None):
+    """A proper factor of the odd n, or None when n is not split within
+    the given number of steps (no limit by default; a composite n then
+    always splits): Floyd cycle finding on x -> x^2 + c with one gcd
+    per 64 steps, trying c = 1, 2, ... until the gcd is proper."""
+    c = 0
+    while steps is None or steps > 0:
+        c += 1
+        x = y = 2
+        d = 1
+        while d == 1 and (steps is None or steps > 0):
+            q = 1
+            for _ in range(64):
+                x = (x * x + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            d = gcd(q, n)
+            if steps is not None:
+                steps -= 64
+        if 1 < d < n:
+            return d
+    return None
 
 
 def _factor_rational(x: Fraction):

@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail
 line with its elapsed time and running at the stated tolerance (all
 checks are exact; the budgets below are the stated runtime ceilings).
+The randomized criteria call the checks in steinberg_lab.checks; a
+failing criterion reports its first witness.
 
 Run with `pytest tests/test_acceptance.py -v` (add -rA to see the
 printed lines for passing criteria).
@@ -8,23 +10,9 @@ printed lines for passing criteria).
 
 import random
 import time
-from fractions import Fraction
 
-from steinberg_lab.rings import (GF, QQ, ZZ, Ideal, bezout_decompose,
-                                 coarser_localization_hom,
-                                 decompose_modulo_power, fraction_field_hom,
-                                 localize, milnor_square_pullback,
-                                 milnor_square_project_base,
-                                 milnor_square_project_poly,
-                                 milnor_square_ring, poly_ring, product_ring,
-                                 quotient, quotient_hom,
-                                 reciprocal_localization_witness)
+from steinberg_lab import checks
 from steinberg_lab.roots import build_root_system
-from steinberg_lab import milnor, reps, simplicial, words
-from steinberg_lab.patching import (ConjugationHom, verify_translation_relations,
-                                    zariski_datum)
-
-Z = ZZ()
 
 # acceptance scope for the relation sweep: every constants-criterion
 # system appears with a faithful representation, and the adjoint is
@@ -38,10 +26,10 @@ RELATION_CONFIGS = [
 ]
 
 
-def report(name, ok, t0, budget):
+def report(name, witnesses, t0, budget):
     elapsed = time.monotonic() - t0
-    print(f"{'PASS' if ok else 'FAIL'} {name} ({elapsed:.1f}s, budget {budget}s)")
-    assert ok, name
+    print(f"{'FAIL' if witnesses else 'PASS'} {name} ({elapsed:.1f}s, budget {budget}s)")
+    assert not witnesses, f"{name}: {len(witnesses)} failures, first {witnesses[0]}"
     assert elapsed < budget, f"{name} exceeded its {budget}s budget ({elapsed:.1f}s)"
 
 
@@ -49,114 +37,45 @@ def test_criterion_01_structure_constants_vs_oracle():
     """constants tables match the independent commutator oracle exactly."""
     from test_roots import oracle_constant
     t0 = time.monotonic()
-    ok = True
+    bad = []
     for kind, rank in (("A", 2), ("A", 3), ("A", 4), ("A", 5),
                        ("D", 4), ("D", 5), ("D", 6)):
         system = build_root_system(kind, rank)
-        for (a, b), n in system.constants_table.items():
-            if n != oracle_constant(system, a, b):
-                ok = False
-    report("criterion-01 structure-constants", ok, t0, 10)
+        bad += [{"system": repr(system), "roots": [a, b]}
+                for (a, b), n in system.constants_table.items()
+                if n != oracle_constant(system, a, b)]
+    report("criterion-01 structure-constants", bad, t0, 10)
 
 
 def test_criterion_02_relation_validity():
     """all three relations hold as matrix identities over Z/6, F7 and
     Z[t]/(t^3), 100 samples per root pair, zero violations."""
     t0 = time.monotonic()
-    rng = random.Random(2024)
-    Pt = poly_ring(Z, ("t",))
-    rings = [quotient(Z, 6), GF(7), quotient(Pt, Pt.var("t") ** 3)]
-    ok = True
-    for kind, rank, repkind in RELATION_CONFIGS:
-        rep = reps.build_representation(build_root_system(kind, rank), repkind)
-        for ring in rings:
-            if not reps.verify_relations(rep, ring, 100, rng).ok:
-                ok = False
-    report("criterion-02 relation-validity", ok, t0, 60)
+    bad = checks.relations(random.Random(2024), 100, [(spec, ring) for spec in RELATION_CONFIGS
+                                                      for ring in checks.sweep_rings()])
+    report("criterion-02 relation-validity", bad, t0, 60)
 
 
 def test_criterion_03_symbol_suite():
     """1000 random Milnor symbols: bilinearity, skew-symmetry and the
     Steinberg relation at every relevant odd prime; d_3{2,3} = 2."""
     t0 = time.monotonic()
-    rng = random.Random(3)
-    ok = milnor.tame_symbol(milnor.symbol(2, 3), 3).value == 2
-    produced = 0
-    while produced < 1000:
-        a = Fraction(rng.randint(1, 50), rng.randint(1, 50))
-        b = Fraction(rng.randint(1, 50), rng.randint(1, 50))
-        c = Fraction(rng.randint(1, 50), rng.randint(1, 50))
-        u = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-        produced += 1
-        bil_l = milnor.symbol(a, b * c)
-        bil_r = milnor.symbol(a, b) + milnor.symbol(a, c)
-        skew = milnor.symbol(a, b) + milnor.symbol(b, a)
-        primes = set(milnor.relevant_odd_primes(bil_l)) | set(
-            milnor.relevant_odd_primes(bil_r))
-        for p in primes:
-            if milnor.tame_symbol(bil_l, p).value != milnor.tame_symbol(bil_r, p).value:
-                ok = False
-            if milnor.tame_symbol(skew, p).value != 1:
-                ok = False
-        if u not in (0, 1):
-            st = milnor.symbol(u, 1 - u)
-            for p in milnor.relevant_odd_primes(st):
-                if milnor.tame_symbol(st, p).value != 1:
-                    ok = False
-    report("criterion-03 symbol-suite", ok, t0, 10)
+    report("criterion-03 symbol-suite", checks.tame_laws(random.Random(3), 1000), t0, 10)
 
 
 def test_criterion_04_matsumoto_consistency():
     """200 random symbol words over F5, F7, F11 are kernel elements."""
     t0 = time.monotonic()
-    rng = random.Random(4)
-    ok = True
-    systems = [(build_root_system("A", 2), "defining"),
-               (build_root_system("A", 3), "defining"),
-               (build_root_system("D", 4), "vector"),
-               (build_root_system("A", 2), "adjoint")]
-    produced = 0
-    while produced < 200:
-        for p in (5, 7, 11):
-            field = GF(p)
-            system, repkind = systems[rng.randrange(len(systems))]
-            rep = reps.build_representation(system, repkind)
-            root = system.roots[rng.randrange(len(system.roots))]
-            w = words.identity_word(system, field)
-            for _ in range(rng.randint(1, 3)):
-                w = w * words.steinberg_symbol(system, field, root,
-                                               rng.randint(1, p - 1),
-                                               rng.randint(1, p - 1))
-            if not reps.k2_membership(w, rep):
-                ok = False
-            produced += 1
-    report("criterion-04 matsumoto-consistency", ok, t0, 10)
+    report("criterion-04 matsumoto-consistency",
+           checks.kernel_words(random.Random(4), 200), t0, 10)
 
 
 def test_criterion_05_milnor_square():
     """pullback/projection round-trips on 100 random compatible pairs for
     (ZZ, a=2) and (F3[s], a=s), exactly."""
     t0 = time.monotonic()
-    rng = random.Random(5)
-    ok = True
-    F3s = poly_ring(GF(3), ("s",))
-    for base, mult in ((Z, Z.from_int(2)), (F3s, F3s.var("s"))):
-        square = milnor_square_ring(base, mult)
-        for _ in range(100):
-            x = base.sample(rng, 5)
-            f = square.poly.zero
-            for _ in range(rng.randint(0, 3)):
-                f = f + square.poly.var("t") ** rng.randint(1, 3) * \
-                    square.poly.constant(square.loc.sample(rng, 5))
-            g = square.poly.constant(square.loc.from_base(x)) + f
-            e = milnor_square_pullback(x, g, square)
-            if milnor_square_project_base(e) != x or milnor_square_project_poly(e) != g:
-                ok = False
-            e2 = square.pair(x, f)
-            if milnor_square_pullback(milnor_square_project_base(e2),
-                                      milnor_square_project_poly(e2), square) != e2:
-                ok = False
-    report("criterion-05 milnor-square", ok, t0, 5)
+    report("criterion-05 milnor-square",
+           checks.milnor_square_roundtrip(random.Random(5), 100), t0, 5)
 
 
 def test_criterion_06_bezout_decomposition():
@@ -164,33 +83,8 @@ def test_criterion_06_bezout_decomposition():
     exactly; 100 reciprocal-polynomial witnesses satisfy f = t^n g."""
     t0 = time.monotonic()
     rng = random.Random(6)
-    ok = True
-    L2 = localize(Z, 2)
-    h = Z.from_int(3)
-    for _ in range(200):
-        c = L2.fraction(rng.randint(-60, 60), rng.randint(0, 4))
-        k = rng.randint(0, 5)
-        a, b = decompose_modulo_power(c, k, h, Z)
-        if a * L2.from_base(h) ** k + L2.from_base(b) != c:
-            ok = False
-        s = c.payload[1]
-        principal, integral = bezout_decompose(c, h, s)
-        L6 = localize(Z, 6)
-        lift = coarser_localization_hom(L2, L6)
-        if lift(principal) + lift(L2.from_base(integral)) != lift(c):
-            ok = False
-    for base in (Z, GF(7)):
-        P = poly_ring(base, ("t",))
-        tvar = P.var("t")
-        for _ in range(50):
-            deg = rng.randint(1, 6)
-            f = tvar ** deg
-            for i in range(deg):
-                f = f + P.constant(base.sample(rng, 6)) * tvar ** i
-            g = reciprocal_localization_witness(f)
-            if g.ring.from_base(tvar) ** deg * g != g.ring.from_base(f):
-                ok = False
-    report("criterion-06 bezout-decomposition", ok, t0, 5)
+    bad = checks.bezout_reconstruction(rng, 200) + checks.reciprocal_witnesses(rng, 50)
+    report("criterion-06 bezout-decomposition", bad, t0, 5)
 
 
 def test_criterion_07_simplicial_suite():
@@ -198,47 +92,9 @@ def test_criterion_07_simplicial_suite():
     lift round-trips; 100 CRT round-trips."""
     t0 = time.monotonic()
     rng = random.Random(7)
-    ok = True
-    for base in (Z, GF(7)):
-        if any(not good for _, good in simplicial.simplicial_identity_report(base, 3)):
-            ok = False
-    A2 = build_root_system("A", 2)
-    adj = reps.build_representation(A2, "adjoint")
-
-    def rand_poly(ring, deg, size=3):
-        out = ring.zero
-        for _ in range(rng.randint(0, 3)):
-            term = ring.constant(ring.base.sample(rng, size))
-            term = term * ring.var("t1") ** rng.randint(0, deg)
-            out = out + term
-        return out
-
-    for trial in range(100):
-        base = Z if trial % 2 else GF(7)
-        lvl1 = simplicial.simplex_ring(base, 1)
-        f = rand_poly(lvl1, 3)
-        letters = []
-        for _ in range(rng.randint(0, 3)):
-            letters.append((A2.roots[rng.randrange(6)], rand_poly(lvl1, 2, 2)))
-        g = words.SteinbergWord(A2, lvl1, letters)
-        m = simplicial.MooreGenerator(A2, base, 1, A2.simple_roots[0], f, g)
-        lift = simplicial.moore_lift(m)
-        if not (m.in_moore_kernel() and lift.in_moore_kernel()):
-            ok = False
-        got, want = lift.face(0), m.word()
-        if g.is_empty:
-            if got != want:
-                ok = False
-        elif reps.evaluate(got, adj) != reps.evaluate(want, adj):
-            ok = False
-    sq = simplicial.interval_square_ring(Z)
-    prod = product_ring(Z, Z)
-    lvl1 = simplicial.simplex_ring(Z, 1)
-    for _ in range(100):
-        x = sq.project(rand_poly(lvl1, 4, 9))
-        if simplicial.crt_from_pair(simplicial.crt_to_pair(x, prod), sq) != x:
-            ok = False
-    report("criterion-07 simplicial-suite", ok, t0, 30)
+    bad = (checks.simplicial_identities(rng, 3) + checks.moore_roundtrip(rng, 100)
+           + checks.crt_roundtrip(rng, 100))
+    report("criterion-07 simplicial-suite", bad, t0, 30)
 
 
 def test_criterion_08_conjugation_homomorphisms():
@@ -246,72 +102,21 @@ def test_criterion_08_conjugation_homomorphisms():
     20 arguments each above the bound: the defining identity holds
     exactly in the adjoint representation over QQ."""
     t0 = time.monotonic()
-    rng = random.Random(8)
-    A3 = build_root_system("A", 3)
-    adj = reps.build_representation(A3, "adjoint")
-    datum = zariski_datum(Z, 2, 3)
-    fr_B = fraction_field_hom(datum.B)
-    fr_Bh = fraction_field_hom(datum.B_h)
-    ok = True
-    for _ in range(50):
-        g = words.identity_word(A3, datum.B_h)
-        for _ in range(rng.randint(1, 2)):
-            root = A3.roots[rng.randrange(len(A3.roots))]
-            num = Z.from_int(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
-            g = g * words.gen(A3, datum.B_h, root,
-                              datum.B_h.fraction(num, rng.randint(0, 2)))
-        cg = ConjugationHom(A3, datum.B, datum.h, g)
-        k = cg.bound + rng.randint(0, 1)
-        g_img = reps.evaluate(g, adj, hom=fr_Bh)
-        g_inv_img = reps.evaluate(g.inverse(), adj, hom=fr_Bh)
-        hk = datum.h ** k
-        for _ in range(20):
-            root = A3.roots[rng.randrange(len(A3.roots))]
-            x = words.gen(A3, datum.B, root, Z.from_int(rng.randint(-4, 4)) * hk)
-            left = reps.evaluate(cg.apply_word(x, k), adj, hom=fr_B)
-            right = g_img * reps.evaluate(x, adj, hom=fr_B) * g_inv_img
-            if left != right:
-                ok = False
-    report("criterion-08 conjugation-homomorphisms", ok, t0, 120)
+    report("criterion-08 conjugation-homomorphisms",
+           checks.conjugation_identity(random.Random(8), 50), t0, 120)
 
 
 def test_criterion_09_translation_operator_suite():
     """relations, independence of the decomposition, equivariance and the
     unit laws for the translation operators, at mu-image level."""
     t0 = time.monotonic()
-    A3 = build_root_system("A", 3)
-    adj = reps.build_representation(A3, "adjoint")
-    datum = zariski_datum(Z, 2, 3)
-    rpt = verify_translation_relations(datum, A3, adj, 50, random.Random(9))
-    report("criterion-09 translation-operators", rpt.ok, t0, 300)
+    report("criterion-09 translation-operators",
+           checks.translation_operators(random.Random(9), 50), t0, 300)
 
 
 def test_criterion_10_congruence_necessary_condition():
     """images of the two commutator rearrangements agree in SL over
     Z/(ab) for 50 random data in each of A2, A3."""
     t0 = time.monotonic()
-    rng = random.Random(10)
-    ok = True
-    for kind, rank in (("A", 2), ("A", 3)):
-        system = build_root_system(kind, rank)
-        defin = reps.build_representation(system, "defining")
-        root = system.simple_roots[0]
-        for _ in range(50):
-            a0, b0 = rng.randint(2, 7), rng.randint(2, 7)
-            a = a0 * rng.randint(1, 5)
-            b = b0 * rng.randint(1, 5)
-            c = rng.randint(-10, 10)
-            if not words.check_commutator_congruence(system, root, a, b, c,
-                                                Ideal(Z, [a0]), Ideal(Z, [b0])):
-                ok = False
-            # direct check in the defining representation as well
-            q = quotient(Z, a0 * b0)
-            hom = quotient_hom(Z, q)
-            w1 = words.opposite_commutator(system, Z, root, Z.from_int(a),
-                                           Z.from_int(c * b))
-            w2 = words.opposite_commutator(system, Z, root, Z.from_int(a * c),
-                                           Z.from_int(b))
-            if reps.evaluate(words.substitute(w1, hom), defin) != \
-                    reps.evaluate(words.substitute(w2, hom), defin):
-                ok = False
-    report("criterion-10 congruence-condition", ok, t0, 30)
+    report("criterion-10 congruence-condition",
+           checks.congruence_condition(random.Random(10), 50), t0, 30)

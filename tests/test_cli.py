@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from steinberg_lab import cli
 from steinberg_lab.cli import main, parse_ring
 from steinberg_lab.rings import GF, ZZ, localize, quotient
 from steinberg_lab.roots import build_root_system
@@ -161,3 +162,32 @@ def test_bad_ring_spec_is_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "ring spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["word", "symbol", "--ring", "int"],          # 2 and 3 are not units of ZZ
+    ["k2m", "tame", "--symbol", "2,3", "--prime", "9"],
+    ["k2m", "tame", "--symbol", "2,x", "--prime", "3"],
+    ["k2m", "tame", "--symbol", "0,3", "--prime", "3"],
+    ["k2m", "tame"],
+    ["eval", "--word", "no-such-dir/word.json"],
+    ["word", "eval"],
+])
+def test_input_errors_are_usage_errors(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error" in err and "Traceback" not in err
+
+
+def test_crash_exits_3_with_traceback(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("planted crash")
+
+    monkeypatch.setattr(cli, "cmd_roots", crash)
+    assert main(["roots", "--type", "A", "--rank", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: planted crash" in err

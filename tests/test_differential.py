@@ -1,5 +1,5 @@
-"""Differential tests of primality and polynomial division against sympy,
-and a property test of exact multivariate division."""
+"""Differential tests of primality, factorization and polynomial division
+against sympy, and a property test of exact multivariate division."""
 
 import random
 
@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from steinberg_lab.milnor import symbol, tame_symbol
+from steinberg_lab.milnor import factor_positive, symbol, tame_symbol
 from steinberg_lab.rings import (GF, ZZ, _is_prime, _poly_canonical, _poly_divmod,
                                  poly_ring)
 
@@ -39,6 +39,20 @@ def test_is_prime_refuses_above_psi_13():
     for n in (PSI_13, PSI_13 + 2 ** 70):
         with pytest.raises(ValueError):
             _is_prime(n)
+
+
+def test_factor_positive_matches_sympy_below_2_64():
+    rng = random.Random(64)
+    semiprimes = [sympy.nextprime(rng.getrandbits(32)) * sympy.nextprime(rng.getrandbits(31))
+                  for _ in range(3)]
+    for n in [rng.randrange(1, 2 ** 64) for _ in range(60)] + semiprimes:
+        assert factor_positive(n) == sympy.factorint(n), n
+
+
+def test_factor_positive_refuses_two_primes_above_2_64():
+    p = sympy.nextprime(2 ** 64)
+    with pytest.raises(ValueError):
+        factor_positive(p * sympy.nextprime(p))
 
 
 def test_mersenne_61_field_and_tame_symbol():

@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from steinberg_lab.milnor import (MilnorSymbolSum, TameSymbolImage,
-                                  factor_positive, relevant_odd_primes,
+from steinberg_lab.milnor import (TameSymbolImage, factor_positive,
                                   steinberg_to_milnor, symbol,
                                   symbol_normalize, tame_symbol,
                                   tame_symbol_term)
-from steinberg_lab.rings import GF, QQ
+from steinberg_lab.rings import GF
 from steinberg_lab.roots import build_root_system
-from steinberg_lab import words
+from steinberg_lab import checks, words
 
 
 def test_factor_positive():
@@ -20,6 +19,13 @@ def test_factor_positive():
     assert factor_positive(1) == {}
     with pytest.raises(ValueError):
         factor_positive(0)
+    m31, m61 = 2 ** 31 - 1, 2 ** 61 - 1
+    assert factor_positive(m61) == {m61: 1}
+    assert factor_positive(m31 * m61) == {m31: 1, m61: 1}
+    assert factor_positive(5 ** 40) == {5: 40}
+    # 2^89 - 1 is prime, above the bound where Miller-Rabin is exact
+    with pytest.raises(ValueError):
+        factor_positive(2 ** 89 - 1)
 
 
 def test_tame_symbol_examples():
@@ -64,47 +70,15 @@ def test_formal_cancellation():
 
 
 def test_steinberg_relation_sweep():
-    rng = random.Random(5)
-    count = 0
-    while count < 200:
-        u = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
-        if u in (0, 1):
-            continue
-        count += 1
-        s = symbol(u, 1 - u)
-        for p in relevant_odd_primes(s):
-            assert tame_symbol(s, p).value == 1
+    assert checks.tame_laws(random.Random(5), 200) == []
 
 
 def test_tame_bilinearity_sweep():
-    rng = random.Random(6)
-    for _ in range(300):
-        a = Fraction(rng.randint(1, 60), rng.randint(1, 60))
-        b = Fraction(rng.randint(1, 60), rng.randint(1, 60))
-        c = Fraction(rng.randint(1, 60), rng.randint(1, 60))
-        left = symbol(a, b * c)
-        right = symbol(a, b) + symbol(a, c)
-        swap = symbol(a, b) + symbol(b, a)
-        primes = set(relevant_odd_primes(left)) | set(relevant_odd_primes(right))
-        for p in primes:
-            assert tame_symbol(left, p).value == tame_symbol(right, p).value
-            assert tame_symbol(swap, p).value == 1
+    assert checks.tame_laws(random.Random(6), 300) == []
 
 
 def test_normalize_preserves_tame_images():
-    rng = random.Random(7)
-    for _ in range(150):
-        terms = {}
-        for _ in range(rng.randint(1, 4)):
-            a = Fraction(rng.randint(1, 30), rng.randint(1, 30))
-            b = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30))
-            if a == 1 or b == 1:
-                continue
-            terms[(a, b)] = terms.get((a, b), 0) + rng.choice([-2, -1, 1, 2])
-        s = MilnorSymbolSum(QQ(), terms)
-        n = symbol_normalize(s)
-        for p in set(relevant_odd_primes(s)) | set(relevant_odd_primes(n)):
-            assert tame_symbol(s, p).value == tame_symbol(n, p).value
+    assert checks.normalize_tame_images(random.Random(7), 150) == []
 
 
 def test_tame_image_type_invariants():
@@ -133,18 +107,4 @@ def test_steinberg_bridge():
 
 
 def test_bridge_consistency_with_kernel_membership():
-    from steinberg_lab import reps
-    rng = random.Random(9)
-    for p in (5, 7):
-        F = GF(p)
-        A2 = build_root_system("A", 2)
-        rep = reps.build_representation(A2, "defining")
-        root = A2.simple_roots[0]
-        for _ in range(25):
-            w = words.identity_word(A2, F)
-            for _ in range(rng.randint(1, 3)):
-                w = w * words.steinberg_symbol(A2, F, root,
-                                               rng.randint(1, p - 1),
-                                               rng.randint(1, p - 1))
-            assert steinberg_to_milnor(w).field == F
-            assert reps.k2_membership(w, rep)
+    assert checks.kernel_words(random.Random(9), 50) == []

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from steinberg_lab.rings import ZZ, RingElement
+from steinberg_lab.rings import ZZ
 from steinberg_lab.roots import build_root_system
-from steinberg_lab import reps, words
+from steinberg_lab import checks, reps, words
 from steinberg_lab.patching import (ConjugationHom, GlueingError,
                                     InsufficientLevelError, PatchPair,
                                     conj_bound, conj_on_generator, glueing_demo,
@@ -47,14 +47,7 @@ def test_datum_construction():
 
 
 def test_decompose_shifted_reconstructs():
-    datum = make_datum()
-    rng = random.Random(2)
-    for _ in range(50):
-        c = datum.A.fraction(Z.from_int(rng.randint(-30, 30)), rng.randint(0, 3))
-        k = rng.randint(0, 4)
-        d = Z.from_int(rng.randint(-3, 3))
-        a, b = datum.decompose_shifted(c, k, d)
-        assert a * datum.lam_A.domain.el(datum.h_in_A) ** 0 * datum.h_in_A ** k + datum.iota(b) == c
+    assert checks.bezout_reconstruction(random.Random(2), 50) == []
 
 
 # -- conjugation case formulas (letter level) ---------------------------------
@@ -230,40 +223,13 @@ def test_translation_pure_deep_argument():
 
 
 def test_translation_equivariance():
-    datum = make_datum()
-    rng = random.Random(7)
-    for _ in range(15):
-        u = random_g(datum, rng, s_max=1)
-        v = identity_word(A3, datum.A)
-        for _ in range(rng.randint(0, 2)):
-            v = v * gen(A3, datum.A, A3.roots[rng.randrange(len(A3.roots))],
-                        datum.A.sample(rng, 3))
-        p = PatchPair(u, v)
-        alpha = A3.roots[rng.randrange(len(A3.roots))]
-        s = rng.randint(0, 1)
-        c = datum.A.sample(rng, 4)
-        q = left_translation(datum, A3, alpha, c, s, p)
-        x = gen(A3, datum.A_h, alpha,
-                RingElement(datum.A_h, datum.A_h._norm(c.payload, s)))
-        assert mu_image(datum, ADJ, q) == reps.evaluate(x, ADJ) * mu_image(datum, ADJ, p)
+    # the suite draws samples // 2 equivariance trials: 15 here
+    assert checks.translation_operators(random.Random(7), 30) == []
 
 
 def test_translation_independence_of_choices():
-    datum = make_datum()
-    rng = random.Random(8)
-    for _ in range(10):
-        u = random_g(datum, rng, s_max=1)
-        p = PatchPair(u, identity_word(A3, datum.A))
-        alpha = A3.roots[rng.randrange(len(A3.roots))]
-        s = rng.randint(0, 1)
-        c = datum.A.sample(rng, 4)
-        base = mu_image(datum, ADJ, left_translation(datum, A3, alpha, c, s, p))
-        k2 = conj_bound(p.u.inverse()) + s + rng.randint(1, 3)
-        assert mu_image(datum, ADJ,
-                        left_translation(datum, A3, alpha, c, s, p, k=k2)) == base
-        shift = Z.from_int(rng.randint(-3, 3))
-        assert mu_image(datum, ADJ,
-                        left_translation(datum, A3, alpha, c, s, p, shift=shift)) == base
+    # the suite draws samples // 2 independence trials: 10 here
+    assert checks.translation_operators(random.Random(8), 20) == []
 
 
 def test_translation_rejects_small_k():

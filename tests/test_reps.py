@@ -2,9 +2,9 @@
 
 import random
 
-from steinberg_lab.rings import GF, ZZ, localize, poly_ring, product_ring, quotient
+from steinberg_lab.rings import GF, ZZ, localize, product_ring, quotient
 from steinberg_lab.roots import build_root_system
-from steinberg_lab import reps, words
+from steinberg_lab import checks, reps, words
 from steinberg_lab.reps import GroupMatrix, build_representation, evaluate, k2_membership, verify_relations
 
 
@@ -112,33 +112,13 @@ def test_k2_membership():
 
 
 def test_random_symbol_products_die_over_finite_fields():
-    rng = random.Random(13)
-    for p in (5, 7, 11):
-        F = GF(p)
-        for kind, rank in (("A", 2), ("A", 3), ("D", 4)):
-            system = build_root_system(kind, rank)
-            rep = build_representation(system, "defining" if kind == "A" else "vector")
-            for _ in range(15):
-                root = system.roots[rng.randrange(len(system.roots))]
-                w = words.identity_word(system, F)
-                for _ in range(rng.randint(1, 3)):
-                    u, v = rng.randint(1, p - 1), rng.randint(1, p - 1)
-                    w = w * words.steinberg_symbol(system, F, root, u, v)
-                assert k2_membership(w, rep)
+    assert checks.kernel_words(random.Random(13), 135) == []
 
 
 def test_verify_relations_sweeps():
-    rng = random.Random(1)
-    Z = ZZ()
-    rings = [quotient(Z, 6), GF(7),
-             quotient(poly_ring(Z, ("t",)), poly_ring(Z, ("t",)).var("t") ** 3)]
-    for kind, rank, repkind in (("A", 2, "defining"), ("A", 2, "adjoint"),
-                                ("D", 4, "vector")):
-        system = build_root_system(kind, rank)
-        rep = build_representation(system, repkind)
-        for ring in rings:
-            report = verify_relations(rep, ring, 20, rng)
-            assert report.ok, report.violations
+    configs = (("A", 2, "defining"), ("A", 2, "adjoint"), ("D", 4, "vector"))
+    assert checks.relations(random.Random(1), 20, [(spec, ring) for spec in configs
+                                                   for ring in checks.sweep_rings()]) == []
 
 
 def test_verify_relations_generic_path_agrees():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from steinberg_lab import checks
 from steinberg_lab.rings import (
     GF, QQ, ZZ, CompatibilityError, DecompositionError, Ideal, NonUnitError,
     bezout_decompose, bezout_identity, coarser_localization_hom,
@@ -16,30 +17,8 @@ from steinberg_lab.rings import (
 )
 
 
-def all_constructions():
-    Z = ZZ()
-    Pt = poly_ring(Z, ("t",))
-    return [
-        Z, QQ(), GF(5),
-        poly_ring(GF(5), ("x", "y")),
-        localize(Z, 2), localize(Z, 6),
-        quotient(Z, 6), quotient(Pt, Pt.var("t") ** 3),
-        product_ring(GF(3), Z),
-        milnor_square_ring(Z, 2),
-    ]
-
-
 def test_ring_axioms_random_triples():
-    rng = random.Random(11)
-    for ring in all_constructions():
-        for _ in range(1000):
-            a, b, c = (ring.sample(rng, 5) for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert a + b == b + a
-            assert a * b == b * a
-            assert (a + b) * c == a * c + b * c
-            assert a + (-a) == ring.zero
-            assert a * ring.one == a
+    assert checks.ring_axioms(random.Random(11), 1000) == []
 
 
 def test_basic_arithmetic_examples():
@@ -166,25 +145,7 @@ def test_milnor_square_pullback_function_field():
 
 
 def test_milnor_square_roundtrip_random():
-    rng = random.Random(17)
-    for base, mult in ((ZZ(), ZZ().from_int(2)),
-                       (poly_ring(GF(3), ("s",)), poly_ring(GF(3), ("s",)).var("s"))):
-        square = milnor_square_ring(base, mult)
-        for _ in range(100):
-            x = base.sample(rng, 5)
-            f = square.poly.zero
-            for _ in range(rng.randint(0, 2)):
-                f = f + square.poly.var("t") ** rng.randint(1, 3) * \
-                    square.poly.constant(square.loc.sample(rng, 5))
-            g = square.poly.constant(square.loc.from_base(x)) + f
-            e = milnor_square_pullback(x, g, square)
-            assert milnor_square_project_base(e) == x
-            assert milnor_square_project_poly(e) == g
-            # reverse round trip from the pair representation
-            e2 = square.pair(x, f)
-            assert milnor_square_pullback(milnor_square_project_base(e2),
-                                          milnor_square_project_poly(e2),
-                                          square) == e2
+    assert checks.milnor_square_roundtrip(random.Random(17), 100) == []
 
 
 # -- Bezout decompositions ---------------------------------------------------
@@ -269,17 +230,7 @@ def test_reciprocal_witness_rejects_non_monic():
 
 
 def test_reciprocal_witness_random_sweep():
-    rng = random.Random(23)
-    for base in (ZZ(), GF(7)):
-        P = poly_ring(base, ("t",))
-        t = P.var("t")
-        for _ in range(50):
-            deg = rng.randint(1, 6)
-            f = t ** deg
-            for i in range(deg):
-                f = f + P.constant(base.sample(rng, 5)) * t ** i
-            g = reciprocal_localization_witness(f)
-            assert g.ring.from_base(t) ** deg * g == g.ring.from_base(f)
+    assert checks.reciprocal_witnesses(random.Random(23), 50) == []
 
 
 # -- decompositions across a patching datum ----------------------------------
@@ -310,15 +261,7 @@ def test_decompose_modulo_power_integral_prefers_b():
 
 
 def test_decompose_modulo_power_random_reconstruction():
-    Z = ZZ()
-    L2 = localize(Z, 2)
-    h = Z.from_int(3)
-    rng = random.Random(31)
-    for _ in range(200):
-        c = L2.fraction(rng.randint(-50, 50), rng.randint(0, 4))
-        k = rng.randint(0, 5)
-        a, b = decompose_modulo_power(c, k, h, Z)
-        assert a * L2.from_base(h) ** k + L2.from_base(b) == c
+    assert checks.bezout_reconstruction(random.Random(31), 200) == []
 
 
 def test_decompose_modulo_power_unsupported():
@@ -357,7 +300,7 @@ def test_quotient_hom_and_localization_hom():
 
 def test_json_roundtrip():
     rng = random.Random(41)
-    for ring in all_constructions():
+    for ring in checks.ring_constructions():
         blob = json.dumps(ring_to_json(ring))
         ring2 = ring_from_json(json.loads(blob))
         assert ring2 == ring

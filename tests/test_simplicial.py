@@ -4,29 +4,15 @@ import random
 
 import pytest
 
-from steinberg_lab.rings import GF, ZZ, product_ring
+from steinberg_lab.rings import ZZ
 from steinberg_lab.roots import build_root_system
-from steinberg_lab import reps, words
-from steinberg_lab.simplicial import (MooreGenerator, crt_from_pair,
-                                      crt_to_pair, degeneracy_hom, face_hom,
-                                      interval_square_ring, moore_lift,
-                                      pi0_connectivity_witness,
-                                      simplex_ring,
-                                      simplicial_identity_report)
+from steinberg_lab import checks, words
+from steinberg_lab.simplicial import (MooreGenerator, degeneracy_hom, face_hom,
+                                      moore_lift, pi0_connectivity_witness,
+                                      simplex_ring, simplicial_identity_report)
 
 Z = ZZ()
 A2 = build_root_system("A", 2)
-
-
-def _rand_poly(ring, rng, deg, size=4):
-    out = ring.zero
-    names = ring.names
-    for _ in range(rng.randint(0, 3)):
-        term = ring.constant(ring.base.sample(rng, size))
-        for name in names:
-            term = term * ring.var(name) ** rng.randint(0, deg)
-        out = out + term
-    return out
 
 
 def test_face_formulas_level_one_and_two():
@@ -53,11 +39,8 @@ def test_index_ranges():
 
 
 def test_simplicial_identities():
-    for base in (Z, GF(7)):
-        report = simplicial_identity_report(base, 3)
-        assert report, "no identities checked"
-        bad = [name for name, ok in report if not ok]
-        assert not bad, bad
+    assert len(simplicial_identity_report(Z, 3)) == 33
+    assert checks.simplicial_identities(None, 3) == []
 
 
 def test_degeneracy_then_face_is_identity():
@@ -93,26 +76,7 @@ def test_moore_level2_coefficient_must_avoid_t1():
 
 
 def test_moore_lift_random_roundtrips():
-    rng = random.Random(12)
-    for base in (Z, GF(7)):
-        lvl1 = simplex_ring(base, 1)
-        adj = reps.build_representation(A2, "adjoint")
-        for trial in range(50):
-            f = _rand_poly(lvl1, rng, 3)
-            letters = []
-            for _ in range(rng.randint(0, 3)):
-                root = A2.roots[rng.randrange(6)]
-                letters.append((root, _rand_poly(lvl1, rng, 2, size=2)))
-            g = words.SteinbergWord(A2, lvl1, letters)
-            m = MooreGenerator(A2, base, 1, A2.simple_roots[0], f, g)
-            assert m.in_moore_kernel()
-            lift = moore_lift(m)
-            assert lift.in_moore_kernel(), trial
-            got, want = lift.face(0), m.word()
-            if g.is_empty:
-                assert got == want
-            else:
-                assert reps.evaluate(got, adj) == reps.evaluate(want, adj)
+    assert checks.moore_roundtrip(random.Random(12), 100) == []
 
 
 def test_pi0_connectivity_witness():
@@ -128,13 +92,4 @@ def test_pi0_connectivity_witness():
 
 
 def test_crt_roundtrip():
-    rng = random.Random(14)
-    sq = interval_square_ring(Z)
-    prod = product_ring(Z, Z)
-    lvl1 = simplex_ring(Z, 1)
-    for _ in range(100):
-        p = _rand_poly(lvl1, rng, 4, size=9)
-        x = sq.project(p)
-        assert crt_from_pair(crt_to_pair(x, prod), sq) == x
-        pair = prod.pair(Z.sample(rng, 9), Z.sample(rng, 9))
-        assert crt_to_pair(crt_from_pair(pair, sq), prod) == pair
+    assert checks.crt_roundtrip(random.Random(14), 100) == []

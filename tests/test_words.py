@@ -5,10 +5,10 @@ import random
 import pytest
 
 from steinberg_lab.rings import (GF, ZZ, Ideal, NonUnitError, product_ring,
-                                 product_projection, poly_ring, quotient,
+                                 product_projection, poly_ring,
                                  substitution_hom)
 from steinberg_lab.roots import build_root_system
-from steinberg_lab import reps
+from steinberg_lab import checks, reps
 from steinberg_lab.words import (RelativeWord, SteinbergWord,
                                  check_commutator_congruence, commutator,
                                  commutator_reduce, gen, identity_word,
@@ -104,34 +104,11 @@ def test_substitute_product_projection():
 
 
 def test_commutator_reduce_sound_and_sorted():
-    rng = random.Random(8)
-    adj = reps.build_representation(A2, "adjoint")
-    F7 = GF(7)
-    for _ in range(120):
-        letters = [(A2.roots[rng.randrange(6)], F7.sample(rng))
-                   for _ in range(rng.randint(0, 5))]
-        w = SteinbergWord(A2, F7, letters)
-        red = commutator_reduce(w)
-        assert reps.evaluate(red, adj) == reps.evaluate(w, adj)
+    assert checks.reduce_soundness(random.Random(8), 120) == []
 
 
 def test_commutator_reduce_sound_other_rings():
-    # together with the F7 sweep above this exercises 500 random words
-    rng = random.Random(88)
-    Z6 = quotient(Z, 6)
-    Pt = poly_ring(Z, ("t",))
-    T3 = quotient(Pt, Pt.var("t") ** 3)
-    F7 = GF(7)
-    for system in (A2, D4):
-        adj = reps.build_representation(system, "adjoint")
-        for ring in (Z6, T3, F7):
-            n = 70 if system is A2 else 60  # with the 120 above: 510 total
-            for _ in range(n):
-                letters = [(system.roots[rng.randrange(len(system.roots))], ring.sample(rng, 3))
-                           for _ in range(rng.randint(0, 4))]
-                w = SteinbergWord(system, ring, letters)
-                red = commutator_reduce(w)
-                assert reps.evaluate(red, adj) == reps.evaluate(w, adj)
+    assert checks.reduce_soundness(random.Random(88), 390) == []
 
 
 def test_commutator_reduce_collection_example():
@@ -201,16 +178,7 @@ def test_commutator_congruence_cases():
 
 
 def test_commutator_congruence_random_sweep():
-    rng = random.Random(21)
-    for system in (A2, A3):
-        root = system.simple_roots[0]
-        for _ in range(25):
-            a0, b0 = rng.randint(2, 6), rng.randint(2, 6)
-            a = a0 * rng.randint(1, 4)
-            b = b0 * rng.randint(1, 4)
-            c = rng.randint(-9, 9)
-            assert check_commutator_congruence(system, root, a, b, c,
-                                          Ideal(Z, [a0]), Ideal(Z, [b0]))
+    assert checks.congruence_condition(random.Random(21), 25) == []
 
 
 def test_word_json_roundtrip():
