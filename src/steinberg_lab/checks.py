@@ -402,8 +402,8 @@ def translation_operators(rng, n):
     rep = _rep("A", 3, "adjoint")
     datum = zariski_datum(Z, 2, 3)
     report = verify_translation_relations(datum, rep.system, rep, n, rng)
-    return [{"ring": repr(datum), "rep": rep.describe(), "law": law, "trial": trial}
-            for law, trial in report.failures]
+    return [{"ring": repr(datum), "rep": rep.describe(), **record}
+            for record in report.failures]
 
 
 def patching_examples(rng, n):

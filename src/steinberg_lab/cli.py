@@ -3,8 +3,9 @@
 Every subcommand is a thin adapter over the library; output is
 machine-readable (JSON or TSV) by default and deterministic under a
 fixed --seed.  Exit codes: 0 ok, 1 a verification failed, 2 a usage
-error (bad flag, ring spec, prime, symbol or word file; one message on
-stderr), 3 a crash (an uncaught exception; its traceback goes to stderr).
+error (bad flag, ring spec, prime, symbol, root system, root index, or
+word or generator file; one message on stderr), 3 a crash (an uncaught
+exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import partial
 
 from . import checks, milnor, patching, reps, simplicial, words
 from .rings import GF, QQ, ZZ, _is_prime, poly_ring, quotient, ring_from_json
-from .roots import build_root_system
+from .roots import SUPPORTED_RANKS, build_root_system
 from .words import word_from_json, word_to_json
 
 EXIT_OK = 0
@@ -48,13 +49,44 @@ def parse_ring(spec: str):
     raise argparse.ArgumentTypeError(f"unknown ring spec {spec!r}")
 
 
-def parse_word_file(path: str):
-    """A word JSON file, read as an argparse type."""
+def _read_json(path: str, what: str, convert):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return word_from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(f"cannot read a word from {path!r}: {exc}") from None
+            return convert(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {what} from {path!r}: {exc}") from None
+
+
+def parse_word_file(path: str):
+    """A word JSON file, read as an argparse type."""
+    return _read_json(path, "a word", word_from_json)
+
+
+def _generator_from_json(data):
+    system = build_root_system(data["system"]["type"], data["system"]["rank"])
+    base = ring_from_json(data["base"])
+    lvl1 = simplicial.simplex_ring(base, 1)
+    f = lvl1.el(lvl1._payload_from_json(data["f"]))
+    g = words.SteinbergWord(system, lvl1, [
+        (tuple(e["root"]), lvl1.el(lvl1._payload_from_json(e["arg"]))) for e in data["g"]])
+    return simplicial.MooreGenerator(system, base, 1, tuple(data["root"]), f, g)
+
+
+def parse_generator_file(path: str):
+    """A level-1 Moore generator JSON file, read as an argparse type."""
+    return _read_json(path, "a level-1 generator", _generator_from_json)
+
+
+def parse_phi(spec: str):
+    """A root system of rank >= 3 (the conjugation maps split opposite
+    roots into commutators), such as A3 or D4."""
+    try:
+        system = build_root_system(spec[:1], int(spec[1:]))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad root system {spec!r}: {exc}") from None
+    if system.rank < 3:
+        raise argparse.ArgumentTypeError(f"patching needs rank >= 3, got {spec!r}")
+    return system
 
 
 def parse_symbol(spec: str):
@@ -169,25 +201,16 @@ def cmd_simplicial(args) -> int:
                "failures": len(bad)}, args.pretty)
         return EXIT_OK if not bad else EXIT_VERIFICATION
     if args.action == "lift":
-        with open(args.word, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        system = build_root_system(data["system"]["type"], data["system"]["rank"])
-        base = ring_from_json(data["base"])
-        lvl1 = simplicial.simplex_ring(base, 1)
-        f = lvl1.el(lvl1._payload_from_json(data["f"]))
-        g = words.SteinbergWord(system, lvl1, [
-            (tuple(e["root"]), lvl1.el(lvl1._payload_from_json(e["arg"])))
-            for e in data["g"]])
-        generator = simplicial.MooreGenerator(system, base, 1, tuple(data["root"]), f, g)
-        lifted = simplicial.moore_lift(generator)
-        _emit(word_to_json(lifted.word()), args.pretty)
+        if args.word is None:
+            return _usage("simplicial lift needs --word")
+        _emit(word_to_json(simplicial.moore_lift(args.word).word()), args.pretty)
         return EXIT_OK
     raise AssertionError(args.action)
 
 
 def cmd_patch(args) -> int:
     datum = patching.zariski_datum(args.B, args.a, args.b)
-    system = build_root_system(args.phi[0], int(args.phi[1:]))
+    system = args.phi
     rep = reps.build_representation(system, "adjoint")
     wants_verify = args.action == "verify" or args.relations or (
         args.action is None and args.word is None)
@@ -311,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("check", "lift"))
     p.add_argument("--nmax", type=int, default=3)
     p.add_argument("--ring", type=parse_ring, default="int")
-    p.add_argument("--word", help="level-1 generator JSON for lift")
+    p.add_argument("--word", type=parse_generator_file,
+                   help="level-1 generator JSON for lift")
     p.set_defaults(fn=cmd_simplicial)
 
     p = add_parser("patch", help="patching demo and verification")
@@ -319,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", type=parse_ring, default="int")
     p.add_argument("--a", type=int, default=2)
     p.add_argument("--b", type=int, default=3)
-    p.add_argument("--phi", default="A3")
+    p.add_argument("--phi", type=parse_phi, default="A3")
     p.add_argument("--word", type=parse_word_file,
                    help="target word JSON over the localized ring")
     p.add_argument("--relations", action="store_true")
@@ -338,7 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "rank" in args:
+        if args.rank not in SUPPORTED_RANKS[args.type]:
+            parser.error(f"unsupported root system {args.type}{args.rank}")
+        if "root_index" in args and not 0 <= args.root_index < args.rank:
+            parser.error(f"--root-index {args.root_index} is not in 0..{args.rank - 1}")
     try:
         return args.fn(args)
     except Exception:  # a crash must not look like a verdict or a usage error

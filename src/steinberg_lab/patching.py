@@ -353,16 +353,31 @@ def _random_scalar(datum: PatchDatum, rng) -> RingElement:
     return datum.A.sample(rng, 4)
 
 
+def _word_letters(w: SteinbergWord):
+    return [[list(root), str(arg)] for root, arg in w.letters]
+
+
 def verify_translation_relations(datum: PatchDatum, system: RootSystem, rep,
                                  samples: int, rng, s_max: int = 1) -> PatchReport:
     """The translation operators satisfy the three Steinberg relations at
     mu-image level; also checks independence of the decomposition level
-    and of the decomposition itself, equivariance, and the two unit laws."""
+    and of the decomposition itself, equivariance, and the two unit laws.
+    Each failure is a dict naming the law, the trial and its inputs: the
+    pair's letters u and v, and alpha, beta, c, c2, s as far as the law
+    draws them."""
     failures = []
     roots = system.roots
 
     def mu(p):
         return mu_image(datum, rep, p)
+
+    def fail(law, trial, p, **inputs):
+        record = {"law": law, "trial": trial,
+                  "u": _word_letters(p.u), "v": _word_letters(p.v)}
+        for key, val in inputs.items():
+            record[key] = (list(val) if isinstance(val, tuple)
+                           else str(val) if isinstance(val, RingElement) else val)
+        failures.append(record)
 
     n_rel = max(1, samples)
     for trial in range(n_rel):
@@ -375,7 +390,7 @@ def verify_translation_relations(datum: PatchDatum, system: RootSystem, rep,
                                left_translation(datum, system, alpha, c, s, p))
         rhs = left_translation(datum, system, alpha, c + c2, s, p)
         if mu(lhs) != mu(rhs):
-            failures.append(("R1", trial))
+            fail("R1", trial, p, alpha=alpha, c=c, c2=c2, s=s)
         # R2 / R3 on a random second root
         beta = roots[rng.randrange(len(roots))]
         if beta == system.negate(alpha):
@@ -387,14 +402,14 @@ def verify_translation_relations(datum: PatchDatum, system: RootSystem, rep,
                                 left_translation(datum, system, alpha, c, s, p))
         if total is None:
             if mu(lhs) != mu(base):
-                failures.append(("R2", trial))
+                fail("R2", trial, p, alpha=alpha, beta=beta, c=c, c2=c2, s=s)
         else:
             n = system.structure_constant(alpha, beta)
             cc = c * c2
             rhs = left_translation(datum, system, total,
                                    cc if n == 1 else -cc, 2 * s, base)
             if mu(lhs) != mu(rhs):
-                failures.append(("R3", trial))
+                fail("R3", trial, p, alpha=alpha, beta=beta, c=c, c2=c2, s=s)
 
     # independence: higher level and perturbed decomposition
     for trial in range(max(1, samples // 2)):
@@ -403,13 +418,13 @@ def verify_translation_relations(datum: PatchDatum, system: RootSystem, rep,
         s = rng.randint(0, s_max)
         c = _random_scalar(datum, rng)
         base = left_translation(datum, system, alpha, c, s, p)
-        deeper = left_translation(datum, system, alpha, c, s, p,
-                                  k=conj_bound(p.u.inverse()) + s + rng.randint(1, 2))
-        shifted = left_translation(datum, system, alpha, c, s, p,
-                                   shift=datum.B.from_int(rng.randint(-2, 2)))
+        k = conj_bound(p.u.inverse()) + s + rng.randint(1, 2)
+        deeper = left_translation(datum, system, alpha, c, s, p, k=k)
+        shift = datum.B.from_int(rng.randint(-2, 2))
+        shifted = left_translation(datum, system, alpha, c, s, p, shift=shift)
         m0 = mu(base)
         if mu(deeper) != m0 or mu(shifted) != m0:
-            failures.append(("independence", trial))
+            fail("independence", trial, p, alpha=alpha, c=c, s=s, k=k, shift=shift)
 
     # equivariance
     for trial in range(max(1, samples // 2)):
@@ -421,7 +436,7 @@ def verify_translation_relations(datum: PatchDatum, system: RootSystem, rep,
         x = gen(system, datum.A_h, alpha, datum.A_h.el(
             datum.A_h._norm(c.payload, s)))
         if mu(translated) != reps.evaluate(x, rep) * mu(p):
-            failures.append(("equivariance", trial))
+            fail("equivariance", trial, p, alpha=alpha, c=c, s=s)
 
     # unit laws: lambda_h(v).[1,1] = [1,v] and iota(u).[1,v] = [u,v]
     for trial in range(max(1, samples // 4)):
@@ -429,12 +444,12 @@ def verify_translation_relations(datum: PatchDatum, system: RootSystem, rep,
         v = _random_pair(datum, system, rng).v
         pv = translate_by_word(datum, system, substitute(v, datum.lam_A), p0)
         if mu(pv) != reps.evaluate(v, rep, hom=datum.lam_A):
-            failures.append(("unit-law-v", trial))
+            fail("unit-law-v", trial, PatchPair(p0.u, v))
         u = _random_pair(datum, system, rng).u
         start = PatchPair(identity_word(system, datum.B_h), v)
         pu = translate_by_word(datum, system, substitute(u, datum.iota_loc), start)
         if not (pu.u == u and pu.v == v):
-            failures.append(("unit-law-u", trial))
+            fail("unit-law-u", trial, PatchPair(u, v))
 
     # star invariance of mu
     for trial in range(max(1, samples // 2)):
@@ -444,7 +459,7 @@ def verify_translation_relations(datum: PatchDatum, system: RootSystem, rep,
             root = roots[rng.randrange(len(roots))]
             w = w * gen(system, datum.B, root, datum.B.sample(rng, 3))
         if mu(star_reduce(datum, p, w)) != mu(p):
-            failures.append(("star", trial))
+            fail("star", trial, p, g=_word_letters(w))
 
     return PatchReport("translation-relations", samples, failures)
 

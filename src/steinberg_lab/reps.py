@@ -202,68 +202,63 @@ def build_representation(system: RootSystem, kind: str = "adjoint") -> Represent
 # ---------------------------------------------------------------------------
 
 class GroupMatrix:
-    """Square matrix of ring payloads with exact equality."""
+    """Square matrix of ring payloads with exact equality, stored as one
+    dict {column: payload} per row holding the nonzero entries only, so
+    equal matrices have equal rows."""
 
-    __slots__ = ("ring", "rows")
+    __slots__ = ("ring", "dim", "_rows")
 
-    def __init__(self, ring: Ring, rows):
+    def __init__(self, ring: Ring, dim: int, rows):
         self.ring = ring
-        self.rows = rows
+        self.dim = dim
+        self._rows = rows
 
     @classmethod
     def identity(cls, ring: Ring, dim: int) -> "GroupMatrix":
-        zero, one = ring._from_int(0), ring._from_int(1)
-        rows = [[zero] * dim for _ in range(dim)]
-        for i in range(dim):
-            rows[i][i] = one
-        return cls(ring, rows)
+        one = ring._from_int(1)
+        return cls(ring, dim, [{i: one} for i in range(dim)])
 
     @property
-    def dim(self) -> int:
-        return len(self.rows)
+    def rows(self):
+        """Dense view: a fresh list of lists of payloads."""
+        zero = self.ring._from_int(0)
+        return [[row.get(j, zero) for j in range(self.dim)] for row in self._rows]
 
     def __mul__(self, other: "GroupMatrix") -> "GroupMatrix":
         if self.ring != other.ring:
             raise ValueError("matrices over different rings")
         ring = self.ring
+        add, mul = ring._add, ring._mul
         zero = ring._from_int(0)
-        d = self.dim
-        cols = list(zip(*other.rows))
+        right = other._rows
         out = []
-        for row in self.rows:
-            new_row = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    if a != zero and b != zero:
-                        acc = ring._add(acc, ring._mul(a, b))
-                new_row.append(acc)
-            out.append(new_row)
-        return GroupMatrix(ring, out)
+        for row in self._rows:
+            acc = {}
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    v = acc.get(j)
+                    acc[j] = mul(a, b) if v is None else add(v, mul(a, b))
+            out.append({j: v for j, v in acc.items() if v != zero})
+        return GroupMatrix(ring, self.dim, out)
 
     def __eq__(self, other):
         return (isinstance(other, GroupMatrix) and self.ring == other.ring
-                and self.rows == other.rows)
+                and self._rows == other._rows)
 
     @property
     def is_identity(self) -> bool:
-        ring = self.ring
-        zero, one = ring._from_int(0), ring._from_int(1)
-        for i, row in enumerate(self.rows):
-            for j, v in enumerate(row):
-                if v != (one if i == j else zero):
-                    return False
-        return True
+        one = self.ring._from_int(1)
+        return all(row == {i: one} for i, row in enumerate(self._rows))
 
     def entry(self, i: int, j: int) -> RingElement:
-        return RingElement(self.ring, self.rows[i][j])
+        return RingElement(self.ring, self._rows[i].get(j, self.ring._from_int(0)))
 
     def det(self) -> RingElement:
         """Fraction-free Gaussian elimination (Bareiss); needs exact
         division in the ring."""
         ring = self.ring
         zero = ring._from_int(0)
-        a = [row[:] for row in self.rows]
+        a = self.rows
         d = self.dim
         sign = 1
         prev = ring._from_int(1)
@@ -297,35 +292,39 @@ class GroupMatrix:
 
 
 def _apply_letter(ring: Ring, rows, m1, m2, xi):
-    d = len(rows)
+    """Sparse rows of rows * (I + xi M1 + xi^2 M2); rows the letter does
+    not touch are shared, not copied."""
     zero = ring._from_int(0)
     add, mul, neg = ring._add, ring._mul, ring._neg
-    out = [row[:] for row in rows]
 
-    def accumulate(entries, scalar):
-        for i, j, c in entries:
-            if c == 1:
-                s = scalar
-            elif c == -1:
-                s = neg(scalar)
-            else:
-                s = mul(scalar, ring._from_int(c))
-            for r in range(d):
-                p = rows[r][i]
-                if p != zero:
-                    out[r][j] = add(out[r][j], mul(p, s))
+    def scaled(entries, x):
+        return [(i, j, x if c == 1 else neg(x) if c == -1 else mul(x, ring._from_int(c)))
+                for i, j, c in entries]
 
-    accumulate(m1, xi)
-    if m2:
-        accumulate(m2, mul(xi, xi))
+    terms = scaled(m1, xi) + (scaled(m2, mul(xi, xi)) if m2 else [])
+    out = []
+    for row in rows:
+        new, touched = row, []
+        for i, j, s in terms:
+            p = row.get(i)
+            if p is not None:
+                if new is row:
+                    new = dict(row)
+                v = new.get(j)
+                new[j] = mul(p, s) if v is None else add(v, mul(p, s))
+                touched.append(j)
+        for j in touched:
+            if new.get(j) == zero:
+                del new[j]
+        out.append(new)
     return out
 
 
 def _image_rows(ring: Ring, rep: Representation, letters):
-    """Rows of the product of x_root(xi) over (root, payload) letters,
-    multiplied left to right."""
+    """Sparse rows of the product of x_root(xi) over (root, payload)
+    letters, multiplied left to right."""
     zero = ring._from_int(0)
-    rows = GroupMatrix.identity(ring, rep.dim).rows
+    rows = GroupMatrix.identity(ring, rep.dim)._rows
     for root, xi in letters:
         if xi != zero:
             rows = _apply_letter(ring, rows, rep.m1[root], rep.m2[root], xi)
@@ -341,7 +340,7 @@ def evaluate(word, rep: Representation, hom: RingHom | None = None) -> GroupMatr
     else:
         ring = hom.codomain
         letters = ((root, hom.map_payload(arg.payload)) for root, arg in word.letters)
-    return GroupMatrix(ring, _image_rows(ring, rep, letters))
+    return GroupMatrix(ring, rep.dim, _image_rows(ring, rep, letters))
 
 
 def k2_membership(word, rep: Representation, hom: RingHom | None = None) -> bool:

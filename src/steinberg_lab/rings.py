@@ -32,8 +32,9 @@ __all__ = [
     "ring_to_json", "ring_from_json", "element_to_json", "element_from_json",
 ]
 
-# How many extra multiplier powers a localization is willing to clear
-# when testing exact divisibility.  Desk-scale inputs never get close.
+# How many extra multiplier powers a localization of a base other than
+# ZZ is willing to clear when testing exact divisibility (over ZZ the
+# test is exact).
 _LOC_DIV_FUEL = 64
 
 
@@ -628,8 +629,22 @@ class LocalizationRing(Ring):
             return None
         if n1 == bz:
             return (bz, 0)
-        # a/b = n1 a^(k2+t) / n2 / a^(k1+t); search small t
+        # a/b = n1 a^(k2+t) / n2 / a^(k1+t) for any large enough t
         num = self.base._mul(n1, self._power(k2))
+        if isinstance(self.base, IntegerRing):
+            # n2 = u v with every prime of u dividing the multiplier and v
+            # prime to it: b divides a iff v divides n1, and u divides the
+            # t-th multiplier power for t = floor(log2 |u|), which bounds
+            # every valuation of u
+            v = n2
+            g = _int_gcd(v, self.multiplier.payload)
+            while g != 1:
+                v //= g
+                g = _int_gcd(v, g)
+            if n1 % v:
+                return None
+            t = abs(n2 // v).bit_length() - 1
+            return self._norm(num * self._power(t) // n2, k1 + t)
         for t in range(_LOC_DIV_FUEL):
             q = self.base._try_divide(num, n2)
             if q is not None:

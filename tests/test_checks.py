@@ -2,6 +2,7 @@
 steinberg_lab.checks must return witnesses naming the failing inputs."""
 
 import dataclasses
+import json
 import random
 from functools import partial
 
@@ -72,3 +73,22 @@ def test_planted_fault_is_witnessed(check, n, owner, name, fault, monkeypatch):
     assert bad, "the planted fault went unnoticed"
     for w in bad:
         assert {"args", "roots", "identity", "trial"} & set(w), w
+
+
+def test_translation_witnesses_name_their_inputs(monkeypatch):
+    """A failed translation trial names the pair's letters and the roots,
+    scalars and denominator exponent it drew, in JSON-ready form."""
+    original = patching.left_translation
+    monkeypatch.setattr(patching, "left_translation",
+                        lambda datum, system, alpha, c, *a, **kw:
+                        original(datum, system, alpha, c + c.ring.one, *a, **kw))
+    bad = checks.translation_operators(random.Random(1), 4)
+    assert bad
+    json.dumps(bad)
+    for w in bad:
+        assert {"ring", "rep", "law", "trial", "u", "v"} <= set(w), w
+    relations = [w for w in bad if w["law"] in ("R1", "R2", "R3")]
+    assert relations
+    for w in relations:
+        assert {"alpha", "c", "c2", "s"} <= set(w), w
+        assert ("beta" in w) == (w["law"] != "R1"), w

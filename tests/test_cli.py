@@ -172,6 +172,15 @@ def test_bad_ring_spec_is_usage_error(argv, capsys):
     ["k2m", "tame"],
     ["eval", "--word", "no-such-dir/word.json"],
     ["word", "eval"],
+    ["roots", "--type", "A", "--rank", "1"],
+    ["roots", "--type", "D", "--rank", "3"],
+    ["patch", "verify", "--phi", "A9"],
+    ["patch", "verify", "--phi", "X3"],
+    ["patch", "verify", "--phi", "A2"],
+    ["word", "symbol", "--root-index", "7"],
+    ["word", "symbol", "--root-index", "-1"],
+    ["simplicial", "lift", "--word", "no-such-dir/generator.json"],
+    ["simplicial", "lift"],
 ])
 def test_input_errors_are_usage_errors(argv, capsys):
     try:

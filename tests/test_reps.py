@@ -1,8 +1,12 @@
 """Representation tables, evaluation, kernel membership, relation sweeps."""
 
+import dataclasses
 import random
+from functools import reduce
 
-from steinberg_lab.rings import GF, ZZ, localize, product_ring, quotient
+from hypothesis import given, settings, strategies as st
+
+from steinberg_lab.rings import GF, QQ, ZZ, localize, poly_ring, product_ring, quotient
 from steinberg_lab.roots import build_root_system
 from steinberg_lab import checks, reps, words
 from steinberg_lab.reps import GroupMatrix, build_representation, evaluate, k2_membership, verify_relations
@@ -148,3 +152,66 @@ def test_group_matrix_identity_and_mul():
     ident = GroupMatrix.identity(Z, 4)
     assert ident.is_identity
     assert (ident * ident).is_identity
+
+
+# -- the sparse-row kernel -----------------------------------------------------
+
+_Pt = poly_ring(ZZ(), ("t",))
+KERNEL_RINGS = [ZZ(), QQ(), quotient(ZZ(), 6), quotient(_Pt, _Pt.var("t") ** 3),
+                localize(ZZ(), 2)]
+KERNEL_REPS = [build_representation(build_root_system("A", 2), "adjoint"),
+               build_representation(build_root_system("A", 3), "defining"),
+               build_representation(build_root_system("D", 4), "vector")]
+
+
+def _dense_product(m, n):
+    """Schoolbook product of the dense views, as the reference."""
+    ring, a, b = m.ring, m.rows, n.rows
+    return [[reduce(ring._add, (ring._mul(a[i][k], b[k][j]) for k in range(m.dim)))
+             for j in range(m.dim)] for i in range(m.dim)]
+
+
+def _random_word(system, ring, rng):
+    return words.SteinbergWord(system, ring, [
+        (system.roots[rng.randrange(len(system.roots))], ring.sample(rng, 4))
+        for _ in range(rng.randint(0, 4))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_RINGS), st.sampled_from(KERNEL_REPS), st.integers(0, 2 ** 32))
+def test_sparse_product_is_multiplicative_and_matches_dense(ring, rep, seed):
+    rng = random.Random(seed)
+    w1, w2 = (_random_word(rep.system, ring, rng) for _ in range(2))
+    m1, m2 = evaluate(w1, rep), evaluate(w2, rep)
+    product = m1 * m2
+    assert evaluate(w1 * w2, rep) == product
+    assert product.rows == _dense_product(m1, m2)
+    assert product.is_identity == (product.rows == GroupMatrix.identity(ring, rep.dim).rows)
+
+
+def test_cancelled_entries_are_not_stored():
+    """Over Z/6, x_a(3) x_a(3) = x_a(6) = 1 with every off-diagonal entry
+    cancelling to 0; equality and is_identity hold only if the cancelled
+    entries are dropped."""
+    A2 = build_root_system("A", 2)
+    Z6 = quotient(ZZ(), 6)
+    alpha = A2.simple_roots[0]
+    for kind in ("defining", "adjoint"):
+        rep = build_representation(A2, kind)
+        ident = GroupMatrix.identity(Z6, rep.dim)
+        x = evaluate(words.gen(A2, Z6, alpha, 3), rep)
+        assert not x.is_identity
+        assert (x * x).is_identity and x * x == ident
+        twice = GroupMatrix(Z6, rep.dim, reps._image_rows(Z6, rep, [(alpha, 3), (alpha, 3)]))
+        assert twice.is_identity and twice == ident
+
+
+def test_negated_table_coefficient_is_caught():
+    """Negating one coefficient of one generator table breaks the
+    Steinberg relations, and the exact sweep over ZZ must see it."""
+    for rep in KERNEL_REPS:
+        root = rep.system.simple_roots[0]
+        (i, j, c), *rest = rep.m1[root]
+        bad = dataclasses.replace(rep, m1={**rep.m1, root: ((i, j, -c), *rest)})
+        assert reps._generic_verify(rep, ZZ(), 2, random.Random(0)).ok
+        assert not reps._generic_verify(bad, ZZ(), 2, random.Random(0)).ok

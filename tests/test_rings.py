@@ -65,6 +65,36 @@ def test_localization_division_and_units():
     assert y * y.inverse() == nested.one
 
 
+def test_localization_units_over_integers_need_no_search_bound():
+    Z = ZZ()
+    L2, L6 = localize(Z, 2), localize(Z, 6)
+    big = L2.from_int(2 ** 70)
+    assert big.is_unit() and big.inverse().payload == (1, 70)
+    mixed = L6.from_int(3 ** 50 * 2 ** 9)
+    assert mixed.is_unit() and mixed * mixed.inverse() == L6.one
+    assert not L6.from_int(5).is_unit()
+    # 10 / (5 * 3^90) = 2 / 3^90 = 2^91 / 6^90
+    assert L6.from_int(10).try_divide(L6.from_int(5 * 3 ** 90)) == L6.fraction(2 ** 91, 90)
+
+
+@pytest.mark.parametrize("m", [2, 6, -4, 12])
+def test_localization_division_over_integers_matches_brute_force(m):
+    """b divides a in ZZ[1/m] iff n2 divides n1 m^(k2+t) for some t; for
+    these small inputs t <= 20 is ample."""
+    L = localize(ZZ(), m)
+    for n1 in range(-12, 13):
+        for n2 in range(-12, 13):
+            if n2 == 0:
+                continue
+            for k1 in range(3):
+                for k2 in range(3):
+                    a, b = L.fraction(n1, k1), L.fraction(n2, k2)
+                    q = a.try_divide(b)
+                    exists = any(n1 * m ** (k2 + t) % n2 == 0 for t in range(20))
+                    assert (q is not None) == exists, (n1, k1, n2, k2)
+                    assert q is None or q * b == a, (n1, k1, n2, k2)
+
+
 def test_polynomial_ring_exact_division():
     P = poly_ring(ZZ(), ("x", "y"))
     x, y = P.gens()
