@@ -222,7 +222,7 @@ def cmd_patch(args) -> int:
         return EXIT_OK if report.ok else EXIT_VERIFICATION
     if args.word is None:
         return _usage("patch demo requires --word")
-    if args.word.ring != datum.A:
+    if args.word.ring is not datum.A:
         return _usage(f"word ring {args.word.ring} does not match the datum")
     try:
         y = patching.glueing_demo(datum, system, rep, args.word)
@@ -363,13 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if "rank" in args:
-        if args.rank not in SUPPORTED_RANKS[args.type]:
-            parser.error(f"unsupported root system {args.type}{args.rank}")
-        if "root_index" in args and not 0 <= args.root_index < args.rank:
-            parser.error(f"--root-index {args.root_index} is not in 0..{args.rank - 1}")
-    try:
+    try:  # argparse's usage errors are SystemExit(2) and pass through
+        args = parser.parse_args(argv)
+        if "rank" in args:
+            if args.rank not in SUPPORTED_RANKS[args.type]:
+                parser.error(f"unsupported root system {args.type}{args.rank}")
+            if "root_index" in args and not 0 <= args.root_index < args.rank:
+                parser.error(f"--root-index {args.root_index} is not in 0..{args.rank - 1}")
         return args.fn(args)
     except Exception:  # a crash must not look like a verdict or a usage error
         traceback.print_exc()

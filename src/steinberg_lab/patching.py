@@ -122,7 +122,7 @@ class ConjugationHom:
     def __init__(self, system: RootSystem, ring: Ring, h: RingElement,
                  g: SteinbergWord):
         loc = g.ring
-        if not isinstance(loc, LocalizationRing) or loc.base != ring:
+        if not isinstance(loc, LocalizationRing) or loc.base is not ring:
             raise ValueError("conjugator must live over the localization of the ring")
         if loc.multiplier != ring.el(h):
             raise ValueError("conjugator localization does not invert h")
@@ -258,7 +258,7 @@ def mu_image(datum: PatchDatum, rep, pair: PatchPair):
 def star_reduce(datum: PatchDatum, pair: PatchPair, g: SteinbergWord) -> PatchPair:
     """Action of g in St(B) on representatives:
     (u, v) -> (u lambda_h(g)^-1, iota(g) v); mu is unchanged."""
-    if g.ring != datum.B:
+    if g.ring is not datum.B:
         raise ValueError("acting word must live over B")
     u2 = pair.u * substitute(g, datum.lam_B).inverse()
     v2 = substitute(g, datum.iota) * pair.v
@@ -307,7 +307,7 @@ def translate_by_word(datum: PatchDatum, system: RootSystem,
                       g: SteinbergWord, pair: PatchPair,
                       min_level: int = 0) -> PatchPair:
     """Iterated translation g . pair for a word g over A_h."""
-    if g.ring != datum.A_h:
+    if g.ring is not datum.A_h:
         raise ValueError("translating word must live over A_h")
     for root, arg in reversed(g.letters):
         num, s = arg.payload
@@ -478,11 +478,11 @@ def glueing_demo(datum: PatchDatum, system: RootSystem, rep,
     component is then read back through B.  Raises GlueingError when the
     certification fails.
     """
-    if x.ring != datum.A:
+    if x.ring is not datum.A:
         raise ValueError("target word must live over A")
     if certificate is None:
         certificate = substitute(x, datum.lam_A)
-    if certificate.ring != datum.A_h:
+    if certificate.ring is not datum.A_h:
         raise GlueingError("certificate must live over A_h")
     if reps.evaluate(certificate, rep) != reps.evaluate(x, rep, hom=datum.lam_A):
         raise GlueingError("certificate image differs from the localized target")

@@ -225,7 +225,7 @@ class GroupMatrix:
         return [[row.get(j, zero) for j in range(self.dim)] for row in self._rows]
 
     def __mul__(self, other: "GroupMatrix") -> "GroupMatrix":
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise ValueError("matrices over different rings")
         ring = self.ring
         add, mul = ring._add, ring._mul
@@ -242,7 +242,7 @@ class GroupMatrix:
         return GroupMatrix(ring, self.dim, out)
 
     def __eq__(self, other):
-        return (isinstance(other, GroupMatrix) and self.ring == other.ring
+        return (isinstance(other, GroupMatrix) and self.ring is other.ring
                 and self._rows == other._rows)
 
     @property
@@ -397,8 +397,8 @@ def _np_poly_mul(u, v, k, mod):
 
 def _np_matmul(a, b, k, mod):
     # a, b: (S, k, d, d) truncated matrix polynomials; products are taken
-    # in float64 (exact below 2^53, which the sampling bounds guarantee)
-    # so the BLAS kernels apply
+    # in float64 so the BLAS kernels apply.  That is exact only below
+    # 2^53: fine for small moduli, inexact for moduli near 10^9
     s, _, d, _ = a.shape
     af = a.astype(np.float64)
     bf = b.astype(np.float64)

@@ -3,13 +3,18 @@
 Supported constructions: integers, prime fields, rationals, sparse
 multivariate polynomial rings, localization at a single element,
 quotients by a principal ideal, binary products, and the pullback ring
-R |x tR_a[t] of a Milnor square.  Every element carries a canonical
-hashable payload, so equality is decided by structural comparison after
-normalization.  All values are immutable and all operations are pure.
+R |x tR_a[t] of a Milnor square.  Rings are interned: constructing a
+ring returns the one live instance for its class and canonical
+arguments, so two rings are equal exactly when they are the same object.
+Every element carries a canonical hashable payload, so element equality
+is payload comparison.  All values are immutable and all operations are
+pure.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from fractions import Fraction
 from math import gcd as _int_gcd
 
@@ -32,12 +37,6 @@ __all__ = [
     "ring_to_json", "ring_from_json", "element_to_json", "element_from_json",
 ]
 
-# How many extra multiplier powers a localization of a base other than
-# ZZ is willing to clear when testing exact divisibility (over ZZ the
-# test is exact).
-_LOC_DIV_FUEL = 64
-
-
 class RingMismatchError(TypeError):
     """Operands belong to different rings."""
 
@@ -54,49 +53,68 @@ class DecompositionError(ValueError):
     """No effective decomposition for the requested configuration."""
 
 
+def _json_int(data) -> int:
+    if not isinstance(data, int) or isinstance(data, bool):
+        raise ValueError(f"expected an integer, got {data!r}")
+    return data
+
+
 # ---------------------------------------------------------------------------
 # ring base class
 # ---------------------------------------------------------------------------
 
-class Ring:
-    """Base class: payload-level arithmetic plus element facade."""
+# The live rings, keyed by (class, canonical constructor arguments); a
+# ring nobody references drops out.  The lock is reentrant because some
+# constructors build their inner rings.
+_LIVE_RINGS = weakref.WeakValueDictionary()
+_LIVE_LOCK = threading.RLock()
+
+
+class _Interned(type):
+    """Metaclass of the rings: calling a ring class returns the live ring
+    with the same canonical arguments, if there is one, and otherwise
+    builds it and gives it its ``zero`` and ``one``."""
+
+    def __call__(cls, *args):
+        key = (cls, *cls._canonical(*args))
+        with _LIVE_LOCK:
+            ring = _LIVE_RINGS.get(key)
+            if ring is None:
+                ring = super().__call__(*key[1:])
+                ring.zero = RingElement(ring, ring._from_int(0))
+                ring.one = RingElement(ring, ring._from_int(1))
+                _LIVE_RINGS[key] = ring
+        return ring
+
+
+def _base_and_payload(base, x):
+    return base, base.el(x).payload
+
+
+class Ring(metaclass=_Interned):
+    """Base class: payload-level arithmetic plus element facade.
+
+    Subclasses implement the payload protocol: ``_add``, ``_neg``,
+    ``_mul``, ``_from_int``, ``_try_divide`` (a/b if the division is
+    exact, else None), ``_sample`` and ``_payload_from_json``."""
 
     kind = "abstract"
     is_domain = False
     is_field = False
 
-    # -- payload protocol, implemented by subclasses ----------------------
-    def _add(self, a, b):
-        raise NotImplementedError
-
-    def _neg(self, a):
-        raise NotImplementedError
-
-    def _mul(self, a, b):
-        raise NotImplementedError
-
-    def _from_int(self, n: int):
-        raise NotImplementedError
-
-    def _try_divide(self, a, b):
-        """Return payload a/b if the division is exact, else None."""
-        raise NotImplementedError
-
-    def _sample(self, rng, size: int):
-        raise NotImplementedError
-
     def _payload_str(self, a) -> str:
         return repr(a)
 
-    def _key(self):
-        raise NotImplementedError
+    def _factor_bound(self, a) -> int:
+        """An upper bound on the number of prime factors of the nonzero
+        payload a, counted with multiplicity (0 over a field)."""
+        return 0
 
     # -- generic layer ----------------------------------------------------
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Ring) and self._key() == other._key())
-
-    def __hash__(self):
-        return hash(self._key())
+    @staticmethod
+    def _canonical(*args):
+        """The constructor arguments that identify the ring, normalized."""
+        return args
 
     def __repr__(self):
         return self.describe()
@@ -104,24 +122,10 @@ class Ring:
     def describe(self) -> str:
         return self.kind
 
-    @property
-    def zero(self) -> "RingElement":
-        z = getattr(self, "_zero", None)
-        if z is None:
-            z = self._zero = RingElement(self, self._from_int(0))
-        return z
-
-    @property
-    def one(self) -> "RingElement":
-        o = getattr(self, "_one", None)
-        if o is None:
-            o = self._one = RingElement(self, self._from_int(1))
-        return o
-
     def el(self, payload) -> "RingElement":
         """Wrap a raw payload (or coerce a python int)."""
         if isinstance(payload, RingElement):
-            if payload.ring != self:
+            if payload.ring is not self:
                 raise RingMismatchError(f"element of {payload.ring} given to {self}")
             return payload
         if isinstance(payload, int) and self.kind != "integers":
@@ -134,13 +138,8 @@ class Ring:
     def sample(self, rng, size: int = 6) -> "RingElement":
         return RingElement(self, self._sample(rng, size))
 
-    # JSON round trip for payloads; subclasses override where the identity
-    # encoding does not apply.
     def _payload_to_json(self, a):
         return a
-
-    def _payload_from_json(self, data):
-        return data
 
 
 class RingElement:
@@ -154,7 +153,7 @@ class RingElement:
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
-            if other.ring is self.ring or other.ring == self.ring:
+            if other.ring is self.ring:
                 return other
             raise RingMismatchError(
                 f"cannot combine element of {other.ring} with element of {self.ring}")
@@ -207,13 +206,13 @@ class RingElement:
 
     def __eq__(self, other):
         if isinstance(other, RingElement):
-            return self.ring == other.ring and self.payload == other.payload
+            return self.ring is other.ring and self.payload == other.payload
         if isinstance(other, int):
             return self.payload == self.ring._from_int(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ring.kind, _hashable(self.payload)))
+        return hash((self.ring.kind, self.payload))
 
     @property
     def is_zero(self) -> bool:
@@ -248,12 +247,6 @@ class RingElement:
         return self.ring._payload_str(self.payload)
 
 
-def _hashable(payload):
-    if isinstance(payload, tuple):
-        return tuple(_hashable(p) for p in payload)
-    return payload
-
-
 # ---------------------------------------------------------------------------
 # concrete rings
 # ---------------------------------------------------------------------------
@@ -264,9 +257,6 @@ class IntegerRing(Ring):
 
     def describe(self):
         return "ZZ"
-
-    def _key(self):
-        return ("integers",)
 
     def _add(self, a, b):
         return a + b
@@ -289,6 +279,12 @@ class IntegerRing(Ring):
     def _sample(self, rng, size):
         return rng.randint(-size, size)
 
+    def _factor_bound(self, a):
+        return abs(a).bit_length()
+
+    def _payload_from_json(self, data):
+        return _json_int(data)
+
 
 class RationalField(Ring):
     kind = "rationals"
@@ -297,9 +293,6 @@ class RationalField(Ring):
 
     def describe(self):
         return "QQ"
-
-    def _key(self):
-        return ("rationals",)
 
     def _add(self, a, b):
         return a + b
@@ -321,16 +314,14 @@ class RationalField(Ring):
     def _sample(self, rng, size):
         return Fraction(rng.randint(-size, size), rng.randint(1, size))
 
-    def el(self, payload):
-        if isinstance(payload, (int, Fraction)) and not isinstance(payload, bool):
-            return RingElement(self, Fraction(payload))
-        return super().el(payload)
-
     def _payload_to_json(self, a):
         return {"n": a.numerator, "d": a.denominator}
 
     def _payload_from_json(self, data):
-        return Fraction(data["n"], data["d"])
+        d = _json_int(data["d"])
+        if d == 0:
+            raise ValueError("zero denominator")
+        return Fraction(_json_int(data["n"]), d)
 
 
 # The first 13 primes are strong-pseudoprime witnesses for every odd
@@ -378,9 +369,6 @@ class PrimeFieldRing(Ring):
     def describe(self):
         return f"F{self.p}"
 
-    def _key(self):
-        return ("prime_field", self.p)
-
     def _add(self, a, b):
         return (a + b) % self.p
 
@@ -400,6 +388,9 @@ class PrimeFieldRing(Ring):
 
     def _sample(self, rng, size):
         return rng.randrange(self.p)
+
+    def _payload_from_json(self, data):
+        return _json_int(data) % self.p
 
 
 # -- sparse multivariate polynomials ----------------------------------------
@@ -443,8 +434,11 @@ def _poly_divmod(P: PolynomialRing, a, b):
 class PolynomialRing(Ring):
     kind = "polynomial"
 
+    @staticmethod
+    def _canonical(base, names):
+        return base, tuple(names)
+
     def __init__(self, base: Ring, names):
-        names = tuple(names)
         if not names:
             raise ValueError("polynomial ring needs at least one variable")
         self.base = base
@@ -454,9 +448,6 @@ class PolynomialRing(Ring):
 
     def describe(self):
         return f"{self.base.describe()}[{','.join(self.names)}]"
-
-    def _key(self):
-        return ("polynomial", self.base._key(), self.names)
 
     def var(self, name: str) -> RingElement:
         i = self.names.index(name)
@@ -532,6 +523,11 @@ class PolynomialRing(Ring):
             return -1
         return max(sum(e) for e, _ in a)
 
+    def _factor_bound(self, a):
+        # the content divides every coefficient, and each other prime
+        # factor has positive degree
+        return self.degree(a) + max(self.base._factor_bound(c) for _, c in a)
+
     def is_monic_univariate(self, a) -> bool:
         if self.nvars != 1 or not a:
             return False
@@ -553,8 +549,14 @@ class PolynomialRing(Ring):
         return [[list(e), self.base._payload_to_json(c)] for e, c in a]
 
     def _payload_from_json(self, data):
-        return _poly_canonical({
-            tuple(e): self.base._payload_from_json(c) for e, c in data})
+        # summing term by term merges repeated monomials and drops zeros
+        acc = ()
+        for e, c in data:
+            e = tuple(_json_int(x) for x in e)
+            if len(e) != self.nvars or min(e) < 0:
+                raise ValueError(f"bad exponent vector {list(e)} for {self}")
+            acc = self._add(acc, ((e, self.base._payload_from_json(c)),))
+        return acc
 
 
 class LocalizationRing(Ring):
@@ -565,30 +567,29 @@ class LocalizationRing(Ring):
     """
 
     kind = "localization"
+    _canonical = staticmethod(_base_and_payload)
 
     def __init__(self, base: Ring, multiplier):
         if not base.is_domain:
             raise ValueError("localization base must be a domain")
-        mult = base.el(multiplier)
+        mult = RingElement(base, multiplier)
         if mult.is_zero:
             raise ValueError("localization multiplier must be nonzero")
         self.base = base
         self.multiplier = mult
         self.is_domain = True
-        self._powers = {0: base._from_int(1), 1: mult.payload}
+        self._powers = {0: base._from_int(1), 1: multiplier}
 
     def describe(self):
         return f"({self.base.describe()})_[{self.multiplier!r}]"
 
-    def _key(self):
-        return ("localization", self.base._key(), _hashable(self.multiplier.payload))
-
     def _power(self, k: int):
-        p = self._powers.get(k)
-        if p is None:
-            p = self.base._mul(self._power(k - 1), self.multiplier.payload)
-            self._powers[k] = p
-        return p
+        # filled in order, without recursion, so the keys are 0..len - 1
+        powers = self._powers
+        if k not in powers:
+            for i in range(len(powers), k + 1):
+                powers[i] = self.base._mul(powers[i - 1], powers[1])
+        return powers[k]
 
     def _norm(self, num, k):
         bz = self.base._from_int(0)
@@ -645,15 +646,17 @@ class LocalizationRing(Ring):
                 return None
             t = abs(n2 // v).bit_length() - 1
             return self._norm(num * self._power(t) // n2, k1 + t)
-        for t in range(_LOC_DIV_FUEL):
-            q = self.base._try_divide(num, n2)
-            if q is not None:
-                return self._norm(q, k1 + t)
-            num = self.base._mul(num, self.multiplier.payload)
-        return None
+        # the base is a UFD, so the number of prime factors of n2 bounds
+        # every valuation that the multiplier powers have to clear
+        t = self.base._factor_bound(n2)
+        q = self.base._try_divide(self.base._mul(num, self._power(t)), n2)
+        return None if q is None else self._norm(q, k1 + t)
 
     def _sample(self, rng, size):
         return self._norm(self.base._sample(rng, size), rng.randint(0, 2))
+
+    def _factor_bound(self, a):
+        return self.base._factor_bound(a[0])
 
     def el(self, payload):
         if isinstance(payload, tuple) and len(payload) == 2 and isinstance(payload[1], int):
@@ -661,8 +664,7 @@ class LocalizationRing(Ring):
         return super().el(payload)
 
     def from_base(self, x) -> RingElement:
-        x = self.base.el(x)
-        return RingElement(self, self._norm(x.payload, 0))
+        return self.fraction(x, 0)
 
     def fraction(self, num, k: int) -> RingElement:
         num = self.base.el(num)
@@ -686,7 +688,10 @@ class LocalizationRing(Ring):
         return {"num": self.base._payload_to_json(a[0]), "exp": a[1]}
 
     def _payload_from_json(self, data):
-        return self._norm(self.base._payload_from_json(data["num"]), data["exp"])
+        k = _json_int(data["exp"])
+        if k < 0:
+            raise ValueError(f"negative localization exponent {k}")
+        return self._norm(self.base._payload_from_json(data["num"]), k)
 
 
 class QuotientRing(Ring):
@@ -695,34 +700,29 @@ class QuotientRing(Ring):
 
     kind = "quotient"
 
+    @staticmethod
+    def _canonical(base, modulus):
+        base, m = _base_and_payload(base, modulus)
+        return base, abs(m) if isinstance(base, IntegerRing) else m
+
     def __init__(self, base: Ring, modulus):
         self.base = base
+        self.modulus = RingElement(base, modulus)
         if isinstance(base, IntegerRing):
-            n = base.el(modulus).payload
-            if n < 0:
-                n = -n
-            if n == 0:
+            if modulus == 0:
                 raise ValueError("modulus must be nonzero")
-            self.n = n
-            self.modulus = base.el(n)
-            self.is_zero_ring = n == 1
-            self.is_domain = _is_prime(n)
+            self.n = modulus
+            self.is_domain = _is_prime(modulus)
         elif isinstance(base, PolynomialRing) and base.nvars == 1:
-            m = base.el(modulus)
-            if not base.is_monic_univariate(m.payload):
+            if not base.is_monic_univariate(modulus):
                 raise ValueError("polynomial modulus must be monic univariate")
-            self.modulus = m
             self.n = None
-            self.is_zero_ring = False
             self.is_domain = False
         else:
             raise ValueError("unsupported quotient configuration")
 
     def describe(self):
         return f"{self.base.describe()}/({self.modulus!r})"
-
-    def _key(self):
-        return ("quotient", self.base._key(), _hashable(self.modulus.payload))
 
     def _reduce(self, a):
         if self.n is not None:
@@ -743,8 +743,6 @@ class QuotientRing(Ring):
 
     def _try_divide(self, a, b):
         if self.n is not None:
-            if self.is_zero_ring:
-                return 0
             g = _int_gcd(b, self.n)
             if a % g:
                 return None
@@ -806,9 +804,6 @@ class ProductRing(Ring):
     def describe(self):
         return f"{self.left.describe()} x {self.right.describe()}"
 
-    def _key(self):
-        return ("product", self.left._key(), self.right._key())
-
     def pair(self, x, y) -> RingElement:
         return RingElement(self, (self.left.el(x).payload, self.right.el(y).payload))
 
@@ -841,7 +836,8 @@ class ProductRing(Ring):
         return [self.left._payload_to_json(a[0]), self.right._payload_to_json(a[1])]
 
     def _payload_from_json(self, data):
-        return (self.left._payload_from_json(data[0]), self.right._payload_from_json(data[1]))
+        x, y = data
+        return (self.left._payload_from_json(x), self.right._payload_from_json(y))
 
 
 class MilnorSquareRing(Ring):
@@ -852,6 +848,7 @@ class MilnorSquareRing(Ring):
     """
 
     kind = "milnor_square"
+    _canonical = staticmethod(_base_and_payload)
 
     def __init__(self, base: Ring, multiplier):
         if not base.is_domain:
@@ -864,9 +861,6 @@ class MilnorSquareRing(Ring):
 
     def describe(self):
         return f"{self.base.describe()} |x t({self.loc.describe()})[t]"
-
-    def _key(self):
-        return ("milnor_square", self.base._key(), _hashable(self.multiplier.payload))
 
     def _add(self, a, b):
         return (self.base._add(a[0], b[0]), self.poly._add(a[1], b[1]))
@@ -909,13 +903,16 @@ class MilnorSquareRing(Ring):
                 f[e] = c
         return (self.base._sample(rng, size), _poly_canonical(f))
 
+    _factor_bound = LocalizationRing._factor_bound
+
     def pair(self, x, f) -> RingElement:
-        x = self.base.el(x)
-        f = self.poly.el(f)
-        for e, _ in f.payload:
-            if e == (0,):
-                raise ValueError("second component must have zero constant term")
-        return RingElement(self, (x.payload, f.payload))
+        return RingElement(self, self._pair(self.base.el(x).payload, self.poly.el(f).payload))
+
+    @staticmethod
+    def _pair(x, f):
+        if f and f[-1][0] == (0,):
+            raise ValueError("second component must have zero constant term")
+        return (x, f)
 
     def _payload_str(self, a):
         return f"({self.base._payload_str(a[0])}, {self.poly._payload_str(a[1])})"
@@ -924,41 +921,15 @@ class MilnorSquareRing(Ring):
         return [self.base._payload_to_json(a[0]), self.poly._payload_to_json(a[1])]
 
     def _payload_from_json(self, data):
-        return (self.base._payload_from_json(data[0]), self.poly._payload_from_json(data[1]))
+        x, f = data
+        return self._pair(self.base._payload_from_json(x), self.poly._payload_from_json(f))
 
 
-# convenience constructors ---------------------------------------------------
+# constructor names --------------------------------------------------------
 
-def ZZ() -> IntegerRing:
-    return IntegerRing()
-
-
-def QQ() -> RationalField:
-    return RationalField()
-
-
-def GF(p: int) -> PrimeFieldRing:
-    return PrimeFieldRing(p)
-
-
-def poly_ring(base: Ring, names) -> PolynomialRing:
-    return PolynomialRing(base, names)
-
-
-def localize(base: Ring, multiplier) -> LocalizationRing:
-    return LocalizationRing(base, multiplier)
-
-
-def quotient(base: Ring, modulus) -> QuotientRing:
-    return QuotientRing(base, modulus)
-
-
-def product_ring(left: Ring, right: Ring) -> ProductRing:
-    return ProductRing(left, right)
-
-
-def milnor_square_ring(base: Ring, multiplier) -> MilnorSquareRing:
-    return MilnorSquareRing(base, multiplier)
+ZZ, QQ, GF = IntegerRing, RationalField, PrimeFieldRing
+poly_ring, localize, quotient = PolynomialRing, LocalizationRing, QuotientRing
+product_ring, milnor_square_ring = ProductRing, MilnorSquareRing
 
 
 # ---------------------------------------------------------------------------
@@ -990,7 +961,7 @@ class Ideal:
         raise ValueError("membership undecidable for this configuration")
 
     def product(self, other: "Ideal") -> "Ideal":
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise RingMismatchError("ideals live in different rings")
         gens = [a * b for a in self.generators for b in other.generators]
         return Ideal(self.ring, gens)
@@ -1017,7 +988,7 @@ class RingHom:
         return self.fn(payload)
 
     def compose(self, inner: "RingHom") -> "RingHom":
-        if inner.codomain != self.domain:
+        if inner.codomain is not self.domain:
             raise RingMismatchError("homomorphisms do not compose")
         return RingHom(inner.domain, self.codomain,
                        lambda p: self.fn(inner.fn(p)),
@@ -1032,13 +1003,13 @@ def identity_hom(ring: Ring) -> RingHom:
 
 
 def localization_hom(base: Ring, loc: LocalizationRing) -> RingHom:
-    if loc.base != base:
+    if loc.base is not base:
         raise RingMismatchError("localization does not extend the given base")
     return RingHom(base, loc, lambda p: loc._norm(p, 0), "localize")
 
 
 def quotient_hom(base: Ring, quo: QuotientRing) -> RingHom:
-    if quo.base != base:
+    if quo.base is not base:
         raise RingMismatchError("quotient does not reduce the given base")
     return RingHom(base, quo, quo._reduce, "project")
 
@@ -1056,21 +1027,16 @@ def substitution_hom(domain: PolynomialRing, codomain: Ring, images,
     if missing:
         raise ValueError(f"no image for variables {missing}")
     img = [images[n].payload for n in domain.names]
-    if coeff_hom is None:
-        coeff_fn = codomain._from_int if isinstance(domain.base, IntegerRing) else None
-        if coeff_fn is None:
-            if domain.base != codomain and not (
-                    isinstance(codomain, PolynomialRing) and codomain.base == domain.base):
-                raise ValueError("coefficient map required")
-            if isinstance(codomain, PolynomialRing) and codomain.base == domain.base:
-                cod = codomain
-
-                def coeff_fn(c, cod=cod):
-                    return cod.constant(RingElement(cod.base, c)).payload
-            else:
-                coeff_fn = lambda c: c
-    else:
+    if coeff_hom is not None:
         coeff_fn = coeff_hom.fn
+    elif isinstance(domain.base, IntegerRing):
+        coeff_fn = codomain._from_int
+    elif domain.base is codomain:
+        coeff_fn = lambda c: c
+    elif isinstance(codomain, PolynomialRing) and codomain.base is domain.base:
+        coeff_fn = lambda c: codomain.constant(RingElement(codomain.base, c)).payload
+    else:
+        raise ValueError("coefficient map required")
 
     def fn(payload):
         acc = codomain._from_int(0)
@@ -1087,7 +1053,7 @@ def substitution_hom(domain: PolynomialRing, codomain: Ring, images,
 
 def coarser_localization_hom(fine: LocalizationRing, coarse: LocalizationRing) -> RingHom:
     """R_a -> R_ab along n/a^k |-> n b^k/(ab)^k."""
-    if fine.base != coarse.base:
+    if fine.base is not coarse.base:
         raise RingMismatchError("localizations of different bases")
     b = coarse.base._try_divide(coarse.multiplier.payload, fine.multiplier.payload)
     if b is None:
@@ -1106,7 +1072,7 @@ def coarser_localization_hom(fine: LocalizationRing, coarse: LocalizationRing) -
 def localization_functor_hom(src: LocalizationRing, dst: LocalizationRing,
                              base_hom: RingHom) -> RingHom:
     """Localization of a base map f with f(multiplier) = multiplier."""
-    if base_hom.domain != src.base or base_hom.codomain != dst.base:
+    if base_hom.domain is not src.base or base_hom.codomain is not dst.base:
         raise RingMismatchError("base homomorphism does not match localizations")
     if dst._norm(base_hom.fn(src.multiplier.payload), 0) != dst._norm(dst.multiplier.payload, 0):
         raise ValueError("base map does not send multiplier to multiplier")
@@ -1167,7 +1133,7 @@ def ext_gcd(a: RingElement, b: RingElement):
     """(g, x, y) with x*a + y*b = g, over ZZ or univariate polynomials
     over a field."""
     ring = a.ring
-    if ring != b.ring:
+    if ring is not b.ring:
         raise RingMismatchError("ext_gcd operands in different rings")
     if isinstance(ring, IntegerRing):
         old_r, r = a.payload, b.payload
@@ -1248,17 +1214,10 @@ def milnor_square_pullback(x: RingElement, g: RingElement,
                            square: MilnorSquareRing) -> RingElement:
     """The unique pullback element over compatible (x, g); requires that
     x and g(0) agree in the localization."""
-    poly = square.poly
-    g = poly.el(g)
+    g = square.poly.el(g)
     x = square.base.el(x)
-    const = poly.zero.payload
-    rest = {}
-    for e, c in g.payload:
-        if e == (0,):
-            const = ((e, c),)
-        else:
-            rest[e] = c
-    g0 = const[0][1] if const else square.loc._from_int(0)
+    rest = dict(g.payload)
+    g0 = rest.pop((0,), square.loc._from_int(0))
     if square.loc._norm(x.payload, 0) != g0:
         raise CompatibilityError(
             f"incompatible pair: image of {x!r} differs from constant term {g!r}")
@@ -1290,9 +1249,9 @@ def decompose_modulo_power(c: RingElement, k: int, h: RingElement, B: Ring):
     """
     A = c.ring
     h = B.el(h)
-    if A == B:
+    if A is B:
         return A.zero, c
-    if not (isinstance(A, LocalizationRing) and A.base == B):
+    if not (isinstance(A, LocalizationRing) and A.base is B):
         raise DecompositionError(f"no effective decomposition for {A} over {B}")
     num, s = c.payload
     if s == 0:

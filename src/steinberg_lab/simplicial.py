@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import (PolynomialRing, QuotientRing, ProductRing, Ring,
-                    RingElement, RingHom, poly_ring, product_ring, quotient,
-                    substitution_hom)
+                    RingElement, RingHom, identity_hom, poly_ring,
+                    product_ring, quotient, substitution_hom)
 from .roots import RootSystem
 from .words import SteinbergWord, gen, substitute
 
@@ -127,7 +127,7 @@ def simplicial_identity_report(base: Ring, n_max: int):
             for i in range(n + 2):
                 lhs = face_hom(base, n + 1, i).compose(degeneracy_hom(base, n, j))
                 if i in (j, j + 1):
-                    ok = _homs_equal(base, lhs, _identity_level_hom(base, n), n)
+                    ok = _homs_equal(base, lhs, identity_hom(simplex_ring(base, n)), n)
                     results.append((f"d{i} s{j} = id on level {n}", ok))
                 elif i < j:
                     rhs = degeneracy_hom(base, n - 1, j - 1).compose(face_hom(base, n, i))
@@ -138,11 +138,6 @@ def simplicial_identity_report(base: Ring, n_max: int):
                     results.append((f"d{i} s{j} = s{j} d{i-1} on level {n}",
                                     _homs_equal(base, lhs, rhs, n)))
     return results
-
-
-def _identity_level_hom(base: Ring, n: int) -> RingHom:
-    ring = simplex_ring(base, n)
-    return RingHom(ring, ring, lambda p: p, "id")
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +160,7 @@ class MooreGenerator:
     def __post_init__(self):
         self.root = tuple(self.root)
         ring = simplex_ring(self.base, self.level)
-        if self.f.ring != ring or self.conjugator.ring != ring:
+        if self.f.ring is not ring or self.conjugator.ring is not ring:
             raise ValueError("payload rings do not match the level")
         if self.level == 2:
             for exps, _ in self.f.payload:

@@ -10,8 +10,11 @@ claims go through a matrix representation.
 
 from __future__ import annotations
 
-from .rings import Ideal, IntegerRing, Ring, RingElement, RingHom, quotient, quotient_hom
-from .roots import RootSystem
+from math import gcd
+
+from .rings import (Ideal, IntegerRing, Ring, RingElement, RingHom, quotient,
+                    quotient_hom, ring_from_json, ring_to_json)
+from .roots import RootSystem, build_root_system
 from . import reps
 
 __all__ = [
@@ -62,9 +65,9 @@ class SteinbergWord:
         return not self.letters
 
     def __mul__(self, other: "SteinbergWord") -> "SteinbergWord":
-        if other.system is not self.system and other.system.index != self.system.index:
+        if other.system is not self.system:
             raise ValueError("words over different root systems")
-        if other.ring != self.ring:
+        if other.ring is not self.ring:
             raise ValueError("words over different rings")
         symbols = None
         if self.symbols is not None and other.symbols is not None:
@@ -79,11 +82,8 @@ class SteinbergWord:
         return g * self * g.inverse()
 
     def __eq__(self, other):
-        return (isinstance(other, SteinbergWord)
-                and self.system.kind == other.system.kind
-                and self.system.rank == other.system.rank
-                and self.ring == other.ring
-                and self.letters == other.letters)
+        return (isinstance(other, SteinbergWord) and self.system is other.system
+                and self.ring is other.ring and self.letters == other.letters)
 
     def __repr__(self):
         if not self.letters:
@@ -144,7 +144,7 @@ def conjugated(w: SteinbergWord, g: SteinbergWord) -> SteinbergWord:
 
 def substitute(w: SteinbergWord, hom: RingHom) -> SteinbergWord:
     """Apply a ring homomorphism letterwise (base change of the word)."""
-    if hom.domain != w.ring:
+    if hom.domain is not w.ring:
         raise ValueError("homomorphism domain does not match word ring")
     letters = tuple((r, hom(a)) for r, a in w.letters)
     return SteinbergWord(w.system, hom.codomain, letters)
@@ -197,7 +197,7 @@ class RelativeWord:
     group is trivial by construction)."""
 
     def __init__(self, word: SteinbergWord, ideal: Ideal):
-        if ideal.ring != word.ring:
+        if ideal.ring is not word.ring:
             raise ValueError("ideal and word live over different rings")
         self.word = word
         self.ideal = ideal
@@ -233,7 +233,7 @@ def check_commutator_congruence(system: RootSystem, root, a, b, c,
     This is a matrix-level check, not a proof of the group congruence.
     """
     ring = ideal_a.ring
-    if ideal_b.ring != ring:
+    if ideal_b.ring is not ring:
         raise ValueError("ideals over different rings")
     a, b, c = ring.el(a), ring.el(b), ring.el(c)
     if not ideal_a.contains(a):
@@ -245,7 +245,6 @@ def check_commutator_congruence(system: RootSystem, root, a, b, c,
         raise ValueError("effective quotient available only over ZZ here")
     n = 0
     for g0 in prod.generators:
-        from math import gcd
         n = gcd(n, g0.payload)
     n = abs(n)
     if n == 0:
@@ -263,7 +262,6 @@ def check_commutator_congruence(system: RootSystem, root, a, b, c,
 # ---------------------------------------------------------------------------
 
 def word_to_json(w: SteinbergWord):
-    from .rings import ring_to_json
     return {
         "system": {"type": w.system.kind, "rank": w.system.rank},
         "ring": ring_to_json(w.ring),
@@ -275,8 +273,6 @@ def word_to_json(w: SteinbergWord):
 
 def word_from_json(data, system: RootSystem | None = None,
                    ring: Ring | None = None) -> SteinbergWord:
-    from .rings import ring_from_json
-    from .roots import build_root_system
     if system is None:
         system = build_root_system(data["system"]["type"], data["system"]["rank"])
     if ring is None:

@@ -164,6 +164,27 @@ def test_bad_ring_spec_is_usage_error(argv, capsys):
     assert "ring spec" in capsys.readouterr().err
 
 
+def _word_file(ring, arg):
+    """A one-letter A2 word over the given ring JSON."""
+    return {"system": {"type": "A", "rank": 2}, "ring": ring,
+            "letters": [{"root": [1, -1, 0], "arg": arg, "sign": 1}]}
+
+
+ZZ_JSON = {"kind": "integers"}
+ZZT_JSON = {"kind": "polynomial", "base": ZZ_JSON, "vars": ["t"]}
+
+# word files written into the working directory of the usage-error test
+BAD_WORD_FILES = {
+    "float-arg.json": _word_file(ZZ_JSON, 2.5),
+    "bool-arg.json": _word_file(ZZ_JSON, True),
+    "zero-denominator.json": _word_file({"kind": "rationals"}, {"n": 1, "d": 0}),
+    "negative-exp.json": _word_file(
+        {"kind": "localization", "base": ZZ_JSON, "multiplier": 2}, {"num": 1, "exp": -1}),
+    "short-exponents.json": _word_file(
+        {"kind": "polynomial", "base": ZZ_JSON, "vars": ["s", "t"]}, [[[1], 2]]),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["word", "symbol", "--ring", "int"],          # 2 and 3 are not units of ZZ
     ["k2m", "tame", "--symbol", "2,3", "--prime", "9"],
@@ -181,8 +202,16 @@ def test_bad_ring_spec_is_usage_error(argv, capsys):
     ["word", "symbol", "--root-index", "-1"],
     ["simplicial", "lift", "--word", "no-such-dir/generator.json"],
     ["simplicial", "lift"],
+    ["eval", "--word", "float-arg.json"],
+    ["eval", "--word", "bool-arg.json"],
+    ["eval", "--word", "zero-denominator.json"],
+    ["eval", "--word", "negative-exp.json"],
+    ["eval", "--word", "short-exponents.json"],
 ])
-def test_input_errors_are_usage_errors(argv, capsys):
+def test_input_errors_are_usage_errors(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, data in BAD_WORD_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -200,3 +229,24 @@ def test_crash_exits_3_with_traceback(monkeypatch, capsys):
     assert main(["roots", "--type", "A", "--rank", "2"]) == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: planted crash" in err
+
+
+def test_crash_while_parsing_exits_3(monkeypatch, capsys):
+    def crash(spec):
+        raise RuntimeError("planted crash")
+
+    monkeypatch.setattr(cli, "parse_phi", crash)
+    assert main(["patch", "verify", "--phi", "A3"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: planted crash" in err
+
+
+def test_eval_sums_repeated_monomials(tmp_path, capsys):
+    outs = []
+    for arg in ([[[1], 2], [[1], 3]], [[[1], 5]]):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(_word_file(ZZT_JSON, arg)))
+        code, out = run(capsys, "eval", "--word", str(path))
+        assert code == 0
+        outs.append(json.loads(out))
+    assert outs[0] == outs[1]

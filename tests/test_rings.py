@@ -1,11 +1,15 @@
 """Tests for the exact ring tower and its construction-specific operations."""
 
+import gc
 import json
 import random
+import weakref
+from fractions import Fraction
 
 import pytest
 
 from steinberg_lab import checks
+from steinberg_lab.patching import zariski_datum
 from steinberg_lab.rings import (
     GF, QQ, ZZ, CompatibilityError, DecompositionError, Ideal, NonUnitError,
     bezout_decompose, bezout_identity, coarser_localization_hom,
@@ -15,6 +19,24 @@ from steinberg_lab.rings import (
     quotient, quotient_hom, reciprocal_localization_witness, ring_from_json,
     ring_to_json, substitution_hom,
 )
+
+
+def test_rings_are_interned():
+    Z = ZZ()
+    assert Z is ZZ() and GF(7) is GF(7)
+    assert localize(Z, 2) is localize(Z, Z.from_int(2))
+    assert quotient(Z, -6) is quotient(Z, 6)
+    assert poly_ring(Z, ["t"]) is poly_ring(Z, ("t",))
+    assert milnor_square_ring(Z, 2).loc is localize(Z, 2)
+    assert localize(Z, 2) is not localize(Z, 3) and GF(5) is not quotient(Z, 5)
+    for ring in checks.ring_constructions():
+        assert ring_from_json(ring_to_json(ring)) is ring
+
+
+def test_unreferenced_ring_is_freed():
+    ref = weakref.ref(localize(poly_ring(ZZ(), ("unused",)), 7))
+    gc.collect()
+    assert ref() is None
 
 
 def test_ring_axioms_random_triples():
@@ -75,6 +97,43 @@ def test_localization_units_over_integers_need_no_search_bound():
     assert not L6.from_int(5).is_unit()
     # 10 / (5 * 3^90) = 2 / 3^90 = 2^91 / 6^90
     assert L6.from_int(10).try_divide(L6.from_int(5 * 3 ** 90)) == L6.fraction(2 ** 91, 90)
+
+
+def test_localization_units_need_no_search_bound_over_other_bases():
+    F3s = poly_ring(GF(3), ("s",))
+    s = F3s.var("s")
+    Ls = localize(F3s, s)
+    assert Ls.from_base(s ** 70).inverse() == Ls.fraction(F3s.one, 70)
+    assert not Ls.from_base(s ** 70 + F3s.one).is_unit()
+    Pt = poly_ring(ZZ(), ("t",))
+    L2 = localize(Pt, 2)
+    assert L2.from_int(2 ** 70).inverse() == L2.fraction(Pt.one, 70)
+    assert not L2.from_int(3 * 2 ** 70).is_unit()
+    A_h = zariski_datum(ZZ(), 2, 3).A_h
+    x = A_h.from_int(3 ** 70)
+    assert x.is_unit() and x * x.inverse() == A_h.one
+
+
+def test_localization_division_in_A_h_matches_fractions():
+    """ZZ[1/2][1/3] against Fraction arithmetic: b divides a iff a/b has
+    no prime other than 2 and 3 in its denominator."""
+    A_h = zariski_datum(ZZ(), 2, 3).A_h
+    L2, frac = A_h.base, fraction_field_hom(A_h)
+    nums = list(range(-9, 10)) + [3 ** 70, -5 * 2 ** 65, 6 ** 40 * 7]
+    elems = [A_h.fraction(L2.fraction(n, k), j)
+             for n in nums for k in range(2) for j in range(2)]
+    for a in elems:
+        for b in elems:
+            if b.is_zero:
+                continue
+            q = frac(a).payload / frac(b).payload
+            d = q.denominator
+            for p in (2, 3):
+                while d % p == 0:
+                    d //= p
+            got = a.try_divide(b)
+            assert (got is not None) == (d == 1), (a, b)
+            assert got is None or frac(got).payload == q, (a, b)
 
 
 @pytest.mark.parametrize("m", [2, 6, -4, 12])
@@ -346,3 +405,31 @@ def test_division_errors():
         Z.from_int(3).divide(Z.from_int(2))
     with pytest.raises(NonUnitError):
         Z.from_int(2).inverse()
+
+
+def test_json_payloads_are_canonical():
+    Pt = poly_ring(ZZ(), ("t",))
+    t = Pt.var("t")
+    assert Pt._payload_from_json([[[1], 2], [[1], 3]]) == (5 * t).payload
+    assert Pt._payload_from_json([[[1], 2], [[0], 0], [[1], -2]]) == ()
+    assert GF(7)._payload_from_json(7) == 0 and GF(7)._payload_from_json(-1) == 6
+    assert quotient(ZZ(), 6)._payload_from_json(-1) == 5
+    assert QQ()._payload_from_json({"n": 2, "d": -4}) == Fraction(-1, 2)
+    assert localize(ZZ(), 2)._payload_from_json({"num": 4, "exp": 3}) == (1, 1)
+
+
+@pytest.mark.parametrize("ring, data", [
+    (ZZ(), 2.5),
+    (ZZ(), True),
+    (GF(7), "3"),
+    (QQ(), {"n": 1, "d": 0}),
+    (QQ(), {"n": 1.5, "d": 2}),
+    (localize(ZZ(), 2), {"num": 1, "exp": -1}),
+    (poly_ring(ZZ(), ("t",)), [[[1, 0], 2]]),
+    (poly_ring(ZZ(), ("t",)), [[[-1], 2]]),
+    (milnor_square_ring(ZZ(), 2), [3, [[[0], {"num": 3, "exp": 0}]]]),
+    (product_ring(ZZ(), ZZ()), [1, 2, 3]),
+])
+def test_malformed_json_payloads_raise_value_error(ring, data):
+    with pytest.raises(ValueError):
+        ring._payload_from_json(data)

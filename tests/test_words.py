@@ -202,3 +202,10 @@ def test_symbol_provenance():
     assert identity_word(A2, F5).symbols == ()
     assert gen(A2, F5, A2.simple_roots[0], 1).symbols is None
     assert (s1 * gen(A2, F5, A2.simple_roots[0], 1)).symbols is None
+
+
+def test_word_from_json_reduces_arguments():
+    """x_a(7) over F7 is the empty word once its argument is reduced."""
+    data = word_to_json(gen(A2, GF(7), A2.simple_roots[0], 1))
+    data["letters"][0]["arg"] = 7
+    assert word_from_json(data).is_empty
