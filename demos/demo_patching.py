@@ -38,8 +38,9 @@ print("level bound n(g) =", cg.bound)
 x = gen(A3, datum.B, A3.negate(A3.simple_roots[0]), Z.from_int(4) * datum.h ** cg.bound)
 image = cg.apply_word(x, cg.bound)
 print("conjugated opposite-root generator expands to", len(image), "letters")
+# verify_conjugation compares in G(B_h) and lists the failing arguments
 print("defining identity holds:",
-      verify_conjugation(datum, A3, adj, g, [(A3.negate(A3.simple_roots[0]), 4)]))
+      verify_conjugation(datum, A3, adj, g, [(A3.negate(A3.simple_roots[0]), 4)]) == [])
 
 # Orbit translation: each operator prepends the B-part to the first
 # component and pushes the deep part through the conjugation map.

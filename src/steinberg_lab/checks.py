@@ -19,13 +19,13 @@ from fractions import Fraction
 
 from .milnor import (MilnorSymbolSum, relevant_odd_primes, steinberg_to_milnor,
                      symbol, symbol_normalize, tame_symbol)
-from .patching import (ConjugationHom, GlueingError, PatchPair, glueing_demo,
-                       mu_image, star_reduce, verify_translation_relations,
-                       zariski_datum)
+from .patching import (GlueingError, PatchPair, conj_bound, glueing_demo,
+                       mu_image, star_reduce, verify_conjugation,
+                       verify_translation_relations, zariski_datum)
 from .reps import build_representation, evaluate, k2_membership, verify_relations
 from .rings import (GF, QQ, ZZ, CompatibilityError, Ideal, bezout_decompose,
                     coarser_localization_hom, decompose_modulo_power,
-                    fraction_field_hom, localize, milnor_square_project_base,
+                    localize, milnor_square_project_base,
                     milnor_square_project_poly, milnor_square_pullback,
                     milnor_square_ring, poly_ring, product_ring, quotient,
                     quotient_hom, reciprocal_localization_witness,
@@ -370,11 +370,11 @@ def relations(rng, n, cases):
 def conjugation_identity(rng, n):
     """n random conjugators g of length <= 2 over ZZ[1/3] (A3 adjoint),
     each at a random level k >= its bound with 20 random arguments x:
-    image(c_g(x)) = g image(x) g^-1 exactly over QQ."""
+    patching.verify_conjugation, image(c_g(x)) = g image(x) g^-1 exactly
+    in G(ZZ[1/3])."""
     rep = _rep("A", 3, "adjoint")
     A3 = rep.system
     datum = zariski_datum(Z, 2, 3)
-    fr_B, fr_Bh = fraction_field_hom(datum.B), fraction_field_hom(datum.B_h)
     out = []
     for _ in range(n):
         g = identity_word(A3, datum.B_h)
@@ -382,17 +382,12 @@ def conjugation_identity(rng, n):
             root = A3.roots[rng.randrange(len(A3.roots))]
             num = Z.from_int(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
             g = g * gen(A3, datum.B_h, root, datum.B_h.fraction(num, rng.randint(0, 2)))
-        cg = ConjugationHom(A3, datum.B, datum.h, g)
-        k = cg.bound + rng.randint(0, 1)
-        g_img = evaluate(g, rep, hom=fr_Bh)
-        g_inv_img = evaluate(g.inverse(), rep, hom=fr_Bh)
-        for _ in range(20):
-            root = A3.roots[rng.randrange(len(A3.roots))]
-            x = gen(A3, datum.B, root, Z.from_int(rng.randint(-4, 4)) * datum.h ** k)
-            if (evaluate(cg.apply_word(x, k), rep, hom=fr_B)
-                    != g_img * evaluate(x, rep, hom=fr_B) * g_inv_img):
-                out.append({"ring": datum.B_h.describe(), "level": k,
-                            **_letters(g, x)})
+        k = conj_bound(g) + rng.randint(0, 1)
+        args = [(A3.roots[rng.randrange(len(A3.roots))], rng.randint(-4, 4))
+                for _ in range(20)]
+        for root, coeff in verify_conjugation(datum, A3, rep, g, args, k):
+            x = gen(A3, datum.B, root, Z.from_int(coeff) * datum.h ** k)
+            out.append({"ring": datum.B_h.describe(), "level": k, **_letters(g, x)})
     return out
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import checks, milnor, patching, reps, simplicial, words
-from .rings import GF, QQ, ZZ, _is_prime, poly_ring, quotient, ring_from_json
+from .rings import GF, QQ, ZZ, RingElement, _is_prime, poly_ring, quotient, ring_from_json
 from .roots import SUPPORTED_RANKS, build_root_system
 from .words import word_from_json, word_to_json
 
@@ -66,9 +66,10 @@ def _generator_from_json(data):
     system = build_root_system(data["system"]["type"], data["system"]["rank"])
     base = ring_from_json(data["base"])
     lvl1 = simplicial.simplex_ring(base, 1)
-    f = lvl1.el(lvl1._payload_from_json(data["f"]))
+    f = RingElement(lvl1, lvl1._payload_from_json(data["f"]))
     g = words.SteinbergWord(system, lvl1, [
-        (tuple(e["root"]), lvl1.el(lvl1._payload_from_json(e["arg"]))) for e in data["g"]])
+        (tuple(e["root"]), RingElement(lvl1, lvl1._payload_from_json(e["arg"])))
+        for e in data["g"]])
     return simplicial.MooreGenerator(system, base, 1, tuple(data["root"]), f, g)
 
 

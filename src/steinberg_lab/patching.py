@@ -23,7 +23,7 @@ from . import reps
 
 __all__ = [
     "PatchDatum", "zariski_datum", "identity_datum",
-    "ConjugationHom", "conj_bound", "conj_on_generator", "PatchPair", "star_reduce",
+    "ConjugationHom", "conj_bound", "PatchPair", "star_reduce",
     "left_translation", "mu_image", "verify_conjugation",
     "verify_translation_relations", "glueing_demo", "PatchReport",
     "InsufficientLevelError", "GlueingError",
@@ -72,13 +72,6 @@ class PatchDatum:
         a, b = self.decompose(c, k)
         d = self.B.el(d)
         return a - self.iota(d), b + d * self.h ** k
-
-    def pullback_arg(self, x: RingElement):
-        """Preimage in B of an element of A, when its payload is
-        h-integral; None otherwise."""
-        if self.A == self.B:
-            return x
-        return self.A.base_part(self.A.el(x))
 
 
 def zariski_datum(B: Ring, m, h) -> PatchDatum:
@@ -170,14 +163,17 @@ class ConjugationHom:
         return out
 
     # -- word-level application -------------------------------------------
-    def apply_leveled(self, letters):
+    def apply_leveled(self, letters) -> SteinbergWord:
+        """Image of the word with letters x_root(coeff h^e), given as
+        leveled letters (root, coeff, e)."""
         current = list(letters)
         for beta, a, s in reversed(self.g_letters):
             nxt = []
             for letter in current:
                 nxt.extend(self._apply_letter(beta, a, s, letter))
             current = nxt
-        return current
+        return SteinbergWord(self.system, self.ring,
+                             tuple((root, coeff * self.h ** e) for root, coeff, e in current))
 
     def apply_word(self, w: SteinbergWord, k: int) -> SteinbergWord:
         """Image of a word whose arguments all lie in h^k * ring."""
@@ -191,49 +187,28 @@ class ConjugationHom:
             if coeff is None:
                 raise ValueError(f"argument {arg!r} is not divisible by h^{k}")
             leveled.append((root, coeff, k))
-        out = self.apply_leveled(leveled)
-        letters = tuple((root, coeff * self.h ** e) for root, coeff, e in out)
-        return SteinbergWord(self.system, self.ring, letters)
-
-
-def conj_on_generator(system: RootSystem, ring: Ring, h: RingElement,
-                      beta, a: RingElement, s: int,
-                      gamma, b: RingElement, k: int) -> SteinbergWord:
-    """Image of the level-k generator x_gamma(b h^k) under conjugation by
-    the single letter x_beta(a/h^s), as a word over `ring`.  The
-    opposite-root case needs k >= 2s of headroom."""
-    h = ring.el(h)
-    loc = localize(ring, h)
-    g = gen(system, loc, tuple(beta), loc.fraction(ring.el(a), s))
-    cg = ConjugationHom(system, ring, h, g)
-    out = cg._apply_letter(tuple(beta), ring.el(a), s,
-                           (tuple(gamma), ring.el(b), k))
-    letters = tuple((root, coeff * h ** e) for root, coeff, e in out)
-    return SteinbergWord(system, ring, letters)
+        return self.apply_leveled(leveled)
 
 
 def verify_conjugation(datum: PatchDatum, system: RootSystem, rep,
-                       g: SteinbergWord, args, k: int | None = None,
-                       side: str = "B") -> bool:
-    """Exact matrix identity image(c_g(x)) = g image(x) g^-1 in the
-    localized group, for x running over the given single-letter data
-    (root, coefficient) at level k (defaults to the bound)."""
-    ring = datum.B if side == "B" else datum.A
-    h = datum.h if side == "B" else datum.h_in_A
-    lam = datum.lam_B if side == "B" else datum.lam_A
-    cg = ConjugationHom(system, ring, h, g)
+                       g: SteinbergWord, args, k: int | None = None) -> list:
+    """The exact matrix identity image(c_g(x)) = g image(x) g^-1 in G(B_h)
+    for g over B_h and x = x_root(coeff h^k) over B, k defaulting to the
+    bound n(g).  Returns the (root, coeff) pairs of `args` on which it
+    fails; an empty list means it holds on all of them."""
+    B = datum.B
+    cg = ConjugationHom(system, B, datum.h, g)
     k = cg.bound if k is None else k
     g_img = reps.evaluate(g, rep)
     g_inv_img = reps.evaluate(g.inverse(), rep)
-    hk = ring.el(h) ** k
+    hk = datum.h ** k
+    failed = []
     for root, coeff in args:
-        x = gen(system, ring, root, ring.el(coeff) * hk)
-        out = cg.apply_word(x, k)
-        left = reps.evaluate(out, rep, hom=lam)
-        right = g_img * reps.evaluate(x, rep, hom=lam) * g_inv_img
-        if left != right:
-            return False
-    return True
+        x = gen(system, B, root, B.el(coeff) * hk)
+        left = reps.evaluate(cg.apply_word(x, k), rep, hom=datum.lam_B)
+        if left != g_img * reps.evaluate(x, rep, hom=datum.lam_B) * g_inv_img:
+            failed.append((root, coeff))
+    return failed
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +272,7 @@ def left_translation(datum: PatchDatum, system: RootSystem, alpha,
     if a_part.is_zero:
         conj_word = identity_word(system, datum.A)
     else:
-        out = cg.apply_leveled([(alpha, a_part, k - s)])
-        letters = tuple((root, coeff * datum.h_in_A ** e) for root, coeff, e in out)
-        conj_word = SteinbergWord(system, datum.A, letters)
+        conj_word = cg.apply_leveled([(alpha, a_part, k - s)])
     return PatchPair(new_u, conj_word * pair.v)
 
 
@@ -335,22 +308,19 @@ class PatchReport:
                 "failures": len(self.failures)}
 
 
-def _random_pair(datum: PatchDatum, system: RootSystem, rng,
-                 max_len: int = 2, s_max: int = 1) -> PatchPair:
+def _random_pair(datum: PatchDatum, system: RootSystem, rng) -> PatchPair:
+    """Words u over B_h and v over A of at most two letters each; the
+    letters of u have denominator exponents at most 1."""
     u = identity_word(system, datum.B_h)
-    for _ in range(rng.randint(0, max_len)):
+    for _ in range(rng.randint(0, 2)):
         root = system.roots[rng.randrange(len(system.roots))]
         b = datum.B.from_int(rng.randint(-3, 3))
-        u = u * gen(system, datum.B_h, root, datum.B_h.fraction(b, rng.randint(0, s_max)))
+        u = u * gen(system, datum.B_h, root, datum.B_h.fraction(b, rng.randint(0, 1)))
     v = identity_word(system, datum.A)
-    for _ in range(rng.randint(0, max_len)):
+    for _ in range(rng.randint(0, 2)):
         root = system.roots[rng.randrange(len(system.roots))]
         v = v * gen(system, datum.A, root, datum.A.sample(rng, 3))
     return PatchPair(u, v)
-
-
-def _random_scalar(datum: PatchDatum, rng) -> RingElement:
-    return datum.A.sample(rng, 4)
 
 
 def _word_letters(w: SteinbergWord):
@@ -358,10 +328,11 @@ def _word_letters(w: SteinbergWord):
 
 
 def verify_translation_relations(datum: PatchDatum, system: RootSystem, rep,
-                                 samples: int, rng, s_max: int = 1) -> PatchReport:
+                                 samples: int, rng) -> PatchReport:
     """The translation operators satisfy the three Steinberg relations at
     mu-image level; also checks independence of the decomposition level
     and of the decomposition itself, equivariance, and the two unit laws.
+    Scalars c, c2 are drawn from A and denominator exponents s from {0, 1}.
     Each failure is a dict naming the law, the trial and its inputs: the
     pair's letters u and v, and alpha, beta, c, c2, s as far as the law
     draws them."""
@@ -382,9 +353,9 @@ def verify_translation_relations(datum: PatchDatum, system: RootSystem, rep,
     n_rel = max(1, samples)
     for trial in range(n_rel):
         p = _random_pair(datum, system, rng)
-        s = rng.randint(0, s_max)
+        s = rng.randint(0, 1)
         alpha = roots[rng.randrange(len(roots))]
-        c, c2 = _random_scalar(datum, rng), _random_scalar(datum, rng)
+        c, c2 = datum.A.sample(rng, 4), datum.A.sample(rng, 4)
         # R1 on a single root
         lhs = left_translation(datum, system, alpha, c2, s,
                                left_translation(datum, system, alpha, c, s, p))
@@ -415,8 +386,8 @@ def verify_translation_relations(datum: PatchDatum, system: RootSystem, rep,
     for trial in range(max(1, samples // 2)):
         p = _random_pair(datum, system, rng)
         alpha = roots[rng.randrange(len(roots))]
-        s = rng.randint(0, s_max)
-        c = _random_scalar(datum, rng)
+        s = rng.randint(0, 1)
+        c = datum.A.sample(rng, 4)
         base = left_translation(datum, system, alpha, c, s, p)
         k = conj_bound(p.u.inverse()) + s + rng.randint(1, 2)
         deeper = left_translation(datum, system, alpha, c, s, p, k=k)
@@ -430,11 +401,10 @@ def verify_translation_relations(datum: PatchDatum, system: RootSystem, rep,
     for trial in range(max(1, samples // 2)):
         p = _random_pair(datum, system, rng)
         alpha = roots[rng.randrange(len(roots))]
-        s = rng.randint(0, s_max)
-        c = _random_scalar(datum, rng)
+        s = rng.randint(0, 1)
+        c = datum.A.sample(rng, 4)
         translated = left_translation(datum, system, alpha, c, s, p)
-        x = gen(system, datum.A_h, alpha, datum.A_h.el(
-            datum.A_h._norm(c.payload, s)))
+        x = gen(system, datum.A_h, alpha, datum.A_h.fraction(c, s))
         if mu(translated) != reps.evaluate(x, rep) * mu(p):
             fail("equivariance", trial, p, alpha=alpha, c=c, s=s)
 
@@ -469,35 +439,25 @@ def verify_translation_relations(datum: PatchDatum, system: RootSystem, rep,
 # ---------------------------------------------------------------------------
 
 def glueing_demo(datum: PatchDatum, system: RootSystem, rep,
-                 x: SteinbergWord, certificate: SteinbergWord | None = None) -> SteinbergWord:
+                 x: SteinbergWord) -> SteinbergWord:
     """Produce y over B with image(iota(y)) = image(x) and
     image(lambda_h(y)) = 1, for x over A whose localized image is
-    trivial.  The orbit of (1, x) is transported to a concrete
-    representative by iterating the translation operators over the
-    certificate (by default the localization of x itself); the first
-    component is then read back through B.  Raises GlueingError when the
-    certification fails.
+    trivial.  The orbit of (1, 1) is translated by the localization of x
+    to a representative whose first component has integral arguments;
+    that component, read back through B, is y.  Raises GlueingError when
+    an argument is not integral or either final certification fails.
     """
     if x.ring is not datum.A:
         raise ValueError("target word must live over A")
-    if certificate is None:
-        certificate = substitute(x, datum.lam_A)
-    if certificate.ring is not datum.A_h:
-        raise GlueingError("certificate must live over A_h")
-    if reps.evaluate(certificate, rep) != reps.evaluate(x, rep, hom=datum.lam_A):
-        raise GlueingError("certificate image differs from the localized target")
     if x.is_empty:
         return identity_word(system, datum.B)
     start = PatchPair(identity_word(system, datum.B_h), identity_word(system, datum.A))
     # level 1 forces an honest split c = a h + b, so the B-side
     # actually accumulates the descended word
-    pair = translate_by_word(datum, system, certificate, start, min_level=1)
-    letters = []
-    for root, arg in pair.u.letters:
-        num, s = arg.payload
-        if s != 0:
-            raise GlueingError("orbit representative has a non-integral component")
-        letters.append((root, RingElement(datum.B, num)))
+    pair = translate_by_word(datum, system, substitute(x, datum.lam_A), start, min_level=1)
+    letters = [(root, datum.B_h.base_part(arg)) for root, arg in pair.u.letters]
+    if any(arg is None for _, arg in letters):
+        raise GlueingError("orbit representative has a non-integral component")
     y = SteinbergWord(system, datum.B, letters)
     if not reps.evaluate(substitute(y, datum.lam_B), rep).is_identity:
         raise GlueingError("candidate does not die in the localization")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .rings import (IntegerRing, PolynomialRing, PrimeFieldRing,
                     QuotientRing, Ring, RingElement, RingHom)
-from .roots import RootSystem, sparse_mul
+from .roots import RootSystem, sparse_commutator, sparse_mul
 
 __all__ = [
     "Representation", "GroupMatrix", "build_representation",
@@ -172,15 +172,7 @@ def build_representation(system: RootSystem, kind: str = "adjoint") -> Represent
             col1, col2 = [], []
             for k, x in enumerate(basis):
                 ex = sparse_mul(e, x)
-                xe = sparse_mul(x, e)
-                bracket = dict(ex)
-                for pos, v in xe.items():
-                    w = bracket.get(pos, 0) - v
-                    if w:
-                        bracket[pos] = w
-                    else:
-                        bracket.pop(pos, None)
-                for row, c in _decompose(system, bracket, basis).items():
+                for row, c in _decompose(system, sparse_commutator(e, x), basis).items():
                     col1.append((row, k, c))
                 # second-order term of Ad(I + xi e): X |-> -e X e
                 exe = sparse_mul(ex, e)
@@ -365,11 +357,6 @@ class RelationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json(self):
-        return {"check": f"relations[{self.representation}/{self.ring}]",
-                "samples": self.samples, "pairs": self.pairs_checked,
-                "failures": len(self.violations)}
 
 
 def _np_coeff_profile(ring: Ring):

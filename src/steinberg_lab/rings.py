@@ -122,15 +122,19 @@ class Ring(metaclass=_Interned):
     def describe(self) -> str:
         return self.kind
 
-    def el(self, payload) -> "RingElement":
-        """Wrap a raw payload (or coerce a python int)."""
-        if isinstance(payload, RingElement):
-            if payload.ring is not self:
-                raise RingMismatchError(f"element of {payload.ring} given to {self}")
-            return payload
-        if isinstance(payload, int) and self.kind != "integers":
-            return RingElement(self, self._from_int(payload))
-        return RingElement(self, payload)
+    def el(self, x) -> "RingElement":
+        """Coerce x into this ring: an element of it, an int (not a bool),
+        or a Fraction when the ring is QQ.  Raw payloads are not accepted;
+        wrap a canonical payload with ``RingElement(ring, payload)``."""
+        if isinstance(x, RingElement):
+            if x.ring is not self:
+                raise RingMismatchError(f"element of {x.ring} given to {self}")
+            return x
+        if isinstance(x, int) and not isinstance(x, bool):
+            return RingElement(self, self._from_int(x))
+        if isinstance(x, Fraction) and isinstance(self, RationalField):
+            return RingElement(self, x)
+        raise TypeError(f"cannot coerce {x!r} into {self}")
 
     def from_int(self, n: int) -> "RingElement":
         return RingElement(self, self._from_int(n))
@@ -559,6 +563,10 @@ class PolynomialRing(Ring):
         return acc
 
 
+# each localization caches its multiplier powers below this exponent
+_POWER_CACHE = 64
+
+
 class LocalizationRing(Ring):
     """R_a: payloads (numerator, k) standing for numerator / a^k.
 
@@ -584,11 +592,15 @@ class LocalizationRing(Ring):
         return f"({self.base.describe()})_[{self.multiplier!r}]"
 
     def _power(self, k: int):
-        # filled in order, without recursion, so the keys are 0..len - 1
+        # the powers below _POWER_CACHE are kept, filled in order so the
+        # keys are 0..len - 1; a larger one is computed and not stored
         powers = self._powers
-        if k not in powers:
-            for i in range(len(powers), k + 1):
-                powers[i] = self.base._mul(powers[i - 1], powers[1])
+        if k in powers:
+            return powers[k]
+        if k >= _POWER_CACHE:
+            return (self.multiplier ** k).payload
+        for i in range(len(powers), k + 1):
+            powers[i] = self.base._mul(powers[i - 1], powers[1])
         return powers[k]
 
     def _norm(self, num, k):
@@ -630,24 +642,10 @@ class LocalizationRing(Ring):
             return None
         if n1 == bz:
             return (bz, 0)
-        # a/b = n1 a^(k2+t) / n2 / a^(k1+t) for any large enough t
+        # a/b = n1 a^(k2+t) / n2 / a^(k1+t) for any large enough t; the
+        # base is a UFD, so the number of prime factors of n2 bounds every
+        # valuation that the multiplier powers have to clear
         num = self.base._mul(n1, self._power(k2))
-        if isinstance(self.base, IntegerRing):
-            # n2 = u v with every prime of u dividing the multiplier and v
-            # prime to it: b divides a iff v divides n1, and u divides the
-            # t-th multiplier power for t = floor(log2 |u|), which bounds
-            # every valuation of u
-            v = n2
-            g = _int_gcd(v, self.multiplier.payload)
-            while g != 1:
-                v //= g
-                g = _int_gcd(v, g)
-            if n1 % v:
-                return None
-            t = abs(n2 // v).bit_length() - 1
-            return self._norm(num * self._power(t) // n2, k1 + t)
-        # the base is a UFD, so the number of prime factors of n2 bounds
-        # every valuation that the multiplier powers have to clear
         t = self.base._factor_bound(n2)
         q = self.base._try_divide(self.base._mul(num, self._power(t)), n2)
         return None if q is None else self._norm(q, k1 + t)
@@ -657,11 +655,6 @@ class LocalizationRing(Ring):
 
     def _factor_bound(self, a):
         return self.base._factor_bound(a[0])
-
-    def el(self, payload):
-        if isinstance(payload, tuple) and len(payload) == 2 and isinstance(payload[1], int):
-            return RingElement(self, self._norm(payload[0], payload[1]))
-        return super().el(payload)
 
     def from_base(self, x) -> RingElement:
         return self.fraction(x, 0)
@@ -774,11 +767,6 @@ class QuotientRing(Ring):
     def _sample(self, rng, size):
         return self._reduce(self.base._sample(rng, size))
 
-    def el(self, payload):
-        if isinstance(payload, tuple):
-            return RingElement(self, self._reduce(payload))
-        return super().el(payload)
-
     def project(self, x) -> RingElement:
         x = self.base.el(x)
         return RingElement(self, self._reduce(x.payload))
@@ -854,7 +842,7 @@ class MilnorSquareRing(Ring):
         if not base.is_domain:
             raise ValueError("pullback base must be a domain")
         self.base = base
-        self.loc = LocalizationRing(base, multiplier)
+        self.loc = LocalizationRing(base, RingElement(base, multiplier))
         self.poly = PolynomialRing(self.loc, ("t",))
         self.multiplier = self.loc.multiplier
         self.is_domain = True
@@ -1144,10 +1132,10 @@ def ext_gcd(a: RingElement, b: RingElement):
             old_r, r = r, old_r - q * r
             old_s, s = s, old_s - q * s
             old_t, t = t, old_t - q * t
-        return ring.el(old_r), ring.el(old_s), ring.el(old_t)
+        return RingElement(ring, old_r), RingElement(ring, old_s), RingElement(ring, old_t)
     if isinstance(ring, PolynomialRing) and ring.nvars == 1 and ring.base.is_field:
         g, x, y = _poly_ext_gcd(ring, a.payload, b.payload)
-        return ring.el(g), ring.el(x), ring.el(y)
+        return RingElement(ring, g), RingElement(ring, x), RingElement(ring, y)
     raise ValueError(f"no effective Bezout algorithm for {ring}")
 
 
@@ -1162,7 +1150,7 @@ def bezout_identity(a: RingElement, b: RingElement, s: int = 1, t: int | None = 
     ginv = ring._try_divide(ring._from_int(1), g.payload)
     if ginv is None:
         raise ValueError(f"{a!r} and {b!r} are not coprime (gcd {g!r})")
-    gi = ring.el(ginv)
+    gi = RingElement(ring, ginv)
     x, y = x * gi, y * gi
     if x * A + y * B != ring.one:
         raise AssertionError("Bezout identity failed to certify")

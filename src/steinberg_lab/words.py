@@ -20,7 +20,7 @@ from . import reps
 __all__ = [
     "SteinbergWord", "RelativeWord", "gen", "identity_word",
     "weyl_element", "torus_element", "steinberg_symbol",
-    "opposite_commutator", "commutator", "conjugated",
+    "opposite_commutator", "commutator",
     "substitute", "commutator_reduce", "check_commutator_congruence",
     "word_to_json", "word_from_json",
 ]
@@ -136,10 +136,6 @@ def opposite_commutator(system: RootSystem, ring: Ring, root, a, b) -> Steinberg
 
 def commutator(w1: SteinbergWord, w2: SteinbergWord) -> SteinbergWord:
     return w1 * w2 * w1.inverse() * w2.inverse()
-
-
-def conjugated(w: SteinbergWord, g: SteinbergWord) -> SteinbergWord:
-    return w.conjugated_by(g)
 
 
 def substitute(w: SteinbergWord, hom: RingHom) -> SteinbergWord:

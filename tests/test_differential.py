@@ -8,8 +8,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from steinberg_lab.milnor import factor_positive, symbol, tame_symbol
-from steinberg_lab.rings import (GF, ZZ, _is_prime, _poly_canonical, _poly_divmod,
-                                 poly_ring)
+from steinberg_lab.rings import (GF, ZZ, RingElement, _is_prime, _poly_canonical,
+                                 _poly_divmod, poly_ring)
 
 PSI_13 = 3_317_044_064_679_887_385_961_981
 
@@ -70,7 +70,7 @@ def _random_payload(P, rng, deg):
         c = P.base._from_int(rng.randint(-9, 9))
         if c != P.base._from_int(0):
             terms[(e,)] = c
-    return P.el(_poly_canonical(terms))
+    return RingElement(P, _poly_canonical(terms))
 
 
 def _to_sympy(f, x, modulus):
@@ -95,8 +95,8 @@ def test_poly_divmod_matches_sympy_div(modulus):
         q, r = _poly_divmod(P, a.payload, b.payload)
         # auto=False keeps sympy in ZZ[x] instead of moving to QQ[x]
         sq, sr = _to_sympy(a, x, modulus).div(_to_sympy(b, x, modulus), auto=False)
-        assert _to_sympy(P.el(q), x, modulus) == sq
-        assert _to_sympy(P.el(r), x, modulus) == sr
+        assert _to_sympy(RingElement(P, q), x, modulus) == sq
+        assert _to_sympy(RingElement(P, r), x, modulus) == sr
         checked += 1
 
 
@@ -108,7 +108,7 @@ polys = st.dictionaries(
     st.tuples(*[st.integers(0, 3)] * 3),
     st.integers(-6, 6).filter(bool),
     max_size=5,
-).map(lambda terms: P3.el(_poly_canonical(terms)))
+).map(lambda terms: RingElement(P3, _poly_canonical(terms)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from steinberg_lab import checks
 from steinberg_lab.patching import zariski_datum
 from steinberg_lab.rings import (
-    GF, QQ, ZZ, CompatibilityError, DecompositionError, Ideal, NonUnitError,
+    GF, QQ, ZZ, CompatibilityError, DecompositionError, Ideal, NonUnitError, RingElement,
     bezout_decompose, bezout_identity, coarser_localization_hom,
     decompose_modulo_power, ext_gcd, fraction_field_hom, localization_hom,
     localize, milnor_square_pullback, milnor_square_project_base,
@@ -19,6 +20,10 @@ from steinberg_lab.rings import (
     quotient, quotient_hom, reciprocal_localization_witness, ring_from_json,
     ring_to_json, substitution_hom,
 )
+from steinberg_lab.roots import build_root_system
+from steinberg_lab.words import gen
+
+A2 = build_root_system("A", 2)
 
 
 def test_rings_are_interned():
@@ -112,6 +117,21 @@ def test_localization_units_need_no_search_bound_over_other_bases():
     A_h = zariski_datum(ZZ(), 2, 3).A_h
     x = A_h.from_int(3 ** 70)
     assert x.is_unit() and x * x.inverse() == A_h.one
+
+
+def test_large_multiplier_powers_are_not_kept():
+    """Deciding that 7^3000 is a unit of ZZ[1/77] needs 77^t for t near
+    the bit length of 7^3000; that power is not cached afterwards."""
+    L77 = localize(ZZ(), 77)
+    x = L77.from_int(7 ** 3000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert x.is_unit()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024
 
 
 def test_localization_division_in_A_h_matches_fractions():
@@ -268,7 +288,7 @@ def test_bezout_decompose_function_field():
     lift = coarser_localization_hom(Lx, big)
     assert lift(principal) + lift(Lx.from_base(integral)) == lift(inp)
     # principal part is divisible by x+1 inside the localization
-    numerator = R.el(principal.payload[0])
+    numerator = RingElement(R, principal.payload[0])
     assert principal.is_zero or numerator.try_divide(x + 1) is not None
 
 
@@ -397,6 +417,25 @@ def test_json_roundtrip():
             x = ring.sample(rng, 5)
             data = json.dumps(ring._payload_to_json(x.payload))
             assert ring._payload_from_json(json.loads(data)) == x.payload
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ZZ().el(2.5),
+    lambda: ZZ().el("3"),
+    lambda: ZZ().el(True),
+    lambda: gen(A2, ZZ(), A2.roots[0], 2.5),
+], ids=["float", "str", "bool", "gen-float"])
+def test_el_rejects_raw_payloads(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_el_coerces_elements_ints_and_rationals():
+    assert ZZ().el(3) == ZZ().from_int(3) and GF(7).el(-1).payload == 6
+    assert QQ().el(Fraction(1, 2)).payload == Fraction(1, 2)
+    assert localize(ZZ(), 2).el(4).payload == (4, 0)
+    with pytest.raises(TypeError):
+        GF(7).el(Fraction(1, 2))
 
 
 def test_division_errors():
