@@ -15,106 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rings import (IntegerRing, PolynomialRing, PrimeFieldRing,
-                    QuotientRing, Ring, RingElement, RingHom)
-from .roots import RootSystem, sparse_commutator, sparse_mul
+                    QuotientRing, Ring, RingHom)
+from .roots import RootSystem
 
 __all__ = [
     "Representation", "GroupMatrix", "build_representation",
     "evaluate", "k2_membership", "verify_relations", "RelationReport",
 ]
-
-
-# ---------------------------------------------------------------------------
-# decomposition of matrices into the Chevalley basis
-# ---------------------------------------------------------------------------
-
-def _decompose_type_a(system: RootSystem, mat: dict) -> dict:
-    d = system.matrix_dim
-    coeffs = {}
-    diag = [0] * d
-    for (i, j), c in mat.items():
-        if i == j:
-            diag[i] = c
-        else:
-            root = tuple(1 if k == i else (-1 if k == j else 0) for k in range(d))
-            coeffs[system.index[root]] = c
-    if sum(diag) != 0:
-        raise AssertionError("matrix is not traceless")
-    nroots = len(system.roots)
-    acc = 0
-    for k in range(system.rank):
-        acc += diag[k]
-        if acc:
-            coeffs[nroots + k] = acc
-    return coeffs
-
-
-def _decompose_type_d(system: RootSystem, mat: dict) -> dict:
-    l = system.rank
-    coeffs = {}
-    diag = [0] * l
-    for (i, j), c in mat.items():
-        if i == j:
-            if i < l:
-                diag[i] = c
-            continue
-        if i < l and j < l:
-            root = tuple(1 if k == i else (-1 if k == j else 0) for k in range(l))
-            coeffs[system.index[root]] = c
-        elif i < l <= j:
-            a, b = i, j - l
-            if a < b:
-                root = tuple(1 if k in (a, b) else 0 for k in range(l))
-                coeffs[system.index[root]] = c
-        elif j < l <= i:
-            a, b = j, i - l
-            if a < b:
-                root = tuple(-1 if k in (a, b) else 0 for k in range(l))
-                coeffs[system.index[root]] = c
-    # Cartan part: first l-2 coefficients are prefix sums, the last two
-    # come from a 2x2 system whose solution must be integral.
-    prefix = 0
-    nroots = len(system.roots)
-    pref = []
-    for k in range(l):
-        prefix += diag[k]
-        pref.append(prefix)
-    for k in range(l - 2):
-        if pref[k]:
-            coeffs[nroots + k] = pref[k]
-    top = pref[l - 1]
-    if top % 2 or (pref[l - 2] - diag[l - 1]) % 2:
-        raise AssertionError("non-integral Cartan coefficients")
-    c_last = top // 2
-    c_prev = (pref[l - 2] - diag[l - 1]) // 2
-    if c_prev:
-        coeffs[nroots + l - 2] = c_prev
-    if c_last:
-        coeffs[nroots + l - 1] = c_last
-    return coeffs
-
-
-def _decompose(system: RootSystem, mat: dict, basis) -> dict:
-    coeffs = (_decompose_type_a if system.kind == "A" else _decompose_type_d)(system, mat)
-    # reconstruct to certify the read-off
-    recon = {}
-    for idx, c in coeffs.items():
-        for pos, v in basis[idx].items():
-            w = recon.get(pos, 0) + c * v
-            if w:
-                recon[pos] = w
-            else:
-                recon.pop(pos, None)
-    if recon != mat:
-        raise AssertionError("basis decomposition failed to reconstruct input")
-    return coeffs
-
-
-def _chevalley_basis(system: RootSystem):
-    basis = [dict(system.defining_matrix(r)) for r in system.roots]
-    for s in system.simple_roots:
-        basis.append(dict(system.coroot_matrix(s)))
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +54,22 @@ def _dense(dim: int, entries):
     return m
 
 
+def _simple_coordinates(system: RootSystem) -> dict:
+    """root -> its coordinates in the simple roots.  A positive root that
+    is not simple is a positive root plus a simple root a_i, so its
+    coordinates are those of the smaller root plus 1 at i."""
+    unit = [tuple(int(i == j) for j in range(system.rank)) for i in range(system.rank)]
+    coords = dict(zip(system.simple_roots, unit))
+    while len(coords) < len(system.positive_roots):
+        for root in system.positive_roots:
+            for i, s in enumerate(system.simple_roots):
+                rest = tuple(x - y for x, y in zip(root, s))
+                if rest in coords and root not in coords:
+                    coords[root] = tuple(c + u for c, u in zip(coords[rest], unit[i]))
+    coords.update({system.negate(r): tuple(-c for c in v) for r, v in list(coords.items())})
+    return coords
+
+
 _REP_CACHE: dict = {}
 
 
@@ -164,25 +87,22 @@ def build_representation(system: RootSystem, kind: str = "adjoint") -> Represent
               for r in system.roots}
         rep = Representation(system, kind, dim, m1, {r: () for r in system.roots})
     elif kind == "adjoint":
-        basis = _chevalley_basis(system)
-        dim = len(basis)
+        # basis: e_root in enumeration order, then h_i = [e_(a_i), e_(-a_i)]
+        # for the simple roots a_i.  x_a(xi) = exp(xi ad e_a), and
+        # (ad e_a)^2 / 2 only sends e_(-a) to -e_a in a simply-laced system.
+        index, nroots = system.index, len(system.roots)
+        coords = _simple_coordinates(system)
         m1, m2 = {}, {}
-        for root in system.roots:
-            e = system.defining_matrix(root)
-            col1, col2 = [], []
-            for k, x in enumerate(basis):
-                ex = sparse_mul(e, x)
-                for row, c in _decompose(system, sparse_commutator(e, x), basis).items():
-                    col1.append((row, k, c))
-                # second-order term of Ad(I + xi e): X |-> -e X e
-                exe = sparse_mul(ex, e)
-                if exe:
-                    exe = {pos: -v for pos, v in exe.items()}
-                    for row, c in _decompose(system, exe, basis).items():
-                        col2.append((row, k, c))
-            m1[root] = tuple(sorted(col1))
-            m2[root] = tuple(sorted(col2))
-        rep = Representation(system, "adjoint", dim, m1, m2)
+        for a in system.roots:
+            ia, ineg = index[a], index[system.negate(a)]
+            col = [(index[s], index[b], system.constants_table[(a, b)])
+                   for b in system.roots if (s := system.addition_table.get((a, b)))]
+            col += [(nroots + i, ineg, c) for i, c in enumerate(coords[a]) if c]
+            col += [(ia, nroots + i, -p) for i, simple in enumerate(system.simple_roots)
+                    if (p := sum(x * y for x, y in zip(a, simple)))]
+            m1[a] = tuple(sorted(col))
+            m2[a] = ((ia, ineg, -1),)
+        rep = Representation(system, "adjoint", nroots + system.rank, m1, m2)
     else:
         raise ValueError(f"unknown representation kind {kind!r}")
     _REP_CACHE[key] = rep
@@ -241,41 +161,6 @@ class GroupMatrix:
     def is_identity(self) -> bool:
         one = self.ring._from_int(1)
         return all(row == {i: one} for i, row in enumerate(self._rows))
-
-    def entry(self, i: int, j: int) -> RingElement:
-        return RingElement(self.ring, self._rows[i].get(j, self.ring._from_int(0)))
-
-    def det(self) -> RingElement:
-        """Fraction-free Gaussian elimination (Bareiss); needs exact
-        division in the ring."""
-        ring = self.ring
-        zero = ring._from_int(0)
-        a = self.rows
-        d = self.dim
-        sign = 1
-        prev = ring._from_int(1)
-        for k in range(d - 1):
-            if a[k][k] == zero:
-                for r in range(k + 1, d):
-                    if a[r][k] != zero:
-                        a[k], a[r] = a[r], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return ring.zero
-            for i in range(k + 1, d):
-                for j in range(k + 1, d):
-                    num = ring._add(ring._mul(a[i][j], a[k][k]),
-                                    ring._neg(ring._mul(a[i][k], a[k][j])))
-                    q = ring._try_divide(num, prev)
-                    if q is None:
-                        raise ArithmeticError("Bareiss pivot division failed")
-                    a[i][j] = q
-            prev = a[k][k]
-        val = a[d - 1][d - 1]
-        if sign < 0:
-            val = ring._neg(val)
-        return RingElement(ring, val)
 
     def __repr__(self):
         body = "\n".join("[" + ", ".join(self.ring._payload_str(v) for v in row) + "]"
@@ -360,7 +245,7 @@ class RelationReport:
 
 
 def _np_coeff_profile(ring: Ring):
-    """(k, modulus, coeff_bound) for rings with a numpy fast path."""
+    """(k, modulus, coeff_bound) for the rings the numpy kernel handles."""
     if isinstance(ring, PrimeFieldRing):
         return 1, ring.p, None
     if isinstance(ring, QuotientRing) and ring.n is not None:
@@ -373,134 +258,137 @@ def _np_coeff_profile(ring: Ring):
     return None
 
 
-def _np_poly_mul(u, v, k, mod):
-    s = u.shape[0]
-    out = np.zeros((s, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k - i):
-            out[:, i + j] += u[:, i] * v[:, j]
-    return out % mod if mod else out
+class _NumpyKernel:
+    """One batch of `samples` draws per root pair: a scalar is an (S, k)
+    int64 array of truncated polynomial coefficients, an image an
+    (S, k, d, d) array of truncated matrix polynomials, both reduced by
+    the modulus when there is one."""
+
+    def __init__(self, rep: Representation, ring: Ring, samples: int, rng, profile):
+        self.rep, self.ring, self.samples = rep, ring, samples
+        self.k, self.mod, self.bound = profile
+        roots = rep.system.roots
+        self.dense1 = {root: _dense(rep.dim, rep.m1[root]) for root in roots}
+        self.dense2 = {root: _dense(rep.dim, rep.m2[root]) for root in roots if rep.m2[root]}
+        self.nprng = np.random.default_rng(rng.randrange(2 ** 63))
+
+    def _reduce(self, x):
+        return x % self.mod if self.mod else x
+
+    def _draw(self):
+        size = (self.samples, self.k)
+        if self.mod:
+            return self.nprng.integers(0, self.mod, size=size, dtype=np.int64)
+        return self.nprng.integers(-self.bound, self.bound + 1, size=size, dtype=np.int64)
+
+    def trials(self):
+        yield self._draw(), self._draw()
+
+    def add(self, a, b):
+        return self._reduce(a + b)
+
+    def neg(self, a):
+        return self._reduce(-a)
+
+    def mul(self, a, b):
+        out = np.zeros((a.shape[0], self.k), dtype=np.int64)
+        for i in range(self.k):
+            for j in range(self.k - i):
+                out[:, i + j] += a[:, i] * b[:, j]
+        return self._reduce(out)
+
+    def letter(self, root, xi):
+        d = self.rep.dim
+        x = np.zeros((xi.shape[0], self.k, d, d), dtype=np.int64)
+        x[:, 0] = np.eye(d, dtype=np.int64)
+        x += xi[:, :, None, None] * self.dense1[root][None, None]
+        if root in self.dense2:
+            x += self.mul(xi, xi)[:, :, None, None] * self.dense2[root][None, None]
+        return self._reduce(x)
+
+    def product(self, x, y):
+        # taken in float64 so the BLAS kernels apply.  That is exact only
+        # below 2^53: fine for small moduli, inexact for moduli near 10^9
+        xf, yf = x.astype(np.float64), y.astype(np.float64)
+        out = np.zeros(x.shape)
+        for i in range(self.k):
+            for j in range(self.k - i):
+                out[:, i + j] += np.matmul(xf[:, i], yf[:, j])
+        return self._reduce(out.astype(np.int64))
+
+    equal = staticmethod(np.array_equal)
 
 
-def _np_matmul(a, b, k, mod):
-    # a, b: (S, k, d, d) truncated matrix polynomials; products are taken
-    # in float64 so the BLAS kernels apply.  That is exact only below
-    # 2^53: fine for small moduli, inexact for moduli near 10^9
-    s, _, d, _ = a.shape
-    af = a.astype(np.float64)
-    bf = b.astype(np.float64)
-    out = np.zeros((s, k, d, d))
-    for i in range(k):
-        for j in range(k - i):
-            out[:, i + j] += np.matmul(af[:, i], bf[:, j])
-    res = out.astype(np.int64)
-    return res % mod if mod else res
+class _ExactKernel:
+    """`samples` trials per root pair, each drawing a and b from the ring.
+    An image is kept as its letter list and evaluated exactly, letter by
+    letter, when two images are compared."""
+
+    def __init__(self, rep: Representation, ring: Ring, samples: int, rng):
+        self.rep, self.ring, self.samples, self.rng = rep, ring, samples, rng
+        self.add, self.mul, self.neg = ring._add, ring._mul, ring._neg
+
+    def trials(self):
+        for _ in range(self.samples):
+            yield self.ring._sample(self.rng, 6), self.ring._sample(self.rng, 6)
+
+    @staticmethod
+    def letter(root, xi):
+        return [(root, xi)]
+
+    @staticmethod
+    def product(x, y):
+        return x + y
+
+    def equal(self, x, y):
+        return _image_rows(self.ring, self.rep, x) == _image_rows(self.ring, self.rep, y)
 
 
-def _np_generator(dense1, dense2, xi, k, mod):
-    s = xi.shape[0]
-    d = dense1.shape[0]
-    x = np.zeros((s, k, d, d), dtype=np.int64)
-    x[:, 0] = np.eye(d, dtype=np.int64)
-    x += xi[:, :, None, None] * dense1[None, None]
-    if dense2 is not None:
-        xi2 = _np_poly_mul(xi, xi, k, mod)
-        x += xi2[:, :, None, None] * dense2[None, None]
-    return x % mod if mod else x
-
-
-def _np_verify(rep: Representation, ring: Ring, samples: int, rng, profile):
-    k, mod, bound = profile
-    d = rep.dim
-    dense1 = {root: _dense(d, rep.m1[root]) for root in rep.system.roots}
-    dense2 = {root: _dense(d, rep.m2[root]) for root in rep.system.roots if rep.m2[root]}
-
-    nprng = np.random.default_rng(rng.randrange(2 ** 63))
-
-    def draw():
-        if mod:
-            return nprng.integers(0, mod, size=(samples, k), dtype=np.int64)
-        return nprng.integers(-bound, bound + 1, size=(samples, k), dtype=np.int64)
-
+def _sweep(kernel) -> RelationReport:
+    """R1 on every root a, then R2 or R3 on every pair (a, b) with
+    b != -a, over the kernel's trials; a pair stops at its first
+    violation.  Each letter is built once per trial, and R3's right side
+    is multiplied right to left, x_s (x_b x_a)."""
+    system = kernel.rep.system
+    letter, product = kernel.letter, kernel.product
+    cases = [(alpha, None) for alpha in system.roots]
+    cases += [(alpha, beta) for alpha in system.roots for beta in system.roots
+              if beta != system.negate(alpha)]
     violations = []
-    pairs = 0
-    system = rep.system
-    for alpha in system.roots:
-        a = draw()
-        b = draw()
-        xa = _np_generator(dense1[alpha], dense2.get(alpha), a, k, mod)
-        xb = _np_generator(dense1[alpha], dense2.get(alpha), b, k, mod)
-        xab = _np_generator(dense1[alpha], dense2.get(alpha),
-                            (a + b) % mod if mod else a + b, k, mod)
-        pairs += 1
-        if not np.array_equal(_np_matmul(xa, xb, k, mod), xab):
-            violations.append(("R1", alpha))
-    for alpha in system.roots:
-        for beta in system.roots:
-            if beta == system.negate(alpha):
-                continue
-            s = system.addition_table.get((alpha, beta))
-            a = draw()
-            b = draw()
-            xa = _np_generator(dense1[alpha], dense2.get(alpha), a, k, mod)
-            xb = _np_generator(dense1[beta], dense2.get(beta), b, k, mod)
-            left = _np_matmul(xa, xb, k, mod)
-            right = _np_matmul(xb, xa, k, mod)
-            pairs += 1
-            if s is None:
-                if not np.array_equal(left, right):
-                    violations.append(("R2", alpha, beta))
+    for alpha, beta in cases:
+        s = None if beta is None else system.addition_table.get((alpha, beta))
+        if beta is None:
+            law = ("R1", alpha)
+        elif s is None:
+            law = ("R2", alpha, beta)
+        else:
+            law = ("R3", alpha, beta)
+            negate = system.structure_constant(alpha, beta) == -1
+        for a, b in kernel.trials():
+            xa = letter(alpha, a)
+            if beta is None:
+                left = product(xa, letter(alpha, b))
+                right = letter(alpha, kernel.add(a, b))
             else:
-                n_ab = _np_poly_mul(a, b, k, mod) * system.structure_constant(alpha, beta)
-                if mod:
-                    n_ab %= mod
-                xs = _np_generator(dense1[s], dense2.get(s), n_ab, k, mod)
-                if not np.array_equal(left, _np_matmul(xs, right, k, mod)):
-                    violations.append(("R3", alpha, beta))
-    return RelationReport(rep.describe(), ring.describe(), samples, pairs, violations)
-
-
-def _generic_verify(rep: Representation, ring: Ring, samples: int, rng):
-    system = rep.system
-    violations = []
-    pairs = 0
-    for alpha in system.roots:
-        pairs += 1
-        for _ in range(samples):
-            a, b = ring._sample(rng, 6), ring._sample(rng, 6)
-            left = _image_rows(ring, rep, [(alpha, a), (alpha, b)])
-            if left != _image_rows(ring, rep, [(alpha, ring._add(a, b))]):
-                violations.append(("R1", alpha))
+                xb = letter(beta, b)
+                left = product(xa, xb)
+                right = product(xb, xa)
+                if s is not None:
+                    ab = kernel.mul(a, b)
+                    right = product(letter(s, kernel.neg(ab) if negate else ab), right)
+            if not kernel.equal(left, right):
+                violations.append(law)
                 break
-    for alpha in system.roots:
-        for beta in system.roots:
-            if beta == system.negate(alpha):
-                continue
-            s = system.addition_table.get((alpha, beta))
-            pairs += 1
-            for _ in range(samples):
-                a, b = ring._sample(rng, 6), ring._sample(rng, 6)
-                left = _image_rows(ring, rep, [(alpha, a), (beta, b)])
-                if s is None:
-                    right = _image_rows(ring, rep, [(beta, b), (alpha, a)])
-                    if left != right:
-                        violations.append(("R2", alpha, beta))
-                        break
-                else:
-                    prod = ring._mul(a, b)
-                    n = system.structure_constant(alpha, beta)
-                    right = _image_rows(ring, rep, [(s, prod if n == 1 else ring._neg(prod)),
-                                                    (beta, b), (alpha, a)])
-                    if left != right:
-                        violations.append(("R3", alpha, beta))
-                        break
-    return RelationReport(rep.describe(), ring.describe(), samples, pairs, violations)
+    return RelationReport(kernel.rep.describe(), kernel.ring.describe(), kernel.samples,
+                          len(cases), violations)
 
 
 def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> RelationReport:
     """Check the three Steinberg relations as matrix identities,
-    exhaustively over root pairs and randomized over ring elements."""
+    exhaustively over root pairs and randomized over ring elements: in
+    batched numpy arithmetic over the rings `_np_coeff_profile` admits,
+    exactly over every other ring."""
     profile = _np_coeff_profile(ring)
-    if profile is not None:
-        return _np_verify(rep, ring, samples, rng, profile)
-    return _generic_verify(rep, ring, samples, rng)
+    if profile is None:
+        return _sweep(_ExactKernel(rep, ring, samples, rng))
+    return _sweep(_NumpyKernel(rep, ring, samples, rng, profile))

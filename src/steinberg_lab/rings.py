@@ -137,6 +137,8 @@ class Ring(metaclass=_Interned):
         raise TypeError(f"cannot coerce {x!r} into {self}")
 
     def from_int(self, n: int) -> "RingElement":
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"expected an int, got {n!r}")
         return RingElement(self, self._from_int(n))
 
     def sample(self, rng, size: int = 6) -> "RingElement":
@@ -161,8 +163,8 @@ class RingElement:
                 return other
             raise RingMismatchError(
                 f"cannot combine element of {other.ring} with element of {self.ring}")
-        if isinstance(other, int):
-            return self.ring.from_int(other)
+        if isinstance(other, int) and not isinstance(other, bool):
+            return RingElement(self.ring, self.ring._from_int(other))
         return NotImplemented
 
     def __add__(self, other):
@@ -227,14 +229,15 @@ class RingElement:
 
     def divide(self, other) -> "RingElement":
         """Exact division; raises :class:`NonUnitError` when not exact."""
-        o = self._coerce(other)
-        q = self.ring._try_divide(self.payload, o.payload)
+        q = self.try_divide(other)
         if q is None:
-            raise NonUnitError(f"{self} is not exactly divisible by {o}")
-        return RingElement(self.ring, q)
+            raise NonUnitError(f"{self} is not exactly divisible by {self._coerce(other)}")
+        return q
 
     def try_divide(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            raise TypeError(f"cannot divide {self} by {other!r}")
         q = self.ring._try_divide(self.payload, o.payload)
         return None if q is None else RingElement(self.ring, q)
 
@@ -607,13 +610,21 @@ class LocalizationRing(Ring):
         bz = self.base._from_int(0)
         if num == bz:
             return (bz, 0)
-        m = self.multiplier.payload
-        while k > 0:
-            q = self.base._try_divide(num, m)
+        # strip m^1, m^2, m^4, ... while they divide, then the halving
+        # steps below the first failure: O(log t) divisions to remove m^t,
+        # and one for a numerator that m does not divide
+        step = 1
+        while step <= k:
+            q = self.base._try_divide(num, self._power(step))
             if q is None:
                 break
-            num = q
-            k -= 1
+            num, k, step = q, k - step, 2 * step
+        while step > 1:
+            step //= 2
+            if step <= k:
+                q = self.base._try_divide(num, self._power(step))
+                if q is not None:
+                    num, k = q, k - step
         return (num, k)
 
     def _add(self, a, b):

@@ -175,10 +175,6 @@ class RootSystem:
     def defining_matrix(self, root: Root) -> dict:
         return self._matrices[root]
 
-    def coroot_matrix(self, root: Root) -> dict:
-        """[e_a, e_(-a)] in the defining realization."""
-        return sparse_commutator(self._matrices[root], self._matrices[_neg(root)])
-
     def commutator_decomposition(self, beta: Root):
         """First pair (g, d) in enumeration order with g + d = beta and
         g, d both different from +-beta."""

@@ -79,6 +79,24 @@ def test_localization_normal_form_and_injectivity():
     assert L6.fraction(3, 1).payload == (3, 1)
 
 
+def test_localization_normal_form_takes_log_many_divisions(monkeypatch):
+    """Stripping 2^1000 from a numerator takes O(log 1000) base divisions,
+    one numerator that 2 does not divide costs exactly one, and the
+    payloads stay canonical."""
+    Z = ZZ()
+    L2 = localize(Z, 2)
+    divide, calls = Z._try_divide, []
+    monkeypatch.setattr(Z, "_try_divide", lambda a, b: calls.append(b) or divide(a, b))
+    assert L2.fraction(3 * 2 ** 1000, 1200).payload == (3, 200)
+    assert len(calls) <= 2 * (1000).bit_length() + 1
+    calls.clear()
+    assert L2.fraction(3, 1200).payload == (3, 1200)
+    assert len(calls) == 1
+    for v in range(12):
+        for k in range(12):
+            assert L2.fraction(3 * 2 ** v, k).payload == (3 * 2 ** max(v - k, 0), max(k - v, 0))
+
+
 def test_localization_division_and_units():
     Z = ZZ()
     L2 = localize(Z, 2)
@@ -423,8 +441,11 @@ def test_json_roundtrip():
     lambda: ZZ().el(2.5),
     lambda: ZZ().el("3"),
     lambda: ZZ().el(True),
+    lambda: ZZ().one + True,
+    lambda: ZZ().from_int(True),
+    lambda: ZZ().one.divide(True),
     lambda: gen(A2, ZZ(), A2.roots[0], 2.5),
-], ids=["float", "str", "bool", "gen-float"])
+], ids=["float", "str", "bool", "add-bool", "from_int-bool", "divide-bool", "gen-float"])
 def test_el_rejects_raw_payloads(build):
     with pytest.raises(TypeError):
         build()
