@@ -357,13 +357,15 @@ def word_examples(rng, n):
 
 def relations(rng, n, cases):
     """reps.verify_relations with n samples per root pair for each
-    ((kind, rank, rep kind), ring) case; one witness per violation."""
+    ((kind, rank, rep kind), ring) case; one witness per violation, with
+    the arguments a, b of its first failing trial."""
     out = []
     for spec, ring in cases:
         report = verify_relations(_rep(*spec), ring, n, rng)
         out += [{"ring": report.ring, "rep": report.representation,
-                 "relation": v[0], "roots": [list(r) for r in v[1:]]}
-                for v in report.violations]
+                 "relation": v[0], "roots": [list(r) for r in v[1:]],
+                 "a": str(a), "b": str(b)}
+                for v, (a, b) in zip(report.violations, report.arguments)]
     return out
 
 

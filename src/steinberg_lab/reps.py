@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rings import (IntegerRing, PolynomialRing, PrimeFieldRing,
-                    QuotientRing, Ring, RingHom)
+                    QuotientRing, Ring, RingElement, RingHom)
 from .roots import RootSystem
 
 __all__ = [
@@ -233,11 +233,16 @@ def k2_membership(word, rep: Representation, hom: RingHom | None = None) -> bool
 
 @dataclass
 class RelationReport:
+    """`violations` names each failing law, ("R1", a) or (law, a, b);
+    `arguments` holds, at the same position, the (a, b) of its first
+    failing trial as ring elements."""
+
     representation: str
     ring: str
     samples: int
     pairs_checked: int
     violations: list
+    arguments: list
 
     @property
     def ok(self) -> bool:
@@ -258,31 +263,94 @@ def _np_coeff_profile(ring: Ring):
     return None
 
 
+# matrix entries in one batch of images: on the small representations
+# 2^12 takes nearly twice as long, and 2^16 saves under a tenth of the
+# time for 4 MB more peak memory
+_BATCH_ENTRIES = 2 ** 14
+
+
+def _letter_tables(rep: Representation):
+    """Per root, in enumeration order, the flat positions p = i d + j of
+    the entries of M1 and M2 and their coefficients there: three int64
+    arrays of shape (roots, width).  A root vector is nilpotent, so none
+    of these entries is on the diagonal.  A root with fewer entries
+    repeats its first one, which writes the same value again."""
+    d = rep.dim
+    rows = []
+    for root in rep.system.roots:
+        m1 = {i * d + j: c for i, j, c in rep.m1[root]}
+        m2 = {i * d + j: c for i, j, c in rep.m2[root]}
+        rows.append([(p, m1.get(p, 0), m2.get(p, 0)) for p in {**m1, **m2}])
+    width = max(map(len, rows))
+    table = np.array([row + row[:1] * (width - len(row)) for row in rows], dtype=np.int64)
+    return tuple(np.moveaxis(table, 2, 0))
+
+
 class _NumpyKernel:
-    """One batch of `samples` draws per root pair: a scalar is an (S, k)
-    int64 array of truncated polynomial coefficients, an image an
-    (S, k, d, d) array of truncated matrix polynomials, both reduced by
-    the modulus when there is one."""
+    """Every case's `samples` draws come from one generator call; the cases
+    of one law are then evaluated together, at most `_BATCH_ENTRIES`
+    matrix entries at a time, or one case when a case is larger.  Over a
+    batch of B = cases x samples, a scalar is a (k, B) int64 array of
+    truncated polynomial coefficients and an image a (k, B, d, d) int64
+    array of truncated matrix polynomials, both reduced by the modulus
+    when there is one."""
+
+    # a law builds at most six images per batch: R3's three letters and
+    # three products
+    SLOTS = 6
 
     def __init__(self, rep: Representation, ring: Ring, samples: int, rng, profile):
         self.rep, self.ring, self.samples = rep, ring, samples
         self.k, self.mod, self.bound = profile
-        roots = rep.system.roots
-        self.dense1 = {root: _dense(rep.dim, rep.m1[root]) for root in roots}
-        self.dense2 = {root: _dense(rep.dim, rep.m2[root]) for root in roots if rep.m2[root]}
+        self.tables = _letter_tables(rep)
         self.nprng = np.random.default_rng(rng.randrange(2 ** 63))
+        case_entries = samples * self.k * rep.dim ** 2
+        self.chunk = max(1, _BATCH_ENTRIES // case_entries)
+        # a batch's images, and a product's float64 operands, terms and
+        # sums, are written into these buffers: fresh arrays for every
+        # batch cost more in page faults than the products at d = 45
+        self.slots = np.empty((self.SLOTS, self.chunk * case_entries), dtype=np.int64)
+        self.floats = np.empty((4, self.chunk * case_entries))
+        self.used = 0
 
     def _reduce(self, x):
         return x % self.mod if self.mod else x
 
-    def _draw(self):
-        size = (self.samples, self.k)
-        if self.mod:
-            return self.nprng.integers(0, self.mod, size=size, dtype=np.int64)
-        return self.nprng.integers(-self.bound, self.bound + 1, size=size, dtype=np.int64)
+    def run(self, cases, holds):
+        """The first failing (a, b) of each case, None where the law held."""
+        lo, hi = (0, self.mod) if self.mod else (-self.bound, self.bound + 1)
+        draws = self.nprng.integers(lo, hi, size=(len(cases), 2, self.samples, self.k),
+                                    dtype=np.int64)
+        laws = {}
+        for n, case in enumerate(cases):
+            laws.setdefault(case[0], []).append(n)
+        out = [None] * len(cases)
+        for law, members in laws.items():
+            for start in range(0, len(members), self.chunk):
+                part = members[start:start + self.chunk]
+                a, b = (draws[part, t].reshape(-1, self.k).T for t in (0, 1))
+                self.used = 0
+                held = holds(self, law, [cases[n] for n in part], a, b)
+                for n, trials in zip(part, held):
+                    if not trials.all():
+                        s = int(np.argmin(trials))
+                        out[n] = (self._element(draws[n, 0, s]), self._element(draws[n, 1, s]))
+        return out
 
-    def trials(self):
-        yield self._draw(), self._draw()
+    def _element(self, coeffs):
+        """The ring element with truncated coefficients `coeffs`."""
+        if self.mod:
+            return self.ring.from_int(int(coeffs[0]))
+        t = self.ring.project(self.ring.base.gens()[0])
+        return sum((int(c) * t ** i for i, c in enumerate(coeffs)), self.ring.zero)
+
+    def _buffer(self, flat, batch):
+        d = self.rep.dim
+        return flat[:self.k * batch * d * d].reshape(self.k, batch, d, d)
+
+    def _image(self, batch):
+        self.used += 1
+        return self._buffer(self.slots[self.used - 1], batch)
 
     def add(self, a, b):
         return self._reduce(a + b)
@@ -291,50 +359,78 @@ class _NumpyKernel:
         return self._reduce(-a)
 
     def mul(self, a, b):
-        out = np.zeros((a.shape[0], self.k), dtype=np.int64)
+        out = np.zeros(a.shape, dtype=np.int64)
         for i in range(self.k):
             for j in range(self.k - i):
-                out[:, i + j] += a[:, i] * b[:, j]
+                out[i + j] += a[i] * b[j]
         return self._reduce(out)
 
-    def letter(self, root, xi):
-        d = self.rep.dim
-        x = np.zeros((xi.shape[0], self.k, d, d), dtype=np.int64)
-        x[:, 0] = np.eye(d, dtype=np.int64)
-        x += xi[:, :, None, None] * self.dense1[root][None, None]
-        if root in self.dense2:
-            x += self.mul(xi, xi)[:, :, None, None] * self.dense2[root][None, None]
-        return self._reduce(x)
+    def letter(self, roots, xi):
+        """x_root(xi) for each root of the batch, over its samples: the
+        identity with the root's table entries scattered in."""
+        d, batch = self.rep.dim, xi.shape[1]
+        index = self.rep.system.index
+        idx = np.repeat([index[r] for r in roots], self.samples)
+        pos, c1, c2 = (t[idx] for t in self.tables)
+        vals = xi[:, :, None] * c1
+        if c2.any():
+            vals += self.mul(xi, xi)[:, :, None] * c2
+        x = self._image(batch)
+        x.fill(0)
+        flat = x.reshape(self.k, batch, d * d)
+        flat[0, :, ::d + 1] = self._reduce(1)
+        flat[:, np.arange(batch)[:, None], pos] = self._reduce(vals)
+        return x
 
     def product(self, x, y):
-        # taken in float64 so the BLAS kernels apply.  That is exact only
+        # taken in float64, one d x d slice at a time, so the BLAS kernels
+        # apply, then truncated to int64 and reduced.  That is exact only
         # below 2^53: fine for small moduli, inexact for moduli near 10^9
-        xf, yf = x.astype(np.float64), y.astype(np.float64)
-        out = np.zeros(x.shape)
+        xf, yf, term, acc = (self._buffer(f, x.shape[1]) for f in self.floats)
+        np.copyto(xf, x)
+        np.copyto(yf, y)
+        acc.fill(0)
         for i in range(self.k):
             for j in range(self.k - i):
-                out[:, i + j] += np.matmul(xf[:, i], yf[:, j])
-        return self._reduce(out.astype(np.int64))
+                np.add(acc[i + j], np.matmul(xf[i], yf[j], out=term[i + j]), out=acc[i + j])
+        out = self._image(x.shape[1])
+        np.copyto(out, acc, casting="unsafe")
+        if self.mod:
+            np.remainder(out, self.mod, out=out)
+        return out
 
-    equal = staticmethod(np.array_equal)
+    def equal(self, x, y):
+        """(cases, samples): whether the two images agree on each trial."""
+        same = (x == y).reshape(self.k, -1, self.rep.dim ** 2).all(axis=(0, 2))
+        return same.reshape(-1, self.samples)
 
 
 class _ExactKernel:
-    """`samples` trials per root pair, each drawing a and b from the ring.
-    An image is kept as its letter list and evaluated exactly, letter by
-    letter, when two images are compared."""
+    """`samples` trials per case, each drawing a and b from the ring, in
+    case order, stopping a case at its first failure.  A batch is one
+    case; an image is kept as its letter list and evaluated exactly,
+    letter by letter, when two images are compared."""
 
     def __init__(self, rep: Representation, ring: Ring, samples: int, rng):
         self.rep, self.ring, self.samples, self.rng = rep, ring, samples, rng
         self.add, self.mul, self.neg = ring._add, ring._mul, ring._neg
 
-    def trials(self):
-        for _ in range(self.samples):
-            yield self.ring._sample(self.rng, 6), self.ring._sample(self.rng, 6)
+    def run(self, cases, holds):
+        """The first failing (a, b) of each case, None where the law held."""
+        out = []
+        for case in cases:
+            failed = None
+            for _ in range(self.samples):
+                a, b = self.ring._sample(self.rng, 6), self.ring._sample(self.rng, 6)
+                if not holds(self, case[0], [case], a, b):
+                    failed = (RingElement(self.ring, a), RingElement(self.ring, b))
+                    break
+            out.append(failed)
+        return out
 
     @staticmethod
-    def letter(root, xi):
-        return [(root, xi)]
+    def letter(roots, xi):
+        return [(roots[0], xi)]
 
     @staticmethod
     def product(x, y):
@@ -344,43 +440,44 @@ class _ExactKernel:
         return _image_rows(self.ring, self.rep, x) == _image_rows(self.ring, self.rep, y)
 
 
+def _holds(kernel, law, cases, a, b):
+    """The kernel's verdict (`equal`) on whether `law` holds on a batch of
+    its cases (law, alpha, beta, s) at arguments a, b: R1 x_a(a) x_a(b) =
+    x_a(a + b); R2 x_a(a) x_b(b) = x_b(b) x_a(a); R3 x_a(a) x_b(b) =
+    x_s(N ab) x_b(b) x_a(a), law "R3-" when N = -1.  Each letter is built
+    once, and R3's right side is multiplied right to left, x_s (x_b x_a)."""
+    _, alphas, betas, sums = zip(*cases)
+    letter, product = kernel.letter, kernel.product
+    xa = letter(alphas, a)
+    if law == "R1":
+        return kernel.equal(product(xa, letter(alphas, b)), letter(alphas, kernel.add(a, b)))
+    xb = letter(betas, b)
+    left, right = product(xa, xb), product(xb, xa)
+    if law != "R2":
+        ab = kernel.mul(a, b)
+        right = product(letter(sums, kernel.neg(ab) if law == "R3-" else ab), right)
+    return kernel.equal(left, right)
+
+
 def _sweep(kernel) -> RelationReport:
     """R1 on every root a, then R2 or R3 on every pair (a, b) with
-    b != -a, over the kernel's trials; a pair stops at its first
-    violation.  Each letter is built once per trial, and R3's right side
-    is multiplied right to left, x_s (x_b x_a)."""
+    b != -a; the kernel runs the cases and the violations are listed in
+    case order."""
     system = kernel.rep.system
-    letter, product = kernel.letter, kernel.product
-    cases = [(alpha, None) for alpha in system.roots]
-    cases += [(alpha, beta) for alpha in system.roots for beta in system.roots
-              if beta != system.negate(alpha)]
-    violations = []
-    for alpha, beta in cases:
-        s = None if beta is None else system.addition_table.get((alpha, beta))
-        if beta is None:
-            law = ("R1", alpha)
-        elif s is None:
-            law = ("R2", alpha, beta)
-        else:
-            law = ("R3", alpha, beta)
-            negate = system.structure_constant(alpha, beta) == -1
-        for a, b in kernel.trials():
-            xa = letter(alpha, a)
-            if beta is None:
-                left = product(xa, letter(alpha, b))
-                right = letter(alpha, kernel.add(a, b))
-            else:
-                xb = letter(beta, b)
-                left = product(xa, xb)
-                right = product(xb, xa)
-                if s is not None:
-                    ab = kernel.mul(a, b)
-                    right = product(letter(s, kernel.neg(ab) if negate else ab), right)
-            if not kernel.equal(left, right):
-                violations.append(law)
-                break
+    cases = [("R1", alpha, alpha, None) for alpha in system.roots]
+    for alpha in system.roots:
+        for beta in system.roots:
+            if beta != system.negate(alpha):
+                s = system.addition_table.get((alpha, beta))
+                law = ("R2" if s is None else
+                       "R3-" if system.structure_constant(alpha, beta) == -1 else "R3")
+                cases.append((law, alpha, beta, s))
+    failed = [(case, args) for case, args in zip(cases, kernel.run(cases, _holds))
+              if args is not None]
+    violations = [(law[:2], alpha) if law == "R1" else (law[:2], alpha, beta)
+                  for (law, alpha, beta, _), _ in failed]
     return RelationReport(kernel.rep.describe(), kernel.ring.describe(), kernel.samples,
-                          len(cases), violations)
+                          len(cases), violations, [args for _, args in failed])
 
 
 def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> RelationReport:

@@ -213,7 +213,7 @@ class RingElement:
     def __eq__(self, other):
         if isinstance(other, RingElement):
             return self.ring is other.ring and self.payload == other.payload
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return self.payload == self.ring._from_int(other)
         return NotImplemented
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 __all__ = [
     "Root", "RootSystem", "OPPOSITE", "build_root_system",
-    "defining_matrix", "sparse_commutator", "SUPPORTED_RANKS",
+    "defining_matrix", "SUPPORTED_RANKS",
 ]
 
 Root = tuple  # integer coordinate vector
@@ -75,7 +75,7 @@ def defining_matrix(kind: str, rank: int, root: Root):
     return {(j + l, i): 1, (i + l, j): -1}
 
 
-def sparse_mul(a: dict, b: dict) -> dict:
+def _sparse_mul(a: dict, b: dict) -> dict:
     out = {}
     for (i, k), x in a.items():
         for (k2, j), y in b.items():
@@ -88,9 +88,9 @@ def sparse_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def sparse_commutator(a: dict, b: dict) -> dict:
-    out = dict(sparse_mul(a, b))
-    for key, v in sparse_mul(b, a).items():
+def _sparse_commutator(a: dict, b: dict) -> dict:
+    out = dict(_sparse_mul(a, b))
+    for key, v in _sparse_mul(b, a).items():
         w = out.get(key, 0) - v
         if w:
             out[key] = w
@@ -139,7 +139,7 @@ class RootSystem:
                 if s not in self._root_set:
                     continue
                 add[(a, b)] = s
-                bracket = sparse_commutator(ea, self._matrices[b])
+                bracket = _sparse_commutator(ea, self._matrices[b])
                 es = self._matrices[s]
                 if bracket == es:
                     const[(a, b)] = 1

@@ -92,3 +92,16 @@ def test_translation_witnesses_name_their_inputs(monkeypatch):
     for w in relations:
         assert {"alpha", "c", "c2", "s"} <= set(w), w
         assert ("beta" in w) == (w["law"] != "R1"), w
+
+
+def test_relation_witnesses_name_their_arguments(monkeypatch):
+    """A relation witness carries the a and b of the first failing trial."""
+    original = RootSystem.structure_constant
+    monkeypatch.setattr(RootSystem, "structure_constant",
+                        lambda system, a, b: -original(system, a, b))
+    bad = checks.relations(random.Random(1), 3, [(("A", 2, "adjoint"), GF(7))])
+    assert bad
+    json.dumps(bad)
+    for w in bad:
+        assert {"ring", "rep", "relation", "roots", "a", "b"} <= set(w), w
+        assert w["relation"] == "R3" and int(w["a"]) * int(w["b"]) % 7, w

@@ -1,6 +1,7 @@
 """Representation tables, evaluation, kernel membership, relation sweeps."""
 
 import dataclasses
+import hashlib
 import random
 from functools import reduce
 
@@ -243,3 +244,94 @@ def test_negated_table_coefficient_is_caught():
         bad = dataclasses.replace(rep, m1={**rep.m1, root: ((i, j, -c), *rest)})
         assert verify_relations(rep, ZZ(), 2, random.Random(0)).ok
         assert not verify_relations(bad, ZZ(), 2, random.Random(0)).ok
+
+
+# ---------------------------------------------------------------------------
+# pinned sweep output and replayable witnesses
+# ---------------------------------------------------------------------------
+
+def _flipped(rep):
+    """Copy of rep with e_alpha negated for the first simple root alpha,
+    so R3 fails on (alpha, beta) whenever 2 N a b != 0."""
+    root = rep.system.simple_roots[0]
+    m1 = {**rep.m1, root: tuple((i, j, -c) for i, j, c in rep.m1[root])}
+    return dataclasses.replace(rep, m1=m1)
+
+
+_Pt = poly_ring(ZZ(), ("t",))
+SWEEP_RINGS = {"Z6": quotient(ZZ(), 6), "F7": GF(7), "Zt3": quotient(_Pt, _Pt.var("t") ** 3),
+               "ZZ": ZZ(), "Fbig": GF(1000000007)}
+SWEEP_SAMPLES = {"Z6": 10, "F7": 10, "Zt3": 10, "ZZ": 2, "Fbig": 10}
+
+# "<kind><rank>-<rep>[~flip]/<ring>" -> (pairs_checked, sha256 of
+# repr(violations)), swept with random.Random(key)
+SWEEP_PINS = {
+    "A2-defining/Z6": (36, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "A2-defining/F7": (36, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "A2-defining/Zt3": (36, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "A2-defining/ZZ": (36, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "A2-defining/Fbig": (36, "b24f28effd22203e3e2df1d18c01b90b6a44eb977e4edcff5300cc7f9697b388"),
+    "A3-defining/Z6": (144, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "A3-defining/F7": (144, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "A3-defining/Zt3": (144, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "A3-defining/ZZ": (144, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "A3-defining/Fbig": (144, "edaa8bc2e6114d5d81daf1e9d83daca9aaf1c42601173637f1cebd538f6270bb"),
+    "A3-adjoint/Z6": (144, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "A3-adjoint/F7": (144, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "A3-adjoint/Zt3": (144, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "A3-adjoint/ZZ": (144, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "A3-adjoint/Fbig": (144, "a476dd7729062f3eeb7d0890f875df420a5f149633b41137065b55090ff6b79f"),
+    "D4-vector/Z6": (576, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "D4-vector/F7": (576, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "D4-vector/Zt3": (576, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "D4-vector/ZZ": (576, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "D4-vector/Fbig": (576, "a465cb91c10b1a6fef866cfb8b9882ad481f9a2e8c692d6f5a027233b8704ef6"),
+    "A2-defining~flip/F7": (36, "a7c1aa89df1c2fb88b786128d53a4bec26f12bd18246ca996dbbc391c0bc4044"),
+    "D4-vector~flip/F7": (576, "1485d2886b49ce96dbc9eee10298d2ddde2fd87a196a256b53c2d8ba26bb52d3"),
+    "A3-adjoint~flip/F7": (144, "d6ac0b86467b15d1058440542c8c3d9e80b09c51e4d87d563a6fa103046655c1"),
+    "A3-defining~flip/ZZ": (144, "d6ac0b86467b15d1058440542c8c3d9e80b09c51e4d87d563a6fa103046655c1"),
+}
+
+
+def _pinned_sweep(key):
+    name, ring = key.split("/")
+    system, kind = name.split("~")[0].split("-")
+    rep = build_representation(build_root_system(system[0], int(system[1:])), kind)
+    if name.endswith("~flip"):
+        rep = _flipped(rep)
+    return rep, verify_relations(rep, SWEEP_RINGS[ring], SWEEP_SAMPLES[ring], random.Random(key))
+
+
+@pytest.mark.parametrize("key", list(SWEEP_PINS))
+def test_sweep_output_is_pinned(key, monkeypatch):
+    """Each sweep reproduces its pinned violations bit for bit, and
+    batches of one matrix entry, so one case each, give the same report.
+    The GF(1000000007) pins record the wrong verdicts of the float64
+    products; they change when that path is made exact."""
+    _, report = _pinned_sweep(key)
+    digest = hashlib.sha256(repr(report.violations).encode()).hexdigest()
+    assert (report.pairs_checked, digest) == SWEEP_PINS[key]
+    assert len(report.arguments) == len(report.violations)
+    monkeypatch.setattr(reps, "_BATCH_ENTRIES", 1)
+    assert _pinned_sweep(key)[1] == report
+
+
+@pytest.mark.parametrize("key", ["A3-adjoint~flip/F7", "A3-adjoint~flip/Z6",
+                                 "D4-vector~flip/Zt3", "A3-defining~flip/ZZ"])
+def test_sweep_witness_replays_through_evaluate(key):
+    """The arguments of each violation are a witness: the two sides of
+    the failing relation, evaluated exactly, differ.  Over Z/6 the flip
+    only shows when 3 does not divide ab, so a witness taken from the
+    wrong trial would replay as equal."""
+    rep, report = _pinned_sweep(key)
+    system, ring = rep.system, SWEEP_RINGS[key.split("/")[1]]
+    assert report.violations
+    for (law, alpha, beta), (a, b) in zip(report.violations, report.arguments):
+        assert law == "R3" and a.ring is ring and b.ring is ring
+        s = system.root_sum(alpha, beta)
+        left = words.gen(system, ring, alpha, a) * words.gen(system, ring, beta, b)
+        right = (words.gen(system, ring, s, system.structure_constant(alpha, beta) * a * b)
+                 * words.gen(system, ring, beta, b) * words.gen(system, ring, alpha, a))
+        assert evaluate(left, rep) != evaluate(right, rep)
+        assert evaluate(left, build_representation(system, rep.kind)) == \
+            evaluate(right, build_representation(system, rep.kind))

@@ -445,10 +445,22 @@ def test_json_roundtrip():
     lambda: ZZ().from_int(True),
     lambda: ZZ().one.divide(True),
     lambda: gen(A2, ZZ(), A2.roots[0], 2.5),
-], ids=["float", "str", "bool", "add-bool", "from_int-bool", "divide-bool", "gen-float"])
+    lambda: _strict_eq(ZZ().one, True),
+    lambda: _strict_eq(ZZ().zero, False),
+], ids=["float", "str", "bool", "add-bool", "from_int-bool", "divide-bool", "gen-float",
+        "eq-true", "eq-false"])
 def test_el_rejects_raw_payloads(build):
     with pytest.raises(TypeError):
         build()
+
+
+def _strict_eq(x, other):
+    """x == other, raising TypeError where x refuses the comparison; a
+    refused comparison with a bool falls back to identity, so is False."""
+    if x.__eq__(other) is NotImplemented:
+        assert (x == other) is False and x != other
+        raise TypeError(f"{x!r} does not compare with {other!r}")
+    return x == other
 
 
 def test_el_coerces_elements_ints_and_rationals():
