@@ -38,20 +38,8 @@ class Representation:
     m1: dict = field(repr=False)   # root -> tuple[(i, j, coeff)]
     m2: dict = field(repr=False)
 
-    def root_matrix(self, root):
-        """Dense integer matrix of the basis nilpotent e_root."""
-        return _dense(self.dim, self.m1[root])
-
     def describe(self) -> str:
         return f"{self.kind}({self.system})"
-
-
-def _dense(dim: int, entries):
-    """Dense int64 matrix from sparse (i, j, coeff) entries."""
-    m = np.zeros((dim, dim), dtype=np.int64)
-    for i, j, c in entries:
-        m[i, j] = c
-    return m
 
 
 def _simple_coordinates(system: RootSystem) -> dict:
@@ -316,7 +304,7 @@ class _NumpyKernel:
     def _reduce(self, x):
         return x % self.mod if self.mod else x
 
-    def run(self, cases, holds):
+    def run(self, cases):
         """The first failing (a, b) of each case, None where the law held."""
         lo, hi = (0, self.mod) if self.mod else (-self.bound, self.bound + 1)
         draws = self.nprng.integers(lo, hi, size=(len(cases), 2, self.samples, self.k),
@@ -330,7 +318,7 @@ class _NumpyKernel:
                 part = members[start:start + self.chunk]
                 a, b = (draws[part, t].reshape(-1, self.k).T for t in (0, 1))
                 self.used = 0
-                held = holds(self, law, [cases[n] for n in part], a, b)
+                held = _holds(self, law, [cases[n] for n in part], a, b)
                 for n, trials in zip(part, held):
                     if not trials.all():
                         s = int(np.argmin(trials))
@@ -406,46 +394,36 @@ class _NumpyKernel:
 
 
 class _ExactKernel:
-    """`samples` trials per case, each drawing a and b from the ring, in
-    case order, stopping a case at its first failure.  A batch is one
-    case; an image is kept as its letter list and evaluated exactly,
-    letter by letter, when two images are compared."""
+    """Each case's difference at the generic point (`_difference`),
+    specialized in the ring at `samples` trials that draw a and b, in
+    case order, stopping a case at its first failure.  A zero difference
+    holds at every (a, b) of every commutative ring: its trials draw a
+    and b, which keeps the rng stream, and evaluate nothing."""
 
     def __init__(self, rep: Representation, ring: Ring, samples: int, rng):
         self.rep, self.ring, self.samples, self.rng = rep, ring, samples, rng
-        self.add, self.mul, self.neg = ring._add, ring._mul, ring._neg
 
-    def run(self, cases, holds):
+    def run(self, cases):
         """The first failing (a, b) of each case, None where the law held."""
-        out = []
+        ring, out = self.ring, []
         for case in cases:
-            failed = None
+            diff, failed = _difference(self.rep, case), None
             for _ in range(self.samples):
-                a, b = self.ring._sample(self.rng, 6), self.ring._sample(self.rng, 6)
-                if not holds(self, case[0], [case], a, b):
-                    failed = (RingElement(self.ring, a), RingElement(self.ring, b))
+                a, b = ring._sample(self.rng, 6), ring._sample(self.rng, 6)
+                if diff and _specialize(ring, diff, a, b):
+                    failed = (RingElement(ring, a), RingElement(ring, b))
                     break
             out.append(failed)
         return out
 
-    @staticmethod
-    def letter(roots, xi):
-        return [(roots[0], xi)]
-
-    @staticmethod
-    def product(x, y):
-        return x + y
-
-    def equal(self, x, y):
-        return _image_rows(self.ring, self.rep, x) == _image_rows(self.ring, self.rep, y)
-
 
 def _holds(kernel, law, cases, a, b):
-    """The kernel's verdict (`equal`) on whether `law` holds on a batch of
-    its cases (law, alpha, beta, s) at arguments a, b: R1 x_a(a) x_a(b) =
-    x_a(a + b); R2 x_a(a) x_b(b) = x_b(b) x_a(a); R3 x_a(a) x_b(b) =
-    x_s(N ab) x_b(b) x_a(a), law "R3-" when N = -1.  Each letter is built
-    once, and R3's right side is multiplied right to left, x_s (x_b x_a)."""
+    """The numpy kernel's verdict (`equal`) on whether `law` holds on a
+    batch of its cases (law, alpha, beta, s) at arguments a, b: R1
+    x_a(a) x_a(b) = x_a(a + b); R2 x_a(a) x_b(b) = x_b(b) x_a(a); R3
+    x_a(a) x_b(b) = x_s(N ab) x_b(b) x_a(a), law "R3-" when N = -1.  Each
+    letter is built once, and R3's right side is multiplied right to
+    left, x_s (x_b x_a)."""
     _, alphas, betas, sums = zip(*cases)
     letter, product = kernel.letter, kernel.product
     xa = letter(alphas, a)
@@ -459,11 +437,79 @@ def _holds(kernel, law, cases, a, b):
     return kernel.equal(left, right)
 
 
-def _sweep(kernel) -> RelationReport:
+def _nilpotent(rep: Representation, root, xi):
+    """xi M1 + xi^2 M2, the part of x_root(xi) - I, for xi an integer
+    polynomial {(i, j): n} in a and b, as {(i, j, r, c): n}: n a^i b^j
+    at entry (r, c)."""
+    square = {}
+    for (i, j), n in xi.items():
+        for (k, l), m in xi.items():
+            square[i + k, j + l] = square.get((i + k, j + l), 0) + n * m
+    out = {}
+    for table, x in ((rep.m1[root], xi), (rep.m2[root], square)):
+        for (i, j), n in x.items():
+            for r, c, m in table:
+                out[i, j, r, c] = out.get((i, j, r, c), 0) + n * m
+    return out
+
+
+def _then(x, y):
+    """(I + x)(I + y) - I = x + y + x y, for parts as `_nilpotent` gives."""
+    out = dict(x)
+    for key, n in y.items():
+        out[key] = out.get(key, 0) + n
+    rows = {}
+    for (i, j, k, c), n in y.items():
+        rows.setdefault(k, []).append((i, j, c, n))
+    for (i, j, r, k), n in x.items():
+        for i2, j2, c, m in rows.get(k, ()):
+            out[i + i2, j + j2, r, c] = out.get((i + i2, j + j2, r, c), 0) + n * m
+    return out
+
+
+def _difference(rep: Representation, case):
+    """Left side minus right side of a sweep case's law, as in `_holds`,
+    at the generic point (a, b) of ZZ[a, b]: {(i, j, r, c): n}, the
+    nonzero n a^i b^j at entry (r, c).  Evaluation at any (a, b) of any
+    commutative ring is a ring map, so an empty difference means the law
+    holds there, and a nonzero one fails exactly where it specializes to
+    a nonzero matrix."""
+    law, alpha, beta, s = case
+    a, b = {(1, 0): 1}, {(0, 1): 1}
+    xa = _nilpotent(rep, alpha, a)
+    if law == "R1":
+        left = _then(xa, _nilpotent(rep, alpha, b))
+        right = _nilpotent(rep, alpha, {**a, **b})
+    else:
+        xb = _nilpotent(rep, beta, b)
+        left, right = _then(xa, xb), _then(xb, xa)
+        if law != "R2":
+            right = _then(_nilpotent(rep, s, {(1, 1): -1 if law == "R3-" else 1}), right)
+    for key, n in right.items():
+        left[key] = left.get(key, 0) - n
+    return {key: n for key, n in left.items() if n}
+
+
+def _specialize(ring: Ring, diff, a, b) -> dict:
+    """The nonzero entries {(r, c): payload} of a `_difference` at the
+    payloads a, b of the ring: sum n a^i b^j per entry."""
+    add, mul, from_int = ring._add, ring._mul, ring._from_int
+    powers_a, powers_b = [from_int(1)], [from_int(1)]
+    for _ in range(max((max(i, j) for i, j, _, _ in diff), default=0)):
+        powers_a.append(mul(powers_a[-1], a))
+        powers_b.append(mul(powers_b[-1], b))
+    entries = {}
+    for (i, j, r, c), n in diff.items():
+        term = mul(from_int(n), mul(powers_a[i], powers_b[j]))
+        v = entries.get((r, c))
+        entries[r, c] = term if v is None else add(v, term)
+    zero = from_int(0)
+    return {key: v for key, v in entries.items() if v != zero}
+
+
+def _cases(system):
     """R1 on every root a, then R2 or R3 on every pair (a, b) with
-    b != -a; the kernel runs the cases and the violations are listed in
-    case order."""
-    system = kernel.rep.system
+    b != -a, as (law, a, b, a + b); law "R3-" when N(a, b) = -1."""
     cases = [("R1", alpha, alpha, None) for alpha in system.roots]
     for alpha in system.roots:
         for beta in system.roots:
@@ -472,7 +518,14 @@ def _sweep(kernel) -> RelationReport:
                 law = ("R2" if s is None else
                        "R3-" if system.structure_constant(alpha, beta) == -1 else "R3")
                 cases.append((law, alpha, beta, s))
-    failed = [(case, args) for case, args in zip(cases, kernel.run(cases, _holds))
+    return cases
+
+
+def _sweep(kernel) -> RelationReport:
+    """The kernel runs every case of `_cases`, and the violations are
+    listed in case order."""
+    cases = _cases(kernel.rep.system)
+    failed = [(case, args) for case, args in zip(cases, kernel.run(cases))
               if args is not None]
     violations = [(law[:2], alpha) if law == "R1" else (law[:2], alpha, beta)
                   for (law, alpha, beta, _), _ in failed]
@@ -483,8 +536,9 @@ def _sweep(kernel) -> RelationReport:
 def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> RelationReport:
     """Check the three Steinberg relations as matrix identities,
     exhaustively over root pairs and randomized over ring elements: in
-    batched numpy arithmetic over the rings `_np_coeff_profile` admits,
-    exactly over every other ring."""
+    batched numpy arithmetic over the rings `_np_coeff_profile` admits;
+    over every other ring, exactly, by certifying each case at the
+    generic point and specializing only a nonzero difference."""
     profile = _np_coeff_profile(ring)
     if profile is None:
         return _sweep(_ExactKernel(rep, ring, samples, rng))

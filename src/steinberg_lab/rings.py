@@ -27,14 +27,14 @@ __all__ = [
     "RingMismatchError", "NonUnitError", "CompatibilityError",
     "DecompositionError",
     "identity_hom", "localization_hom", "quotient_hom",
-    "product_projection", "substitution_hom", "coarser_localization_hom",
+    "substitution_hom", "coarser_localization_hom",
     "localization_functor_hom", "fraction_field_hom",
     "ext_gcd", "bezout_identity", "bezout_decompose",
     "reciprocal_localization_witness",
     "milnor_square_pullback", "milnor_square_project_poly",
     "milnor_square_project_base",
     "decompose_modulo_power",
-    "ring_to_json", "ring_from_json", "element_to_json", "element_from_json",
+    "ring_to_json", "ring_from_json",
 ]
 
 class RingMismatchError(TypeError):
@@ -1013,11 +1013,6 @@ def quotient_hom(base: Ring, quo: QuotientRing) -> RingHom:
     return RingHom(base, quo, quo._reduce, "project")
 
 
-def product_projection(prod: ProductRing, side: int) -> RingHom:
-    target = prod.left if side == 0 else prod.right
-    return RingHom(prod, target, lambda p: p[side], f"pr{side}")
-
-
 def substitution_hom(domain: PolynomialRing, codomain: Ring, images,
                      coeff_hom: RingHom | None = None) -> RingHom:
     """Evaluation homomorphism sending each variable to the given image."""
@@ -1294,16 +1289,6 @@ def ring_to_json(ring: Ring):
         return {"kind": "milnor_square", "base": ring_to_json(ring.base),
                 "multiplier": ring.base._payload_to_json(ring.multiplier.payload)}
     raise ValueError(f"unserializable ring {ring}")
-
-
-def element_to_json(x: RingElement):
-    return {"ring": ring_to_json(x.ring),
-            "payload": x.ring._payload_to_json(x.payload)}
-
-
-def element_from_json(data) -> RingElement:
-    ring = ring_from_json(data["ring"])
-    return RingElement(ring, ring._payload_from_json(data["payload"]))
 
 
 def ring_from_json(data) -> Ring:

@@ -18,7 +18,7 @@ from .roots import RootSystem, build_root_system
 from . import reps
 
 __all__ = [
-    "SteinbergWord", "RelativeWord", "gen", "identity_word",
+    "SteinbergWord", "gen", "identity_word",
     "weyl_element", "torus_element", "steinberg_symbol",
     "opposite_commutator", "commutator",
     "substitute", "commutator_reduce", "check_commutator_congruence",
@@ -181,39 +181,6 @@ def commutator_reduce(w: SteinbergWord) -> SteinbergWord:
             i += 1
         letters = list(_normalize(ring, letters))
     return SteinbergWord(system, ring, letters)
-
-
-# ---------------------------------------------------------------------------
-# relative words
-# ---------------------------------------------------------------------------
-
-class RelativeWord:
-    """A word together with an ideal; certification checks that every
-    argument lies in the ideal (hence the image in the quotient Steinberg
-    group is trivial by construction)."""
-
-    def __init__(self, word: SteinbergWord, ideal: Ideal):
-        if ideal.ring is not word.ring:
-            raise ValueError("ideal and word live over different rings")
-        self.word = word
-        self.ideal = ideal
-
-    def is_certified(self) -> bool:
-        return all(self.ideal.contains(a) for _, a in self.word.letters)
-
-    def image_in_quotient_trivial(self, rep_kind: str = "adjoint") -> bool:
-        """Evaluation-based check in the quotient ring (integer principal
-        ideals only)."""
-        ring = self.word.ring
-        if not (isinstance(ring, IntegerRing) and len(self.ideal.generators) == 1):
-            raise ValueError("quotient check supported for principal ideals of ZZ")
-        n = abs(self.ideal.generators[0].payload)
-        q = quotient(ring, n)
-        image = substitute(self.word, quotient_hom(ring, q))
-        if image.is_empty:
-            return True
-        rep = reps.build_representation(self.word.system, rep_kind)
-        return reps.evaluate(image, rep).is_identity
 
 
 # ---------------------------------------------------------------------------

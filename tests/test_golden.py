@@ -3,7 +3,7 @@
 import json
 from pathlib import Path
 
-from steinberg_lab.rings import element_from_json, element_to_json
+from steinberg_lab.rings import RingElement, ring_from_json, ring_to_json
 from steinberg_lab.words import word_from_json, word_to_json
 from steinberg_lab import reps
 
@@ -13,6 +13,15 @@ FIXTURES = Path(__file__).parent / "golden" / "fixtures.json"
 def load():
     with open(FIXTURES, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def element_to_json(x):
+    return {"ring": ring_to_json(x.ring), "payload": x.ring._payload_to_json(x.payload)}
+
+
+def element_from_json(data):
+    ring = ring_from_json(data["ring"])
+    return RingElement(ring, ring._payload_from_json(data["payload"]))
 
 
 def test_element_fixtures_round_trip_and_normalize():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steinberg_lab.rings import GF, QQ, ZZ, localize, poly_ring, product_ring, quotient
+from steinberg_lab.rings import GF, QQ, ZZ, RingElement, localize, poly_ring, product_ring, quotient
 from steinberg_lab.roots import SUPPORTED_RANKS, build_root_system
 from steinberg_lab import checks, reps, words
 from steinberg_lab.reps import GroupMatrix, build_representation, evaluate, k2_membership, verify_relations
@@ -55,12 +55,20 @@ def test_weyl_element_block():
     assert m.rows[2][2] == 1
 
 
+def _dense(dim, entries):
+    """Dense int64 matrix from a table's sparse (i, j, coeff) entries."""
+    m = np.zeros((dim, dim), dtype=np.int64)
+    for i, j, c in entries:
+        m[i, j] = c
+    return m
+
+
 def test_bracket_consistency_ties_reps_to_constants():
     for kind, rank, repkind in (("A", 2, "defining"), ("A", 3, "adjoint"),
                                 ("D", 4, "vector"), ("D", 4, "adjoint")):
         system = build_root_system(kind, rank)
         rep = build_representation(system, repkind)
-        mats = {r: rep.root_matrix(r) for r in system.roots}
+        mats = {r: _dense(rep.dim, rep.m1[r]) for r in system.roots}
         for (a, b), n in system.constants_table.items():
             bracket = mats[a] @ mats[b] - mats[b] @ mats[a]
             target = n * mats[system.addition_table[(a, b)]]
@@ -97,7 +105,7 @@ def test_adjoint_tables_match_the_defining_realization(kind, rank):
 
     for root in system.roots:
         x = e[root]
-        m1, m2 = rep.root_matrix(root), reps._dense(rep.dim, rep.m2[root])
+        m1, m2 = _dense(rep.dim, rep.m1[root]), _dense(rep.dim, rep.m2[root])
         assert (combine(m1) == x @ basis - basis @ x).all(), root
         assert (combine(m2) == -(x @ basis @ x)).all(), root
 
@@ -109,7 +117,7 @@ def test_generator_nilpotency_degrees():
                                    (A3, "adjoint", 3), (D4, "adjoint", 3)):
         rep = build_representation(system, repkind)
         for r in system.roots:
-            m = rep.root_matrix(r)
+            m = _dense(rep.dim, rep.m1[r])
             acc = m.copy()
             for _ in range(power - 1):
                 acc = acc @ m
@@ -153,7 +161,9 @@ def test_verify_relations_sweeps():
 
 
 def test_verify_relations_generic_path_agrees():
-    """The numpy kernel and the exact kernel must agree."""
+    """The numpy kernel and the exact kernel must agree: both hold on an
+    unmutated rep, and on the flipped controls over F7 both name the
+    same violating cases."""
     rng = random.Random(2)
     A2 = build_root_system("A", 2)
     rep = build_representation(A2, "adjoint")
@@ -161,6 +171,11 @@ def test_verify_relations_generic_path_agrees():
     assert reps._np_coeff_profile(Z6) is not None
     assert verify_relations(rep, Z6, 10, random.Random(5)).ok
     assert reps._sweep(reps._ExactKernel(rep, Z6, 5, random.Random(5))).ok
+    F7 = GF(7)
+    for key in ("A2-defining~flip/F7", "D4-vector~flip/F7", "A3-adjoint~flip/F7"):
+        flipped, report = _pinned_sweep(key)
+        exact = reps._sweep(reps._ExactKernel(flipped, F7, 10, random.Random(key)))
+        assert report.violations and exact.violations == report.violations, key
     # the exact kernel also runs on rings with no numpy profile
     L2 = localize(ZZ(), 2)
     assert reps._np_coeff_profile(L2) is None
@@ -239,9 +254,7 @@ def test_negated_table_coefficient_is_caught():
     Steinberg relations, and the exact sweep over ZZ must see it."""
     assert reps._np_coeff_profile(ZZ()) is None
     for rep in KERNEL_REPS:
-        root = rep.system.simple_roots[0]
-        (i, j, c), *rest = rep.m1[root]
-        bad = dataclasses.replace(rep, m1={**rep.m1, root: ((i, j, -c), *rest)})
+        bad = _negated_m1(rep)
         assert verify_relations(rep, ZZ(), 2, random.Random(0)).ok
         assert not verify_relations(bad, ZZ(), 2, random.Random(0)).ok
 
@@ -335,3 +348,150 @@ def test_sweep_witness_replays_through_evaluate(key):
         assert evaluate(left, rep) != evaluate(right, rep)
         assert evaluate(left, build_representation(system, rep.kind)) == \
             evaluate(right, build_representation(system, rep.kind))
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel: certified at the generic point, specialized on failure
+# ---------------------------------------------------------------------------
+
+def _sides(ring, case, a, b):
+    """The letter lists (root, payload) of the two sides of a sweep
+    case's law at the payloads a, b, as `reps._holds` writes them."""
+    law, alpha, beta, s = case
+    if law == "R1":
+        return [(alpha, a), (alpha, b)], [(alpha, ring._add(a, b))]
+    left, right = [(alpha, a), (beta, b)], [(beta, b), (alpha, a)]
+    if law != "R2":
+        ab = ring._mul(a, b)
+        right = [(s, ring._neg(ab) if law == "R3-" else ab)] + right
+    return left, right
+
+
+def _replayed(rep, ring, letters):
+    """The product of the `evaluate` images of the single letters, so
+    that R1's x_a(a) x_a(b) is not merged into one letter first."""
+    return reduce(lambda m, n: m * n, (
+        evaluate(words.gen(rep.system, ring, root, RingElement(ring, x)), rep)
+        for root, x in letters))
+
+
+def _rows_difference(ring, left, right):
+    """{(r, c): payload} of the nonzero entries of left - right."""
+    zero, out = ring._from_int(0), {}
+    for r, (lrow, rrow) in enumerate(zip(left, right)):
+        for c in lrow.keys() | rrow.keys():
+            v = ring._add(lrow.get(c, zero), ring._neg(rrow.get(c, zero)))
+            if v != zero:
+                out[r, c] = v
+    return out
+
+
+def _negated_m1(rep):
+    root = rep.system.simple_roots[0]
+    (i, j, c), *rest = rep.m1[root]
+    return dataclasses.replace(rep, m1={**rep.m1, root: ((i, j, -c), *rest)})
+
+
+def _negated_m2(rep):
+    """M2 of an adjoint rep is one entry, so this breaks R1 through
+    x_a(a) x_a(b) - x_a(a + b) = ab (M1^2 - 2 M2) + ..."""
+    root = rep.system.simple_roots[0]
+    ((i, j, c),) = rep.m2[root]
+    return dataclasses.replace(rep, m2={**rep.m2, root: ((i, j, -c),)})
+
+
+def _rep(kind, rank, repkind):
+    return build_representation(build_root_system(kind, rank), repkind)
+
+
+MUTATIONS = {
+    "m1-A3-defining": lambda: _negated_m1(_rep("A", 3, "defining")),
+    "m1-D4-vector": lambda: _negated_m1(_rep("D", 4, "vector")),
+    "m2-A2-adjoint": lambda: _negated_m2(_rep("A", 2, "adjoint")),
+    "m2-A3-adjoint": lambda: _negated_m2(_rep("A", 3, "adjoint")),
+    "flip-A3-defining": lambda: _flipped(_rep("A", 3, "defining")),
+    "flip-A2-adjoint": lambda: _flipped(_rep("A", 2, "adjoint")),
+}
+
+
+@pytest.mark.parametrize("ring", [ZZ(), localize(ZZ(), 2)], ids=["ZZ", "ZZ[1/2]"])
+@pytest.mark.parametrize("name", list(MUTATIONS))
+def test_exact_sweep_refutes_each_mutation_with_a_replayable_witness(name, ring):
+    """Each mutated table is refuted; every violation's case has a
+    nonzero generic difference, and its arguments give two different
+    images when the two sides are replayed through `evaluate`."""
+    bad = MUTATIONS[name]()
+    assert reps._np_coeff_profile(ring) is None
+    report = verify_relations(bad, ring, 4, random.Random(name))
+    assert report.violations
+    if name.startswith("m2"):
+        assert any(v[0] == "R1" for v in report.violations)
+    cases = {(law[:2], alpha) if law == "R1" else (law[:2], alpha, beta): (law, alpha, beta, s)
+             for law, alpha, beta, s in reps._cases(bad.system)}
+    for violation, (a, b) in zip(report.violations, report.arguments, strict=True):
+        case = cases[violation]
+        assert reps._difference(bad, case)
+        left, right = _sides(ring, case, a.payload, b.payload)
+        assert _replayed(bad, ring, left) != _replayed(bad, ring, right), violation
+
+
+@pytest.mark.parametrize("kind,rank,repkind", [
+    (kind, rank, repkind) for kind in SUPPORTED_RANKS for rank in SUPPORTED_RANKS[kind]
+    for repkind in ("defining" if kind == "A" else "vector", "adjoint")])
+def test_every_case_is_certified_at_the_generic_point(kind, rank, repkind):
+    """R1-R3 hold over ZZ[a, b] for every case of every supported rep."""
+    rep = _rep(kind, rank, repkind)
+    assert [case for case in reps._cases(rep.system) if reps._difference(rep, case)] == []
+
+
+def test_exact_sweep_evaluates_no_certified_case(monkeypatch):
+    """Over ZZ a certified case draws its samples and evaluates nothing,
+    and a failing one is specialized without `_image_rows`."""
+    def unused(*args):
+        raise AssertionError("a certified case was evaluated")
+
+    monkeypatch.setattr(reps, "_image_rows", unused)
+    for key in ("A3-defining", "A3-adjoint", "D4-vector"):
+        rep = _rep(key[0], int(key[1]), key.split("-")[1])
+        assert verify_relations(rep, ZZ(), 2, random.Random(key)).ok
+    assert not verify_relations(_flipped(_rep("A", 3, "defining")), ZZ(), 2, random.Random(0)).ok
+
+
+DIFFERENTIAL_REPS = [_rep("A", 2, "defining"), _rep("A", 2, "adjoint"),
+                     _rep("A", 3, "defining"), _rep("D", 4, "vector")]
+DIFFERENTIAL_RINGS = [ZZ(), quotient(ZZ(), 6), GF(7), localize(ZZ(), 2), quotient(_Pt, _Pt.var("t") ** 3)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(DIFFERENTIAL_REPS), st.sampled_from(["R1", "R2", "R3"]), st.data(),
+       st.sampled_from(DIFFERENTIAL_RINGS), st.integers(0, 2 ** 32))
+def test_difference_specializes_to_the_evaluated_sides(rep, law, data, ring, seed):
+    """At sampled (a, b) of each ring, ZZ among them, the generic
+    difference specialized as the exact kernel does is left minus right
+    as `_image_rows` multiplies them out there, on intact, flipped and
+    M2-negated tables, whose cases reach every degree."""
+    rep = data.draw(st.sampled_from([rep, _flipped(rep)] + ([_negated_m2(rep)] if rep.m2[
+        rep.system.simple_roots[0]] else [])))
+    case = data.draw(st.sampled_from([c for c in reps._cases(rep.system) if c[0][:2] == law]))
+    rng = random.Random(seed)
+    a, b = ring._sample(rng, 6), ring._sample(rng, 6)
+    left, right = (reps._image_rows(ring, rep, side) for side in _sides(ring, case, a, b))
+    assert reps._specialize(ring, reps._difference(rep, case), a, b) == \
+        _rows_difference(ring, left, right)
+
+
+def test_difference_is_the_difference_over_the_polynomial_ring():
+    """At the generic point of ZZ[a, b] itself, `_image_rows` gives the
+    same difference, term by term, for every case of a flipped and an
+    intact rep."""
+    P = poly_ring(ZZ(), ("a", "b"))
+    a, b = P.gens()
+    for rep in (_rep("A", 2, "adjoint"), _flipped(_rep("A", 3, "defining"))):
+        for case in reps._cases(rep.system):
+            left, right = (reps._image_rows(P, rep, side)
+                           for side in _sides(P, case, a.payload, b.payload))
+            want = {}
+            for (i, j, r, c), n in reps._difference(rep, case).items():
+                want[r, c] = want.get((r, c), P.zero) + n * a ** i * b ** j
+            got = {key: RingElement(P, v) for key, v in _rows_difference(P, left, right).items()}
+            assert got == want, case
