@@ -28,7 +28,7 @@ from .rings import (GF, QQ, ZZ, CompatibilityError, Ideal, bezout_decompose,
                     localize, milnor_square_project_base,
                     milnor_square_project_poly, milnor_square_pullback,
                     milnor_square_ring, poly_ring, product_ring, quotient,
-                    quotient_hom, reciprocal_localization_witness,
+                    reciprocal_localization_witness,
                     substitution_hom)
 from .roots import build_root_system
 from .simplicial import (MooreGenerator, crt_from_pair, crt_to_pair, face_hom,
@@ -304,24 +304,18 @@ def reduce_soundness(rng, n):
 
 def congruence_condition(rng, n):
     """n random a in (a0), b in (b0), c in each of A2 and A3: the images of
-    [x(a), x^-(cb)] and [x(ac), x^-(b)] over Z/(a0 b0) agree, through
-    check_commutator_congruence and directly in the defining
-    representation."""
+    [x(a), x^-(cb)] and [x(ac), x^-(b)] over Z/(a0 b0) agree in the
+    adjoint and in the defining representation."""
     out = []
     for kind, rank in (("A", 2), ("A", 3)):
-        defin = _rep(kind, rank, "defining")
-        system = defin.system
+        system = build_root_system(kind, rank)
         root = system.simple_roots[0]
         for _ in range(n):
             a0, b0 = rng.randint(2, 7), rng.randint(2, 7)
             a, b, c = a0 * rng.randint(1, 5), b0 * rng.randint(1, 5), rng.randint(-10, 10)
-            hom = quotient_hom(Z, quotient(Z, a0 * b0))
-            w1 = opposite_commutator(system, Z, root, Z.from_int(a), Z.from_int(c * b))
-            w2 = opposite_commutator(system, Z, root, Z.from_int(a * c), Z.from_int(b))
-            if not (check_commutator_congruence(system, root, a, b, c,
-                                                Ideal(Z, [a0]), Ideal(Z, [b0]))
-                    and evaluate(substitute(w1, hom), defin)
-                    == evaluate(substitute(w2, hom), defin)):
+            ideals = (Ideal(Z, [a0]), Ideal(Z, [b0]))
+            if not all(check_commutator_congruence(system, root, a, b, c, *ideals, rep_kind=k)
+                       for k in ("adjoint", "defining")):
                 out.append({"ring": f"ZZ/({a0 * b0})", "roots": [list(root)],
                             "args": [a, b, c]})
     return out

@@ -144,9 +144,6 @@ class MilnorSymbolSum:
     def __sub__(self, other: "MilnorSymbolSum") -> "MilnorSymbolSum":
         return self + (-other)
 
-    def scale(self, n: int) -> "MilnorSymbolSum":
-        return MilnorSymbolSum(self.field, {k: n * m for k, m in self.terms})
-
     @property
     def is_empty(self) -> bool:
         return not self.terms
@@ -172,9 +169,8 @@ class TameSymbolImage:
             raise ValueError("tame symbol value must be a nonzero residue")
 
 
-def symbol(a, b, field: Ring | None = None) -> MilnorSymbolSum:
-    field = field or RationalField()
-    return MilnorSymbolSum(field, [((a, b), 1)])
+def symbol(a, b) -> MilnorSymbolSum:
+    return MilnorSymbolSum(RationalField(), [((a, b), 1)])
 
 
 def relevant_odd_primes(s: MilnorSymbolSum):
@@ -203,12 +199,6 @@ def _valuation(x: Fraction, p: int):
     return v, Fraction(num, den)
 
 
-def _modpow_signed(x: int, e: int, p: int) -> int:
-    if e >= 0:
-        return pow(x, e, p)
-    return pow(pow(x, -1, p), -e, p)
-
-
 def tame_symbol_term(a, b, p: int) -> int:
     """(-1)^(v(a)v(b)) a^v(b) / b^v(a) reduced modulo p; the p-power
     parts cancel, leaving a unit computed from the unit parts of a, b."""
@@ -219,7 +209,7 @@ def tame_symbol_term(a, b, p: int) -> int:
     vb, ub = _valuation(b, p)
     ua_mod = ua.numerator * pow(ua.denominator, -1, p) % p
     ub_mod = ub.numerator * pow(ub.denominator, -1, p) % p
-    val = _modpow_signed(ua_mod, vb, p) * _modpow_signed(ub_mod, -va, p) % p
+    val = pow(ua_mod, vb, p) * pow(ub_mod, -va, p) % p
     if (va * vb) % 2:
         val = (-val) % p
     if val == 0:
@@ -235,11 +225,7 @@ def tame_symbol(s: MilnorSymbolSum, p: int) -> TameSymbolImage:
         raise ValueError("tame symbols are defined over Q here")
     val = 1
     for (a, b), mult in s.terms:
-        t = tame_symbol_term(a, b, p)
-        if mult >= 0:
-            val = (val * pow(t, mult, p)) % p
-        else:
-            val = (val * pow(pow(t, -1, p), -mult, p)) % p
+        val = val * pow(tame_symbol_term(a, b, p), mult, p) % p
     return TameSymbolImage(p, val)
 
 
@@ -311,7 +297,7 @@ def symbol_normalize(s: MilnorSymbolSum) -> MilnorSymbolSum:
 # bridge from Steinberg words
 # ---------------------------------------------------------------------------
 
-def steinberg_to_milnor(word, root=None) -> MilnorSymbolSum:
+def steinberg_to_milnor(word) -> MilnorSymbolSum:
     """Convert a product of Steinberg symbols on a fixed root into the
     corresponding Milnor symbol sum.  Recognition is syntactic through
     the constructor provenance of the word."""
@@ -320,10 +306,7 @@ def steinberg_to_milnor(word, root=None) -> MilnorSymbolSum:
     field = word.ring
     if not field.is_field:
         raise ValueError("Milnor symbols require a field of coefficients")
-    roots = {r for r, _, _ in word.symbols}
-    if root is not None:
-        roots.add(tuple(root))
-    if len(roots) > 1:
+    if len({r for r, _, _ in word.symbols}) > 1:
         raise ValueError("symbols sit on more than one root")
     terms = {}
     for _, u, v in word.symbols:

@@ -208,11 +208,11 @@ def evaluate(word, rep: Representation, hom: RingHom | None = None) -> GroupMatr
     return GroupMatrix(ring, rep.dim, _image_rows(ring, rep, letters))
 
 
-def k2_membership(word, rep: Representation, hom: RingHom | None = None) -> bool:
+def k2_membership(word, rep: Representation) -> bool:
     """Whether the word lies in the kernel of the chosen representation;
     for configurations faithful on the elementary subgroup this kernel
     contains exactly the unstable K2 classes."""
-    return evaluate(word, rep, hom).is_identity
+    return evaluate(word, rep).is_identity
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 import threading
 import weakref
 from fractions import Fraction
+from functools import partial
 from math import gcd as _int_gcd
 
 __all__ = [
@@ -95,8 +96,9 @@ class Ring(metaclass=_Interned):
     """Base class: payload-level arithmetic plus element facade.
 
     Subclasses implement the payload protocol: ``_add``, ``_neg``,
-    ``_mul``, ``_from_int``, ``_try_divide`` (a/b if the division is
-    exact, else None), ``_sample`` and ``_payload_from_json``."""
+    ``_mul``, ``_from_int``, ``_try_divide`` (a q with q*b = a, None when
+    there is none, ValueError when the ring cannot decide), ``_sample``
+    and ``_payload_from_json``."""
 
     kind = "abstract"
     is_domain = False
@@ -511,6 +513,8 @@ class PolynomialRing(Ring):
         if not b:
             return None
         q, r = _poly_divmod(self, a, b)
+        if r and not self.is_domain:
+            raise ValueError(f"leading-term division does not decide divisibility in {self}")
         return None if r else q
 
     def _sample(self, rng, size):
@@ -716,7 +720,8 @@ class QuotientRing(Ring):
             if modulus == 0:
                 raise ValueError("modulus must be nonzero")
             self.n = modulus
-            self.is_domain = _is_prime(modulus)
+            # a finite domain is a field
+            self.is_domain = self.is_field = _is_prime(modulus)
         elif isinstance(base, PolynomialRing) and base.nvars == 1:
             if not base.is_monic_univariate(modulus):
                 raise ValueError("polynomial modulus must be monic univariate")
@@ -746,34 +751,20 @@ class QuotientRing(Ring):
         return self._reduce(self.base._from_int(n))
 
     def _try_divide(self, a, b):
-        if self.n is not None:
-            g = _int_gcd(b, self.n)
-            if a % g:
-                return None
-            n1 = self.n // g
-            if n1 == 1:
-                return 0
-            return ((a // g) * pow(b // g, -1, n1)) % self.n
-        return self._poly_quotient_divide(a, b)
-
-    def _poly_quotient_divide(self, a, b):
-        """a * b^-1, with the inverse taken over the fraction field.  The
-        modulus is monic, so ZZ[t]/(f) embeds in QQ[t]/(f) and b is a unit
-        over ZZ iff its unique inverse there has integer coefficients."""
-        P = self.base
-        m = self.modulus.payload
-        if P.base.is_field:
-            inv = _inverse_mod(P, b, m)
-        elif isinstance(P.base, IntegerRing):
-            F = PolynomialRing(RationalField(), P.names)
-            inv = _inverse_mod(F, tuple((e, Fraction(c)) for e, c in b),
-                               tuple((e, Fraction(c)) for e, c in m))
-            if inv is None or any(c.denominator != 1 for _, c in inv):
-                return None
-            inv = tuple((e, c.numerator) for e, c in inv)
-        else:
+        E, m = self.base, self.modulus.payload
+        if self.n is not None or E.base.is_field:
+            return _divide_mod(E, a, b, m)[0]
+        if not isinstance(E.base, IntegerRing):
+            raise ValueError(f"cannot decide division in {self}: its base is not ZZ or a field")
+        # f is monic, so ZZ[t]/(f) is a subring of QQ[t]/(f)
+        F = PolynomialRing(RationalField(), E.names)
+        q, g = _divide_mod(F, *(tuple((e, Fraction(c)) for e, c in x) for x in (a, b, m)))
+        if q is not None and all(c.denominator == 1 for _, c in q):
+            return tuple((e, c.numerator) for e, c in q)
+        if q is None or F.degree(g) == 0:   # no quotient, or the unique one
             return None
-        return None if inv is None else self._mul(a, inv)
+        raise ValueError(f"cannot decide in {self} whether "
+                         f"{self._payload_str(b)} divides {self._payload_str(a)}")
 
     def _sample(self, rng, size):
         return self._reduce(self.base._sample(rng, size))
@@ -887,11 +878,15 @@ class MilnorSquareRing(Ring):
         return (self.base._from_int(n), ())
 
     def _try_divide(self, a, b):
-        # units are pairs (unit of R, 0)
-        x = self.base._try_divide(a[0], b[0])
-        if x is None or b[1] != () or a[1] != ():
+        # the ring is the subring of R_a[t] whose constant terms lie in R
+        q = self.poly._try_divide(self.poly._add(self._loc_const(a[0]), a[1]),
+                                  self.poly._add(self._loc_const(b[0]), b[1]))
+        if q is None:
             return None
-        return (x, ())
+        x, k = self.loc._from_int(0)
+        if q and q[-1][0] == (0,):
+            (x, k), q = q[-1][1], q[:-1]
+        return None if k else (x, q)
 
     def _sample(self, rng, size):
         f = {}
@@ -1013,17 +1008,14 @@ def quotient_hom(base: Ring, quo: QuotientRing) -> RingHom:
     return RingHom(base, quo, quo._reduce, "project")
 
 
-def substitution_hom(domain: PolynomialRing, codomain: Ring, images,
-                     coeff_hom: RingHom | None = None) -> RingHom:
+def substitution_hom(domain: PolynomialRing, codomain: Ring, images) -> RingHom:
     """Evaluation homomorphism sending each variable to the given image."""
     images = {name: codomain.el(v) for name, v in images.items()}
     missing = [n for n in domain.names if n not in images]
     if missing:
         raise ValueError(f"no image for variables {missing}")
     img = [images[n].payload for n in domain.names]
-    if coeff_hom is not None:
-        coeff_fn = coeff_hom.fn
-    elif isinstance(domain.base, IntegerRing):
+    if isinstance(domain.base, IntegerRing):
         coeff_fn = codomain._from_int
     elif domain.base is codomain:
         coeff_fn = lambda c: c
@@ -1101,26 +1093,32 @@ def fraction_field_hom(ring: Ring) -> RingHom:
 # extended gcd / Bezout identities
 # ---------------------------------------------------------------------------
 
-def _poly_ext_gcd(P: PolynomialRing, a, b):
-    zero, one = P._from_int(0), P._from_int(1)
+def _euclid(E: Ring, a, b):
+    """(g, x, y) with x*a + y*b = g = gcd(a, b), on payloads of E = ZZ or
+    a univariate polynomial ring over a field."""
+    div = divmod if isinstance(E, IntegerRing) else partial(_poly_divmod, E)
+    zero, one = E._from_int(0), E._from_int(1)
     r0, r1 = a, b
     s0, s1 = one, zero
     t0, t1 = zero, one
     while r1:
-        q, r = _poly_divmod(P, r0, r1)
+        q, r = div(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, P._add(s0, P._neg(P._mul(q, s1)))
-        t0, t1 = t1, P._add(t0, P._neg(P._mul(q, t1)))
+        s0, s1 = s1, E._add(s0, E._neg(E._mul(q, s1)))
+        t0, t1 = t1, E._add(t0, E._neg(E._mul(q, t1)))
     return r0, s0, t0
 
 
-def _inverse_mod(F: PolynomialRing, b, m):
-    """Inverse of b modulo m in the univariate ring F over a field, or None."""
-    g, x, _ = _poly_ext_gcd(F, b, m)
-    if F.degree(g) != 0:
-        return None
-    ginv = F.base._try_divide(F.base._from_int(1), g[0][1])
-    return _poly_divmod(F, F._mul(x, ((g[0][0], ginv),)), m)[1]
+def _divide_mod(E: Ring, a, b, m):
+    """(q, g) with q*b = a modulo m, or q = None when there is no such q,
+    and g = gcd(b, m), in E = ZZ or F[t].  With s*b = g modulo m, b
+    divides a modulo m exactly when g divides a, and q = (a/g)(s mod m/g)."""
+    div = divmod if isinstance(E, IntegerRing) else partial(_poly_divmod, E)
+    g, s, _ = _euclid(E, b, m)
+    ag, r = div(a, g)
+    if r:
+        return None, g
+    return div(E._mul(ag, div(s, div(m, g)[0])[1]), m)[1], g
 
 
 def ext_gcd(a: RingElement, b: RingElement):
@@ -1129,20 +1127,10 @@ def ext_gcd(a: RingElement, b: RingElement):
     ring = a.ring
     if ring is not b.ring:
         raise RingMismatchError("ext_gcd operands in different rings")
-    if isinstance(ring, IntegerRing):
-        old_r, r = a.payload, b.payload
-        old_s, s = 1, 0
-        old_t, t = 0, 1
-        while r:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-            old_t, t = t, old_t - q * t
-        return RingElement(ring, old_r), RingElement(ring, old_s), RingElement(ring, old_t)
-    if isinstance(ring, PolynomialRing) and ring.nvars == 1 and ring.base.is_field:
-        g, x, y = _poly_ext_gcd(ring, a.payload, b.payload)
-        return RingElement(ring, g), RingElement(ring, x), RingElement(ring, y)
-    raise ValueError(f"no effective Bezout algorithm for {ring}")
+    if not (isinstance(ring, IntegerRing)
+            or isinstance(ring, PolynomialRing) and ring.nvars == 1 and ring.base.is_field):
+        raise ValueError(f"no effective Bezout algorithm for {ring}")
+    return tuple(RingElement(ring, p) for p in _euclid(ring, a.payload, b.payload))
 
 
 def bezout_identity(a: RingElement, b: RingElement, s: int = 1, t: int | None = None):

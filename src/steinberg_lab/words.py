@@ -234,12 +234,9 @@ def word_to_json(w: SteinbergWord):
     }
 
 
-def word_from_json(data, system: RootSystem | None = None,
-                   ring: Ring | None = None) -> SteinbergWord:
-    if system is None:
-        system = build_root_system(data["system"]["type"], data["system"]["rank"])
-    if ring is None:
-        ring = ring_from_json(data["ring"])
+def word_from_json(data) -> SteinbergWord:
+    system = build_root_system(data["system"]["type"], data["system"]["rank"])
+    ring = ring_from_json(data["ring"])
     letters = []
     for entry in data["letters"]:
         arg = RingElement(ring, ring._payload_from_json(entry["arg"]))

@@ -1,7 +1,9 @@
-"""Differential tests of primality, factorization and polynomial division
-against sympy, and a property test of exact multivariate division."""
+"""Differential tests of primality, factorization, polynomial division,
+quotient-ring division and extended Euclid against sympy or brute force,
+and a property test of exact multivariate division."""
 
 import random
+from math import gcd
 
 import pytest
 import sympy
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from steinberg_lab.milnor import factor_positive, symbol, tame_symbol
 from steinberg_lab.rings import (GF, ZZ, RingElement, _is_prime, _poly_canonical,
-                                 _poly_divmod, poly_ring)
+                                 _poly_divmod, ext_gcd, poly_ring, quotient)
 
 PSI_13 = 3_317_044_064_679_887_385_961_981
 
@@ -120,3 +122,96 @@ def test_exact_division_recovers_factor(f, g):
     if P3.degree(g.payload) > 0:
         # g cannot divide f*g + 1 without dividing the unit 1
         assert (f * g + 1).try_divide(g) is None
+
+
+# -- division in quotient rings ----------------------------------------------
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 60), st.data())
+def test_integer_quotient_division_matches_brute_force(n, data):
+    a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    q = quotient(ZZ(), n).from_int(a).try_divide(b)
+    if all((x * b - a) % n for x in range(n)):
+        assert q is None
+    else:
+        # the representative is (a/g)(b/g)^-1 mod n/g, scaled into Z/n
+        g = gcd(b, n)
+        assert q.payload == (a // g * pow(b // g, -1, n // g) % n if n > g else 0)
+
+
+def _quotient_case(base, p, data):
+    """Random a, b in base[t]/(f) for a monic f of degree 1..4, and the
+    sympy polynomials of a, b and f."""
+    P = poly_ring(base, ("x",))
+    coeffs = st.integers(-4, 4)
+    deg = data.draw(st.integers(1, 4))
+    # coefficient lists, constant term first
+    f = data.draw(st.lists(coeffs, min_size=deg, max_size=deg)) + [1]
+    a, b = (data.draw(st.lists(coeffs, max_size=deg)) for _ in range(2))
+    x = sympy.Symbol("x")
+    opts = {"domain": "QQ"} if p is None else {"modulus": p}
+    polys = [sympy.Poly(c[::-1] or [0], x, **opts) for c in (a, b, f)]
+    a, b, f = (RingElement(P, _poly_canonical(
+        {(e,): P.base._from_int(c) for e, c in enumerate(cs) if P.base._from_int(c)}))
+        for cs in (a, b, f))
+    Q = quotient(P, f)
+    return Q.project(a), Q.project(b), polys
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 7]), st.data())
+def test_prime_field_quotient_division_matches_sympy(p, data):
+    a, b, (sa, sb, sf) = _quotient_case(GF(p), p, data)
+    q = a.try_divide(b)
+    if sa.rem(sb.gcd(sf)).is_zero:
+        assert q is not None and q * b == a
+    else:
+        assert q is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_integer_polynomial_quotient_division_agrees_with_qq(data):
+    a, b, (sa, sb, sf) = _quotient_case(ZZ(), None, data)
+    g = sb.gcd(sf)
+    try:
+        q = a.try_divide(b)
+    except ValueError:
+        # only a rational quotient that is neither integral nor unique
+        assert sa.rem(g).is_zero and g.degree() > 0
+        return
+    if q is not None:
+        assert q * b == a
+    elif sa.rem(g).is_zero:
+        # b is a unit over QQ, and its one quotient is not integral
+        assert g.degree() == 0
+        unique = (sa * sympy.invert(sb, sf)).rem(sf)
+        assert any(c.q != 1 for c in unique.all_coeffs())
+
+
+# -- extended Euclid ---------------------------------------------------------
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(-10 ** 12, 10 ** 12), st.integers(-10 ** 12, 10 ** 12))
+def test_ext_gcd_over_integers_matches_sympy(a, b):
+    Z = ZZ()
+    g, x, y = ext_gcd(Z.from_int(a), Z.from_int(b))
+    assert x * a + y * b == g
+    assert abs(g.payload) == sympy.gcd(a, b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 6), max_size=7), st.lists(st.integers(0, 6), max_size=7))
+def test_ext_gcd_over_f7_matches_sympy(ca, cb):
+    P = poly_ring(GF(7), ("x",))
+    x = sympy.Symbol("x")
+    a, b = (RingElement(P, _poly_canonical({(e,): c for e, c in enumerate(cs) if c}))
+            for cs in (ca, cb))
+    g, u, v = ext_gcd(a, b)
+    assert u * a + v * b == g
+    want = _to_sympy(a, x, 7).gcd(_to_sympy(b, x, 7))
+    if g.is_zero:
+        assert want.is_zero
+    else:
+        monic = g * GF(7).el(g.payload[0][1]).inverse().payload
+        assert _to_sympy(monic, x, 7) == want

@@ -215,6 +215,21 @@ def test_quotient_rings():
     # zero ring: unit ideal quotient
     Z1 = quotient(Z, 1)
     assert Z1.one == Z1.zero
+    # quotients by zero divisors in ZZ[t]/(t^3) and F7[t]/(t^3)
+    t = T3.project(Pt.var("t"))
+    assert T3.from_int(2).try_divide(T3.from_int(2)) == T3.one
+    assert (t * t).try_divide(t) == t
+    P7 = poly_ring(GF(7), ("t",))
+    Q7 = quotient(P7, P7.var("t") ** 3)
+    t7 = Q7.project(P7.var("t"))
+    assert (t7 * t7).try_divide(t7) == t7
+    assert t7.try_divide(t7 * t7) is None
+    # Z/7 is a field, so (Z/7)[t]/(t^2 + 1) divides like F7[t]/(t^2 + 1)
+    Z7 = quotient(Z, 7)
+    assert Z7.is_field
+    P = poly_ring(Z7, ("t",))
+    i = quotient(P, P.var("t") ** 2 + 1).project(P.var("t"))
+    assert i.inverse() == -i
 
 
 def test_quotient_units_over_integers():
@@ -230,6 +245,33 @@ def test_quotient_units_over_integers():
     u = T3.project(1 + 2 * t + 5 * t ** 2)
     assert u.inverse() == T3.project(1 - 2 * t - t ** 2)
     assert not T3.project(2 + t).is_unit()
+    # 2 is a unit over QQ, so 2 + 4t has exactly one quotient by 2
+    assert T3.project(2 + 4 * t).try_divide(T3.from_int(2)) == T3.project(1 + 2 * t)
+    assert T3.project(1 + 4 * t).try_divide(T3.from_int(2)) is None
+    # every rational quotient of t by 2t is 1/2 + ct, none integral; the
+    # rule does not search them, so it says that it cannot decide
+    T2 = quotient(Pt, t ** 2)
+    with pytest.raises(ValueError, match="cannot decide"):
+        T2.project(t).try_divide(T2.project(2 * t))
+
+
+def test_quotient_division_over_other_bases_raises():
+    # 1 + t is a unit of both rings, (1 + t)(1 - t) = 1 and
+    # (1 + t)(1 - t + t^2) = 1, but neither base is ZZ or a field
+    for base, k in ((quotient(ZZ(), 6), 2), (localize(ZZ(), 2), 3)):
+        P = poly_ring(base, ("t",))
+        u = quotient(P, P.var("t") ** k).project(P.one + P.var("t"))
+        with pytest.raises(ValueError, match="cannot decide"):
+            u.is_unit()
+
+
+def test_polynomial_division_over_a_non_domain_raises():
+    P6 = poly_ring(quotient(ZZ(), 6), ("t",))
+    t = P6.var("t")
+    assert 4 * (2 * t + 3) == 2 * t
+    with pytest.raises(ValueError, match="does not decide"):
+        (2 * t).try_divide(2 * t + 3)
+    assert (2 * t * (t + 1)).try_divide(t + 1) == 2 * t
 
 
 def test_ideals():
@@ -269,6 +311,20 @@ def test_milnor_square_pullback_function_field():
     e = milnor_square_pullback(s * s, g, square)
     assert milnor_square_project_base(e) == s * s
     assert milnor_square_project_poly(e) == g
+
+
+def test_milnor_square_division():
+    square = milnor_square_ring(ZZ(), 2)
+    t = square.poly.var("t")
+    assert square.pair(1, t).try_divide(square.pair(-1, 0)) == square.pair(-1, -t)
+    # 1/2 lies in ZZ[1/2] but not in ZZ, and 2t/(1 + t) is not a polynomial
+    assert square.pair(1, 0).try_divide(square.pair(2, 0)) is None
+    assert square.pair(0, 2 * t).try_divide(square.pair(1, t)) is None
+    rng = random.Random(5)
+    for _ in range(200):
+        x, y = square.sample(rng), square.sample(rng)
+        if not y.is_zero:
+            assert (x * y).try_divide(y) == x
 
 
 def test_milnor_square_roundtrip_random():
