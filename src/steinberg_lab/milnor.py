@@ -22,67 +22,64 @@ __all__ = [
 ]
 
 
-_TRIAL_CAP = 1 << 32   # trial division runs while d * d <= min(n, cap)
+_SMALL_PRIMES = tuple(p for p in range(1 << 8) if _is_prime(p))
 _RHO_STEPS = 1 << 18   # Pollard rho steps tried on a cofactor at or above psi_13
 
 
 def factor_positive(n: int) -> dict:
-    """Prime factorization of a positive integer.  Up to 2^32 by trial
-    division; above, trial division to 2^16, then Miller-Rabin and
-    Pollard rho on the cofactor.  A cofactor at or above psi_13, where
-    Miller-Rabin is not exact, gets _RHO_STEPS rho steps (about half a
-    second); ValueError if they find no factor."""
+    """Prime factorization of a positive integer, keys ascending.  Trial
+    division by the primes below 2^8, then Miller-Rabin and Pollard rho
+    on the cofactor.  A cofactor at or above psi_13, where Miller-Rabin
+    is not exact, gets _RHO_STEPS rho steps (about half a second);
+    ValueError if they find no factor."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"cannot factor {n!r}: not an integer")
     if n <= 0:
         raise ValueError("argument must be positive")
     out = {}
-    for p in (2, 3):
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    cap = min(n, _TRIAL_CAP)
-    d = 5
-    while d * d <= cap:
-        for p in (d, d + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-                cap = min(n, cap)
-        d += 6
-    if n > _TRIAL_CAP:
+    if n > 1:
         for p in _large_factors(n):
             out[p] = out.get(p, 0) + 1
-    elif n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    return dict(sorted(out.items()))
 
 
 def _large_factors(n: int) -> list:
     """Prime factors, with repetition, of n > 1 free of primes below
-    2^16: such an n below 2^32 is prime."""
+    2^8: such an n below 2^16 is prime."""
+    if n < 1 << 16:
+        return [n]
     if n < _MR_LIMIT:
-        if n <= _TRIAL_CAP or _is_prime(n):
+        if _is_prime(n):
             return [n]
         d = _pollard_rho(n)
     else:
         d = _pollard_rho(n, _RHO_STEPS)
         if d is None:
-            raise ValueError(f"cannot factor {n}: no factor below 2^16 or in "
+            raise ValueError(f"cannot factor {n}: no factor below 2^8 or in "
                              f"{_RHO_STEPS} Pollard rho steps, and its primality "
                              f"is decided only below {_MR_LIMIT}")
     return _large_factors(d) + _large_factors(n // d)
 
 
 def _pollard_rho(n: int, steps=None):
-    """A proper factor of the odd n, or None when n is not split within
-    the given number of steps (no limit by default; a composite n then
-    always splits): Floyd cycle finding on x -> x^2 + c with one gcd
-    per 64 steps, trying c = 1, 2, ... until the gcd is proper."""
+    """A proper factor of the odd composite n, or None when n is not
+    split within the given number of steps (no limit by default; n then
+    always splits): Floyd cycle finding on x -> x^2 + c with one gcd per
+    64 steps, trying c = 1, 2, ... until the gcd is proper.  A batch whose
+    product falls to 0 mod n is replayed one step at a time."""
     c = 0
     while steps is None or steps > 0:
         c += 1
         x = y = 2
         d = 1
         while d == 1 and (steps is None or steps > 0):
+            x0, y0 = x, y
             q = 1
             for _ in range(64):
                 x = (x * x + c) % n
@@ -90,6 +87,13 @@ def _pollard_rho(n: int, steps=None):
                 y = (y * y + c) % n
                 q = q * (x - y) % n
             d = gcd(q, n)
+            if d == n:
+                x, y, d = x0, y0, 1
+                while d == 1:
+                    x = (x * x + c) % n
+                    y = (y * y + c) % n
+                    y = (y * y + c) % n
+                    d = gcd(x - y, n)
             if steps is not None:
                 steps -= 64
         if 1 < d < n:
@@ -187,45 +191,50 @@ def relevant_odd_primes(s: MilnorSymbolSum):
 # tame symbols
 # ---------------------------------------------------------------------------
 
-def _valuation(x: Fraction, p: int):
-    v = 0
+def _check_odd_prime(p) -> None:
+    if not isinstance(p, int) or isinstance(p, bool) or p == 2 or not _is_prime(p):
+        raise ValueError("tame symbols are computed at odd primes only")
+
+
+def _unit_split(x, p: int):
+    """(v_p(x), unit part of x mod p) for a nonzero rational x, read off
+    its numerator and denominator."""
     num, den = x.numerator, x.denominator
+    v = 0
     while num % p == 0:
         num //= p
         v += 1
     while den % p == 0:
         den //= p
         v -= 1
-    return v, Fraction(num, den)
+    return v, num * pow(den, -1, p) % p
+
+
+def _tame_term(a, b, p: int) -> int:
+    va, ua = _unit_split(a, p)
+    vb, ub = _unit_split(b, p)
+    val = pow(ua, vb, p) * pow(ub, -va, p) % p
+    return p - val if (va * vb) % 2 else val
 
 
 def tame_symbol_term(a, b, p: int) -> int:
-    """(-1)^(v(a)v(b)) a^v(b) / b^v(a) reduced modulo p; the p-power
-    parts cancel, leaving a unit computed from the unit parts of a, b."""
+    """(-1)^(v(a)v(b)) a^v(b) / b^v(a) reduced modulo the odd prime p;
+    the p-power parts cancel, leaving a unit of the unit parts of a, b."""
+    _check_odd_prime(p)
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("symbol entries must be nonzero")
-    va, ua = _valuation(a, p)
-    vb, ub = _valuation(b, p)
-    ua_mod = ua.numerator * pow(ua.denominator, -1, p) % p
-    ub_mod = ub.numerator * pow(ub.denominator, -1, p) % p
-    val = pow(ua_mod, vb, p) * pow(ub_mod, -va, p) % p
-    if (va * vb) % 2:
-        val = (-val) % p
-    if val == 0:
-        raise ArithmeticError("tame symbol produced zero")
-    return val
+    return _tame_term(a, b, p)
 
 
 def tame_symbol(s: MilnorSymbolSum, p: int) -> TameSymbolImage:
     """Image of the symbol sum in F_p^x at an odd prime p."""
-    if p == 2 or not _is_prime(p):
-        raise ValueError("tame symbols are computed at odd primes only")
+    _check_odd_prime(p)
     if not isinstance(s.field, RationalField):
         raise ValueError("tame symbols are defined over Q here")
     val = 1
     for (a, b), mult in s.terms:
-        val = val * pow(tame_symbol_term(a, b, p), mult, p) % p
+        val = val * pow(_tame_term(a, b, p), mult, p) % p
     return TameSymbolImage(p, val)
 
 

@@ -333,14 +333,19 @@ class RationalField(Ring):
         return Fraction(_json_int(data["n"]), d)
 
 
-# The first 13 primes are strong-pseudoprime witnesses for every odd
-# composite below psi_13 (Sorenson & Webster, Math. Comp. 86, 2017).
+# psi_k is the least odd composite that is a strong pseudoprime to each of
+# the first k primes, so below psi_k those k bases decide primality
+# (Sorenson & Webster, Math. Comp. 86, 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051,
+           318665857834031151167461, 3317044064679887385961981)
+_MR_LIMIT = _MR_PSI[-1]
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact below psi_13, ValueError above."""
+    """Deterministic Miller-Rabin on the bases n needs; ValueError from psi_13."""
     if n >= _MR_LIMIT:
         raise ValueError(f"primality is decided only below {_MR_LIMIT}, got {n}")
     if n < 2:
@@ -352,17 +357,17 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a, psi in zip(_MR_BASES, _MR_PSI):   # n < psi_13: returns in the loop
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
 
 
 class PrimeFieldRing(Ring):
@@ -755,6 +760,10 @@ class QuotientRing(Ring):
         if self.n is not None or E.base.is_field:
             return _divide_mod(E, a, b, m)[0]
         if not isinstance(E.base, IntegerRing):
+            if len(b) == 1 and not any(b[0][0]):   # b is a constant c
+                c_inv = E.base._try_divide(E.base._from_int(1), b[0][1])
+                if c_inv is not None:
+                    return self._mul(a, ((b[0][0], c_inv),))
             raise ValueError(f"cannot decide division in {self}: its base is not ZZ or a field")
         # f is monic, so ZZ[t]/(f) is a subring of QQ[t]/(f)
         F = PolynomialRing(RationalField(), E.names)

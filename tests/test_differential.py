@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from steinberg_lab.milnor import factor_positive, symbol, tame_symbol
+from steinberg_lab.milnor import _pollard_rho, factor_positive, symbol, tame_symbol
 from steinberg_lab.rings import (GF, ZZ, RingElement, _is_prime, _poly_canonical,
                                  _poly_divmod, ext_gcd, poly_ring, quotient)
 
@@ -36,6 +36,18 @@ def test_strong_pseudoprimes_and_carmichael_are_composite(n):
     assert not _is_prime(n)
 
 
+# psi_1 .. psi_12: the least odd composite that is a strong pseudoprime to
+# each of the first k primes (OEIS A014233); psi_13 is refused below
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051, 318665857834031151167461)
+
+
+def test_is_prime_rejects_every_psi_k():
+    # psi_k passes the first k bases, so stopping one base early calls it prime
+    assert [k for k, n in enumerate(PSI, 1) if _is_prime(n)] == []
+
+
 def test_is_prime_refuses_above_psi_13():
     assert _is_prime(PSI_13 - 2) == sympy.isprime(PSI_13 - 2)
     for n in (PSI_13, PSI_13 + 2 ** 70):
@@ -49,6 +61,30 @@ def test_factor_positive_matches_sympy_below_2_64():
                   for _ in range(3)]
     for n in [rng.randrange(1, 2 ** 64) for _ in range(60)] + semiprimes:
         assert factor_positive(n) == sympy.factorint(n), n
+
+
+PRIMES_8_10 = list(sympy.primerange(2 ** 8, 2 ** 10))
+primes_8_10 = st.sampled_from(PRIMES_8_10)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(primes_8_10.map(lambda p: p ** 2), primes_8_10.map(lambda p: p ** 3),
+                 st.tuples(primes_8_10, primes_8_10).map(lambda pq: pq[0] * pq[1]),
+                 st.integers(1, 2 ** 64 - 1)))
+def test_factor_positive_matches_factorint(n):
+    fac = factor_positive(n)
+    assert fac == sympy.factorint(n)
+    assert list(fac) == sorted(fac)
+
+
+def test_pollard_rho_splits_products_of_primes_just_above_2_8():
+    # the cycles mod p and mod q both close within the first 64-step
+    # batch for most of these, so its product is 0 mod n and only the
+    # step-by-step replay of that batch finds the factor
+    ns = [p * q for p in PRIMES_8_10 for q in PRIMES_8_10 if p <= q]
+    for n in ns + [p ** 3 for p in PRIMES_8_10]:
+        d = _pollard_rho(n, 1 << 12)
+        assert d is not None and 1 < d < n and n % d == 0, n
 
 
 def test_factor_positive_refuses_two_primes_above_2_64():

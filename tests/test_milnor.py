@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steinberg_lab.milnor import (TameSymbolImage, factor_positive,
                                   steinberg_to_milnor, symbol,
@@ -28,6 +29,12 @@ def test_factor_positive():
         factor_positive(2 ** 89 - 1)
 
 
+def test_factor_positive_refuses_non_integers():
+    for n in (2.5, True, Fraction(4), "6"):
+        with pytest.raises(TypeError):
+            factor_positive(n)
+
+
 def test_tame_symbol_examples():
     assert tame_symbol(symbol(2, 3), 3).value == 2
     assert tame_symbol(symbol(2, 3), 5).value == 1
@@ -44,6 +51,45 @@ def test_tame_symbol_term_valuations():
     assert tame_symbol_term(Fraction(1, 3), Fraction(2), 3) == 2
     # both valuations odd: sign flip, 3 * 5 at p=3 and p=5
     assert tame_symbol_term(Fraction(3), Fraction(3), 3) == (-1) % 3
+
+
+def test_tame_symbol_term_refuses_primes_that_are_not_odd_primes():
+    # 9 first: the unchecked formula returned 1 there and looped at p = 1
+    for p in (9, 2, 1, -1, -3, True, 3.0):
+        with pytest.raises(ValueError, match="odd primes only"):
+            tame_symbol_term(2, 3, p)
+
+
+def _fraction_tame_term(a, b, p):
+    """The tame symbol term computed through Fraction unit parts, as a
+    reference for the integer version."""
+    def valuation(x):
+        v, num, den = 0, x.numerator, x.denominator
+        while num % p == 0:
+            num //= p
+            v += 1
+        while den % p == 0:
+            den //= p
+            v -= 1
+        return v, Fraction(num, den)
+
+    (va, ua), (vb, ub) = valuation(a), valuation(b)
+    ua_mod = ua.numerator * pow(ua.denominator, -1, p) % p
+    ub_mod = ub.numerator * pow(ub.denominator, -1, p) % p
+    val = pow(ua_mod, vb, p) * pow(ub_mod, -va, p) % p
+    return (-val) % p if (va * vb) % 2 else val
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([3, 5, 7, 11, 101, 65537, 2 ** 31 - 1]), st.data())
+def test_tame_symbol_term_matches_fraction_formula(p, data):
+    def entry():
+        unit = Fraction(data.draw(st.integers(-10 ** 6, 10 ** 6).filter(bool)),
+                        data.draw(st.integers(1, 10 ** 6)))
+        return unit * Fraction(p) ** data.draw(st.integers(-3, 3))
+
+    a, b = entry(), entry()
+    assert tame_symbol_term(a, b, p) == _fraction_tame_term(a, b, p)
 
 
 def test_symbol_entries_validated():

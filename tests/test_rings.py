@@ -265,6 +265,18 @@ def test_quotient_division_over_other_bases_raises():
             u.is_unit()
 
 
+def test_quotient_division_by_a_unit_of_another_base():
+    # dividing by a constant unit of the base needs no decision
+    for base, k, c in ((quotient(ZZ(), 6), 2, 5), (localize(ZZ(), 2), 3, 2)):
+        P = poly_ring(base, ("t",))
+        Q = quotient(P, P.var("t") ** k)
+        t = Q.project(P.var("t"))
+        assert Q.one.is_unit()
+        q = (3 * t + 1).divide(c)
+        assert q * c == 3 * t + 1
+        assert (c * Q.one).inverse() * c == Q.one
+
+
 def test_polynomial_division_over_a_non_domain_raises():
     P6 = poly_ring(quotient(ZZ(), 6), ("t",))
     t = P6.var("t")
