@@ -11,6 +11,7 @@ including characteristic 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -223,7 +224,8 @@ def k2_membership(word, rep: Representation) -> bool:
 class RelationReport:
     """`violations` names each failing law, ("R1", a) or (law, a, b);
     `arguments` holds, at the same position, the (a, b) of its first
-    failing trial as ring elements."""
+    failing trial as ring elements.  `certified` counts the cases proved
+    at the generic point, not evaluated; 0 when evaluation decided all."""
 
     representation: str
     ring: str
@@ -231,6 +233,7 @@ class RelationReport:
     pairs_checked: int
     violations: list
     arguments: list
+    certified: int
 
     @property
     def ok(self) -> bool:
@@ -249,6 +252,22 @@ def _np_coeff_profile(ring: Ring):
             and len(ring.modulus.payload) == 1):
         return ring.modulus.payload[0][0][0], None, 4
     return None
+
+
+def _np_exact(rep: Representation, profile) -> bool:
+    """Whether every partial sum of the numpy kernel's float64 products
+    stays below 2^53.  With a modulus m the operands are reduced, so a
+    product entry is below k d (m - 1)^2.  Over Z[t]/(t^k), draws in
+    [-bound, bound], a scalar's coefficients are at most S (those of ab
+    or a + b), a letter entry's E = |M1| S + |M2| k S^2, and a law nests
+    two products, so its entries stay below (d k)^2 E^3."""
+    (k, mod, bound), d = profile, rep.dim
+    if mod:
+        return k * d * (mod - 1) ** 2 < 2 ** 53
+    s = max(k * bound ** 2, 2 * bound)
+    m1, m2 = (max((abs(c) for e in t.values() for _, _, c in e), default=0)
+              for t in (rep.m1, rep.m2))
+    return (d * k) ** 2 * (m1 * s + m2 * k * s ** 2) ** 3 < 2 ** 53
 
 
 # matrix entries in one batch of images: on the small representations
@@ -275,13 +294,14 @@ def _letter_tables(rep: Representation):
 
 
 class _NumpyKernel:
-    """Every case's `samples` draws come from one generator call; the cases
-    of one law are then evaluated together, at most `_BATCH_ENTRIES`
-    matrix entries at a time, or one case when a case is larger.  Over a
-    batch of B = cases x samples, a scalar is a (k, B) int64 array of
-    truncated polynomial coefficients and an image a (k, B, d, d) int64
-    array of truncated matrix polynomials, both reduced by the modulus
-    when there is one."""
+    """Every case's `samples` draws come from one generator call.  When
+    the float64 products are exact (`_np_exact`), a certified case holds
+    at every draw and is not evaluated.  The other cases of one law are
+    evaluated together, at most `_BATCH_ENTRIES` matrix entries at a
+    time, or one case when a case is larger.  Over a batch of B = cases x
+    samples, a scalar is a (k, B) int64 array of truncated polynomial
+    coefficients and an image a (k, B, d, d) int64 array of truncated
+    matrix polynomials, both reduced by the modulus when there is one."""
 
     # a law builds at most six images per batch: R3's three letters and
     # three products
@@ -290,6 +310,7 @@ class _NumpyKernel:
     def __init__(self, rep: Representation, ring: Ring, samples: int, rng, profile):
         self.rep, self.ring, self.samples = rep, ring, samples
         self.k, self.mod, self.bound = profile
+        self.exact = _np_exact(rep, profile)
         self.tables = _letter_tables(rep)
         self.nprng = np.random.default_rng(rng.randrange(2 ** 63))
         case_entries = samples * self.k * rep.dim ** 2
@@ -304,14 +325,16 @@ class _NumpyKernel:
     def _reduce(self, x):
         return x % self.mod if self.mod else x
 
-    def run(self, cases):
-        """The first failing (a, b) of each case, None where the law held."""
+    def run(self, cases, diffs):
+        """The first failing (a, b) of each case, None where the law held;
+        a case whose difference is {} is certified, None is unknown."""
         lo, hi = (0, self.mod) if self.mod else (-self.bound, self.bound + 1)
         draws = self.nprng.integers(lo, hi, size=(len(cases), 2, self.samples, self.k),
                                     dtype=np.int64)
         laws = {}
-        for n, case in enumerate(cases):
-            laws.setdefault(case[0], []).append(n)
+        for n, (case, diff) in enumerate(zip(cases, diffs)):
+            if diff != {}:
+                laws.setdefault(case[0], []).append(n)
         out = [None] * len(cases)
         for law, members in laws.items():
             for start in range(0, len(members), self.chunk):
@@ -373,7 +396,7 @@ class _NumpyKernel:
     def product(self, x, y):
         # taken in float64, one d x d slice at a time, so the BLAS kernels
         # apply, then truncated to int64 and reduced.  That is exact only
-        # below 2^53: fine for small moduli, inexact for moduli near 10^9
+        # below 2^53, which `_np_exact` decides per kernel
         xf, yf, term, acc = (self._buffer(f, x.shape[1]) for f in self.floats)
         np.copyto(xf, x)
         np.copyto(yf, y)
@@ -394,20 +417,22 @@ class _NumpyKernel:
 
 
 class _ExactKernel:
-    """Each case's difference at the generic point (`_difference`),
+    """Each case's difference at the generic point (`_differences`),
     specialized in the ring at `samples` trials that draw a and b, in
     case order, stopping a case at its first failure.  A zero difference
     holds at every (a, b) of every commutative ring: its trials draw a
     and b, which keeps the rng stream, and evaluate nothing."""
 
+    exact = True
+
     def __init__(self, rep: Representation, ring: Ring, samples: int, rng):
         self.rep, self.ring, self.samples, self.rng = rep, ring, samples, rng
 
-    def run(self, cases):
+    def run(self, cases, diffs):
         """The first failing (a, b) of each case, None where the law held."""
         ring, out = self.ring, []
-        for case in cases:
-            diff, failed = _difference(self.rep, case), None
+        for diff in diffs:
+            failed = None
             for _ in range(self.samples):
                 a, b = ring._sample(self.rng, 6), ring._sample(self.rng, 6)
                 if diff and _specialize(ring, diff, a, b):
@@ -467,32 +492,32 @@ def _then(x, y):
     return out
 
 
-def _difference(rep: Representation, case):
-    """Left side minus right side of a sweep case's law, as in `_holds`,
-    at the generic point (a, b) of ZZ[a, b]: {(i, j, r, c): n}, the
-    nonzero n a^i b^j at entry (r, c).  Evaluation at any (a, b) of any
-    commutative ring is a ring map, so an empty difference means the law
-    holds there, and a nonzero one fails exactly where it specializes to
-    a nonzero matrix."""
-    law, alpha, beta, s = case
-    a, b = {(1, 0): 1}, {(0, 1): 1}
-    xa = _nilpotent(rep, alpha, a)
-    if law == "R1":
-        left = _then(xa, _nilpotent(rep, alpha, b))
-        right = _nilpotent(rep, alpha, {**a, **b})
-    else:
-        xb = _nilpotent(rep, beta, b)
-        left, right = _then(xa, xb), _then(xb, xa)
-        if law != "R2":
-            right = _then(_nilpotent(rep, s, {(1, 1): -1 if law == "R3-" else 1}), right)
-    for key, n in right.items():
-        left[key] = left.get(key, 0) - n
-    return {key: n for key, n in left.items() if n}
+def _differences(rep: Representation, cases):
+    """Left side minus right side of each sweep case's law, as in
+    `_holds`, at the generic point (a, b) of ZZ[a, b]: {(i, j, r, c): n},
+    the nonzero n a^i b^j at entry (r, c).  Evaluation at any (a, b) of
+    any commutative ring is a ring map, so an empty difference means the
+    law holds there, and a nonzero one fails exactly where it specializes
+    to a nonzero matrix.  Each root's part at each argument is built once."""
+    part = cache(lambda root, *terms: _nilpotent(rep, root, dict(terms)))
+    a, b = ((1, 0), 1), ((0, 1), 1)
+    for law, alpha, beta, s in cases:
+        xa = part(alpha, a)
+        if law == "R1":
+            left, right = _then(xa, part(alpha, b)), part(alpha, a, b)
+        else:
+            xb = part(beta, b)
+            left, right = _then(xa, xb), _then(xb, xa)
+            if law != "R2":
+                right = _then(part(s, ((1, 1), -1 if law == "R3-" else 1)), right)
+        for key, n in right.items():
+            left[key] = left.get(key, 0) - n
+        yield {key: n for key, n in left.items() if n}
 
 
 def _specialize(ring: Ring, diff, a, b) -> dict:
-    """The nonzero entries {(r, c): payload} of a `_difference` at the
-    payloads a, b of the ring: sum n a^i b^j per entry."""
+    """The nonzero entries {(r, c): payload} of a generic difference at
+    the payloads a, b of the ring: sum n a^i b^j per entry."""
     add, mul, from_int = ring._add, ring._mul, ring._from_int
     powers_a, powers_b = [from_int(1)], [from_int(1)]
     for _ in range(max((max(i, j) for i, j, _, _ in diff), default=0)):
@@ -522,23 +547,27 @@ def _cases(system):
 
 
 def _sweep(kernel) -> RelationReport:
-    """The kernel runs every case of `_cases`, and the violations are
-    listed in case order."""
+    """The kernel runs every case of `_cases`, given its generic
+    difference if the kernel is exact; violations are in case order."""
     cases = _cases(kernel.rep.system)
-    failed = [(case, args) for case, args in zip(cases, kernel.run(cases))
+    diffs = list(_differences(kernel.rep, cases)) if kernel.exact else [None] * len(cases)
+    failed = [(case, args) for case, args in zip(cases, kernel.run(cases, diffs))
               if args is not None]
     violations = [(law[:2], alpha) if law == "R1" else (law[:2], alpha, beta)
                   for (law, alpha, beta, _), _ in failed]
     return RelationReport(kernel.rep.describe(), kernel.ring.describe(), kernel.samples,
-                          len(cases), violations, [args for _, args in failed])
+                          len(cases), violations, [args for _, args in failed],
+                          diffs.count({}))
 
 
 def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> RelationReport:
     """Check the three Steinberg relations as matrix identities,
-    exhaustively over root pairs and randomized over ring elements: in
-    batched numpy arithmetic over the rings `_np_coeff_profile` admits;
-    over every other ring, exactly, by certifying each case at the
-    generic point and specializing only a nonzero difference."""
+    exhaustively over root pairs and randomized over ring elements.
+    Each case is first certified at the generic point of ZZ[a, b], and
+    only the rest are tried at the drawn (a, b), in batched numpy
+    arithmetic over the rings `_np_coeff_profile` admits, exactly in the
+    ring over every other; where float64 can round (`_np_exact`, as over
+    GF(1000000007)), every case is evaluated."""
     profile = _np_coeff_profile(ring)
     if profile is None:
         return _sweep(_ExactKernel(rep, ring, samples, rng))

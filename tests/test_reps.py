@@ -367,6 +367,11 @@ def _sides(ring, case, a, b):
     return left, right
 
 
+def _difference(rep, case):
+    """`reps._differences` of the one case."""
+    return next(reps._differences(rep, [case]))
+
+
 def _replayed(rep, ring, letters):
     """The product of the `evaluate` images of the single letters, so
     that R1's x_a(a) x_a(b) is not merged into one letter first."""
@@ -414,6 +419,12 @@ MUTATIONS = {
 }
 
 
+def _named(case):
+    """A case's name in `RelationReport.violations`."""
+    law, alpha, beta, _ = case
+    return (law[:2], alpha) if law == "R1" else (law[:2], alpha, beta)
+
+
 @pytest.mark.parametrize("ring", [ZZ(), localize(ZZ(), 2)], ids=["ZZ", "ZZ[1/2]"])
 @pytest.mark.parametrize("name", list(MUTATIONS))
 def test_exact_sweep_refutes_each_mutation_with_a_replayable_witness(name, ring):
@@ -426,11 +437,10 @@ def test_exact_sweep_refutes_each_mutation_with_a_replayable_witness(name, ring)
     assert report.violations
     if name.startswith("m2"):
         assert any(v[0] == "R1" for v in report.violations)
-    cases = {(law[:2], alpha) if law == "R1" else (law[:2], alpha, beta): (law, alpha, beta, s)
-             for law, alpha, beta, s in reps._cases(bad.system)}
+    cases = {_named(case): case for case in reps._cases(bad.system)}
     for violation, (a, b) in zip(report.violations, report.arguments, strict=True):
         case = cases[violation]
-        assert reps._difference(bad, case)
+        assert _difference(bad, case)
         left, right = _sides(ring, case, a.payload, b.payload)
         assert _replayed(bad, ring, left) != _replayed(bad, ring, right), violation
 
@@ -441,7 +451,8 @@ def test_exact_sweep_refutes_each_mutation_with_a_replayable_witness(name, ring)
 def test_every_case_is_certified_at_the_generic_point(kind, rank, repkind):
     """R1-R3 hold over ZZ[a, b] for every case of every supported rep."""
     rep = _rep(kind, rank, repkind)
-    assert [case for case in reps._cases(rep.system) if reps._difference(rep, case)] == []
+    cases = reps._cases(rep.system)
+    assert [case for case, diff in zip(cases, reps._differences(rep, cases)) if diff] == []
 
 
 def test_exact_sweep_evaluates_no_certified_case(monkeypatch):
@@ -455,6 +466,110 @@ def test_exact_sweep_evaluates_no_certified_case(monkeypatch):
         rep = _rep(key[0], int(key[1]), key.split("-")[1])
         assert verify_relations(rep, ZZ(), 2, random.Random(key)).ok
     assert not verify_relations(_flipped(_rep("A", 3, "defining")), ZZ(), 2, random.Random(0)).ok
+
+
+# ---------------------------------------------------------------------------
+# the numpy kernel: certified first wherever its float64 products are exact
+# ---------------------------------------------------------------------------
+
+# perfbench's relation-sweep grid
+BENCH_SWEEP = [("A", 2, "defining"), ("A", 3, "defining"), ("A", 4, "defining"),
+               ("A", 5, "defining"), ("A", 2, "adjoint"), ("A", 3, "adjoint"),
+               ("D", 4, "vector"), ("D", 5, "vector"), ("D", 6, "vector"),
+               ("D", 4, "adjoint"), ("A", 5, "adjoint"), ("D", 5, "adjoint")]
+NUMPY_RINGS = ("Z6", "F7", "Zt3")
+
+
+def _exact(rep, ring):
+    return reps._np_exact(rep, reps._np_coeff_profile(ring))
+
+
+def test_float_products_are_exact_except_over_the_large_prime():
+    for kind, rank, repkind in BENCH_SWEEP:
+        rep = _rep(kind, rank, repkind)
+        for name in NUMPY_RINGS:
+            assert _exact(rep, SWEEP_RINGS[name]), (rep.describe(), name)
+        assert not _exact(rep, SWEEP_RINGS["Fbig"]), rep.describe()
+
+
+def test_exactness_threshold_at_dimension_45():
+    """k d (p - 1)^2 < 2^53 at k = 1, d = 45: 14147779 and the next
+    prime, 14147797, lie on either side of the threshold.  Over
+    Z[t]/(t^k), draws in [-4, 4], |M1| <= 2 and |M2| = 1 give
+    E = 2 S + k S^2 with S = 16 k; (45 k)^2 E^3 is 6.3e15 at k = 3 and
+    1.5e17 at k = 4, on either side of 2^53 = 9.0e15."""
+    rep = _rep("D", 5, "adjoint")
+    assert rep.dim == 45
+    below, above = GF(14147779), GF(14147797)
+    assert 45 * (below.p - 1) ** 2 < 2 ** 53 <= 45 * (above.p - 1) ** 2
+    assert _exact(rep, below) and not _exact(rep, above)
+    assert _exact(rep, SWEEP_RINGS["Zt3"])
+    assert not _exact(rep, quotient(_Pt, _Pt.var("t") ** 4))
+
+
+def test_numpy_sweep_evaluates_no_certified_case(monkeypatch):
+    """Over Z/6, F7 and Z[t]/(t^3) an intact sweep certifies every case
+    and evaluates none; over GF(1000000007), where float64 products can
+    round, it certifies none and evaluates every case once."""
+    holds = reps._holds
+
+    def unused(*args):
+        raise AssertionError("a certified case was evaluated")
+
+    monkeypatch.setattr(reps, "_holds", unused)
+    for key in ("A3-defining", "A3-adjoint", "D4-vector"):
+        rep = _rep(key[0], int(key[1]), key.split("-")[1])
+        for name in NUMPY_RINGS:
+            report = verify_relations(rep, SWEEP_RINGS[name], SWEEP_SAMPLES[name],
+                                      random.Random(key))
+            assert report.ok and report.certified == report.pairs_checked, (key, name)
+    seen = []
+
+    def counted(kernel, law, cases, a, b):
+        seen.extend(cases)
+        return holds(kernel, law, cases, a, b)
+
+    monkeypatch.setattr(reps, "_holds", counted)
+    rep = _rep("A", 3, "defining")
+    report = verify_relations(rep, SWEEP_RINGS["Fbig"], 10, random.Random(0))
+    assert report.certified == 0
+    assert sorted(seen, key=repr) == sorted(reps._cases(rep.system), key=repr)
+
+
+def test_report_counts_the_certified_cases():
+    """`certified` is every case with a zero generic difference over ZZ
+    and an exact numpy ring, and 0 over GF(1000000007)."""
+    for rep in (_rep("A", 3, "defining"), _flipped(_rep("A", 3, "defining"))):
+        cases = reps._cases(rep.system)
+        zero = sum(not diff for diff in reps._differences(rep, cases))
+        for name in ("ZZ", "F7", "Fbig"):
+            report = verify_relations(rep, SWEEP_RINGS[name], 2, random.Random(name))
+            assert report.pairs_checked == len(cases)
+            assert report.certified == (0 if name == "Fbig" else zero), (rep.describe(), name)
+    assert zero < len(cases)
+
+
+@pytest.mark.parametrize("ring", ["F7", "Zt3"])
+@pytest.mark.parametrize("name", list(MUTATIONS))
+def test_numpy_sweep_refutes_each_mutation_with_a_replayable_witness(name, ring):
+    """Each mutated table is refuted on exactly its cases with a nonzero
+    generic difference, and each witness replays through `evaluate` to
+    two different images.  Every such case of these mutations fails
+    wherever a b != 0: at 36 of the 49 points of F7^2, and over
+    Z[t]/(t^3) whenever both constant terms, drawn from [-4, 4], are
+    nonzero (64 of 81).  So 30 samples miss one of its at most 28
+    failing cases with probability below 28 (13/49)^30 < 10^-15."""
+    bad, ring = MUTATIONS[name](), SWEEP_RINGS[ring]
+    assert _exact(bad, ring)
+    report = verify_relations(bad, ring, 30, random.Random(name))
+    cases = reps._cases(bad.system)
+    failing = [case for case, diff in zip(cases, reps._differences(bad, cases)) if diff]
+    assert report.violations == [_named(case) for case in failing]
+    assert report.certified == len(cases) - len(failing)
+    for case, (a, b) in zip(failing, report.arguments, strict=True):
+        assert a.ring is ring and b.ring is ring
+        left, right = _sides(ring, case, a.payload, b.payload)
+        assert _replayed(bad, ring, left) != _replayed(bad, ring, right), case
 
 
 DIFFERENTIAL_REPS = [_rep("A", 2, "defining"), _rep("A", 2, "adjoint"),
@@ -476,7 +591,7 @@ def test_difference_specializes_to_the_evaluated_sides(rep, law, data, ring, see
     rng = random.Random(seed)
     a, b = ring._sample(rng, 6), ring._sample(rng, 6)
     left, right = (reps._image_rows(ring, rep, side) for side in _sides(ring, case, a, b))
-    assert reps._specialize(ring, reps._difference(rep, case), a, b) == \
+    assert reps._specialize(ring, _difference(rep, case), a, b) == \
         _rows_difference(ring, left, right)
 
 
@@ -487,11 +602,37 @@ def test_difference_is_the_difference_over_the_polynomial_ring():
     P = poly_ring(ZZ(), ("a", "b"))
     a, b = P.gens()
     for rep in (_rep("A", 2, "adjoint"), _flipped(_rep("A", 3, "defining"))):
-        for case in reps._cases(rep.system):
+        cases = reps._cases(rep.system)
+        for case, diff in zip(cases, reps._differences(rep, cases)):
             left, right = (reps._image_rows(P, rep, side)
                            for side in _sides(P, case, a.payload, b.payload))
             want = {}
-            for (i, j, r, c), n in reps._difference(rep, case).items():
+            for (i, j, r, c), n in diff.items():
                 want[r, c] = want.get((r, c), P.zero) + n * a ** i * b ** j
             got = {key: RingElement(P, v) for key, v in _rows_difference(P, left, right).items()}
             assert got == want, case
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DIFFERENTIAL_REPS), st.sampled_from(NUMPY_RINGS), st.data(), st.integers(0, 2 ** 32))
+def test_float_verdict_is_the_specialized_difference(rep, name, data, seed):
+    """On exact configurations, for a batch of one law's cases of an
+    intact or mutated table, the float64 `_holds` verdict on each trial
+    is that the generic difference specializes to zero there."""
+    muts = [_flipped, _negated_m1] + ([_negated_m2] if rep.m2[rep.system.simple_roots[0]] else [])
+    rep = data.draw(st.sampled_from([rep] + [mutate(rep) for mutate in muts]))
+    ring = SWEEP_RINGS[name]
+    kernel = reps._NumpyKernel(rep, ring, 3, random.Random(seed), reps._np_coeff_profile(ring))
+    assert kernel.exact
+    law = data.draw(st.sampled_from(sorted({case[0] for case in reps._cases(rep.system)})))
+    batch = data.draw(st.lists(st.sampled_from([c for c in reps._cases(rep.system) if c[0] == law]),
+                               min_size=1, max_size=kernel.chunk))
+    k, lo, hi = kernel.k, (0 if kernel.mod else -kernel.bound), (kernel.mod or kernel.bound + 1)
+    draws = kernel.nprng.integers(lo, hi, size=(len(batch), 2, kernel.samples, k), dtype=np.int64)
+    a, b = (draws[:, t].reshape(-1, k).T for t in (0, 1))
+    held = reps._holds(kernel, law, batch, a, b)
+    for n, case in enumerate(batch):
+        diff = _difference(rep, case)
+        for s in range(kernel.samples):
+            x, y = (kernel._element(draws[n, t, s]).payload for t in (0, 1))
+            assert held[n, s] == (not reps._specialize(ring, diff, x, y)), (case, s)
