@@ -11,12 +11,14 @@ including characteristic 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
+from math import gcd, lcm
 
 import numpy as np
 
-from .rings import (IntegerRing, PolynomialRing, PrimeFieldRing,
-                    QuotientRing, Ring, RingElement, RingHom)
+from .rings import (IntegerRing, PolynomialRing, PrimeFieldRing, QuotientRing,
+                    RationalField, Ring, RingElement, RingHom)
 from .roots import RootSystem
 
 __all__ = [
@@ -128,7 +130,11 @@ class GroupMatrix:
     def __mul__(self, other: "GroupMatrix") -> "GroupMatrix":
         if self.ring is not other.ring:
             raise ValueError("matrices over different rings")
+        if self.dim != other.dim:
+            raise ValueError(f"matrices of dimensions {self.dim} and {other.dim}")
         ring = self.ring
+        if isinstance(ring, RationalField):
+            return GroupMatrix(ring, self.dim, _rational_product(self._rows, other._rows))
         add, mul = ring._add, ring._mul
         zero = ring._from_int(0)
         right = other._rows
@@ -186,10 +192,59 @@ def _apply_letter(ring: Ring, rows, m1, m2, xi):
     return out
 
 
+def _fractions(num, den):
+    """Sparse Fraction rows of integer rows `num` over the denominators `den`."""
+    return [{j: Fraction(v, d) for j, v in row.items()} if d > 1 else
+            {j: Fraction(v) for j, v in row.items()} for d, row in zip(den, num)]
+
+
+def _rational_product(left, right):
+    """Sparse rows of left * right over QQ, multiplied on integers: the
+    right factor over the lcm of its denominators, each left row over its own."""
+    big = lcm(*(b.denominator for row in right for b in row.values()))
+    right = [{j: b.numerator * (big // b.denominator) for j, b in row.items()} for row in right]
+    num, den = [], []
+    for row in left:
+        d = lcm(*(a.denominator for a in row.values()))
+        acc = {}
+        for k, a in row.items():
+            a = a.numerator * (d // a.denominator)
+            for j, b in right[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        num.append({j: v for j, v in acc.items() if v})
+        den.append(d * big)
+    return _fractions(num, den)
+
+
+def _rational_rows(rep: Representation, letters):
+    """`_image_rows` over QQ on integers: row i is num[i] / den[i].  A
+    letter x_r(n/d) scales the rows it touches by s = d, or d^2 when the
+    root has an M2 table, adds the integer terms and divides the row by
+    gcd(den, entries).  At s = 1 the letter is unimodular, which keeps
+    that gcd at 1, so it is not taken."""
+    num, den = [{i: 1} for i in range(rep.dim)], [1] * rep.dim
+    for root, xi in letters:
+        n, d, m2 = xi.numerator, xi.denominator, rep.m2[root]
+        s, e = (d * d, d) if m2 else (d, 1)
+        terms = [(i, j, c * n * e) for i, j, c in rep.m1[root]]
+        terms += [(i, j, c * n * n) for i, j, c in m2]
+        for r, row in enumerate(num):
+            hits = [(j, row[i] * c) for i, j, c in terms if i in row]
+            if hits:
+                new = {k: v * s for k, v in row.items()} if s > 1 else dict(row)
+                for j, v in hits:
+                    new[j] = new.get(j, 0) + v
+                g = gcd(den[r] * s, *new.values()) if s > 1 else 1
+                num[r], den[r] = {j: v // g for j, v in new.items() if v}, den[r] * s // g
+    return _fractions(num, den)
+
+
 def _image_rows(ring: Ring, rep: Representation, letters):
     """Sparse rows of the product of x_root(xi) over (root, payload)
     letters, multiplied left to right."""
     zero = ring._from_int(0)
+    if isinstance(ring, RationalField):
+        return _rational_rows(rep, [(root, xi) for root, xi in letters if xi != zero])
     rows = GroupMatrix.identity(ring, rep.dim)._rows
     for root, xi in letters:
         if xi != zero:
@@ -200,6 +255,8 @@ def _image_rows(ring: Ring, rep: Representation, letters):
 def evaluate(word, rep: Representation, hom: RingHom | None = None) -> GroupMatrix:
     """Image of a word under the representation; letters are multiplied
     left to right, with arguments mapped through `hom` when given."""
+    if word.system is not rep.system:
+        raise ValueError(f"a word over {word.system} in a representation of {rep.system}")
     if hom is None:
         ring = word.ring
         letters = ((root, arg.payload) for root, arg in word.letters)

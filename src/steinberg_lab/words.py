@@ -239,6 +239,8 @@ def word_from_json(data) -> SteinbergWord:
     ring = ring_from_json(data["ring"])
     letters = []
     for entry in data["letters"]:
+        if not system.is_root(entry["root"]):
+            raise ValueError(f"{entry['root']} is not a root of {system}")
         arg = RingElement(ring, ring._payload_from_json(entry["arg"]))
         if entry.get("sign", 1) == -1:
             arg = -arg

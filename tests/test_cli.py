@@ -182,6 +182,9 @@ BAD_WORD_FILES = {
         {"kind": "localization", "base": ZZ_JSON, "multiplier": 2}, {"num": 1, "exp": -1}),
     "short-exponents.json": _word_file(
         {"kind": "polynomial", "base": ZZ_JSON, "vars": ["s", "t"]}, [[[1], 2]]),
+    # (1, 1, -2) is a weight of A2, not a root
+    "not-a-root.json": {**_word_file(ZZ_JSON, 1),
+                        "letters": [{"root": [1, 1, -2], "arg": 1, "sign": 1}]},
 }
 
 
@@ -207,6 +210,7 @@ BAD_WORD_FILES = {
     ["eval", "--word", "zero-denominator.json"],
     ["eval", "--word", "negative-exp.json"],
     ["eval", "--word", "short-exponents.json"],
+    ["eval", "--word", "not-a-root.json", "--rep", "adjoint"],
 ])
 def test_input_errors_are_usage_errors(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -3,13 +3,16 @@
 import dataclasses
 import hashlib
 import random
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from steinberg_lab.rings import GF, QQ, ZZ, RingElement, localize, poly_ring, product_ring, quotient
+from steinberg_lab.rings import (GF, QQ, ZZ, RationalField, RingElement, localize, poly_ring,
+                                 product_ring, quotient)
 from steinberg_lab.roots import SUPPORTED_RANKS, build_root_system
 from steinberg_lab import checks, reps, words
 from steinberg_lab.reps import GroupMatrix, build_representation, evaluate, k2_membership, verify_relations
@@ -257,6 +260,125 @@ def test_negated_table_coefficient_is_caught():
         bad = _negated_m1(rep)
         assert verify_relations(rep, ZZ(), 2, random.Random(0)).ok
         assert not verify_relations(bad, ZZ(), 2, random.Random(0)).ok
+
+
+def test_evaluate_refuses_a_representation_of_another_system():
+    """(1, -1, 0, 0) is a root of A3 and of D4, so only the systems tell
+    an A3 word from a D4 one."""
+    A3, D4 = build_root_system("A", 3), build_root_system("D", 4)
+    w = words.gen(A3, ZZ(), (1, -1, 0, 0), 2)
+    assert D4.is_root((1, -1, 0, 0))
+    with pytest.raises(ValueError, match="A3.*D4"):
+        evaluate(w, build_representation(D4, "vector"))
+
+
+@pytest.mark.parametrize("ring", [ZZ(), QQ()], ids=["ZZ", "QQ"])
+def test_product_refuses_matrices_of_different_dimensions(ring):
+    small, large = GroupMatrix.identity(ring, 3), GroupMatrix.identity(ring, 4)
+    for m, n in ((small, large), (large, small)):
+        with pytest.raises(ValueError, match="dimensions"):
+            m * n
+
+
+# -- the rational kernel ---------------------------------------------------------
+
+RATIONAL_REPS = [build_representation(build_root_system("A", 2), "adjoint"),
+                 build_representation(build_root_system("A", 3), "defining"),
+                 build_representation(build_root_system("D", 4), "vector"),
+                 build_representation(build_root_system("D", 4), "adjoint")]
+
+
+def _sympy_image(rep, letters):
+    """Product of I + xi M1 + xi^2 M2 over the letters, as a sympy.Matrix
+    with Rational entries."""
+    def table(entries):
+        m = sympy.zeros(rep.dim, rep.dim)
+        for i, j, c in entries:
+            m[i, j] = c
+        return m
+
+    out = sympy.eye(rep.dim)
+    for root, xi in letters:
+        x = sympy.Rational(xi.numerator, xi.denominator)
+        out = out * (sympy.eye(rep.dim) + x * table(rep.m1[root]) + x ** 2 * table(rep.m2[root]))
+    return out
+
+
+def _as_fractions(m):
+    return [[Fraction(int(v.p), int(v.q)) for v in m.row(i)] for i in range(m.rows)]
+
+
+def _rational_image(rep, letters):
+    return GroupMatrix(QQ(), rep.dim, reps._image_rows(QQ(), rep, letters))
+
+
+def _stored(m):
+    """Every stored payload is a nonzero canonical Fraction."""
+    return all(type(v) is Fraction and v != 0 for row in m._rows for v in row.values())
+
+
+_fractions = st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RATIONAL_REPS), st.data())
+def test_rational_kernel_matches_sympy(rep, data):
+    letter = st.tuples(st.sampled_from(rep.system.roots), _fractions)
+    first, second = (data.draw(st.lists(letter, max_size=3)) for _ in range(2))
+    m, n = _rational_image(rep, first), _rational_image(rep, second)
+    assert m.rows == _as_fractions(_sympy_image(rep, first))
+    assert (m * n).rows == _as_fractions(_sympy_image(rep, first + second))
+    assert _stored(m) and _stored(m * n)
+    w = words.SteinbergWord(rep.system, QQ(), [(r, QQ().el(x)) for r, x in first])
+    assert evaluate(w, rep) == GroupMatrix(QQ(), rep.dim, reps._image_rows(
+        QQ(), rep, [(r, a.payload) for r, a in w.letters]))
+
+
+@pytest.mark.parametrize("rep", RATIONAL_REPS, ids=lambda rep: rep.describe())
+def test_rational_cancellation_stores_no_zeros(rep):
+    alpha, half = rep.system.simple_roots[0], Fraction(1, 2)
+    ident = GroupMatrix.identity(QQ(), rep.dim)
+    assert _rational_image(rep, [(alpha, half), (alpha, -half)]) == ident
+    assert _rational_image(rep, [(alpha, half)]) * _rational_image(rep, [(alpha, -half)]) == ident
+    rng = random.Random(rep.describe())
+    for _ in range(5):
+        g = [(rng.choice(rep.system.roots), Fraction(rng.randint(-99, 99), rng.randint(1, 99)))
+             for _ in range(4)]
+        inv = [(root, -x) for root, x in reversed(g)]
+        m = _rational_image(rep, g)
+        assert _stored(m) and not m.is_identity
+        assert m * _rational_image(rep, inv) == ident and (m * _rational_image(rep, inv)).is_identity
+        assert _rational_image(rep, g + inv) == ident
+
+
+@pytest.mark.parametrize("rep", RATIONAL_REPS, ids=lambda rep: rep.describe())
+def test_rational_kernel_with_denominators_of_2_to_the_70(rep):
+    roots, big = rep.system.roots, 2 ** 70
+    letters = [(roots[0], Fraction(1, big)), (roots[-1], Fraction(-3, big)),
+               (roots[1], Fraction(big + 1, big)), (roots[0], Fraction(5, 3 * big))]
+    m = _rational_image(rep, letters)
+    assert m.rows == _as_fractions(_sympy_image(rep, letters))
+    assert max(v.denominator for row in m._rows for v in row.values()) >= big
+    inv = [(root, -x) for root, x in reversed(letters)]
+    assert (m * _rational_image(rep, inv)).is_identity
+    assert (m * m).rows == _as_fractions(_sympy_image(rep, letters + letters))
+
+
+def test_rational_matrices_use_no_ring_arithmetic(monkeypatch):
+    """Over QQ, words are evaluated and multiplied on integer rows, not
+    through the field's payload operations."""
+    rep = RATIONAL_REPS[3]
+    w = _random_word(rep.system, QQ(), random.Random(5))
+    inv = w.inverse()
+    expected = evaluate(w, rep).rows, (evaluate(w, rep) * evaluate(inv, rep)).rows
+
+    def refuse(*args):
+        raise AssertionError("ring arithmetic on the rational path")
+
+    for name in ("_add", "_mul", "_neg"):
+        monkeypatch.setattr(RationalField, name, refuse)
+    m = evaluate(w, rep)
+    assert (m.rows, (m * evaluate(inv, rep)).rows) == expected
 
 
 # ---------------------------------------------------------------------------
