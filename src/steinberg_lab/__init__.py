@@ -10,7 +10,7 @@ from .rings import (GF, QQ, ZZ, Ideal, Ring, RingElement, RingHom,
 from .roots import OPPOSITE, RootSystem, build_root_system
 from .words import SteinbergWord, gen, steinberg_symbol, torus_element, weyl_element
 from .reps import build_representation, evaluate, k2_membership, verify_relations
-from .patching import PatchDatum, identity_datum, zariski_datum
+from .patching import PatchDatum, zariski_datum
 
 __all__ = [
     "milnor", "patching", "reps", "rings", "roots", "simplicial", "words",
@@ -19,7 +19,7 @@ __all__ = [
     "OPPOSITE", "RootSystem", "build_root_system",
     "SteinbergWord", "gen", "steinberg_symbol", "torus_element", "weyl_element",
     "build_representation", "evaluate", "k2_membership", "verify_relations",
-    "PatchDatum", "identity_datum", "zariski_datum",
+    "PatchDatum", "zariski_datum",
 ]
 
 __version__ = "0.1.0"

@@ -154,10 +154,6 @@ def cmd_word(args) -> int:
         return EXIT_OK
     if args.word is None:
         return _usage(f"word {args.action} needs --word")
-    if args.action == "eval":
-        rep = reps.build_representation(args.word.system, args.rep)
-        _emit({"matrix": _matrix_json(reps.evaluate(args.word, rep))}, args.pretty)
-        return EXIT_OK
     _emit(word_to_json(words.commutator_reduce(args.word)), args.pretty)
     return EXIT_OK
 
@@ -213,9 +209,7 @@ def cmd_patch(args) -> int:
     datum = patching.zariski_datum(args.B, args.a, args.b)
     system = args.phi
     rep = reps.build_representation(system, "adjoint")
-    wants_verify = args.action == "verify" or args.relations or (
-        args.action is None and args.word is None)
-    if wants_verify:
+    if args.action == "verify" or (args.action is None and args.word is None):
         rng = random.Random(args.seed)
         report = patching.verify_translation_relations(datum, system, rep,
                                                        args.samples, rng)
@@ -307,9 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_roots)
 
     p = add_parser("word", help="word operations")
-    p.add_argument("action", choices=("eval", "reduce", "symbol"))
+    p.add_argument("action", choices=("reduce", "symbol"))
     p.add_argument("--word", type=parse_word_file, help="word JSON file")
-    p.add_argument("--rep", default="adjoint")
     p.add_argument("--type", choices=("A", "D"), default="A")
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--ring", type=parse_ring, default="Fp:5")
@@ -347,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=parse_phi, default="A3")
     p.add_argument("--word", type=parse_word_file,
                    help="target word JSON over the localized ring")
-    p.add_argument("--relations", action="store_true")
     p.add_argument("--samples", type=int, default=25)
     p.set_defaults(fn=cmd_patch)
 

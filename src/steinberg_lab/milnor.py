@@ -17,7 +17,7 @@ from .rings import _MR_LIMIT, RationalField, Ring, _is_prime
 
 __all__ = [
     "MilnorSymbolSum", "TameSymbolImage", "symbol", "symbol_normalize",
-    "tame_symbol", "tame_symbol_term", "steinberg_to_milnor",
+    "tame_symbol", "steinberg_to_milnor",
     "relevant_odd_primes", "factor_positive",
 ]
 
@@ -215,16 +215,6 @@ def _tame_term(a, b, p: int) -> int:
     vb, ub = _unit_split(b, p)
     val = pow(ua, vb, p) * pow(ub, -va, p) % p
     return p - val if (va * vb) % 2 else val
-
-
-def tame_symbol_term(a, b, p: int) -> int:
-    """(-1)^(v(a)v(b)) a^v(b) / b^v(a) reduced modulo the odd prime p;
-    the p-power parts cancel, leaving a unit of the unit parts of a, b."""
-    _check_odd_prime(p)
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("symbol entries must be nonzero")
-    return _tame_term(a, b, p)
 
 
 def tame_symbol(s: MilnorSymbolSum, p: int) -> TameSymbolImage:

@@ -15,14 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import (LocalizationRing, Ring, RingElement, RingHom,
-                    decompose_modulo_power, identity_hom, localization_hom,
+                    decompose_modulo_power, localization_hom,
                     localization_functor_hom, localize)
 from .roots import RootSystem
 from .words import SteinbergWord, gen, identity_word, substitute
 from . import reps
 
 __all__ = [
-    "PatchDatum", "zariski_datum", "identity_datum",
+    "PatchDatum", "zariski_datum",
     "ConjugationHom", "conj_bound", "PatchPair", "star_reduce",
     "left_translation", "mu_image", "verify_conjugation",
     "verify_translation_relations", "glueing_demo", "PatchReport",
@@ -79,11 +79,6 @@ def zariski_datum(B: Ring, m, h) -> PatchDatum:
     excision square."""
     A = localize(B, B.el(m))
     return PatchDatum(B, A, localization_hom(B, A), B.el(h), "zariski")
-
-
-def identity_datum(R: Ring, h=None) -> PatchDatum:
-    h = R.one if h is None else R.el(h)
-    return PatchDatum(R, R, identity_hom(R), h, "identity")
 
 
 # ---------------------------------------------------------------------------

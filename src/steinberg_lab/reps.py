@@ -6,6 +6,12 @@ the adjoint representation for both.  Every generator image is the exact
 polynomial exp(xi e) = I + xi M1 + xi^2 M2 with integer matrices M1, M2
 precomputed over ZZ, so evaluation is correct over any coefficient ring,
 including characteristic 2.
+
+The relation sweep (`verify_relations`) proves each case at the generic
+point of ZZ[a, b] and specializes only the nonzero differences in the
+ring, over every ring but Z/m with d (m - 1)^2 >= 2^53.  There, as over
+GF(1000000007), every case is still evaluated in float64, whose products
+round and report false violations, which the benchmark asserts.
 """
 
 from __future__ import annotations
@@ -298,7 +304,9 @@ class RelationReport:
 
 
 def _np_coeff_profile(ring: Ring):
-    """(k, modulus, coeff_bound) for the rings the numpy kernel handles."""
+    """(k, modulus, bound) for the rings whose sweep trials numpy draws:
+    k coefficients of Z[t]/(t^k) in [-bound, bound], or one residue
+    modulo m."""
     if isinstance(ring, PrimeFieldRing):
         return 1, ring.p, None
     if isinstance(ring, QuotientRing) and ring.n is not None:
@@ -311,20 +319,13 @@ def _np_coeff_profile(ring: Ring):
     return None
 
 
-def _np_exact(rep: Representation, profile) -> bool:
-    """Whether every partial sum of the numpy kernel's float64 products
-    stays below 2^53.  With a modulus m the operands are reduced, so a
-    product entry is below k d (m - 1)^2.  Over Z[t]/(t^k), draws in
-    [-bound, bound], a scalar's coefficients are at most S (those of ab
-    or a + b), a letter entry's E = |M1| S + |M2| k S^2, and a law nests
-    two products, so its entries stay below (d k)^2 E^3."""
-    (k, mod, bound), d = profile, rep.dim
-    if mod:
-        return k * d * (mod - 1) ** 2 < 2 ** 53
-    s = max(k * bound ** 2, 2 * bound)
-    m1, m2 = (max((abs(c) for e in t.values() for _, _, c in e), default=0)
-              for t in (rep.m1, rep.m2))
-    return (d * k) ** 2 * (m1 * s + m2 * k * s ** 2) ** 3 < 2 ** 53
+def _element(ring: Ring, coeffs):
+    """The payload of the drawn coefficients `coeffs`: sum c_i t^i in
+    Z[t]/(t^k), or the residue c_0 over Z/m."""
+    if len(coeffs) == 1:
+        return ring._from_int(int(coeffs[0]))
+    t = ring.project(ring.base.gens()[0])
+    return sum((int(c) * t ** i for i, c in enumerate(coeffs)), ring.zero).payload
 
 
 # matrix entries in one batch of images: on the small representations
@@ -350,172 +351,109 @@ def _letter_tables(rep: Representation):
     return tuple(np.moveaxis(table, 2, 0))
 
 
-class _NumpyKernel:
-    """Every case's `samples` draws come from one generator call.  When
-    the float64 products are exact (`_np_exact`), a certified case holds
-    at every draw and is not evaluated.  The other cases of one law are
-    evaluated together, at most `_BATCH_ENTRIES` matrix entries at a
-    time, or one case when a case is larger.  Over a batch of B = cases x
-    samples, a scalar is a (k, B) int64 array of truncated polynomial
-    coefficients and an image a (k, B, d, d) int64 array of truncated
-    matrix polynomials, both reduced by the modulus when there is one."""
+class _FloatKernel:
+    """Every case of a sweep over Z/m evaluated at every trial in float64
+    products, which are exact only while d (m - 1)^2 < 2^53 and serve
+    only the moduli past that bound (see `verify_relations`).  The cases
+    of one law are evaluated together, at most `_BATCH_ENTRIES` matrix
+    entries at a time, or one case when a case is larger.  Over a batch
+    of B = cases x samples, a scalar is a (B,) int64 array and an image a
+    (B, d, d) int64 array, both reduced mod m."""
 
     # a law builds at most six images per batch: R3's three letters and
     # three products
     SLOTS = 6
 
-    def __init__(self, rep: Representation, ring: Ring, samples: int, rng, profile):
-        self.rep, self.ring, self.samples = rep, ring, samples
-        self.k, self.mod, self.bound = profile
-        self.exact = _np_exact(rep, profile)
+    def __init__(self, rep: Representation, ring: Ring, samples: int, mod: int):
+        self.rep, self.ring, self.samples, self.mod = rep, ring, samples, mod
         self.tables = _letter_tables(rep)
-        self.nprng = np.random.default_rng(rng.randrange(2 ** 63))
-        case_entries = samples * self.k * rep.dim ** 2
+        case_entries = samples * rep.dim ** 2
         self.chunk = max(1, _BATCH_ENTRIES // case_entries)
-        # a batch's images, and a product's float64 operands, terms and
-        # sums, are written into these buffers: fresh arrays for every
-        # batch cost more in page faults than the products at d = 45
+        # a batch's images, and a product's float64 operands and result,
+        # are written into these buffers: fresh arrays for every batch
+        # cost more in page faults than the products at d = 45
         self.slots = np.empty((self.SLOTS, self.chunk * case_entries), dtype=np.int64)
-        self.floats = np.empty((4, self.chunk * case_entries))
+        self.floats = np.empty((3, self.chunk * case_entries))
         self.used = 0
 
-    def _reduce(self, x):
-        return x % self.mod if self.mod else x
-
-    def run(self, cases, diffs):
-        """The first failing (a, b) of each case, None where the law held;
-        a case whose difference is {} is certified, None is unknown."""
-        lo, hi = (0, self.mod) if self.mod else (-self.bound, self.bound + 1)
-        draws = self.nprng.integers(lo, hi, size=(len(cases), 2, self.samples, self.k),
-                                    dtype=np.int64)
+    def run(self, cases, draws):
+        """The payloads (a, b) of each case's first failing trial, None
+        where the law held; `draws` has shape (cases, 2, samples)."""
         laws = {}
-        for n, (case, diff) in enumerate(zip(cases, diffs)):
-            if diff != {}:
-                laws.setdefault(case[0], []).append(n)
+        for n, case in enumerate(cases):
+            laws.setdefault(case[0], []).append(n)
         out = [None] * len(cases)
         for law, members in laws.items():
             for start in range(0, len(members), self.chunk):
                 part = members[start:start + self.chunk]
-                a, b = (draws[part, t].reshape(-1, self.k).T for t in (0, 1))
+                a, b = (draws[part, t].reshape(-1) for t in (0, 1))
                 self.used = 0
                 held = _holds(self, law, [cases[n] for n in part], a, b)
                 for n, trials in zip(part, held):
                     if not trials.all():
                         s = int(np.argmin(trials))
-                        out[n] = (self._element(draws[n, 0, s]), self._element(draws[n, 1, s]))
+                        out[n] = tuple(self.ring._from_int(int(x)) for x in draws[n, :, s])
         return out
-
-    def _element(self, coeffs):
-        """The ring element with truncated coefficients `coeffs`."""
-        if self.mod:
-            return self.ring.from_int(int(coeffs[0]))
-        t = self.ring.project(self.ring.base.gens()[0])
-        return sum((int(c) * t ** i for i, c in enumerate(coeffs)), self.ring.zero)
 
     def _buffer(self, flat, batch):
         d = self.rep.dim
-        return flat[:self.k * batch * d * d].reshape(self.k, batch, d, d)
+        return flat[:batch * d * d].reshape(batch, d, d)
 
     def _image(self, batch):
         self.used += 1
         return self._buffer(self.slots[self.used - 1], batch)
 
-    def add(self, a, b):
-        return self._reduce(a + b)
-
-    def neg(self, a):
-        return self._reduce(-a)
-
-    def mul(self, a, b):
-        out = np.zeros(a.shape, dtype=np.int64)
-        for i in range(self.k):
-            for j in range(self.k - i):
-                out[i + j] += a[i] * b[j]
-        return self._reduce(out)
-
     def letter(self, roots, xi):
         """x_root(xi) for each root of the batch, over its samples: the
         identity with the root's table entries scattered in."""
-        d, batch = self.rep.dim, xi.shape[1]
+        d, batch = self.rep.dim, len(xi)
         index = self.rep.system.index
         idx = np.repeat([index[r] for r in roots], self.samples)
         pos, c1, c2 = (t[idx] for t in self.tables)
-        vals = xi[:, :, None] * c1
+        vals = xi[:, None] * c1
         if c2.any():
-            vals += self.mul(xi, xi)[:, :, None] * c2
+            vals += (xi * xi % self.mod)[:, None] * c2
         x = self._image(batch)
         x.fill(0)
-        flat = x.reshape(self.k, batch, d * d)
-        flat[0, :, ::d + 1] = self._reduce(1)
-        flat[:, np.arange(batch)[:, None], pos] = self._reduce(vals)
+        flat = x.reshape(batch, d * d)
+        flat[:, ::d + 1] = 1
+        flat[np.arange(batch)[:, None], pos] = vals % self.mod
         return x
 
     def product(self, x, y):
-        # taken in float64, one d x d slice at a time, so the BLAS kernels
-        # apply, then truncated to int64 and reduced.  That is exact only
-        # below 2^53, which `_np_exact` decides per kernel
-        xf, yf, term, acc = (self._buffer(f, x.shape[1]) for f in self.floats)
+        # taken in float64, so the BLAS kernels apply, then truncated to
+        # int64 and reduced; past 2^53 the float sums round
+        xf, yf, acc = (self._buffer(f, len(x)) for f in self.floats)
         np.copyto(xf, x)
         np.copyto(yf, y)
-        acc.fill(0)
-        for i in range(self.k):
-            for j in range(self.k - i):
-                np.add(acc[i + j], np.matmul(xf[i], yf[j], out=term[i + j]), out=acc[i + j])
-        out = self._image(x.shape[1])
+        np.matmul(xf, yf, out=acc)
+        out = self._image(len(x))
         np.copyto(out, acc, casting="unsafe")
-        if self.mod:
-            np.remainder(out, self.mod, out=out)
+        np.remainder(out, self.mod, out=out)
         return out
 
     def equal(self, x, y):
         """(cases, samples): whether the two images agree on each trial."""
-        same = (x == y).reshape(self.k, -1, self.rep.dim ** 2).all(axis=(0, 2))
-        return same.reshape(-1, self.samples)
-
-
-class _ExactKernel:
-    """Each case's difference at the generic point (`_differences`),
-    specialized in the ring at `samples` trials that draw a and b, in
-    case order, stopping a case at its first failure.  A zero difference
-    holds at every (a, b) of every commutative ring: its trials draw a
-    and b, which keeps the rng stream, and evaluate nothing."""
-
-    exact = True
-
-    def __init__(self, rep: Representation, ring: Ring, samples: int, rng):
-        self.rep, self.ring, self.samples, self.rng = rep, ring, samples, rng
-
-    def run(self, cases, diffs):
-        """The first failing (a, b) of each case, None where the law held."""
-        ring, out = self.ring, []
-        for diff in diffs:
-            failed = None
-            for _ in range(self.samples):
-                a, b = ring._sample(self.rng, 6), ring._sample(self.rng, 6)
-                if diff and _specialize(ring, diff, a, b):
-                    failed = (RingElement(ring, a), RingElement(ring, b))
-                    break
-            out.append(failed)
-        return out
+        return (x == y).reshape(-1, self.samples, self.rep.dim ** 2).all(axis=2)
 
 
 def _holds(kernel, law, cases, a, b):
-    """The numpy kernel's verdict (`equal`) on whether `law` holds on a
+    """The float kernel's verdict (`equal`) on whether `law` holds on a
     batch of its cases (law, alpha, beta, s) at arguments a, b: R1
     x_a(a) x_a(b) = x_a(a + b); R2 x_a(a) x_b(b) = x_b(b) x_a(a); R3
     x_a(a) x_b(b) = x_s(N ab) x_b(b) x_a(a), law "R3-" when N = -1.  Each
     letter is built once, and R3's right side is multiplied right to
     left, x_s (x_b x_a)."""
     _, alphas, betas, sums = zip(*cases)
-    letter, product = kernel.letter, kernel.product
+    letter, product, m = kernel.letter, kernel.product, kernel.mod
     xa = letter(alphas, a)
     if law == "R1":
-        return kernel.equal(product(xa, letter(alphas, b)), letter(alphas, kernel.add(a, b)))
+        return kernel.equal(product(xa, letter(alphas, b)), letter(alphas, (a + b) % m))
     xb = letter(betas, b)
     left, right = product(xa, xb), product(xb, xa)
     if law != "R2":
-        ab = kernel.mul(a, b)
-        right = product(letter(sums, kernel.neg(ab) if law == "R3-" else ab), right)
+        ab = a * b % m
+        right = product(letter(sums, -ab % m if law == "R3-" else ab), right)
     return kernel.equal(left, right)
 
 
@@ -603,29 +541,56 @@ def _cases(system):
     return cases
 
 
-def _sweep(kernel) -> RelationReport:
-    """The kernel runs every case of `_cases`, given its generic
-    difference if the kernel is exact; violations are in case order."""
-    cases = _cases(kernel.rep.system)
-    diffs = list(_differences(kernel.rep, cases)) if kernel.exact else [None] * len(cases)
-    failed = [(case, args) for case, args in zip(cases, kernel.run(cases, diffs))
-              if args is not None]
-    violations = [(law[:2], alpha) if law == "R1" else (law[:2], alpha, beta)
-                  for (law, alpha, beta, _), _ in failed]
-    return RelationReport(kernel.rep.describe(), kernel.ring.describe(), kernel.samples,
-                          len(cases), violations, [args for _, args in failed],
-                          diffs.count({}))
+def _first_failures(ring: Ring, diffs, trials):
+    """For each case, the payloads (a, b) of its first trial at which its
+    generic difference specializes to nonzero, None if there is none.
+    `trials` yields each case's trials, in case order; the trials of a
+    certified case, {}, are run through and evaluate nothing."""
+    return [next((ab for ab in draws if diff and _specialize(ring, diff, *ab)), None)
+            for diff, draws in zip(diffs, trials)]
+
+
+def _report(rep, ring, samples, cases, failures, certified) -> RelationReport:
+    failed = [(case, ab) for case, ab in zip(cases, failures) if ab is not None]
+    return RelationReport(
+        rep.describe(), ring.describe(), samples, len(cases),
+        [(law[:2], alpha) if law == "R1" else (law[:2], alpha, beta)
+         for (law, alpha, beta, _), _ in failed],
+        [tuple(RingElement(ring, x) for x in ab) for _, ab in failed], certified)
 
 
 def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> RelationReport:
     """Check the three Steinberg relations as matrix identities,
-    exhaustively over root pairs and randomized over ring elements.
-    Each case is first certified at the generic point of ZZ[a, b], and
-    only the rest are tried at the drawn (a, b), in batched numpy
-    arithmetic over the rings `_np_coeff_profile` admits, exactly in the
-    ring over every other; where float64 can round (`_np_exact`, as over
-    GF(1000000007)), every case is evaluated."""
-    profile = _np_coeff_profile(ring)
+    exhaustively over root pairs (`_cases`) and at `samples` trials (a, b)
+    each; violations are in case order.  Each case is certified at the
+    generic point of ZZ[a, b] (`_differences`).  A zero difference holds
+    at every (a, b) of every commutative ring; a nonzero one is
+    specialized in the ring (`_specialize`) at the case's trials, up to
+    the first that fails.  Over Z/n, F_p and Z[t]/(t^k)
+    (`_np_coeff_profile`) every trial is drawn in one numpy call and
+    only the open cases' trials are converted; over every other ring
+    `Ring._sample` draws them one by one, certified cases included, so
+    the rng stream does not depend on the verdicts.  One route is not
+    certified: over Z/m with d (m - 1)^2 >= 2^53, as over
+    GF(1000000007), every case is evaluated in float64 (`_FloatKernel`),
+    whose products round there and report false violations.  The
+    benchmark's relation-sweep asserts those verdicts, so that route
+    moves to the certificate with the next benchmark revision."""
+    cases, profile = _cases(rep.system), _np_coeff_profile(ring)
+    if profile is not None:
+        k, mod, bound = profile
+        lo, hi = (0, mod) if mod else (-bound, bound + 1)
+        draws = np.random.default_rng(rng.randrange(2 ** 63)).integers(
+            lo, hi, size=(len(cases), 2, samples, k), dtype=np.int64)
+        if mod and rep.dim * (mod - 1) ** 2 >= 2 ** 53:
+            failures = _FloatKernel(rep, ring, samples, mod).run(cases, draws[..., 0])
+            return _report(rep, ring, samples, cases, failures, 0)
+    diffs = list(_differences(rep, cases))
     if profile is None:
-        return _sweep(_ExactKernel(rep, ring, samples, rng))
-    return _sweep(_NumpyKernel(rep, ring, samples, rng, profile))
+        trials = (((ring._sample(rng, 6), ring._sample(rng, 6)) for _ in range(samples))
+                  for _ in cases)
+    else:
+        trials = (((_element(ring, x), _element(ring, y)) for x, y in zip(*draws[n]))
+                  if diff else () for n, diff in enumerate(diffs))
+    return _report(rep, ring, samples, cases, _first_failures(ring, diffs, trials),
+                   diffs.count({}))

@@ -281,7 +281,7 @@ class IntegerRing(Ring):
 
     def _try_divide(self, a, b):
         if b == 0:
-            return None
+            return None if a else 0
         q, r = divmod(a, b)
         return q if r == 0 else None
 
@@ -317,7 +317,7 @@ class RationalField(Ring):
 
     def _try_divide(self, a, b):
         if b == 0:
-            return None
+            return None if a else a
         return a / b
 
     def _sample(self, rng, size):
@@ -397,7 +397,7 @@ class PrimeFieldRing(Ring):
 
     def _try_divide(self, a, b):
         if b % self.p == 0:
-            return None
+            return None if a % self.p else 0
         return (a * pow(b, -1, self.p)) % self.p
 
     def _sample(self, rng, size):
@@ -516,7 +516,7 @@ class PolynomialRing(Ring):
 
     def _try_divide(self, a, b):
         if not b:
-            return None
+            return None if a else a
         q, r = _poly_divmod(self, a, b)
         if r and not self.is_domain:
             raise ValueError(f"leading-term division does not decide divisibility in {self}")
@@ -658,10 +658,10 @@ class LocalizationRing(Ring):
         n1, k1 = a
         n2, k2 = b
         bz = self.base._from_int(0)
-        if n2 == bz:
-            return None
         if n1 == bz:
             return (bz, 0)
+        if n2 == bz:
+            return None
         # a/b = n1 a^(k2+t) / n2 / a^(k1+t) for any large enough t; the
         # base is a UFD, so the number of prime factors of n2 bounds every
         # valuation that the multiplier powers have to clear

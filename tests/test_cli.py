@@ -106,7 +106,7 @@ def test_simplicial_lift(tmp_path, capsys):
 
 
 def test_patch_verify_and_demo(tmp_path, capsys):
-    code, out = run(capsys, "patch", "--relations", "--samples", "4", "--seed", "5")
+    code, out = run(capsys, "patch", "verify", "--samples", "4", "--seed", "5")
     assert code == 0
     report = json.loads(out)
     assert report["failures"] == 0 and report["check"] == "translation-relations"
@@ -195,7 +195,7 @@ BAD_WORD_FILES = {
     ["k2m", "tame", "--symbol", "0,3", "--prime", "3"],
     ["k2m", "tame"],
     ["eval", "--word", "no-such-dir/word.json"],
-    ["word", "eval"],
+    ["word", "reduce"],
     ["roots", "--type", "A", "--rank", "1"],
     ["roots", "--type", "D", "--rank", "3"],
     ["patch", "verify", "--phi", "A9"],
@@ -211,6 +211,8 @@ BAD_WORD_FILES = {
     ["eval", "--word", "negative-exp.json"],
     ["eval", "--word", "short-exponents.json"],
     ["eval", "--word", "not-a-root.json", "--rep", "adjoint"],
+    ["word", "eval"],                             # evaluation is the `eval` command
+    ["patch", "--relations"],                     # as is `patch verify`
 ])
 def test_input_errors_are_usage_errors(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

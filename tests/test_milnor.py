@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from steinberg_lab.milnor import (TameSymbolImage, factor_positive,
                                   steinberg_to_milnor, symbol,
-                                  symbol_normalize, tame_symbol,
-                                  tame_symbol_term)
+                                  symbol_normalize, tame_symbol)
 from steinberg_lab.rings import GF
 from steinberg_lab.roots import build_root_system
 from steinberg_lab import checks, words
@@ -44,20 +43,26 @@ def test_tame_symbol_examples():
         tame_symbol(symbol(2, 3), 9)
 
 
+def _term(a, b, p):
+    """The tame symbol of the one symbol {a, b} at p."""
+    return tame_symbol(symbol(a, b), p).value
+
+
 def test_tame_symbol_term_valuations():
+    """(-1)^(v(a)v(b)) a^v(b) / b^v(a) modulo p on single symbols."""
     # v_3(9) = 2, v_3(5) = 0: value is 5^(-2) = 1 mod 3
-    assert tame_symbol_term(Fraction(9), Fraction(5), 3) == 1
+    assert _term(Fraction(9), Fraction(5), 3) == 1
     # v_3(1/3) = -1, v_3(2) = 0: value is 2^(+1) = 2 mod 3
-    assert tame_symbol_term(Fraction(1, 3), Fraction(2), 3) == 2
+    assert _term(Fraction(1, 3), Fraction(2), 3) == 2
     # both valuations odd: sign flip, 3 * 5 at p=3 and p=5
-    assert tame_symbol_term(Fraction(3), Fraction(3), 3) == (-1) % 3
+    assert _term(Fraction(3), Fraction(3), 3) == (-1) % 3
 
 
 def test_tame_symbol_term_refuses_primes_that_are_not_odd_primes():
     # 9 first: the unchecked formula returned 1 there and looped at p = 1
     for p in (9, 2, 1, -1, -3, True, 3.0):
         with pytest.raises(ValueError, match="odd primes only"):
-            tame_symbol_term(2, 3, p)
+            _term(2, 3, p)
 
 
 def _fraction_tame_term(a, b, p):
@@ -89,7 +94,7 @@ def test_tame_symbol_term_matches_fraction_formula(p, data):
         return unit * Fraction(p) ** data.draw(st.integers(-3, 3))
 
     a, b = entry(), entry()
-    assert tame_symbol_term(a, b, p) == _fraction_tame_term(a, b, p)
+    assert _term(a, b, p) == _fraction_tame_term(a, b, p)
 
 
 def test_symbol_entries_validated():

@@ -4,14 +4,13 @@ import random
 
 import pytest
 
-from steinberg_lab.rings import ZZ
+from steinberg_lab.rings import ZZ, identity_hom
 from steinberg_lab.roots import build_root_system
 from steinberg_lab import checks, reps, words
 from steinberg_lab.patching import (ConjugationHom, GlueingError,
-                                    InsufficientLevelError, PatchPair,
-                                    conj_bound, glueing_demo,
-                                    identity_datum, left_translation,
-                                    mu_image, star_reduce,
+                                    InsufficientLevelError, PatchDatum,
+                                    PatchPair, conj_bound, glueing_demo,
+                                    left_translation, mu_image, star_reduce,
                                     translate_by_word, verify_conjugation,
                                     verify_translation_relations,
                                     zariski_datum)
@@ -271,7 +270,7 @@ def test_translation_relations_report():
 
 
 def test_translation_relations_identity_datum():
-    datum = identity_datum(Z, 3)
+    datum = PatchDatum(Z, Z, identity_hom(Z), Z.el(3), "identity")
     report = verify_translation_relations(datum, A3, ADJ, 8, random.Random(10))
     assert report.ok, report.failures
 

@@ -164,22 +164,14 @@ def test_verify_relations_sweeps():
 
 
 def test_verify_relations_generic_path_agrees():
-    """The numpy kernel and the exact kernel must agree: both hold on an
-    unmutated rep, and on the flipped controls over F7 both name the
-    same violating cases."""
+    """An unmutated rep holds over a ring whose trials numpy draws and
+    over one whose trials `Ring._sample` draws."""
     rng = random.Random(2)
     A2 = build_root_system("A", 2)
     rep = build_representation(A2, "adjoint")
     Z6 = quotient(ZZ(), 6)
     assert reps._np_coeff_profile(Z6) is not None
     assert verify_relations(rep, Z6, 10, random.Random(5)).ok
-    assert reps._sweep(reps._ExactKernel(rep, Z6, 5, random.Random(5))).ok
-    F7 = GF(7)
-    for key in ("A2-defining~flip/F7", "D4-vector~flip/F7", "A3-adjoint~flip/F7"):
-        flipped, report = _pinned_sweep(key)
-        exact = reps._sweep(reps._ExactKernel(flipped, F7, 10, random.Random(key)))
-        assert report.violations and exact.violations == report.violations, key
-    # the exact kernel also runs on rings with no numpy profile
     L2 = localize(ZZ(), 2)
     assert reps._np_coeff_profile(L2) is None
     assert verify_relations(rep, L2, 3, rng).ok
@@ -473,7 +465,7 @@ def test_sweep_witness_replays_through_evaluate(key):
 
 
 # ---------------------------------------------------------------------------
-# the exact kernel: certified at the generic point, specialized on failure
+# the certificate: proved at the generic point, specialized on failure
 # ---------------------------------------------------------------------------
 
 def _sides(ring, case, a, b):
@@ -591,42 +583,51 @@ def test_exact_sweep_evaluates_no_certified_case(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the numpy kernel: certified first wherever its float64 products are exact
+# numpy-drawn trials: certified first, except in the float64 route
 # ---------------------------------------------------------------------------
 
-# perfbench's relation-sweep grid
-BENCH_SWEEP = [("A", 2, "defining"), ("A", 3, "defining"), ("A", 4, "defining"),
-               ("A", 5, "defining"), ("A", 2, "adjoint"), ("A", 3, "adjoint"),
-               ("D", 4, "vector"), ("D", 5, "vector"), ("D", 6, "vector"),
-               ("D", 4, "adjoint"), ("A", 5, "adjoint"), ("D", 5, "adjoint")]
 NUMPY_RINGS = ("Z6", "F7", "Zt3")
 
 
-def _exact(rep, ring):
-    return reps._np_exact(rep, reps._np_coeff_profile(ring))
-
-
-def test_float_products_are_exact_except_over_the_large_prime():
-    for kind, rank, repkind in BENCH_SWEEP:
-        rep = _rep(kind, rank, repkind)
-        for name in NUMPY_RINGS:
-            assert _exact(rep, SWEEP_RINGS[name]), (rep.describe(), name)
-        assert not _exact(rep, SWEEP_RINGS["Fbig"]), rep.describe()
+def _assert_refuted_with_witnesses(bad, ring, report):
+    """The report refutes exactly the cases of `bad` with a nonzero
+    generic difference, and each witness replays through `evaluate` to
+    two different images."""
+    cases = reps._cases(bad.system)
+    failing = [case for case, diff in zip(cases, reps._differences(bad, cases)) if diff]
+    assert failing and report.violations == [_named(case) for case in failing]
+    assert report.certified == len(cases) - len(failing)
+    for case, (a, b) in zip(failing, report.arguments, strict=True):
+        assert a.ring is ring and b.ring is ring
+        left, right = _sides(ring, case, a.payload, b.payload)
+        assert _replayed(bad, ring, left) != _replayed(bad, ring, right), case
 
 
 def test_exactness_threshold_at_dimension_45():
-    """k d (p - 1)^2 < 2^53 at k = 1, d = 45: 14147779 and the next
-    prime, 14147797, lie on either side of the threshold.  Over
-    Z[t]/(t^k), draws in [-4, 4], |M1| <= 2 and |M2| = 1 give
-    E = 2 S + k S^2 with S = 16 k; (45 k)^2 E^3 is 6.3e15 at k = 3 and
-    1.5e17 at k = 4, on either side of 2^53 = 9.0e15."""
+    """d (p - 1)^2 < 2^53 at d = 45: below it, at 14147779, a sweep
+    certifies every case; at the next prime, 14147797, every case is
+    evaluated in float64 and none is certified."""
     rep = _rep("D", 5, "adjoint")
     assert rep.dim == 45
     below, above = GF(14147779), GF(14147797)
     assert 45 * (below.p - 1) ** 2 < 2 ** 53 <= 45 * (above.p - 1) ** 2
-    assert _exact(rep, below) and not _exact(rep, above)
-    assert _exact(rep, SWEEP_RINGS["Zt3"])
-    assert not _exact(rep, quotient(_Pt, _Pt.var("t") ** 4))
+    for ring, certified in ((below, 1600), (above, 0)):
+        report = verify_relations(rep, ring, 1, random.Random(0))
+        assert (report.pairs_checked, report.certified) == (1600, certified)
+
+
+def test_truncated_polynomials_past_the_old_float_bound_are_certified():
+    """Over Z[t]/(t^4), D5 adjoint (d = 45) lay past the bound below
+    which the float64 products of truncated polynomials were exact.  The
+    intact rep certifies every case, and the flipped one is refuted on
+    exactly its cases with a nonzero generic difference, each with a
+    witness that replays through `evaluate` to two different images."""
+    ring = quotient(_Pt, _Pt.var("t") ** 4)
+    rep = _rep("D", 5, "adjoint")
+    report = verify_relations(rep, ring, 3, random.Random(1))
+    assert report.ok and report.certified == report.pairs_checked == 1600
+    bad = _flipped(rep)
+    _assert_refuted_with_witnesses(bad, ring, verify_relations(bad, ring, 10, random.Random(2)))
 
 
 def test_numpy_sweep_evaluates_no_certified_case(monkeypatch):
@@ -682,16 +683,7 @@ def test_numpy_sweep_refutes_each_mutation_with_a_replayable_witness(name, ring)
     nonzero (64 of 81).  So 30 samples miss one of its at most 28
     failing cases with probability below 28 (13/49)^30 < 10^-15."""
     bad, ring = MUTATIONS[name](), SWEEP_RINGS[ring]
-    assert _exact(bad, ring)
-    report = verify_relations(bad, ring, 30, random.Random(name))
-    cases = reps._cases(bad.system)
-    failing = [case for case, diff in zip(cases, reps._differences(bad, cases)) if diff]
-    assert report.violations == [_named(case) for case in failing]
-    assert report.certified == len(cases) - len(failing)
-    for case, (a, b) in zip(failing, report.arguments, strict=True):
-        assert a.ring is ring and b.ring is ring
-        left, right = _sides(ring, case, a.payload, b.payload)
-        assert _replayed(bad, ring, left) != _replayed(bad, ring, right), case
+    _assert_refuted_with_witnesses(bad, ring, verify_relations(bad, ring, 30, random.Random(name)))
 
 
 DIFFERENTIAL_REPS = [_rep("A", 2, "defining"), _rep("A", 2, "adjoint"),
@@ -704,7 +696,7 @@ DIFFERENTIAL_RINGS = [ZZ(), quotient(ZZ(), 6), GF(7), localize(ZZ(), 2), quotien
        st.sampled_from(DIFFERENTIAL_RINGS), st.integers(0, 2 ** 32))
 def test_difference_specializes_to_the_evaluated_sides(rep, law, data, ring, seed):
     """At sampled (a, b) of each ring, ZZ among them, the generic
-    difference specialized as the exact kernel does is left minus right
+    difference specialized as the sweep does is left minus right
     as `_image_rows` multiplies them out there, on intact, flipped and
     M2-negated tables, whose cases reach every degree."""
     rep = data.draw(st.sampled_from([rep, _flipped(rep)] + ([_negated_m2(rep)] if rep.m2[
@@ -733,28 +725,3 @@ def test_difference_is_the_difference_over_the_polynomial_ring():
                 want[r, c] = want.get((r, c), P.zero) + n * a ** i * b ** j
             got = {key: RingElement(P, v) for key, v in _rows_difference(P, left, right).items()}
             assert got == want, case
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(DIFFERENTIAL_REPS), st.sampled_from(NUMPY_RINGS), st.data(), st.integers(0, 2 ** 32))
-def test_float_verdict_is_the_specialized_difference(rep, name, data, seed):
-    """On exact configurations, for a batch of one law's cases of an
-    intact or mutated table, the float64 `_holds` verdict on each trial
-    is that the generic difference specializes to zero there."""
-    muts = [_flipped, _negated_m1] + ([_negated_m2] if rep.m2[rep.system.simple_roots[0]] else [])
-    rep = data.draw(st.sampled_from([rep] + [mutate(rep) for mutate in muts]))
-    ring = SWEEP_RINGS[name]
-    kernel = reps._NumpyKernel(rep, ring, 3, random.Random(seed), reps._np_coeff_profile(ring))
-    assert kernel.exact
-    law = data.draw(st.sampled_from(sorted({case[0] for case in reps._cases(rep.system)})))
-    batch = data.draw(st.lists(st.sampled_from([c for c in reps._cases(rep.system) if c[0] == law]),
-                               min_size=1, max_size=kernel.chunk))
-    k, lo, hi = kernel.k, (0 if kernel.mod else -kernel.bound), (kernel.mod or kernel.bound + 1)
-    draws = kernel.nprng.integers(lo, hi, size=(len(batch), 2, kernel.samples, k), dtype=np.int64)
-    a, b = (draws[:, t].reshape(-1, k).T for t in (0, 1))
-    held = reps._holds(kernel, law, batch, a, b)
-    for n, case in enumerate(batch):
-        diff = _difference(rep, case)
-        for s in range(kernel.samples):
-            x, y = (kernel._element(draws[n, t, s]).payload for t in (0, 1))
-            assert held[n, s] == (not reps._specialize(ring, diff, x, y)), (case, s)

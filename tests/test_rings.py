@@ -339,6 +339,23 @@ def test_milnor_square_division():
             assert (x * y).try_divide(y) == x
 
 
+@pytest.mark.parametrize("ring", checks.ring_constructions(), ids=str)
+def test_zero_over_zero_is_zero(ring):
+    """q 0 = 0 for every q, so 0 / 0 has a quotient, 0, in every
+    construction; a nonzero element over 0 has none."""
+    assert ring.zero.try_divide(ring.zero) == ring.zero
+    assert ring.one.try_divide(ring.zero) is None
+
+
+def test_product_division_with_a_zero_component():
+    """(c, 1) (0, 1) = (0, 1) for every c in F3, so (0, 1) / (0, 1) has
+    a quotient; it is (0, 1)."""
+    P = product_ring(GF(3), ZZ())
+    x = RingElement(P, (0, 1))
+    assert x.try_divide(x) == x
+    assert RingElement(P, (1, 1)).try_divide(x) is None
+
+
 def test_milnor_square_roundtrip_random():
     assert checks.milnor_square_roundtrip(random.Random(17), 100) == []
 
