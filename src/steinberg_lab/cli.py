@@ -2,10 +2,13 @@
 
 Every subcommand is a thin adapter over the library; output is
 machine-readable (JSON or TSV) by default and deterministic under a
-fixed --seed.  Exit codes: 0 ok, 1 a verification failed, 2 a usage
-error (bad flag, ring spec, prime, symbol, root system, root index, or
-word or generator file; one message on stderr), 3 a crash (an uncaught
-exception; its traceback goes to stderr).
+fixed --seed.  Each request (`word reduce`, `patch verify`, ...) has its
+own parser and accepts only the flags its command reads.  Exit codes:
+0 ok, 1 a verification failed, 2 a usage error (a bad or misplaced flag,
+ring spec, prime, symbol, root system, root index, representation,
+non-positive count, patch datum, or word or generator file; one message
+on stderr), 3 a crash (an uncaught exception; its traceback goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -110,6 +113,14 @@ def parse_odd_prime(spec: str) -> int:
     raise argparse.ArgumentTypeError(f"{spec!r} is not an odd prime")
 
 
+def positive_int(spec: str) -> int:
+    """A count of samples or levels: a check of zero of them checks nothing.
+    argparse reports the ValueError of a non-integer as a usage error too."""
+    if int(spec) < 1:
+        raise argparse.ArgumentTypeError(f"{spec!r} is not a positive integer")
+    return int(spec)
+
+
 def _usage(message: str) -> int:
     print(f"steinberg-lab: error: {message}", file=sys.stderr)
     return EXIT_USAGE
@@ -142,24 +153,27 @@ def cmd_roots(args) -> int:
     return EXIT_OK
 
 
-def cmd_word(args) -> int:
-    if args.action == "symbol":
-        ring = args.ring
-        if not (ring.from_int(args.u).is_unit() and ring.from_int(args.v).is_unit()):
-            return _usage(f"--u {args.u} and --v {args.v} must be units of {ring}")
-        system = build_root_system(args.type, args.rank)
-        root = system.simple_roots[args.root_index]
-        _emit(word_to_json(words.steinberg_symbol(system, ring, root, args.u, args.v)),
-              args.pretty)
-        return EXIT_OK
-    if args.word is None:
-        return _usage(f"word {args.action} needs --word")
+def cmd_word_reduce(args) -> int:
     _emit(word_to_json(words.commutator_reduce(args.word)), args.pretty)
     return EXIT_OK
 
 
+def cmd_word_symbol(args) -> int:
+    ring = args.ring
+    if not (ring.from_int(args.u).is_unit() and ring.from_int(args.v).is_unit()):
+        return _usage(f"--u {args.u} and --v {args.v} must be units of {ring}")
+    system = build_root_system(args.type, args.rank)
+    root = system.simple_roots[args.root_index]
+    _emit(word_to_json(words.steinberg_symbol(system, ring, root, args.u, args.v)),
+          args.pretty)
+    return EXIT_OK
+
+
 def cmd_eval(args) -> int:
-    rep = reps.build_representation(args.word.system, args.rep)
+    try:
+        rep = reps.build_representation(args.word.system, args.rep)
+    except ValueError as exc:
+        return _usage(f"--rep {args.rep} does not fit the word: {exc}")
     m = reps.evaluate(args.word, rep)
     if args.check_identity:
         ok = m.is_identity
@@ -184,43 +198,37 @@ def cmd_k2m(args) -> int:
                         "value": img.value})
         _emit(out, args.pretty)
         return EXIT_OK
-    if args.symbol is None or args.prime is None:
-        return _usage("k2m tame needs --symbol and --prime, or --batch")
     print(milnor.tame_symbol(milnor.symbol(*args.symbol), args.prime).value)
     return EXIT_OK
 
 
-def cmd_simplicial(args) -> int:
-    if args.action == "check":
-        report = simplicial.simplicial_identity_report(args.ring, args.nmax)
-        bad = [name for name, ok in report if not ok]
-        _emit({"check": "simplicial-identities", "samples": len(report),
-               "failures": len(bad)}, args.pretty)
-        return EXIT_OK if not bad else EXIT_VERIFICATION
-    if args.action == "lift":
-        if args.word is None:
-            return _usage("simplicial lift needs --word")
-        _emit(word_to_json(simplicial.moore_lift(args.word).word()), args.pretty)
-        return EXIT_OK
-    raise AssertionError(args.action)
+def cmd_simplicial_check(args) -> int:
+    report = simplicial.simplicial_identity_report(args.ring, args.nmax)
+    bad = [name for name, ok in report if not ok]
+    _emit({"check": "simplicial-identities", "samples": len(report),
+           "failures": len(bad)}, args.pretty)
+    return EXIT_OK if not bad else EXIT_VERIFICATION
 
 
-def cmd_patch(args) -> int:
-    datum = patching.zariski_datum(args.B, args.a, args.b)
-    system = args.phi
-    rep = reps.build_representation(system, "adjoint")
-    if args.action == "verify" or (args.action is None and args.word is None):
-        rng = random.Random(args.seed)
-        report = patching.verify_translation_relations(datum, system, rep,
-                                                       args.samples, rng)
-        _emit(report.to_json(), args.pretty)
-        return EXIT_OK if report.ok else EXIT_VERIFICATION
-    if args.word is None:
-        return _usage("patch demo requires --word")
-    if args.word.ring is not datum.A:
+def cmd_simplicial_lift(args) -> int:
+    _emit(word_to_json(simplicial.moore_lift(args.word).word()), args.pretty)
+    return EXIT_OK
+
+
+def cmd_patch_verify(args) -> int:
+    rep = reps.build_representation(args.phi, "adjoint")
+    report = patching.verify_translation_relations(args.datum, args.phi, rep, args.samples,
+                                                   random.Random(args.seed))
+    _emit(report.to_json(), args.pretty)
+    return EXIT_OK if report.ok else EXIT_VERIFICATION
+
+
+def cmd_patch_demo(args) -> int:
+    if args.word.ring is not args.datum.A:
         return _usage(f"word ring {args.word.ring} does not match the datum")
+    rep = reps.build_representation(args.phi, "adjoint")
     try:
-        y = patching.glueing_demo(datum, system, rep, args.word)
+        y = patching.glueing_demo(args.datum, args.phi, rep, args.word)
     except patching.GlueingError as exc:
         _emit({"check": "glueing-demo", "ok": False, "reason": str(exc)}, args.pretty)
         return EXIT_VERIFICATION
@@ -284,73 +292,77 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per request, with exactly the flags its command reads."""
     parser = argparse.ArgumentParser(prog="steinberg-lab")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pretty", action="store_true", help="indent JSON output")
-    common.add_argument("--seed", type=int, default=0)
+    pretty = argparse.ArgumentParser(add_help=False)
+    pretty.add_argument("--pretty", action="store_true", help="indent JSON output")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    datum = argparse.ArgumentParser(add_help=False)
+    datum.add_argument("--B", type=parse_ring, default="int")
+    datum.add_argument("--a", type=int, default=2, help="m of the datum B -> B_m")
+    datum.add_argument("--b", type=int, default=3, help="h, coprime to m in B")
+    datum.add_argument("--phi", type=parse_phi, default="A3")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def request(subparsers, name, fn, *parents, **kw):
+        p = subparsers.add_parser(name, parents=parents, **kw)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = add_parser("roots", help="root system tables")
+    def actions(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="action", required=True)
+
+    p = request(sub, "roots", cmd_roots, help="root system tables")
     p.add_argument("--type", choices=("A", "D"), required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--constants", action="store_true",
                    help="emit TSV (alpha, beta, alpha+beta, N)")
-    p.set_defaults(fn=cmd_roots)
 
-    p = add_parser("word", help="word operations")
-    p.add_argument("action", choices=("reduce", "symbol"))
-    p.add_argument("--word", type=parse_word_file, help="word JSON file")
+    word = actions("word", "word operations")
+    p = request(word, "reduce", cmd_word_reduce, pretty)
+    p.add_argument("--word", type=parse_word_file, required=True, help="word JSON file")
+    p = request(word, "symbol", cmd_word_symbol, pretty)
     p.add_argument("--type", choices=("A", "D"), default="A")
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--ring", type=parse_ring, default="Fp:5")
     p.add_argument("--root-index", type=int, default=0)
     p.add_argument("--u", type=int, default=2)
     p.add_argument("--v", type=int, default=3)
-    p.set_defaults(fn=cmd_word)
 
-    p = add_parser("eval", help="evaluate a word in a representation")
-    p.add_argument("--rep", default="adjoint")
+    p = request(sub, "eval", cmd_eval, pretty, help="evaluate a word in a representation")
+    p.add_argument("--rep", choices=("defining", "vector", "adjoint"), default="adjoint")
     p.add_argument("--word", type=parse_word_file, required=True)
     p.add_argument("--check-identity", action="store_true")
-    p.set_defaults(fn=cmd_eval)
 
-    p = add_parser("k2m", help="Milnor K2 tame symbols")
-    p.add_argument("action", choices=("tame",))
-    p.add_argument("--symbol", type=parse_symbol, help="a,b")
+    p = request(actions("k2m", "Milnor K2 tame symbols"), "tame", cmd_k2m, pretty)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--symbol", type=parse_symbol, help="a,b (with --prime)")
+    source.add_argument("--batch", help="JSON list of {symbol, prime}")
     p.add_argument("--prime", type=parse_odd_prime)
-    p.add_argument("--batch", help="JSON list of {symbol, prime}")
-    p.set_defaults(fn=cmd_k2m)
 
-    p = add_parser("simplicial", help="simplicial ring checks")
-    p.add_argument("action", choices=("check", "lift"))
-    p.add_argument("--nmax", type=int, default=3)
+    cx = actions("simplicial", "simplicial ring checks")
+    p = request(cx, "check", cmd_simplicial_check, pretty)
+    p.add_argument("--nmax", type=positive_int, default=3)
     p.add_argument("--ring", type=parse_ring, default="int")
-    p.add_argument("--word", type=parse_generator_file,
-                   help="level-1 generator JSON for lift")
-    p.set_defaults(fn=cmd_simplicial)
+    p = request(cx, "lift", cmd_simplicial_lift, pretty)
+    p.add_argument("--word", type=parse_generator_file, required=True,
+                   help="level-1 generator JSON")
 
-    p = add_parser("patch", help="patching demo and verification")
-    p.add_argument("action", choices=("demo", "verify"), nargs="?")
-    p.add_argument("--B", type=parse_ring, default="int")
-    p.add_argument("--a", type=int, default=2)
-    p.add_argument("--b", type=int, default=3)
-    p.add_argument("--phi", type=parse_phi, default="A3")
-    p.add_argument("--word", type=parse_word_file,
+    patch = actions("patch", "patching demo and verification")
+    p = request(patch, "verify", cmd_patch_verify, datum, seed, pretty)
+    p.add_argument("--samples", type=positive_int, default=25)
+    p = request(patch, "demo", cmd_patch_demo, datum, pretty)
+    p.add_argument("--word", type=parse_word_file, required=True,
                    help="target word JSON over the localized ring")
-    p.add_argument("--samples", type=int, default=25)
-    p.set_defaults(fn=cmd_patch)
 
-    p = add_parser("milnor-square", help="pullback round-trip checks")
-    p.add_argument("action", choices=("verify",), nargs="?", default="verify")
-    p.add_argument("--samples", type=int, default=100)
-    p.set_defaults(fn=cmd_milnor_square)
+    p = request(actions("milnor-square", "pullback round-trip checks"), "verify",
+                cmd_milnor_square, seed, pretty)
+    p.add_argument("--samples", type=positive_int, default=100)
 
-    p = add_parser("selftest", help="run every module's invariant sweep")
+    p = request(sub, "selftest", cmd_selftest, seed,
+                help="run every module's invariant sweep")
     p.add_argument("--quick", action="store_true")
-    p.set_defaults(fn=cmd_selftest)
     return parser
 
 
@@ -363,6 +375,13 @@ def main(argv=None) -> int:
                 parser.error(f"unsupported root system {args.type}{args.rank}")
             if "root_index" in args and not 0 <= args.root_index < args.rank:
                 parser.error(f"--root-index {args.root_index} is not in 0..{args.rank - 1}")
+        if "batch" in args and (args.batch is None) == (args.prime is None):
+            parser.error("k2m tame takes --symbol with --prime, or --batch alone")
+        if "phi" in args:
+            try:
+                args.datum = patching.zariski_datum(args.B, args.a, args.b)
+            except ValueError as exc:
+                parser.error(f"bad patch datum --B {args.B} --a {args.a} --b {args.b}: {exc}")
         return args.fn(args)
     except Exception:  # a crash must not look like a verdict or a usage error
         traceback.print_exc()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import (LocalizationRing, Ring, RingElement, RingHom,
+from .rings import (LocalizationRing, Ring, RingElement, RingHom, bezout_identity,
                     decompose_modulo_power, localization_hom,
                     localization_functor_hom, localize)
 from .roots import RootSystem
@@ -75,10 +75,18 @@ class PatchDatum:
 
 
 def zariski_datum(B: Ring, m, h) -> PatchDatum:
-    """B -> B_m with h coprime to m: the localization instance of the
-    excision square."""
-    A = localize(B, B.el(m))
-    return PatchDatum(B, A, localization_hom(B, A), B.el(h), "zariski")
+    """B -> B_m with m and h nonzero and coprime in B: the localization
+    instance of the excision square.  Over a field nonzero is enough;
+    elsewhere a Bezout identity certifies coprimality, so ValueError is
+    raised when m and h are not coprime or where that cannot be decided
+    (`ext_gcd` covers ZZ and F[t])."""
+    m, h = B.el(m), B.el(h)
+    if m.is_zero or h.is_zero:
+        raise ValueError(f"m = {m!r} and h = {h!r} must be nonzero")
+    if not B.is_field:
+        bezout_identity(m, h)
+    A = localize(B, m)
+    return PatchDatum(B, A, localization_hom(B, A), h, "zariski")
 
 
 # ---------------------------------------------------------------------------

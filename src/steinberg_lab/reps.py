@@ -569,8 +569,9 @@ def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> Rela
     the first that fails.  Over Z/n, F_p and Z[t]/(t^k)
     (`_np_coeff_profile`) every trial is drawn in one numpy call and
     only the open cases' trials are converted; over every other ring
-    `Ring._sample` draws them one by one, certified cases included, so
-    the rng stream does not depend on the verdicts.  One route is not
+    `Ring._sample` draws them one by one, certified cases included.  An
+    open case stops drawing at its first failing trial, so there the rng
+    state after the sweep depends on the verdicts.  One route is not
     certified: over Z/m with d (m - 1)^2 >= 2^53, as over
     GF(1000000007), every case is evaluated in float64 (`_FloatKernel`),
     whose products round there and report false violations.  The

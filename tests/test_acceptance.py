@@ -100,7 +100,7 @@ def test_criterion_07_simplicial_suite():
 def test_criterion_08_conjugation_homomorphisms():
     """50 random conjugators of length <= 2 over (B=ZZ, A=ZZ[1/2], h=3),
     20 arguments each above the bound: the defining identity holds
-    exactly in the adjoint representation over QQ."""
+    exactly in the adjoint representation in G(B_h) = G(ZZ[1/3])."""
     t0 = time.monotonic()
     report("criterion-08 conjugation-homomorphisms",
            checks.conjugation_identity(random.Random(8), 50), t0, 120)

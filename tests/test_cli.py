@@ -105,22 +105,26 @@ def test_simplicial_lift(tmp_path, capsys):
     assert lifted["letters"], "lift should be a nonempty word"
 
 
+def _demo_word():
+    """A commutator over ZZ[1/2] that the glueing demo descends."""
+    Z = ZZ()
+    A3 = build_root_system("A", 3)
+    A = localize(Z, 2)
+    c = A.fraction(Z.from_int(5), 2)
+    d = A.fraction(Z.from_int(7), 1)
+    return (gen(A3, A, A3.simple_roots[0], c) * gen(A3, A, A3.simple_roots[2], d)
+            * gen(A3, A, A3.simple_roots[0], -c) * gen(A3, A, A3.simple_roots[2], -d))
+
+
 def test_patch_verify_and_demo(tmp_path, capsys):
     code, out = run(capsys, "patch", "verify", "--samples", "4", "--seed", "5")
     assert code == 0
     report = json.loads(out)
     assert report["failures"] == 0 and report["check"] == "translation-relations"
 
-    Z = ZZ()
-    A3 = build_root_system("A", 3)
-    A = localize(Z, 2)
-    c = A.fraction(Z.from_int(5), 2)
-    d = A.fraction(Z.from_int(7), 1)
-    x = (gen(A3, A, A3.simple_roots[0], c) * gen(A3, A, A3.simple_roots[2], d)
-         * gen(A3, A, A3.simple_roots[0], -c) * gen(A3, A, A3.simple_roots[2], -d))
     path = tmp_path / "x.json"
-    path.write_text(json.dumps(word_to_json(x)))
-    code, out = run(capsys, "patch", "--word", str(path))
+    path.write_text(json.dumps(word_to_json(_demo_word())))
+    code, out = run(capsys, "patch", "demo", "--word", str(path))
     assert code == 0
     result = json.loads(out)
     assert result["ok"] is True and result["descended"]["letters"]
@@ -173,8 +177,11 @@ def _word_file(ring, arg):
 ZZ_JSON = {"kind": "integers"}
 ZZT_JSON = {"kind": "polynomial", "base": ZZ_JSON, "vars": ["t"]}
 
-# word files written into the working directory of the usage-error test
-BAD_WORD_FILES = {
+# input files written into the working directory of the usage-error tests
+INPUT_FILES = {
+    "a2-word.json": _word_file(ZZ_JSON, 1),
+    "generator.json": {"system": {"type": "A", "rank": 2}, "base": ZZ_JSON,
+                       "root": [1, -1, 0], "f": [[[0], 1]], "g": []},
     "float-arg.json": _word_file(ZZ_JSON, 2.5),
     "bool-arg.json": _word_file(ZZ_JSON, True),
     "zero-denominator.json": _word_file({"kind": "rationals"}, {"n": 1, "d": 0}),
@@ -186,6 +193,26 @@ BAD_WORD_FILES = {
     "not-a-root.json": {**_word_file(ZZ_JSON, 1),
                         "letters": [{"root": [1, 1, -2], "arg": 1, "sign": 1}]},
 }
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    """A working directory holding INPUT_FILES, a glueing-demo word over
+    ZZ[1/2] and a one-job k2m batch."""
+    monkeypatch.chdir(tmp_path)
+    files = {**INPUT_FILES, "demo-word.json": word_to_json(_demo_word()),
+             "batch.json": [{"symbol": ["2", "3"], "prime": 3}]}
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    return tmp_path
+
+
+def _exit_code(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -213,18 +240,90 @@ BAD_WORD_FILES = {
     ["eval", "--word", "not-a-root.json", "--rep", "adjoint"],
     ["word", "eval"],                             # evaluation is the `eval` command
     ["patch", "--relations"],                     # as is `patch verify`
+    ["patch"],                                    # the action is required
+    ["patch", "--word", "demo-word.json"],        # spelled `patch demo --word`
+    ["milnor-square"],                            # spelled `milnor-square verify`
+    ["k2m", "tame", "--symbol", "2,3"],
+    ["k2m", "tame", "--prime", "3"],
+    ["k2m", "tame", "--symbol", "2,3", "--prime", "3", "--batch", "batch.json"],
+    ["k2m", "tame", "--batch", "batch.json", "--prime", "3"],
+    ["eval", "--word", "a2-word.json", "--rep", "vector"],    # vector is type D
+    ["eval", "--word", "a2-word.json", "--rep", "bogus"],
+    ["patch", "verify", "--a", "0"],
+    ["patch", "verify", "--b", "0"],
+    ["patch", "verify", "--B", "Zmod:6"],         # not a domain
+    ["patch", "verify", "--B", "intpoly:t"],      # coprimality undecidable
+    ["patch", "verify", "--a", "2", "--b", "4"],  # not coprime
+    ["patch", "verify", "--samples", "0"],
+    ["milnor-square", "verify", "--samples", "0"],
+    ["milnor-square", "verify", "--samples", "-1"],
+    ["simplicial", "check", "--nmax", "-1"],
+    ["simplicial", "check", "--nmax", "0"],
 ])
-def test_input_errors_are_usage_errors(argv, capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    for name, data in BAD_WORD_FILES.items():
-        (tmp_path / name).write_text(json.dumps(data))
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    err = capsys.readouterr().err
+def test_input_errors_are_usage_errors(argv, capsys, workdir):
+    code, err = _exit_code(argv, capsys)
     assert code == 2
     assert "error" in err and "Traceback" not in err
+
+
+# every (request, flag) pair that was parsed and then ignored, as a usage
+# error: each argv is a valid request followed by the misplaced flag
+MISPLACED_FLAGS = [
+    ["roots", "--type", "A", "--rank", "2", "--pretty"],
+    ["roots", "--type", "A", "--rank", "2", "--seed", "1"],
+    *(["word", "reduce", "--word", "a2-word.json", *flag] for flag in (
+        ["--seed", "1"], ["--type", "A"], ["--rank", "2"], ["--ring", "int"],
+        ["--root-index", "0"], ["--u", "2"], ["--v", "3"])),
+    ["word", "symbol", "--seed", "1"],
+    ["word", "symbol", "--word", "a2-word.json"],
+    ["eval", "--word", "a2-word.json", "--seed", "1"],
+    ["k2m", "tame", "--symbol", "2,3", "--prime", "3", "--seed", "1"],
+    ["simplicial", "check", "--seed", "1"],
+    ["simplicial", "check", "--word", "generator.json"],
+    ["simplicial", "lift", "--word", "generator.json", "--seed", "1"],
+    ["simplicial", "lift", "--word", "generator.json", "--nmax", "3"],
+    ["simplicial", "lift", "--word", "generator.json", "--ring", "int"],
+    ["patch", "verify", "--word", "demo-word.json"],
+    ["patch", "demo", "--word", "demo-word.json", "--seed", "1"],
+    ["patch", "demo", "--word", "demo-word.json", "--samples", "4"],
+    ["selftest", "--quick", "--pretty"],
+]
+
+
+@pytest.mark.parametrize("argv", MISPLACED_FLAGS, ids=" ".join)
+def test_misplaced_flag_is_usage_error(argv, capsys, workdir):
+    code, err = _exit_code(argv, capsys)
+    assert code == 2
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+def test_each_request_takes_only_its_flags():
+    def requests(parser, name):
+        subs = [a for a in parser._actions if isinstance(a.choices, dict)]
+        if subs:
+            for sub, p in subs[0].choices.items():
+                yield from requests(p, f"{name} {sub}".strip())
+        else:
+            yield name, {a.option_strings[-1] for a in parser._actions
+                         if a.option_strings and a.dest != "help"}
+
+    surface = dict(requests(cli.build_parser(), ""))
+    datum = {"--B", "--a", "--b", "--phi"}
+    assert surface == {
+        "roots": {"--type", "--rank", "--constants"},
+        "word reduce": {"--word", "--pretty"},
+        "word symbol": {"--type", "--rank", "--ring", "--root-index", "--u", "--v",
+                        "--pretty"},
+        "eval": {"--rep", "--word", "--check-identity", "--pretty"},
+        "k2m tame": {"--symbol", "--prime", "--batch", "--pretty"},
+        "simplicial check": {"--nmax", "--ring", "--pretty"},
+        "simplicial lift": {"--word", "--pretty"},
+        "patch verify": datum | {"--samples", "--seed", "--pretty"},
+        "patch demo": datum | {"--word", "--pretty"},
+        "milnor-square verify": {"--samples", "--seed", "--pretty"},
+        "selftest": {"--quick", "--seed"},
+    }
+    assert sum(map(len, surface.values())) == 43
 
 
 def test_crash_exits_3_with_traceback(monkeypatch, capsys):

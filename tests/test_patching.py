@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from steinberg_lab.rings import ZZ, identity_hom
+from steinberg_lab.rings import GF, QQ, ZZ, identity_hom, poly_ring, quotient
 from steinberg_lab.roots import build_root_system
 from steinberg_lab import checks, reps, words
 from steinberg_lab.patching import (ConjugationHom, GlueingError,
@@ -41,6 +41,18 @@ def test_datum_construction():
     assert datum.B_h.multiplier == Z.from_int(3)
     with pytest.raises(ValueError):
         zariski_datum(Z, 2, 0)
+
+
+def test_datum_needs_coprime_m_and_h():
+    F3t = poly_ring(GF(3), ("t",))
+    t = F3t.var("t")
+    zariski_datum(QQ(), 2, 4)                 # nonzero is enough over a field
+    zariski_datum(F3t, t, t + 1)
+    for B, m, h in [(Z, 2, 4), (Z, 0, 3), (F3t, t, t * (t + 1)),
+                    (quotient(Z, 6), 5, 1),   # no Bezout algorithm: undecidable
+                    (poly_ring(Z, ("t",)), 2, 3)]:
+        with pytest.raises(ValueError):
+            zariski_datum(B, m, h)
 
 
 def test_decompose_shifted_reconstructs():
