@@ -1,0 +1,150 @@
+"""The float64 route of the relation sweep, over Z/m with d (m - 1)^2 >= 2^53
+as GF(1000000007): every case at every trial in batched float64 products,
+whose sums round past 2^53 and report false violations, which the
+benchmark asserts.  `reps.verify_relations` imports this module on that
+branch alone, so numpy is loaded only here."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .reps import Representation
+from .rings import Ring
+
+
+def first_failures(rep: Representation, ring: Ring, samples: int, cases, mod: int, rng):
+    """The payloads (a, b) of each case's first failing trial, None where
+    the law held.  Every trial is drawn in one numpy call, seeded by one
+    `rng.randrange(2 ** 63)`."""
+    draws = np.random.default_rng(rng.randrange(2 ** 63)).integers(
+        0, mod, size=(len(cases), 2, samples), dtype=np.int64)
+    return _FloatKernel(rep, ring, samples, mod).run(cases, draws)
+
+
+# matrix entries in one batch of images: on the small representations
+# 2^12 takes nearly twice as long, and 2^16 saves under a tenth of the
+# time for 4 MB more peak memory
+_BATCH_ENTRIES = 2 ** 14
+
+
+def _letter_tables(rep: Representation):
+    """Per root, in enumeration order, the flat positions p = i d + j of
+    the entries of M1 and M2 and their coefficients there: three int64
+    arrays of shape (roots, width).  A root vector is nilpotent, so none
+    of these entries is on the diagonal.  A root with fewer entries
+    repeats its first one, which writes the same value again."""
+    d = rep.dim
+    rows = []
+    for root in rep.system.roots:
+        m1 = {i * d + j: c for i, j, c in rep.m1[root]}
+        m2 = {i * d + j: c for i, j, c in rep.m2[root]}
+        rows.append([(p, m1.get(p, 0), m2.get(p, 0)) for p in {**m1, **m2}])
+    width = max(map(len, rows))
+    table = np.array([row + row[:1] * (width - len(row)) for row in rows], dtype=np.int64)
+    return tuple(np.moveaxis(table, 2, 0))
+
+
+class _FloatKernel:
+    """Every case of a sweep over Z/m evaluated at every trial in float64
+    products, which are exact only while d (m - 1)^2 < 2^53 and serve
+    only the moduli past that bound (see `verify_relations`).  The cases
+    of one law are evaluated together, at most `_BATCH_ENTRIES` matrix
+    entries at a time, or one case when a case is larger.  Over a batch
+    of B = cases x samples, a scalar is a (B,) int64 array and an image a
+    (B, d, d) int64 array, both reduced mod m."""
+
+    # a law builds at most six images per batch: R3's three letters and
+    # three products
+    SLOTS = 6
+
+    def __init__(self, rep: Representation, ring: Ring, samples: int, mod: int):
+        self.rep, self.ring, self.samples, self.mod = rep, ring, samples, mod
+        self.tables = _letter_tables(rep)
+        case_entries = samples * rep.dim ** 2
+        self.chunk = max(1, _BATCH_ENTRIES // case_entries)
+        # a batch's images, and a product's float64 operands and result,
+        # are written into these buffers: fresh arrays for every batch
+        # cost more in page faults than the products at d = 45
+        self.slots = np.empty((self.SLOTS, self.chunk * case_entries), dtype=np.int64)
+        self.floats = np.empty((3, self.chunk * case_entries))
+        self.used = 0
+
+    def run(self, cases, draws):
+        """The payloads (a, b) of each case's first failing trial, None
+        where the law held; `draws` has shape (cases, 2, samples)."""
+        laws = {}
+        for n, case in enumerate(cases):
+            laws.setdefault(case[0], []).append(n)
+        out = [None] * len(cases)
+        for law, members in laws.items():
+            for start in range(0, len(members), self.chunk):
+                part = members[start:start + self.chunk]
+                a, b = (draws[part, t].reshape(-1) for t in (0, 1))
+                self.used = 0
+                held = _holds(self, law, [cases[n] for n in part], a, b)
+                for n, trials in zip(part, held):
+                    if not trials.all():
+                        s = int(np.argmin(trials))
+                        out[n] = tuple(self.ring._from_int(int(x)) for x in draws[n, :, s])
+        return out
+
+    def _buffer(self, flat, batch):
+        d = self.rep.dim
+        return flat[:batch * d * d].reshape(batch, d, d)
+
+    def _image(self, batch):
+        self.used += 1
+        return self._buffer(self.slots[self.used - 1], batch)
+
+    def letter(self, roots, xi):
+        """x_root(xi) for each root of the batch, over its samples: the
+        identity with the root's table entries scattered in."""
+        d, batch = self.rep.dim, len(xi)
+        index = self.rep.system.index
+        idx = np.repeat([index[r] for r in roots], self.samples)
+        pos, c1, c2 = (t[idx] for t in self.tables)
+        vals = xi[:, None] * c1
+        if c2.any():
+            vals += (xi * xi % self.mod)[:, None] * c2
+        x = self._image(batch)
+        x.fill(0)
+        flat = x.reshape(batch, d * d)
+        flat[:, ::d + 1] = 1
+        flat[np.arange(batch)[:, None], pos] = vals % self.mod
+        return x
+
+    def product(self, x, y):
+        # taken in float64, so the BLAS kernels apply, then truncated to
+        # int64 and reduced; past 2^53 the float sums round
+        xf, yf, acc = (self._buffer(f, len(x)) for f in self.floats)
+        np.copyto(xf, x)
+        np.copyto(yf, y)
+        np.matmul(xf, yf, out=acc)
+        out = self._image(len(x))
+        np.copyto(out, acc, casting="unsafe")
+        np.remainder(out, self.mod, out=out)
+        return out
+
+    def equal(self, x, y):
+        """(cases, samples): whether the two images agree on each trial."""
+        return (x == y).reshape(-1, self.samples, self.rep.dim ** 2).all(axis=2)
+
+
+def _holds(kernel, law, cases, a, b):
+    """The float kernel's verdict (`equal`) on whether `law` holds on a
+    batch of its cases (law, alpha, beta, s) at arguments a, b: R1
+    x_a(a) x_a(b) = x_a(a + b); R2 x_a(a) x_b(b) = x_b(b) x_a(a); R3
+    x_a(a) x_b(b) = x_s(N ab) x_b(b) x_a(a), law "R3-" when N = -1.  Each
+    letter is built once, and R3's right side is multiplied right to
+    left, x_s (x_b x_a)."""
+    _, alphas, betas, sums = zip(*cases)
+    letter, product, m = kernel.letter, kernel.product, kernel.mod
+    xa = letter(alphas, a)
+    if law == "R1":
+        return kernel.equal(product(xa, letter(alphas, b)), letter(alphas, (a + b) % m))
+    xb = letter(betas, b)
+    left, right = product(xa, xb), product(xb, xa)
+    if law != "R2":
+        ab = a * b % m
+        right = product(letter(sums, -ab % m if law == "R3-" else ab), right)
+    return kernel.equal(left, right)

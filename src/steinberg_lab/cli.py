@@ -6,9 +6,9 @@ fixed --seed.  Each request (`word reduce`, `patch verify`, ...) has its
 own parser and accepts only the flags its command reads.  Exit codes:
 0 ok, 1 a verification failed, 2 a usage error (a bad or misplaced flag,
 ring spec, prime, symbol, root system, root index, representation,
-non-positive count, patch datum, or word or generator file; one message
-on stderr), 3 a crash (an uncaught exception; its traceback goes to
-stderr).
+non-positive count, patch datum, or word or generator file; the
+request's usage line and one message on stderr), 3 a crash (an uncaught
+exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .words import word_from_json, word_to_json
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
-EXIT_USAGE = 2
 EXIT_CRASH = 3
 
 
@@ -121,11 +120,6 @@ def positive_int(spec: str) -> int:
     return int(spec)
 
 
-def _usage(message: str) -> int:
-    print(f"steinberg-lab: error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _emit(data, pretty: bool):
     print(json.dumps(data, indent=2 if pretty else None, sort_keys=True))
 
@@ -161,7 +155,7 @@ def cmd_word_reduce(args) -> int:
 def cmd_word_symbol(args) -> int:
     ring = args.ring
     if not (ring.from_int(args.u).is_unit() and ring.from_int(args.v).is_unit()):
-        return _usage(f"--u {args.u} and --v {args.v} must be units of {ring}")
+        args.parser.error(f"--u {args.u} and --v {args.v} must be units of {ring}")
     system = build_root_system(args.type, args.rank)
     root = system.simple_roots[args.root_index]
     _emit(word_to_json(words.steinberg_symbol(system, ring, root, args.u, args.v)),
@@ -173,7 +167,7 @@ def cmd_eval(args) -> int:
     try:
         rep = reps.build_representation(args.word.system, args.rep)
     except ValueError as exc:
-        return _usage(f"--rep {args.rep} does not fit the word: {exc}")
+        args.parser.error(f"--rep {args.rep} does not fit the word: {exc}")
     m = reps.evaluate(args.word, rep)
     if args.check_identity:
         ok = m.is_identity
@@ -190,7 +184,7 @@ def cmd_k2m(args) -> int:
                 jobs = [(parse_symbol(",".join(map(str, item["symbol"]))),
                          parse_odd_prime(str(item["prime"]))) for item in json.load(fh)]
         except (OSError, ValueError, KeyError, TypeError, argparse.ArgumentTypeError) as exc:
-            return _usage(f"bad batch file {args.batch!r}: {exc}")
+            args.parser.error(f"bad batch file {args.batch!r}: {exc}")
         out = []
         for (a, b), p in jobs:
             img = milnor.tame_symbol(milnor.symbol(a, b), p)
@@ -225,7 +219,7 @@ def cmd_patch_verify(args) -> int:
 
 def cmd_patch_demo(args) -> int:
     if args.word.ring is not args.datum.A:
-        return _usage(f"word ring {args.word.ring} does not match the datum")
+        args.parser.error(f"word ring {args.word.ring} does not match the datum")
     rep = reps.build_representation(args.phi, "adjoint")
     try:
         y = patching.glueing_demo(args.datum, args.phi, rep, args.word)
@@ -307,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def request(subparsers, name, fn, *parents, **kw):
         p = subparsers.add_parser(name, parents=parents, **kw)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, parser=p)
         return p
 
     def actions(name, help):
@@ -367,21 +361,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:  # argparse's usage errors are SystemExit(2) and pass through
-        args = parser.parse_args(argv)
+    try:  # usage errors are SystemExit(2), raised by the request's parser, and pass through
+        args, extra = build_parser().parse_known_args(argv)
+        error = args.parser.error
+        if extra:
+            error(f"unrecognized arguments: {' '.join(extra)}")
         if "rank" in args:
             if args.rank not in SUPPORTED_RANKS[args.type]:
-                parser.error(f"unsupported root system {args.type}{args.rank}")
+                error(f"unsupported root system {args.type}{args.rank}")
             if "root_index" in args and not 0 <= args.root_index < args.rank:
-                parser.error(f"--root-index {args.root_index} is not in 0..{args.rank - 1}")
-        if "batch" in args and (args.batch is None) == (args.prime is None):
-            parser.error("k2m tame takes --symbol with --prime, or --batch alone")
+                error(f"--root-index {args.root_index} is not in 0..{args.rank - 1}")
+        if "batch" in args:
+            if (args.batch is None) == (args.prime is None):
+                error("k2m tame takes --symbol with --prime, or --batch alone")
+            if args.pretty and args.batch is None:
+                error("--pretty indents the JSON of --batch; --symbol prints an integer")
         if "phi" in args:
             try:
                 args.datum = patching.zariski_datum(args.B, args.a, args.b)
             except ValueError as exc:
-                parser.error(f"bad patch datum --B {args.B} --a {args.a} --b {args.b}: {exc}")
+                error(f"bad patch datum --B {args.B} --a {args.a} --b {args.b}: {exc}")
         return args.fn(args)
     except Exception:  # a crash must not look like a verdict or a usage error
         traceback.print_exc()

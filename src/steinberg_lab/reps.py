@@ -9,9 +9,10 @@ including characteristic 2.
 
 The relation sweep (`verify_relations`) proves each case at the generic
 point of ZZ[a, b] and specializes only the nonzero differences in the
-ring, over every ring but Z/m with d (m - 1)^2 >= 2^53.  There, as over
-GF(1000000007), every case is still evaluated in float64, whose products
-round and report false violations, which the benchmark asserts.
+ring, at trials that `Ring._sample` draws, over every ring but Z/m with
+d (m - 1)^2 >= 2^53.  There, as over GF(1000000007), every case is still
+evaluated in float64 (`_float_sweep`, the only user of numpy), whose
+products round and report false violations, which the benchmark asserts.
 """
 
 from __future__ import annotations
@@ -21,10 +22,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-import numpy as np
-
-from .rings import (IntegerRing, PolynomialRing, PrimeFieldRing, QuotientRing,
-                    RationalField, Ring, RingElement, RingHom)
+from .rings import PrimeFieldRing, RationalField, Ring, RingElement, RingHom
 from .roots import RootSystem
 
 __all__ = [
@@ -303,160 +301,6 @@ class RelationReport:
         return not self.violations
 
 
-def _np_coeff_profile(ring: Ring):
-    """(k, modulus, bound) for the rings whose sweep trials numpy draws:
-    k coefficients of Z[t]/(t^k) in [-bound, bound], or one residue
-    modulo m."""
-    if isinstance(ring, PrimeFieldRing):
-        return 1, ring.p, None
-    if isinstance(ring, QuotientRing) and ring.n is not None:
-        return 1, ring.n, None
-    if (isinstance(ring, QuotientRing) and ring.n is None
-            and isinstance(ring.base, PolynomialRing)
-            and isinstance(ring.base.base, IntegerRing)
-            and len(ring.modulus.payload) == 1):
-        return ring.modulus.payload[0][0][0], None, 4
-    return None
-
-
-def _element(ring: Ring, coeffs):
-    """The payload of the drawn coefficients `coeffs`: sum c_i t^i in
-    Z[t]/(t^k), or the residue c_0 over Z/m."""
-    if len(coeffs) == 1:
-        return ring._from_int(int(coeffs[0]))
-    t = ring.project(ring.base.gens()[0])
-    return sum((int(c) * t ** i for i, c in enumerate(coeffs)), ring.zero).payload
-
-
-# matrix entries in one batch of images: on the small representations
-# 2^12 takes nearly twice as long, and 2^16 saves under a tenth of the
-# time for 4 MB more peak memory
-_BATCH_ENTRIES = 2 ** 14
-
-
-def _letter_tables(rep: Representation):
-    """Per root, in enumeration order, the flat positions p = i d + j of
-    the entries of M1 and M2 and their coefficients there: three int64
-    arrays of shape (roots, width).  A root vector is nilpotent, so none
-    of these entries is on the diagonal.  A root with fewer entries
-    repeats its first one, which writes the same value again."""
-    d = rep.dim
-    rows = []
-    for root in rep.system.roots:
-        m1 = {i * d + j: c for i, j, c in rep.m1[root]}
-        m2 = {i * d + j: c for i, j, c in rep.m2[root]}
-        rows.append([(p, m1.get(p, 0), m2.get(p, 0)) for p in {**m1, **m2}])
-    width = max(map(len, rows))
-    table = np.array([row + row[:1] * (width - len(row)) for row in rows], dtype=np.int64)
-    return tuple(np.moveaxis(table, 2, 0))
-
-
-class _FloatKernel:
-    """Every case of a sweep over Z/m evaluated at every trial in float64
-    products, which are exact only while d (m - 1)^2 < 2^53 and serve
-    only the moduli past that bound (see `verify_relations`).  The cases
-    of one law are evaluated together, at most `_BATCH_ENTRIES` matrix
-    entries at a time, or one case when a case is larger.  Over a batch
-    of B = cases x samples, a scalar is a (B,) int64 array and an image a
-    (B, d, d) int64 array, both reduced mod m."""
-
-    # a law builds at most six images per batch: R3's three letters and
-    # three products
-    SLOTS = 6
-
-    def __init__(self, rep: Representation, ring: Ring, samples: int, mod: int):
-        self.rep, self.ring, self.samples, self.mod = rep, ring, samples, mod
-        self.tables = _letter_tables(rep)
-        case_entries = samples * rep.dim ** 2
-        self.chunk = max(1, _BATCH_ENTRIES // case_entries)
-        # a batch's images, and a product's float64 operands and result,
-        # are written into these buffers: fresh arrays for every batch
-        # cost more in page faults than the products at d = 45
-        self.slots = np.empty((self.SLOTS, self.chunk * case_entries), dtype=np.int64)
-        self.floats = np.empty((3, self.chunk * case_entries))
-        self.used = 0
-
-    def run(self, cases, draws):
-        """The payloads (a, b) of each case's first failing trial, None
-        where the law held; `draws` has shape (cases, 2, samples)."""
-        laws = {}
-        for n, case in enumerate(cases):
-            laws.setdefault(case[0], []).append(n)
-        out = [None] * len(cases)
-        for law, members in laws.items():
-            for start in range(0, len(members), self.chunk):
-                part = members[start:start + self.chunk]
-                a, b = (draws[part, t].reshape(-1) for t in (0, 1))
-                self.used = 0
-                held = _holds(self, law, [cases[n] for n in part], a, b)
-                for n, trials in zip(part, held):
-                    if not trials.all():
-                        s = int(np.argmin(trials))
-                        out[n] = tuple(self.ring._from_int(int(x)) for x in draws[n, :, s])
-        return out
-
-    def _buffer(self, flat, batch):
-        d = self.rep.dim
-        return flat[:batch * d * d].reshape(batch, d, d)
-
-    def _image(self, batch):
-        self.used += 1
-        return self._buffer(self.slots[self.used - 1], batch)
-
-    def letter(self, roots, xi):
-        """x_root(xi) for each root of the batch, over its samples: the
-        identity with the root's table entries scattered in."""
-        d, batch = self.rep.dim, len(xi)
-        index = self.rep.system.index
-        idx = np.repeat([index[r] for r in roots], self.samples)
-        pos, c1, c2 = (t[idx] for t in self.tables)
-        vals = xi[:, None] * c1
-        if c2.any():
-            vals += (xi * xi % self.mod)[:, None] * c2
-        x = self._image(batch)
-        x.fill(0)
-        flat = x.reshape(batch, d * d)
-        flat[:, ::d + 1] = 1
-        flat[np.arange(batch)[:, None], pos] = vals % self.mod
-        return x
-
-    def product(self, x, y):
-        # taken in float64, so the BLAS kernels apply, then truncated to
-        # int64 and reduced; past 2^53 the float sums round
-        xf, yf, acc = (self._buffer(f, len(x)) for f in self.floats)
-        np.copyto(xf, x)
-        np.copyto(yf, y)
-        np.matmul(xf, yf, out=acc)
-        out = self._image(len(x))
-        np.copyto(out, acc, casting="unsafe")
-        np.remainder(out, self.mod, out=out)
-        return out
-
-    def equal(self, x, y):
-        """(cases, samples): whether the two images agree on each trial."""
-        return (x == y).reshape(-1, self.samples, self.rep.dim ** 2).all(axis=2)
-
-
-def _holds(kernel, law, cases, a, b):
-    """The float kernel's verdict (`equal`) on whether `law` holds on a
-    batch of its cases (law, alpha, beta, s) at arguments a, b: R1
-    x_a(a) x_a(b) = x_a(a + b); R2 x_a(a) x_b(b) = x_b(b) x_a(a); R3
-    x_a(a) x_b(b) = x_s(N ab) x_b(b) x_a(a), law "R3-" when N = -1.  Each
-    letter is built once, and R3's right side is multiplied right to
-    left, x_s (x_b x_a)."""
-    _, alphas, betas, sums = zip(*cases)
-    letter, product, m = kernel.letter, kernel.product, kernel.mod
-    xa = letter(alphas, a)
-    if law == "R1":
-        return kernel.equal(product(xa, letter(alphas, b)), letter(alphas, (a + b) % m))
-    xb = letter(betas, b)
-    left, right = product(xa, xb), product(xb, xa)
-    if law != "R2":
-        ab = a * b % m
-        right = product(letter(sums, -ab % m if law == "R3-" else ab), right)
-    return kernel.equal(left, right)
-
-
 def _nilpotent(rep: Representation, root, xi):
     """xi M1 + xi^2 M2, the part of x_root(xi) - I, for xi an integer
     polynomial {(i, j): n} in a and b, as {(i, j, r, c): n}: n a^i b^j
@@ -488,8 +332,10 @@ def _then(x, y):
 
 
 def _differences(rep: Representation, cases):
-    """Left side minus right side of each sweep case's law, as in
-    `_holds`, at the generic point (a, b) of ZZ[a, b]: {(i, j, r, c): n},
+    """Left side minus right side of each sweep case's law, R1
+    x_a(a) x_a(b) = x_a(a + b), R2 x_a(a) x_b(b) = x_b(b) x_a(a) or R3
+    x_a(a) x_b(b) = x_s(N ab) x_b(b) x_a(a) (law "R3-" when N = -1), at
+    the generic point (a, b) of ZZ[a, b]: {(i, j, r, c): n},
     the nonzero n a^i b^j at entry (r, c).  Evaluation at any (a, b) of
     any commutative ring is a ring map, so an empty difference means the
     law holds there, and a nonzero one fails exactly where it specializes
@@ -541,13 +387,17 @@ def _cases(system):
     return cases
 
 
-def _first_failures(ring: Ring, diffs, trials):
+def _first_failures(ring: Ring, diffs, samples: int, rng):
     """For each case, the payloads (a, b) of its first trial at which its
     generic difference specializes to nonzero, None if there is none.
-    `trials` yields each case's trials, in case order; the trials of a
-    certified case, {}, are run through and evaluate nothing."""
-    return [next((ab for ab in draws if diff and _specialize(ring, diff, *ab)), None)
-            for diff, draws in zip(diffs, trials)]
+    Only a case with a nonzero difference draws trials: a, then b, from
+    `Ring._sample`, trial by trial, up to the first that fails."""
+    def trials():
+        for _ in range(samples):
+            yield ring._sample(rng, 6), ring._sample(rng, 6)
+
+    return [next((ab for ab in trials() if _specialize(ring, diff, *ab)), None) if diff
+            else None for diff in diffs]
 
 
 def _report(rep, ring, samples, cases, failures, certified) -> RelationReport:
@@ -563,35 +413,21 @@ def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> Rela
     """Check the three Steinberg relations as matrix identities,
     exhaustively over root pairs (`_cases`) and at `samples` trials (a, b)
     each; violations are in case order.  Each case is certified at the
-    generic point of ZZ[a, b] (`_differences`).  A zero difference holds
-    at every (a, b) of every commutative ring; a nonzero one is
-    specialized in the ring (`_specialize`) at the case's trials, up to
-    the first that fails.  Over Z/n, F_p and Z[t]/(t^k)
-    (`_np_coeff_profile`) every trial is drawn in one numpy call and
-    only the open cases' trials are converted; over every other ring
-    `Ring._sample` draws them one by one, certified cases included.  An
-    open case stops drawing at its first failing trial, so there the rng
-    state after the sweep depends on the verdicts.  One route is not
-    certified: over Z/m with d (m - 1)^2 >= 2^53, as over
-    GF(1000000007), every case is evaluated in float64 (`_FloatKernel`),
-    whose products round there and report false violations.  The
-    benchmark's relation-sweep asserts those verdicts, so that route
-    moves to the certificate with the next benchmark revision."""
-    cases, profile = _cases(rep.system), _np_coeff_profile(ring)
-    if profile is not None:
-        k, mod, bound = profile
-        lo, hi = (0, mod) if mod else (-bound, bound + 1)
-        draws = np.random.default_rng(rng.randrange(2 ** 63)).integers(
-            lo, hi, size=(len(cases), 2, samples, k), dtype=np.int64)
-        if mod and rep.dim * (mod - 1) ** 2 >= 2 ** 53:
-            failures = _FloatKernel(rep, ring, samples, mod).run(cases, draws[..., 0])
-            return _report(rep, ring, samples, cases, failures, 0)
+    generic point of ZZ[a, b] (`_differences`): a zero difference holds
+    at every (a, b) of every commutative ring and draws nothing from
+    `rng`, and a nonzero one is specialized (`_specialize`) at trials
+    drawn by `Ring._sample` up to the first that fails.  So an intact
+    sweep leaves `rng` as it was.  Over Z/m with d (m - 1)^2 >= 2^53, as
+    GF(1000000007), every case is instead evaluated in float64
+    (`_float_sweep`), whose products round there and report the false
+    violations that the benchmark's relation-sweep asserts until its
+    next revision."""
+    cases = _cases(rep.system)
+    mod = ring.p if isinstance(ring, PrimeFieldRing) else getattr(ring, "n", None)
+    if mod and rep.dim * (mod - 1) ** 2 >= 2 ** 53:
+        from ._float_sweep import first_failures
+        return _report(rep, ring, samples, cases,
+                       first_failures(rep, ring, samples, cases, mod, rng), 0)
     diffs = list(_differences(rep, cases))
-    if profile is None:
-        trials = (((ring._sample(rng, 6), ring._sample(rng, 6)) for _ in range(samples))
-                  for _ in cases)
-    else:
-        trials = (((_element(ring, x), _element(ring, y)) for x, y in zip(*draws[n]))
-                  if diff else () for n, diff in enumerate(diffs))
-    return _report(rep, ring, samples, cases, _first_failures(ring, diffs, trials),
+    return _report(rep, ring, samples, cases, _first_failures(ring, diffs, samples, rng),
                    diffs.count({}))

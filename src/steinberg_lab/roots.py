@@ -99,14 +99,30 @@ def _sparse_commutator(a: dict, b: dict) -> dict:
     return out
 
 
+_LIVE: dict = {}
+
+
 class RootSystem:
     """Root list in a fixed enumeration order (positive roots first,
     ordered by index pairs, negatives mirroring), together with the
-    addition table and the structure constants."""
+    addition table and the structure constants.  There is one instance
+    per (kind, rank): words and representations compare systems by
+    identity, so `RootSystem(kind, rank)` returns the live one."""
 
-    def __init__(self, kind: str, rank: int):
-        if kind not in SUPPORTED_RANKS or rank not in SUPPORTED_RANKS[kind]:
-            raise ValueError(f"unsupported root system {kind}{rank}")
+    def __new__(cls, kind: str, rank: int):
+        self = _LIVE.get((kind, rank))
+        if self is None:
+            if kind not in SUPPORTED_RANKS or rank not in SUPPORTED_RANKS[kind]:
+                raise ValueError(f"unsupported root system {kind}{rank}")
+            self = super().__new__(cls)
+            self._build(kind, rank)
+            _LIVE[kind, rank] = self
+        return self
+
+    def __reduce__(self):
+        return RootSystem, (self.kind, self.rank)
+
+    def _build(self, kind: str, rank: int):
         self.kind = kind
         self.rank = rank
         self.dim = rank + 1 if kind == "A" else rank
@@ -190,11 +206,5 @@ class RootSystem:
         raise ValueError(f"no commutator decomposition for {beta}")
 
 
-_CACHE: dict = {}
-
-
 def build_root_system(kind: str, rank: int) -> RootSystem:
-    key = (kind, rank)
-    if key not in _CACHE:
-        _CACHE[key] = RootSystem(kind, rank)
-    return _CACHE[key]
+    return RootSystem(kind, rank)

@@ -84,6 +84,8 @@ def test_k2m_batch(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data[0]["value"] == 2
+    code, out = run(capsys, "k2m", "tame", "--batch", str(path), "--pretty")
+    assert code == 0 and json.loads(out) == data and "\n  " in out
 
 
 def test_simplicial_check(capsys):
@@ -215,6 +217,19 @@ def _exit_code(argv, capsys):
     return code, capsys.readouterr().err
 
 
+def _assert_request_usage(argv, err):
+    """A usage error is reported by the parser of the request that argv
+    names, or of the deepest command it reaches: its usage line, then
+    its message."""
+    parser, prog = cli.build_parser(), "steinberg-lab"
+    for token in argv:
+        subs = [a for a in parser._actions if isinstance(a.choices, dict)]
+        if not subs or token not in subs[0].choices:
+            break
+        parser, prog = subs[0].choices[token], f"{prog} {token}"
+    assert err.startswith(f"usage: {prog} [-h]") and f"\n{prog}: error: " in err, err
+
+
 @pytest.mark.parametrize("argv", [
     ["word", "symbol", "--ring", "int"],          # 2 and 3 are not units of ZZ
     ["k2m", "tame", "--symbol", "2,3", "--prime", "9"],
@@ -259,11 +274,17 @@ def _exit_code(argv, capsys):
     ["milnor-square", "verify", "--samples", "-1"],
     ["simplicial", "check", "--nmax", "-1"],
     ["simplicial", "check", "--nmax", "0"],
+    ["word", "symbol", "--rank", "9"],
+    ["patch", "verify", "--B", "Fp:7", "--a", "7"],             # m = 0 in F7
+    ["k2m", "tame", "--symbol", "2,3", "--prime", "3", "--pretty"],  # prints an integer
+    ["k2m", "tame", "--batch", "no-such-dir/batch.json"],
+    ["patch", "demo", "--word", "a2-word.json"],                 # not over ZZ[1/2]
 ])
 def test_input_errors_are_usage_errors(argv, capsys, workdir):
     code, err = _exit_code(argv, capsys)
     assert code == 2
     assert "error" in err and "Traceback" not in err
+    _assert_request_usage(argv, err)
 
 
 # every (request, flag) pair that was parsed and then ignored, as a usage
@@ -295,6 +316,7 @@ def test_misplaced_flag_is_usage_error(argv, capsys, workdir):
     code, err = _exit_code(argv, capsys)
     assert code == 2
     assert "unrecognized arguments" in err and "Traceback" not in err
+    _assert_request_usage(argv, err)
 
 
 def test_each_request_takes_only_its_flags():

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from steinberg_lab.rings import (GF, QQ, ZZ, RationalField, RingElement, localize, poly_ring,
                                  product_ring, quotient)
 from steinberg_lab.roots import SUPPORTED_RANKS, build_root_system
-from steinberg_lab import checks, reps, words
+from steinberg_lab import _float_sweep, checks, reps, words
 from steinberg_lab.reps import GroupMatrix, build_representation, evaluate, k2_membership, verify_relations
 
 
@@ -163,18 +163,17 @@ def test_verify_relations_sweeps():
                                                    for ring in checks.sweep_rings()]) == []
 
 
-def test_verify_relations_generic_path_agrees():
-    """An unmutated rep holds over a ring whose trials numpy draws and
-    over one whose trials `Ring._sample` draws."""
-    rng = random.Random(2)
-    A2 = build_root_system("A", 2)
-    rep = build_representation(A2, "adjoint")
-    Z6 = quotient(ZZ(), 6)
-    assert reps._np_coeff_profile(Z6) is not None
-    assert verify_relations(rep, Z6, 10, random.Random(5)).ok
-    L2 = localize(ZZ(), 2)
-    assert reps._np_coeff_profile(L2) is None
-    assert verify_relations(rep, L2, 3, rng).ok
+def test_intact_sweep_draws_nothing():
+    """Every case of an intact rep is certified, and a certified case
+    draws no trial, so the sweep leaves the rng state as it was."""
+    Pt = poly_ring(ZZ(), ("t",))
+    for ring in (ZZ(), quotient(ZZ(), 6), GF(7), quotient(Pt, Pt.var("t") ** 3),
+                 localize(ZZ(), 2)):
+        for rep in KERNEL_REPS:
+            rng = random.Random(3)
+            state = rng.getstate()
+            assert verify_relations(rep, ring, 10, rng).ok
+            assert rng.getstate() == state, (rep.describe(), ring)
 
 
 def test_relations_hold_over_product_rings():
@@ -247,7 +246,6 @@ def test_cancelled_entries_are_not_stored():
 def test_negated_table_coefficient_is_caught():
     """Negating one coefficient of one generator table breaks the
     Steinberg relations, and the exact sweep over ZZ must see it."""
-    assert reps._np_coeff_profile(ZZ()) is None
     for rep in KERNEL_REPS:
         bad = _negated_m1(rep)
         assert verify_relations(rep, ZZ(), 2, random.Random(0)).ok
@@ -416,7 +414,7 @@ SWEEP_PINS = {
     "A2-defining~flip/F7": (36, "a7c1aa89df1c2fb88b786128d53a4bec26f12bd18246ca996dbbc391c0bc4044"),
     "D4-vector~flip/F7": (576, "1485d2886b49ce96dbc9eee10298d2ddde2fd87a196a256b53c2d8ba26bb52d3"),
     "A3-adjoint~flip/F7": (144, "d6ac0b86467b15d1058440542c8c3d9e80b09c51e4d87d563a6fa103046655c1"),
-    "A3-defining~flip/ZZ": (144, "d6ac0b86467b15d1058440542c8c3d9e80b09c51e4d87d563a6fa103046655c1"),
+    "A3-defining~flip/ZZ": (144, "b6d416609c27dad3bb51c5761a28cef94adf803301632e4254594e41a6af931a"),
 }
 
 
@@ -439,7 +437,7 @@ def test_sweep_output_is_pinned(key, monkeypatch):
     digest = hashlib.sha256(repr(report.violations).encode()).hexdigest()
     assert (report.pairs_checked, digest) == SWEEP_PINS[key]
     assert len(report.arguments) == len(report.violations)
-    monkeypatch.setattr(reps, "_BATCH_ENTRIES", 1)
+    monkeypatch.setattr(_float_sweep, "_BATCH_ENTRIES", 1)
     assert _pinned_sweep(key)[1] == report
 
 
@@ -470,7 +468,7 @@ def test_sweep_witness_replays_through_evaluate(key):
 
 def _sides(ring, case, a, b):
     """The letter lists (root, payload) of the two sides of a sweep
-    case's law at the payloads a, b, as `reps._holds` writes them."""
+    case's law at the payloads a, b, as `reps._differences` writes them."""
     law, alpha, beta, s = case
     if law == "R1":
         return [(alpha, a), (alpha, b)], [(alpha, ring._add(a, b))]
@@ -546,7 +544,6 @@ def test_exact_sweep_refutes_each_mutation_with_a_replayable_witness(name, ring)
     nonzero generic difference, and its arguments give two different
     images when the two sides are replayed through `evaluate`."""
     bad = MUTATIONS[name]()
-    assert reps._np_coeff_profile(ring) is None
     report = verify_relations(bad, ring, 4, random.Random(name))
     assert report.violations
     if name.startswith("m2"):
@@ -570,7 +567,7 @@ def test_every_case_is_certified_at_the_generic_point(kind, rank, repkind):
 
 
 def test_exact_sweep_evaluates_no_certified_case(monkeypatch):
-    """Over ZZ a certified case draws its samples and evaluates nothing,
+    """Over ZZ a certified case draws no trial and evaluates nothing,
     and a failing one is specialized without `_image_rows`."""
     def unused(*args):
         raise AssertionError("a certified case was evaluated")
@@ -583,10 +580,10 @@ def test_exact_sweep_evaluates_no_certified_case(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# numpy-drawn trials: certified first, except in the float64 route
+# quotient rings: certified first, except in the float64 route
 # ---------------------------------------------------------------------------
 
-NUMPY_RINGS = ("Z6", "F7", "Zt3")
+QUOTIENT_RINGS = ("Z6", "F7", "Zt3")
 
 
 def _assert_refuted_with_witnesses(bad, ring, report):
@@ -634,15 +631,15 @@ def test_numpy_sweep_evaluates_no_certified_case(monkeypatch):
     """Over Z/6, F7 and Z[t]/(t^3) an intact sweep certifies every case
     and evaluates none; over GF(1000000007), where float64 products can
     round, it certifies none and evaluates every case once."""
-    holds = reps._holds
+    holds = _float_sweep._holds
 
     def unused(*args):
         raise AssertionError("a certified case was evaluated")
 
-    monkeypatch.setattr(reps, "_holds", unused)
+    monkeypatch.setattr(_float_sweep, "_holds", unused)
     for key in ("A3-defining", "A3-adjoint", "D4-vector"):
         rep = _rep(key[0], int(key[1]), key.split("-")[1])
-        for name in NUMPY_RINGS:
+        for name in QUOTIENT_RINGS:
             report = verify_relations(rep, SWEEP_RINGS[name], SWEEP_SAMPLES[name],
                                       random.Random(key))
             assert report.ok and report.certified == report.pairs_checked, (key, name)
@@ -652,7 +649,7 @@ def test_numpy_sweep_evaluates_no_certified_case(monkeypatch):
         seen.extend(cases)
         return holds(kernel, law, cases, a, b)
 
-    monkeypatch.setattr(reps, "_holds", counted)
+    monkeypatch.setattr(_float_sweep, "_holds", counted)
     rep = _rep("A", 3, "defining")
     report = verify_relations(rep, SWEEP_RINGS["Fbig"], 10, random.Random(0))
     assert report.certified == 0
@@ -661,7 +658,7 @@ def test_numpy_sweep_evaluates_no_certified_case(monkeypatch):
 
 def test_report_counts_the_certified_cases():
     """`certified` is every case with a zero generic difference over ZZ
-    and an exact numpy ring, and 0 over GF(1000000007)."""
+    and F7, and 0 over GF(1000000007)."""
     for rep in (_rep("A", 3, "defining"), _flipped(_rep("A", 3, "defining"))):
         cases = reps._cases(rep.system)
         zero = sum(not diff for diff in reps._differences(rep, cases))
@@ -677,11 +674,17 @@ def test_report_counts_the_certified_cases():
 def test_numpy_sweep_refutes_each_mutation_with_a_replayable_witness(name, ring):
     """Each mutated table is refuted on exactly its cases with a nonzero
     generic difference, and each witness replays through `evaluate` to
-    two different images.  Every such case of these mutations fails
-    wherever a b != 0: at 36 of the 49 points of F7^2, and over
-    Z[t]/(t^3) whenever both constant terms, drawn from [-4, 4], are
-    nonzero (64 of 81).  So 30 samples miss one of its at most 28
-    failing cases with probability below 28 (13/49)^30 < 10^-15."""
+    two different images.  Each such case of these mutations has only
+    entries n a^i b^j, with n != 0 and 1 <= i, j <= 2, so it fails
+    wherever one is nonzero.  Over F7 that is wherever ab != 0, at 36 of
+    the 49 points, so 30 samples miss one of its at most 28 failing
+    cases with probability below 28 (13/49)^30 < 10^-15.  Over
+    Z[t]/(t^3), a^i b^j != 0 exactly when i v(a) + j v(b) <= 2, v the
+    order in t.  `QuotientRing._sample` draws a = 0 with probability
+    595/2197, and v(a) = 0, 1, 2 with 822, 502, 278 in 2197, so a^2 b^2,
+    the worst monomial, is nonzero with probability 1500972/13^6 > 0.31,
+    and 30 samples miss a case with probability below 28 (0.69)^30
+    < 4 10^-4."""
     bad, ring = MUTATIONS[name](), SWEEP_RINGS[ring]
     _assert_refuted_with_witnesses(bad, ring, verify_relations(bad, ring, 30, random.Random(name)))
 

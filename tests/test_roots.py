@@ -1,9 +1,14 @@
 """Root system tables checked against an independent dense-matrix oracle."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from steinberg_lab.roots import OPPOSITE, build_root_system
+from steinberg_lab.reps import build_representation, evaluate
+from steinberg_lab.rings import ZZ
+from steinberg_lab.roots import OPPOSITE, RootSystem, build_root_system
+from steinberg_lab.words import gen
 
 # ---------------------------------------------------------------------------
 # independent oracle: dense numpy realization of the Chevalley generators,
@@ -164,3 +169,14 @@ def test_enumeration_positive_first_and_deterministic():
     # rebuilt system enumerates identically
     system2 = build_root_system("A", 3)
     assert system2.roots == system.roots
+
+
+def test_one_live_system_per_kind_and_rank():
+    """Words and representations compare systems by identity, so a
+    system constructed directly is the one `build_root_system` returns,
+    and a word over it evaluates in the cached representation."""
+    A2 = RootSystem("A", 2)
+    assert A2 is build_root_system("A", 2) is RootSystem("A", 2)
+    assert copy.deepcopy(A2) is A2
+    m = evaluate(gen(A2, ZZ(), A2.simple_roots[0], 5), build_representation(A2, "defining"))
+    assert m.rows[0][1] == 5
