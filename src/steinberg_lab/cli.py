@@ -69,9 +69,7 @@ def _generator_from_json(data):
     base = ring_from_json(data["base"])
     lvl1 = simplicial.simplex_ring(base, 1)
     f = RingElement(lvl1, lvl1._payload_from_json(data["f"]))
-    g = words.SteinbergWord(system, lvl1, [
-        (tuple(e["root"]), RingElement(lvl1, lvl1._payload_from_json(e["arg"])))
-        for e in data["g"]])
+    g = words._word_from_letters_json(system, lvl1, data["g"])
     return simplicial.MooreGenerator(system, base, 1, tuple(data["root"]), f, g)
 
 

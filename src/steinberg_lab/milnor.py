@@ -101,16 +101,17 @@ def _pollard_rho(n: int, steps=None):
     return None
 
 
-def _factor_rational(x: Fraction):
-    """(sign, {prime: exponent}) with negative exponents from the
-    denominator."""
+def _factor_rational(x: Fraction) -> dict:
+    """{entry: exponent} with x the product of entry^exponent over -1
+    (first, when x < 0) and the primes of x, ascending; denominator
+    primes get negative exponents."""
     if x == 0:
         raise ValueError("zero has no symbol factorization")
-    sign = 1 if x > 0 else -1
-    fac = dict(factor_positive(abs(x.numerator)))
+    fac = {-1: 1} if x < 0 else {}
+    fac.update(factor_positive(abs(x.numerator)))
     for p, e in factor_positive(x.denominator).items():
         fac[p] = fac.get(p, 0) - e
-    return sign, {p: e for p, e in fac.items() if e}
+    return {p: e for p, e in fac.items() if e}
 
 
 class MilnorSymbolSum:
@@ -122,7 +123,7 @@ class MilnorSymbolSum:
         self.field = field
         clean = {}
         one = field._from_int(1)
-        for (a, b), mult in terms.items() if isinstance(terms, dict) else terms:
+        for (a, b), mult in terms.items():
             a, b = field.el(a), field.el(b)
             if a.is_zero or b.is_zero:
                 raise ValueError("symbol entries must be nonzero")
@@ -174,7 +175,7 @@ class TameSymbolImage:
 
 
 def symbol(a, b) -> MilnorSymbolSum:
-    return MilnorSymbolSum(RationalField(), [((a, b), 1)])
+    return MilnorSymbolSum(RationalField(), {(a, b): 1})
 
 
 def relevant_odd_primes(s: MilnorSymbolSum):
@@ -182,8 +183,7 @@ def relevant_odd_primes(s: MilnorSymbolSum):
     primes = set()
     for (a, b), _ in s.terms:
         for x in (a, b):
-            _, fac = _factor_rational(Fraction(x))
-            primes.update(p for p in fac if p != 2)
+            primes.update(p for p in _factor_rational(Fraction(x)) if p > 2)
     return sorted(primes)
 
 
@@ -233,63 +233,24 @@ def tame_symbol(s: MilnorSymbolSum, p: int) -> TameSymbolImage:
 # ---------------------------------------------------------------------------
 
 def symbol_normalize(s: MilnorSymbolSum) -> MilnorSymbolSum:
-    """Expand both entries through prime factorizations (bilinearity),
-    orient pairs by skew-symmetry and cancel the standard vanishing
-    symbols.  Every step is a K2 relation, so all tame images are
-    preserved; the result is not claimed to be a complete normal form.
-    """
+    """One pass over the factored entries (Milnor, Introduction to
+    Algebraic K-Theory, section 11): expand {a, b} by bilinearity into
+    symbols on -1 and primes, write {u, u} as {-1, u} (as {u, -u} = 0),
+    orient by skew-symmetry with -1 first and then the smaller entry, and
+    reduce the 2-torsion symbols {-1, x} mod 2.  Every step is a K2
+    relation, so all tame images are preserved; the result is not claimed
+    to be a complete normal form.  Over other fields only the
+    multiplicities are summed."""
     if not isinstance(s.field, RationalField):
-        # over other fields only multiplicity bookkeeping applies
         return MilnorSymbolSum(s.field, dict(s.terms))
-    field = s.field
-    atoms: dict = {}
-
-    def bump(a: Fraction, b: Fraction, mult: int):
-        if mult == 0 or a == 1 or b == 1:
-            return
-        key = (a, b)
-        atoms[key] = atoms.get(key, 0) + mult
-
+    out = {}
     for (a, b), mult in s.terms:
-        a, b = Fraction(a), Fraction(b)
-        sa, fa = _factor_rational(a)
-        sb, fb = _factor_rational(b)
-        lefts = ([(Fraction(-1), 1)] if sa < 0 else []) + [(Fraction(p), e) for p, e in fa.items()]
-        rights = ([(Fraction(-1), 1)] if sb < 0 else []) + [(Fraction(q), f) for q, f in fb.items()]
-        for x, e in lefts:
-            for y, f in rights:
-                bump(x, y, mult * e * f)
-
-    oriented: dict = {}
-
-    def put(a, b, mult):
-        if mult == 0:
-            return
-        key = (a, b)
-        oriented[key] = oriented.get(key, 0) + mult
-
-    for (a, b), mult in atoms.items():
-        if a == b:
-            # {u, u} = {u, -1} since {u, -u} = 0
-            if a == -1:
-                put(Fraction(-1), Fraction(-1), mult)
-            else:
-                put(Fraction(-1), a, mult)
-        elif (a, b) == (Fraction(-1), Fraction(-1)):
-            put(a, b, mult)
-        elif b == -1 or (a != -1 and a > b):
-            put(b, a, -mult)  # skew-symmetry
-        else:
-            put(a, b, mult)
-
-    # {-1, x} and {-1, -1} are 2-torsion
-    final = {}
-    for (a, b), mult in oriented.items():
-        if a == -1:
-            mult %= 2
-        if mult:
-            final[(a, b)] = mult
-    return MilnorSymbolSum(field, final)
+        fb = _factor_rational(b)
+        for x, e in _factor_rational(a).items():
+            for y, f in fb.items():
+                key = (-1, max(x, y)) if x == y or -1 in (x, y) else (min(x, y), max(x, y))
+                out[key] = out.get(key, 0) + (mult * e * f if x <= y else -mult * e * f)
+    return MilnorSymbolSum(s.field, {k: m % 2 if k[0] == -1 else m for k, m in out.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 import threading
 import weakref
 from fractions import Fraction
-from functools import partial
 from math import gcd as _int_gcd
 
 __all__ = [
@@ -74,7 +73,8 @@ _LIVE_LOCK = threading.RLock()
 class _Interned(type):
     """Metaclass of the rings: calling a ring class returns the live ring
     with the same canonical arguments, if there is one, and otherwise
-    builds it and gives it its ``zero`` and ``one``."""
+    builds it and gives it its ``zero``, ``one`` and ``_args`` (the
+    canonical arguments, which ``ring_to_json`` writes out)."""
 
     def __call__(cls, *args):
         key = (cls, *cls._canonical(*args))
@@ -82,6 +82,7 @@ class _Interned(type):
             ring = _LIVE_RINGS.get(key)
             if ring is None:
                 ring = super().__call__(*key[1:])
+                ring._args = key[1:]
                 ring.zero = RingElement(ring, ring._from_int(0))
                 ring.one = RingElement(ring, ring._from_int(1))
                 _LIVE_RINGS[key] = ring
@@ -279,6 +280,8 @@ class IntegerRing(Ring):
     def _from_int(self, n):
         return n
 
+    _divmod = divmod   # Euclidean division, as PolynomialRing._divmod
+
     def _try_divide(self, a, b):
         if b == 0:
             return None if a else 0
@@ -420,31 +423,6 @@ def _poly_canonical(terms: dict):
     return tuple(sorted(terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True))
 
 
-def _poly_divmod(P: PolynomialRing, a, b):
-    """Leading-term division of a by b != 0 in P: (quotient, remainder).
-
-    Stops at the first remainder whose leading term is not a multiple of
-    lt(b), so over a domain b divides a exactly iff the remainder is 0.
-    For univariate b with a unit leading coefficient this is division
-    with remainder."""
-    base = P.base
-    lt_e, lt_c = b[0]
-    quo = {}
-    rem = a
-    while rem:
-        re, rc = rem[0]
-        de = tuple(x - y for x, y in zip(re, lt_e))
-        if min(de) < 0:
-            break
-        qc = base._try_divide(rc, lt_c)
-        if qc is None:
-            break
-        # leading monomials strictly decrease, so each de is new
-        quo[de] = qc
-        rem = P._add(rem, P._neg(P._mul(((de, qc),), b)))
-    return _poly_canonical(quo), rem
-
-
 class PolynomialRing(Ring):
     kind = "polynomial"
 
@@ -467,9 +445,6 @@ class PolynomialRing(Ring):
         i = self.names.index(name)
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
         return RingElement(self, ((exps, self.base._from_int(1)),))
-
-    def gens(self):
-        return tuple(self.var(n) for n in self.names)
 
     def constant(self, c) -> RingElement:
         c = self.base.el(c)
@@ -514,10 +489,34 @@ class PolynomialRing(Ring):
             return ()
         return (((0,) * self.nvars, c),)
 
+    def _divmod(self, a, b):
+        """Leading-term division of a by b != 0: (quotient, remainder).
+
+        Stops at the first remainder whose leading term is not a multiple
+        of lt(b), so over a domain b divides a exactly iff the remainder
+        is 0.  For univariate b with a unit leading coefficient this is
+        division with remainder."""
+        base = self.base
+        lt_e, lt_c = b[0]
+        quo = {}
+        rem = a
+        while rem:
+            re, rc = rem[0]
+            de = tuple(x - y for x, y in zip(re, lt_e))
+            if min(de) < 0:
+                break
+            qc = base._try_divide(rc, lt_c)
+            if qc is None:
+                break
+            # leading monomials strictly decrease, so each de is new
+            quo[de] = qc
+            rem = self._add(rem, self._neg(self._mul(((de, qc),), b)))
+        return _poly_canonical(quo), rem
+
     def _try_divide(self, a, b):
         if not b:
             return None if a else a
-        q, r = _poly_divmod(self, a, b)
+        q, r = self._divmod(a, b)
         if r and not self.is_domain:
             raise ValueError(f"leading-term division does not decide divisibility in {self}")
         return None if r else q
@@ -741,7 +740,7 @@ class QuotientRing(Ring):
     def _reduce(self, a):
         if self.n is not None:
             return a % self.n
-        return _poly_divmod(self.base, a, self.modulus.payload)[1]
+        return self.base._divmod(a, self.modulus.payload)[1]
 
     def _add(self, a, b):
         return self._reduce(self.base._add(a, b))
@@ -1105,7 +1104,7 @@ def fraction_field_hom(ring: Ring) -> RingHom:
 def _euclid(E: Ring, a, b):
     """(g, x, y) with x*a + y*b = g = gcd(a, b), on payloads of E = ZZ or
     a univariate polynomial ring over a field."""
-    div = divmod if isinstance(E, IntegerRing) else partial(_poly_divmod, E)
+    div = E._divmod
     zero, one = E._from_int(0), E._from_int(1)
     r0, r1 = a, b
     s0, s1 = one, zero
@@ -1122,7 +1121,7 @@ def _divide_mod(E: Ring, a, b, m):
     """(q, g) with q*b = a modulo m, or q = None when there is no such q,
     and g = gcd(b, m), in E = ZZ or F[t].  With s*b = g modulo m, b
     divides a modulo m exactly when g divides a, and q = (a/g)(s mod m/g)."""
-    div = divmod if isinstance(E, IntegerRing) else partial(_poly_divmod, E)
+    div = E._divmod
     g, s, _ = _euclid(E, b, m)
     ag, r = div(a, g)
     if r:
@@ -1263,50 +1262,39 @@ def decompose_modulo_power(c: RingElement, k: int, h: RingElement, B: Ring):
 # JSON descriptors
 # ---------------------------------------------------------------------------
 
+# The JSON fields of each ring class, one per canonical constructor
+# argument (``_Interned``): a ring, a payload of the base ring, or the
+# argument itself (variable names as a list).
+_RING_JSON = {
+    IntegerRing: (), RationalField: (), PrimeFieldRing: ("p",),
+    PolynomialRing: ("base", "vars"), LocalizationRing: ("base", "multiplier"),
+    QuotientRing: ("base", "modulus"), ProductRing: ("left", "right"),
+    MilnorSquareRing: ("base", "multiplier"),
+}
+_RING_KINDS = {cls.kind: cls for cls in _RING_JSON}
+_RING_FIELDS = ("base", "left", "right")
+_PAYLOAD_FIELDS = ("multiplier", "modulus")
+
+
 def ring_to_json(ring: Ring):
-    if isinstance(ring, IntegerRing):
-        return {"kind": "integers"}
-    if isinstance(ring, RationalField):
-        return {"kind": "rationals"}
-    if isinstance(ring, PrimeFieldRing):
-        return {"kind": "prime_field", "p": ring.p}
-    if isinstance(ring, PolynomialRing):
-        return {"kind": "polynomial", "base": ring_to_json(ring.base),
-                "vars": list(ring.names)}
-    if isinstance(ring, LocalizationRing):
-        return {"kind": "localization", "base": ring_to_json(ring.base),
-                "multiplier": ring.base._payload_to_json(ring.multiplier.payload)}
-    if isinstance(ring, QuotientRing):
-        return {"kind": "quotient", "base": ring_to_json(ring.base),
-                "modulus": ring.base._payload_to_json(ring.modulus.payload)}
-    if isinstance(ring, ProductRing):
-        return {"kind": "product", "left": ring_to_json(ring.left),
-                "right": ring_to_json(ring.right)}
-    if isinstance(ring, MilnorSquareRing):
-        return {"kind": "milnor_square", "base": ring_to_json(ring.base),
-                "multiplier": ring.base._payload_to_json(ring.multiplier.payload)}
-    raise ValueError(f"unserializable ring {ring}")
+    if type(ring) not in _RING_JSON:
+        raise ValueError(f"unserializable ring {ring}")
+    out = {"kind": ring.kind}
+    for name, arg in zip(_RING_JSON[type(ring)], ring._args):
+        out[name] = (ring_to_json(arg) if name in _RING_FIELDS
+                     else ring.base._payload_to_json(arg) if name in _PAYLOAD_FIELDS
+                     else list(arg) if name == "vars" else arg)
+    return out
 
 
 def ring_from_json(data) -> Ring:
-    kind = data["kind"]
-    if kind == "integers":
-        return IntegerRing()
-    if kind == "rationals":
-        return RationalField()
-    if kind == "prime_field":
-        return PrimeFieldRing(data["p"])
-    if kind == "polynomial":
-        return PolynomialRing(ring_from_json(data["base"]), data["vars"])
-    if kind == "localization":
-        base = ring_from_json(data["base"])
-        return LocalizationRing(base, RingElement(base, base._payload_from_json(data["multiplier"])))
-    if kind == "quotient":
-        base = ring_from_json(data["base"])
-        return QuotientRing(base, RingElement(base, base._payload_from_json(data["modulus"])))
-    if kind == "product":
-        return ProductRing(ring_from_json(data["left"]), ring_from_json(data["right"]))
-    if kind == "milnor_square":
-        base = ring_from_json(data["base"])
-        return MilnorSquareRing(base, RingElement(base, base._payload_from_json(data["multiplier"])))
-    raise ValueError(f"unknown ring kind {kind!r}")
+    cls = _RING_KINDS.get(data["kind"])
+    if cls is None:
+        raise ValueError(f"unknown ring kind {data['kind']!r}")
+    args = []
+    for name in _RING_JSON[cls]:
+        value = data[name]
+        args.append(ring_from_json(value) if name in _RING_FIELDS
+                    else RingElement(args[0], args[0]._payload_from_json(value))
+                    if name in _PAYLOAD_FIELDS else value)
+    return cls(*args)

@@ -33,26 +33,9 @@ def _neg(root: Root) -> Root:
     return tuple(-x for x in root)
 
 
-def _positive_roots(kind: str, rank: int, dim: int):
-    pos = []
-    if kind == "A":
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                v = [0] * dim
-                v[i], v[j] = 1, -1
-                pos.append(tuple(v))
-    else:
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                v = [0] * rank
-                v[i], v[j] = 1, -1
-                pos.append(tuple(v))
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                v = [0] * rank
-                v[i], v[j] = 1, 1
-                pos.append(tuple(v))
-    return pos
+def _root(dim: int, i: int, j: int, sign: int) -> Root:
+    """e_i + sign e_j in Z^dim."""
+    return tuple(1 if k == i else sign if k == j else 0 for k in range(dim))
 
 
 def defining_matrix(kind: str, rank: int, root: Root):
@@ -127,18 +110,16 @@ class RootSystem:
         self.rank = rank
         self.dim = rank + 1 if kind == "A" else rank
         self.matrix_dim = rank + 1 if kind == "A" else 2 * rank
-        pos = _positive_roots(kind, rank, self.dim)
+        # e_i - e_j for i < j, then (type D) e_i + e_j for i < j
+        pos = [_root(self.dim, i, j, sign) for sign in ((-1,) if kind == "A" else (-1, 1))
+               for i in range(self.dim) for j in range(i + 1, self.dim)]
         self.positive_roots = tuple(pos)
         self.roots = tuple(pos + [_neg(r) for r in pos])
         self.index = {r: i for i, r in enumerate(self.roots)}
         self._root_set = frozenset(self.roots)
-        if kind == "A":
-            simples = [tuple(1 if k == i else (-1 if k == i + 1 else 0)
-                             for k in range(self.dim)) for i in range(rank)]
-        else:
-            simples = [tuple(1 if k == i else (-1 if k == i + 1 else 0)
-                             for k in range(rank)) for i in range(rank - 1)]
-            simples.append(tuple(1 if k >= rank - 2 else 0 for k in range(rank)))
+        simples = [_root(self.dim, i, i + 1, -1) for i in range(self.dim - 1)]
+        if kind == "D":
+            simples.append(_root(self.dim, self.dim - 2, self.dim - 1, 1))
         self.simple_roots = tuple(simples)
         self._matrices = {r: defining_matrix(kind, rank, r) for r in self.roots}
         self.addition_table, self.constants_table = self._build_tables()

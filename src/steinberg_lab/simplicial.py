@@ -159,6 +159,8 @@ class MooreGenerator:
 
     def __post_init__(self):
         self.root = tuple(self.root)
+        if not self.system.is_root(self.root):
+            raise ValueError(f"{self.root} is not a root of {self.system}")
         ring = simplex_ring(self.base, self.level)
         if self.f.ring is not ring or self.conjugator.ring is not ring:
             raise ValueError("payload rings do not match the level")

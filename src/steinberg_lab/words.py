@@ -203,13 +203,9 @@ def check_commutator_congruence(system: RootSystem, root, a, b, c,
         raise ValueError(f"{a!r} is not in {ideal_a!r}")
     if not ideal_b.contains(b):
         raise ValueError(f"{b!r} is not in {ideal_b!r}")
-    prod = ideal_a.product(ideal_b)
-    if not (isinstance(ring, IntegerRing) and len(prod.generators) >= 1):
+    if not isinstance(ring, IntegerRing):
         raise ValueError("effective quotient available only over ZZ here")
-    n = 0
-    for g0 in prod.generators:
-        n = gcd(n, g0.payload)
-    n = abs(n)
+    n = gcd(*(g.payload for g in ideal_a.product(ideal_b).generators))
     if n == 0:
         raise ValueError("zero product ideal has no effective quotient")
     q = quotient(ring, n)
@@ -234,15 +230,18 @@ def word_to_json(w: SteinbergWord):
     }
 
 
-def word_from_json(data) -> SteinbergWord:
-    system = build_root_system(data["system"]["type"], data["system"]["rank"])
-    ring = ring_from_json(data["ring"])
+def _word_from_letters_json(system: RootSystem, ring: Ring, entries) -> SteinbergWord:
+    """The word of the JSON letters {"root", "arg", "sign"} (sign -1
+    negates arg); ValueError on a root that is not a root of the system."""
     letters = []
-    for entry in data["letters"]:
+    for entry in entries:
         if not system.is_root(entry["root"]):
             raise ValueError(f"{entry['root']} is not a root of {system}")
         arg = RingElement(ring, ring._payload_from_json(entry["arg"]))
-        if entry.get("sign", 1) == -1:
-            arg = -arg
-        letters.append((tuple(entry["root"]), arg))
+        letters.append((tuple(entry["root"]), -arg if entry.get("sign", 1) == -1 else arg))
     return SteinbergWord(system, ring, letters)
+
+
+def word_from_json(data) -> SteinbergWord:
+    system = build_root_system(data["system"]["type"], data["system"]["rank"])
+    return _word_from_letters_json(system, ring_from_json(data["ring"]), data["letters"])

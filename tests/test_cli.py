@@ -1,6 +1,9 @@
 """End-to-end CLI checks: output shapes, exit codes, determinism."""
 
 import json
+import shlex
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +11,9 @@ from steinberg_lab import cli
 from steinberg_lab.cli import main, parse_ring
 from steinberg_lab.rings import GF, ZZ, localize, quotient
 from steinberg_lab.roots import build_root_system
-from steinberg_lab.words import gen, word_to_json
+from steinberg_lab.words import commutator, gen, word_to_json
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -107,6 +112,19 @@ def test_simplicial_lift(tmp_path, capsys):
     assert lifted["letters"], "lift should be a nonempty word"
 
 
+def test_generator_conjugator_reads_letter_signs(tmp_path):
+    """The conjugator of a generator file is read like the letters of a
+    word file: "sign": -1 negates the argument."""
+    letter = {"root": [1, -1, 0], "arg": [[[1], 2]]}
+    data = {"system": {"type": "A", "rank": 2}, "base": {"kind": "integers"},
+            "root": [0, 1, -1], "f": [[[0], 1]], "g": [{**letter, "sign": -1}]}
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(data))
+    m = cli.parse_generator_file(str(path))
+    t1 = m.ring.var("t1")
+    assert m.conjugator.letters == (((1, -1, 0), -2 * t1),)
+
+
 def _demo_word():
     """A commutator over ZZ[1/2] that the glueing demo descends."""
     Z = ZZ()
@@ -194,6 +212,11 @@ INPUT_FILES = {
     # (1, 1, -2) is a weight of A2, not a root
     "not-a-root.json": {**_word_file(ZZ_JSON, 1),
                         "letters": [{"root": [1, 1, -2], "arg": 1, "sign": 1}]},
+    "generator-bad-conjugator.json": {
+        "system": {"type": "A", "rank": 2}, "base": ZZ_JSON, "root": [1, -1, 0],
+        "f": [[[0], 1]], "g": [{"root": [5, 5, 5], "arg": [[[0], 1]], "sign": 1}]},
+    "generator-bad-root.json": {"system": {"type": "A", "rank": 2}, "base": ZZ_JSON,
+                                "root": [1, 1, -2], "f": [[[0], 1]], "g": []},
 }
 
 
@@ -279,6 +302,8 @@ def _assert_request_usage(argv, err):
     ["k2m", "tame", "--symbol", "2,3", "--prime", "3", "--pretty"],  # prints an integer
     ["k2m", "tame", "--batch", "no-such-dir/batch.json"],
     ["patch", "demo", "--word", "a2-word.json"],                 # not over ZZ[1/2]
+    ["simplicial", "lift", "--word", "generator-bad-conjugator.json"],
+    ["simplicial", "lift", "--word", "generator-bad-root.json"],
 ])
 def test_input_errors_are_usage_errors(argv, capsys, workdir):
     code, err = _exit_code(argv, capsys)
@@ -377,3 +402,38 @@ def test_eval_sums_repeated_monomials(tmp_path, capsys):
         assert code == 0
         outs.append(json.loads(out))
     assert outs[0] == outs[1]
+
+
+def _readme_cli_lines():
+    """The `steinberg-lab` lines of the README's CLI example block, in order."""
+    text = README.read_text(encoding="utf-8")
+    block = text[text.index("```sh\nsteinberg-lab"):]
+    block = block[:block.index("```", 3)]
+    return [line.split("  #")[0].strip() for line in block.splitlines()
+            if line.startswith("steinberg-lab ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Every README CLI example exits 0, in order, in one directory: w.json
+    is a copy of the symbol word sym.json, and x.json the commutator
+    [x_a1(5/2), x_a3(7/4)] over ZZ[1/2] that `checks.patching_examples`
+    glues."""
+    monkeypatch.chdir(tmp_path)
+    Z, A3 = ZZ(), build_root_system("A", 3)
+    A = localize(Z, 2)
+    a1, _, a3 = A3.simple_roots
+    x = commutator(gen(A3, A, a1, A.fraction(Z.from_int(5), 1)),
+                   gen(A3, A, a3, A.fraction(Z.from_int(7), 2)))
+    (tmp_path / "x.json").write_text(json.dumps(word_to_json(x)))
+    lines = _readme_cli_lines()
+    assert len(lines) == 10
+    for line in lines:
+        argv, _, target = line.partition(">")
+        code, out = run(capsys, *shlex.split(argv)[1:])
+        assert code == 0, line
+        if target:
+            (tmp_path / target.strip()).write_text(out)
+        if target.strip() == "sym.json":
+            shutil.copy(tmp_path / "sym.json", tmp_path / "w.json")
+        if line.startswith("steinberg-lab k2m tame"):
+            assert out.strip() == "2"

@@ -3,9 +3,12 @@
 import json
 from pathlib import Path
 
-from steinberg_lab.rings import RingElement, ring_from_json, ring_to_json
+import pytest
+
+from steinberg_lab.rings import (GF, ZZ, RingElement, localize, milnor_square_ring,
+                                 poly_ring, ring_from_json, ring_to_json)
 from steinberg_lab.words import word_from_json, word_to_json
-from steinberg_lab import reps
+from steinberg_lab import checks, reps
 
 FIXTURES = Path(__file__).parent / "golden" / "fixtures.json"
 
@@ -40,3 +43,28 @@ def test_word_fixture_evaluates_to_frozen_matrix():
     got = [[m.ring._payload_to_json(v) for v in row] for row in m.rows]
     assert got == data["word"]["adjoint_image"]
     assert word_to_json(word_from_json(data["word"]["word"])) == data["word"]["word"]
+
+
+def _golden_rings():
+    """Every construction of `checks.ring_constructions`, then nested towers."""
+    F3s = poly_ring(GF(3), ("s",))
+    return checks.ring_constructions() + [
+        localize(localize(ZZ(), 2), 3), poly_ring(localize(ZZ(), 2), ("t",)),
+        milnor_square_ring(F3s, F3s.var("s"))]
+
+
+def test_ring_descriptors_match_the_golden_format():
+    """The descriptor format itself, key order included, not only that it
+    round-trips."""
+    entries = load()["rings"]
+    rings = _golden_rings()
+    assert len(entries) == len(rings)
+    for ring, entry in zip(rings, entries):
+        assert ring.describe() == entry["describe"]
+        assert json.dumps(ring_to_json(ring)) == json.dumps(entry["descriptor"])
+        assert ring_from_json(entry["descriptor"]) is ring
+
+
+def test_unknown_ring_kind_is_refused():
+    with pytest.raises(ValueError):
+        ring_from_json({"kind": "bogus"})

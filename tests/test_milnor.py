@@ -1,15 +1,16 @@
 """Milnor symbol calculus checked against the tame-symbol oracle."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steinberg_lab.milnor import (TameSymbolImage, factor_positive,
+from steinberg_lab.milnor import (MilnorSymbolSum, TameSymbolImage, factor_positive,
                                   steinberg_to_milnor, symbol,
                                   symbol_normalize, tame_symbol)
-from steinberg_lab.rings import GF
+from steinberg_lab.rings import GF, QQ
 from steinberg_lab.roots import build_root_system
 from steinberg_lab import checks, words
 
@@ -114,6 +115,24 @@ def test_skew_symmetry_pair_cancels():
 def test_bilinearity_normalization_example():
     n = symbol_normalize(symbol(4, 5))
     assert n.terms == (((Fraction(2), Fraction(5)), 2),)
+
+
+def _random_entry(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 60))
+
+
+def test_normalize_output_is_pinned():
+    """The exact normal form of 500 seeded random sums, not only its tame
+    images: entries +-1..60 / 1..60, multiplicities +-1..3."""
+    rng = random.Random(19)
+    digest = hashlib.sha256()
+    for _ in range(500):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            key = (_random_entry(rng), _random_entry(rng))
+            terms[key] = terms.get(key, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
+        digest.update(repr(symbol_normalize(MilnorSymbolSum(QQ(), terms))).encode() + b"\n")
+    assert digest.hexdigest() == "0ac805d09d0b67b037d275d404bc66dbf1ea799be7fed5b41f1cbe31fdec6e38"
 
 
 def test_formal_cancellation():

@@ -717,7 +717,7 @@ def test_difference_is_the_difference_over_the_polynomial_ring():
     same difference, term by term, for every case of a flipped and an
     intact rep."""
     P = poly_ring(ZZ(), ("a", "b"))
-    a, b = P.gens()
+    a, b = P.var("a"), P.var("b")
     for rep in (_rep("A", 2, "adjoint"), _flipped(_rep("A", 3, "defining"))):
         cases = reps._cases(rep.system)
         for case, diff in zip(cases, reps._differences(rep, cases)):

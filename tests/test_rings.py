@@ -194,7 +194,7 @@ def test_localization_division_over_integers_matches_brute_force(m):
 
 def test_polynomial_ring_exact_division():
     P = poly_ring(ZZ(), ("x", "y"))
-    x, y = P.gens()
+    x, y = P.var("x"), P.var("y")
     f = (x + y) * (x - y + 1)
     assert f.try_divide(x + y) == x - y + 1
     assert f.try_divide(x + 2 * y) is None
@@ -487,7 +487,7 @@ def test_decompose_modulo_power_unsupported():
 
 def test_substitution_hom():
     P = poly_ring(ZZ(), ("t1", "t2"))
-    t1, t2 = P.gens()
+    t1, t2 = P.var("t1"), P.var("t2")
     hom = substitution_hom(P, P, {"t1": P.one - t1, "t2": t1})
     assert hom(t1 * t2) == (P.one - t1) * t1
 

@@ -80,7 +80,7 @@ def test_opposite_commutator_shape_and_vanishing():
 
 def test_substitute_evaluation_examples():
     P = poly_ring(Z, ("t1", "t2"))
-    t1, t2 = P.gens()
+    t1, t2 = P.var("t1"), P.var("t2")
     a1 = A2.simple_roots[0]
     w = gen(A2, P, a1, t1 * t2)
     hom = substitution_hom(P, P, {"t1": P.one - t1, "t2": t1})
