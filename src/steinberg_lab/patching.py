@@ -1,22 +1,22 @@
 """Patching across a localization square: conjugation homomorphisms, the
 orbit-set translation operators, and a glueing demo.
 
-The construction works over a datum (B, A, iota, h) with B/h = A/h
-effective; the supported instances are the identity case A = B and the
-Zariski case A = B_m with m coprime to h.  All group-level equalities are
-asserted at matrix-image level: the orbit map mu sends a pair (u, v) to
-image(u) * image(v) in G(A_h), and every operator is checked against it.
-The degree bounds attached to conjugation homomorphisms are computed
-constructively (any valid bound works) and are deliberately conservative.
+The construction works over a datum (B, A, h) with B/h = A/h effective
+and every map of the square canonical; the supported instances are the
+identity case A = B and the Zariski case A = B_m with m coprime to h.
+All group-level equalities are asserted at matrix-image level: the orbit
+map mu sends a pair (u, v) to image(u) * image(v) in G(A_h), and every
+operator is checked against it.  The degree bounds attached to
+conjugation homomorphisms are computed constructively (any valid bound
+works) and are deliberately conservative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import (LocalizationRing, Ring, RingElement, RingHom, bezout_identity,
-                    decompose_modulo_power, localization_hom,
-                    localization_functor_hom, localize)
+from .rings import (LocalizationRing, Ring, RingElement, bezout_identity,
+                    canonical_hom, decompose_modulo_power, localize)
 from .roots import RootSystem
 from .words import SteinbergWord, gen, identity_word, substitute
 from . import reps
@@ -39,23 +39,24 @@ class GlueingError(ValueError):
 
 
 class PatchDatum:
-    """(B, A, iota, h) with an effective decomposition A = A h^k + B."""
+    """(B, A, h) with an effective decomposition A = A h^k + B; iota,
+    lambda_B, lambda_A and iota_h are the canonical maps of the square,
+    and ValueError is raised when B -> A has none."""
 
-    def __init__(self, B: Ring, A: Ring, iota: RingHom, h: RingElement,
-                 kind: str):
+    def __init__(self, B: Ring, A: Ring, h: RingElement):
         self.B = B
         self.A = A
-        self.iota = iota
+        self.iota = canonical_hom(B, A)
         self.h = B.el(h)
         if self.h.is_zero:
             raise ValueError("h must be nonzero")
-        self.kind = kind
-        self.h_in_A = iota(self.h)
+        self.kind = "identity" if A is B else "zariski"
+        self.h_in_A = self.iota(self.h)
         self.B_h = localize(B, self.h)
         self.A_h = localize(A, self.h_in_A)
-        self.lam_B = localization_hom(B, self.B_h)
-        self.lam_A = localization_hom(A, self.A_h)
-        self.iota_loc = localization_functor_hom(self.B_h, self.A_h, iota)
+        self.lam_B = canonical_hom(B, self.B_h)
+        self.lam_A = canonical_hom(A, self.A_h)
+        self.iota_loc = canonical_hom(self.B_h, self.A_h)
 
     def __repr__(self):
         return f"PatchDatum[{self.kind}]({self.B} -> {self.A}, h={self.h!r})"
@@ -63,8 +64,7 @@ class PatchDatum:
     def decompose(self, c: RingElement, k: int):
         """c = a h^k + b with a in A, b in B; elements already coming
         from B decompose with a = 0."""
-        a, b = decompose_modulo_power(self.A.el(c), k, self.h, self.B)
-        return a, b
+        return decompose_modulo_power(self.A.el(c), k, self.h, self.B)
 
     def decompose_shifted(self, c: RingElement, k: int, d: RingElement):
         """A second valid decomposition, perturbed by d in B:
@@ -85,8 +85,7 @@ def zariski_datum(B: Ring, m, h) -> PatchDatum:
         raise ValueError(f"m = {m!r} and h = {h!r} must be nonzero")
     if not B.is_field:
         bezout_identity(m, h)
-    A = localize(B, m)
-    return PatchDatum(B, A, localization_hom(B, A), h, "zariski")
+    return PatchDatum(B, localize(B, m), h)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 import threading
 import weakref
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _int_gcd
 
 __all__ = [
@@ -26,9 +27,8 @@ __all__ = [
     "milnor_square_ring",
     "RingMismatchError", "NonUnitError", "CompatibilityError",
     "DecompositionError",
-    "identity_hom", "localization_hom", "quotient_hom",
-    "substitution_hom", "coarser_localization_hom",
-    "localization_functor_hom", "fraction_field_hom",
+    "canonical_hom", "substitution_hom", "coarser_localization_hom",
+    "fraction_field_hom",
     "ext_gcd", "bezout_identity", "bezout_decompose",
     "reciprocal_localization_witness",
     "milnor_square_pullback", "milnor_square_project_poly",
@@ -99,7 +99,9 @@ class Ring(metaclass=_Interned):
     Subclasses implement the payload protocol: ``_add``, ``_neg``,
     ``_mul``, ``_from_int``, ``_try_divide`` (a q with q*b = a, None when
     there is none, ValueError when the ring cannot decide), ``_sample``
-    and ``_payload_from_json``."""
+    and ``_payload_from_json``.  A ring built over ``base`` (R[x], R_a,
+    R/(m)) implements ``_from_base``, the canonical map base -> ring on
+    payloads, and inherits ``_from_int`` and ``from_base`` from it."""
 
     kind = "abstract"
     is_domain = False
@@ -143,6 +145,13 @@ class Ring(metaclass=_Interned):
         if not isinstance(n, int) or isinstance(n, bool):
             raise TypeError(f"expected an int, got {n!r}")
         return RingElement(self, self._from_int(n))
+
+    def _from_int(self, n):
+        return self._from_base(self.base._from_int(n))
+
+    def from_base(self, x) -> "RingElement":
+        """The image of x under the canonical map base -> self."""
+        return RingElement(self, self._from_base(self.base.el(x).payload))
 
     def sample(self, rng, size: int = 6) -> "RingElement":
         return RingElement(self, self._sample(rng, size))
@@ -446,12 +455,10 @@ class PolynomialRing(Ring):
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
         return RingElement(self, ((exps, self.base._from_int(1)),))
 
-    def constant(self, c) -> RingElement:
-        c = self.base.el(c)
-        if c.is_zero:
-            return self.zero
-        zero_exp = (0,) * self.nvars
-        return RingElement(self, ((zero_exp, c.payload),))
+    def _from_base(self, c):
+        return () if c == self.base._from_int(0) else (((0,) * self.nvars, c),)
+
+    constant = Ring.from_base
 
     def _add(self, a, b):
         terms = dict(a)
@@ -482,12 +489,6 @@ class PolynomialRing(Ring):
                 else:
                     terms[e] = s
         return _poly_canonical(terms)
-
-    def _from_int(self, n):
-        c = self.base._from_int(n)
-        if c == self.base._from_int(0):
-            return ()
-        return (((0,) * self.nvars, c),)
 
     def _divmod(self, a, b):
         """Leading-term division of a by b != 0: (quotient, remainder).
@@ -650,8 +651,8 @@ class LocalizationRing(Ring):
     def _mul(self, a, b):
         return self._norm(self.base._mul(a[0], b[0]), a[1] + b[1])
 
-    def _from_int(self, n):
-        return self._norm(self.base._from_int(n), 0)
+    def _from_base(self, c):
+        return self._norm(c, 0)
 
     def _try_divide(self, a, b):
         n1, k1 = a
@@ -674,9 +675,6 @@ class LocalizationRing(Ring):
 
     def _factor_bound(self, a):
         return self.base._factor_bound(a[0])
-
-    def from_base(self, x) -> RingElement:
-        return self.fraction(x, 0)
 
     def fraction(self, num, k: int) -> RingElement:
         num = self.base.el(num)
@@ -742,6 +740,8 @@ class QuotientRing(Ring):
             return a % self.n
         return self.base._divmod(a, self.modulus.payload)[1]
 
+    _from_base = _reduce
+
     def _add(self, a, b):
         return self._reduce(self.base._add(a, b))
 
@@ -750,9 +750,6 @@ class QuotientRing(Ring):
 
     def _mul(self, a, b):
         return self._reduce(self.base._mul(a, b))
-
-    def _from_int(self, n):
-        return self._reduce(self.base._from_int(n))
 
     def _try_divide(self, a, b):
         E, m = self.base, self.modulus.payload
@@ -777,9 +774,7 @@ class QuotientRing(Ring):
     def _sample(self, rng, size):
         return self._reduce(self.base._sample(rng, size))
 
-    def project(self, x) -> RingElement:
-        x = self.base.el(x)
-        return RingElement(self, self._reduce(x.payload))
+    project = Ring.from_base
 
     def _payload_str(self, a):
         return self.base._payload_str(a)
@@ -867,10 +862,7 @@ class MilnorSquareRing(Ring):
         return (self.base._neg(a[0]), self.poly._neg(a[1]))
 
     def _loc_const(self, x):
-        v = self.loc._norm(x, 0)
-        if v == self.loc._from_int(0):
-            return ()
-        return (((0,), v),)
+        return self.poly._from_base(self.loc._from_base(x))
 
     def _mul(self, a, b):
         x1, f1 = a
@@ -1000,37 +992,54 @@ class RingHom:
         return f"{self.label}: {self.domain} -> {self.codomain}"
 
 
-def identity_hom(ring: Ring) -> RingHom:
-    return RingHom(ring, ring, lambda p: p, "id")
+def _canonical_fn(domain: Ring, codomain: Ring):
+    """The payload map of the canonical homomorphism domain -> codomain of
+    the ring tower; ValueError when there is none.  The first rule that
+    applies decides:
+
+    1. the identity of a ring;
+    2. a ring R[x], R_a or R/(m) over its base: ``codomain._from_base``;
+    3. ZZ into any ring: ``codomain._from_int``;
+    4. R_a: n/a^k |-> f(n) f(a)^-k with f the map R -> codomain, when
+       f(a) is a unit;
+    5. into R[x], R_a or R/(m): the map into its base, then rule 2.
+
+    Rule 2 precedes rule 4 so that R_a -> (R_a)_h takes the direct route."""
+    if domain is codomain:
+        return lambda p: p
+    over_base = isinstance(codomain, (PolynomialRing, LocalizationRing, QuotientRing))
+    if over_base and codomain.base is domain:
+        return codomain._from_base
+    if isinstance(domain, IntegerRing):
+        return codomain._from_int
+    if isinstance(domain, LocalizationRing):
+        f = _canonical_fn(domain.base, codomain)
+        u = codomain._try_divide(codomain._from_int(1), f(domain.multiplier.payload))
+        if u is None:
+            raise ValueError(f"{domain.multiplier!r} is not a unit of {codomain}")
+        power = lru_cache(maxsize=_POWER_CACHE)(lambda k: (RingElement(codomain, u) ** k).payload)
+        mul = codomain._mul
+        return lambda p: mul(f(p[0]), power(p[1])) if p[1] else f(p[0])
+    if over_base:
+        f, g = _canonical_fn(domain, codomain.base), codomain._from_base
+        return lambda p: g(f(p))
+    raise ValueError(f"no canonical map {domain} -> {codomain}")
 
 
-def localization_hom(base: Ring, loc: LocalizationRing) -> RingHom:
-    if loc.base is not base:
-        raise RingMismatchError("localization does not extend the given base")
-    return RingHom(base, loc, lambda p: loc._norm(p, 0), "localize")
-
-
-def quotient_hom(base: Ring, quo: QuotientRing) -> RingHom:
-    if quo.base is not base:
-        raise RingMismatchError("quotient does not reduce the given base")
-    return RingHom(base, quo, quo._reduce, "project")
+def canonical_hom(domain: Ring, codomain: Ring) -> RingHom:
+    """The canonical homomorphism of the ring tower (``_canonical_fn``)."""
+    return RingHom(domain, codomain, _canonical_fn(domain, codomain), "canonical")
 
 
 def substitution_hom(domain: PolynomialRing, codomain: Ring, images) -> RingHom:
-    """Evaluation homomorphism sending each variable to the given image."""
+    """Evaluation homomorphism sending each variable to the given image;
+    coefficients map canonically into the codomain."""
     images = {name: codomain.el(v) for name, v in images.items()}
     missing = [n for n in domain.names if n not in images]
     if missing:
         raise ValueError(f"no image for variables {missing}")
     img = [images[n].payload for n in domain.names]
-    if isinstance(domain.base, IntegerRing):
-        coeff_fn = codomain._from_int
-    elif domain.base is codomain:
-        coeff_fn = lambda c: c
-    elif isinstance(codomain, PolynomialRing) and codomain.base is domain.base:
-        coeff_fn = lambda c: codomain.constant(RingElement(codomain.base, c)).payload
-    else:
-        raise ValueError("coefficient map required")
+    coeff_fn = _canonical_fn(domain.base, codomain)
 
     def fn(payload):
         acc = codomain._from_int(0)
@@ -1047,54 +1056,12 @@ def substitution_hom(domain: PolynomialRing, codomain: Ring, images) -> RingHom:
 
 def coarser_localization_hom(fine: LocalizationRing, coarse: LocalizationRing) -> RingHom:
     """R_a -> R_ab along n/a^k |-> n b^k/(ab)^k."""
-    if fine.base is not coarse.base:
-        raise RingMismatchError("localizations of different bases")
-    b = coarse.base._try_divide(coarse.multiplier.payload, fine.multiplier.payload)
-    if b is None:
-        raise ValueError("coarser multiplier is not a multiple of the finer one")
-
-    def fn(p):
-        n, k = p
-        scale = coarse.base._from_int(1)
-        for _ in range(k):
-            scale = coarse.base._mul(scale, b)
-        return coarse._norm(coarse.base._mul(n, scale), k)
-
-    return RingHom(fine, coarse, fn, "coarsen")
-
-
-def localization_functor_hom(src: LocalizationRing, dst: LocalizationRing,
-                             base_hom: RingHom) -> RingHom:
-    """Localization of a base map f with f(multiplier) = multiplier."""
-    if base_hom.domain is not src.base or base_hom.codomain is not dst.base:
-        raise RingMismatchError("base homomorphism does not match localizations")
-    if dst._norm(base_hom.fn(src.multiplier.payload), 0) != dst._norm(dst.multiplier.payload, 0):
-        raise ValueError("base map does not send multiplier to multiplier")
-
-    def fn(p):
-        n, k = p
-        return dst._norm(base_hom.fn(n), k)
-
-    return RingHom(src, dst, fn, "loc(" + base_hom.label + ")")
+    return canonical_hom(fine, coarse)
 
 
 def fraction_field_hom(ring: Ring) -> RingHom:
     """Embedding into QQ, for ZZ and localizations of ZZ."""
-    rat = RationalField()
-    if isinstance(ring, IntegerRing):
-        return RingHom(ring, rat, lambda p: Fraction(p), "frac")
-    if isinstance(ring, RationalField):
-        return identity_hom(ring)
-    if isinstance(ring, LocalizationRing):
-        inner = fraction_field_hom(ring.base)
-
-        def fn(p):
-            n, k = p
-            m = inner.fn(ring.multiplier.payload)
-            return inner.fn(n) / m ** k
-
-        return RingHom(ring, rat, fn, "frac")
-    raise ValueError(f"no rational embedding for {ring}")
+    return canonical_hom(ring, RationalField())
 
 
 # ---------------------------------------------------------------------------
@@ -1208,7 +1175,7 @@ def milnor_square_pullback(x: RingElement, g: RingElement,
     x = square.base.el(x)
     rest = dict(g.payload)
     g0 = rest.pop((0,), square.loc._from_int(0))
-    if square.loc._norm(x.payload, 0) != g0:
+    if square.loc._from_base(x.payload) != g0:
         raise CompatibilityError(
             f"incompatible pair: image of {x!r} differs from constant term {g!r}")
     return RingElement(square, (x.payload, _poly_canonical(rest)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import (PolynomialRing, QuotientRing, ProductRing, Ring,
-                    RingElement, RingHom, identity_hom, poly_ring,
+                    RingElement, RingHom, canonical_hom, poly_ring,
                     product_ring, quotient, substitution_hom)
 from .roots import RootSystem
 from .words import SteinbergWord, gen, substitute
@@ -34,13 +34,6 @@ def simplex_ring(base: Ring, n: int) -> Ring:
     if n == 0:
         return base
     return poly_ring(base, _var_names(n))
-
-
-def _const_embedding(base: Ring, target: PolynomialRing) -> RingHom:
-    def fn(p):
-        c = RingElement(target.base, p)
-        return target.constant(c).payload
-    return RingHom(base, target, fn, "const")
 
 
 def face_hom(base: Ring, n: int, i: int) -> RingHom:
@@ -80,7 +73,7 @@ def degeneracy_hom(base: Ring, n: int, i: int) -> RingHom:
         raise ValueError(f"degeneracy index {i} out of range for level {n}")
     codomain = simplex_ring(base, n + 1)
     if n == 0:
-        return _const_embedding(base, codomain)
+        return canonical_hom(base, codomain)
     domain = simplex_ring(base, n)
     images = {}
     for j in range(1, n + 1):
@@ -127,7 +120,7 @@ def simplicial_identity_report(base: Ring, n_max: int):
             for i in range(n + 2):
                 lhs = face_hom(base, n + 1, i).compose(degeneracy_hom(base, n, j))
                 if i in (j, j + 1):
-                    ok = _homs_equal(base, lhs, identity_hom(simplex_ring(base, n)), n)
+                    ok = _homs_equal(base, lhs, canonical_hom(lhs.domain, lhs.domain), n)
                     results.append((f"d{i} s{j} = id on level {n}", ok))
                 elif i < j:
                     rhs = degeneracy_hom(base, n - 1, j - 1).compose(face_hom(base, n, i))

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from .rings import (Ideal, IntegerRing, Ring, RingElement, RingHom, quotient,
-                    quotient_hom, ring_from_json, ring_to_json)
+from .rings import (Ideal, IntegerRing, Ring, RingElement, RingHom, canonical_hom,
+                    quotient, ring_from_json, ring_to_json)
 from .roots import RootSystem, build_root_system
 from . import reps
 
@@ -209,7 +209,7 @@ def check_commutator_congruence(system: RootSystem, root, a, b, c,
     if n == 0:
         raise ValueError("zero product ideal has no effective quotient")
     q = quotient(ring, n)
-    hom = quotient_hom(ring, q)
+    hom = canonical_hom(ring, q)
     w1 = opposite_commutator(system, ring, root, a, c * b)
     w2 = opposite_commutator(system, ring, root, a * c, b)
     rep = reps.build_representation(system, rep_kind)
@@ -232,13 +232,17 @@ def word_to_json(w: SteinbergWord):
 
 def _word_from_letters_json(system: RootSystem, ring: Ring, entries) -> SteinbergWord:
     """The word of the JSON letters {"root", "arg", "sign"} (sign -1
-    negates arg); ValueError on a root that is not a root of the system."""
+    negates arg; a missing sign is 1); ValueError on a root that is not
+    a root of the system, or a sign that is not the integer 1 or -1."""
     letters = []
     for entry in entries:
         if not system.is_root(entry["root"]):
             raise ValueError(f"{entry['root']} is not a root of {system}")
+        sign = entry.get("sign", 1)
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"letter sign must be 1 or -1, got {sign!r}")
         arg = RingElement(ring, ring._payload_from_json(entry["arg"]))
-        letters.append((tuple(entry["root"]), -arg if entry.get("sign", 1) == -1 else arg))
+        letters.append((tuple(entry["root"]), -arg if sign == -1 else arg))
     return SteinbergWord(system, ring, letters)
 
 

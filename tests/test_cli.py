@@ -194,6 +194,11 @@ def _word_file(ring, arg):
             "letters": [{"root": [1, -1, 0], "arg": arg, "sign": 1}]}
 
 
+def _signed(word, sign):
+    """The word JSON with the sign of its first letter replaced."""
+    return {**word, "letters": [{**word["letters"][0], "sign": sign}, *word["letters"][1:]]}
+
+
 ZZ_JSON = {"kind": "integers"}
 ZZT_JSON = {"kind": "polynomial", "base": ZZ_JSON, "vars": ["t"]}
 
@@ -217,15 +222,22 @@ INPUT_FILES = {
         "f": [[[0], 1]], "g": [{"root": [5, 5, 5], "arg": [[[0], 1]], "sign": 1}]},
     "generator-bad-root.json": {"system": {"type": "A", "rank": 2}, "base": ZZ_JSON,
                                 "root": [1, 1, -2], "f": [[[0], 1]], "g": []},
+    # a letter's sign is 1 or -1, or missing; nothing else stands for either
+    **{f"sign-{i}.json": _signed(_word_file(ZZ_JSON, 1), sign)
+       for i, sign in enumerate((2, "minus", 0, None, True, -1.0))},
+    "generator-bad-sign.json": {
+        "system": {"type": "A", "rank": 2}, "base": ZZ_JSON, "root": [1, -1, 0],
+        "f": [[[0], 1]], "g": [{"root": [1, -1, 0], "arg": [[[0], 1]], "sign": "minus"}]},
 }
 
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     """A working directory holding INPUT_FILES, a glueing-demo word over
-    ZZ[1/2] and a one-job k2m batch."""
+    ZZ[1/2] (also with a bad sign) and a one-job k2m batch."""
     monkeypatch.chdir(tmp_path)
     files = {**INPUT_FILES, "demo-word.json": word_to_json(_demo_word()),
+             "demo-sign.json": _signed(word_to_json(_demo_word()), True),
              "batch.json": [{"symbol": ["2", "3"], "prime": 3}]}
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
@@ -304,6 +316,10 @@ def _assert_request_usage(argv, err):
     ["patch", "demo", "--word", "a2-word.json"],                 # not over ZZ[1/2]
     ["simplicial", "lift", "--word", "generator-bad-conjugator.json"],
     ["simplicial", "lift", "--word", "generator-bad-root.json"],
+    *(["eval", "--word", f"sign-{i}.json"] for i in range(6)),
+    ["word", "reduce", "--word", "sign-1.json"],
+    ["patch", "demo", "--word", "demo-sign.json"],
+    ["simplicial", "lift", "--word", "generator-bad-sign.json"],
 ])
 def test_input_errors_are_usage_errors(argv, capsys, workdir):
     code, err = _exit_code(argv, capsys)

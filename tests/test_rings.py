@@ -1,6 +1,7 @@
 """Tests for the exact ring tower and its construction-specific operations."""
 
 import gc
+import hashlib
 import json
 import random
 import tracemalloc
@@ -8,19 +9,21 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steinberg_lab import checks
-from steinberg_lab.patching import zariski_datum
+from steinberg_lab.patching import PatchDatum, zariski_datum
 from steinberg_lab.rings import (
     GF, QQ, ZZ, CompatibilityError, DecompositionError, Ideal, NonUnitError, RingElement,
-    bezout_decompose, bezout_identity, coarser_localization_hom,
-    decompose_modulo_power, ext_gcd, fraction_field_hom, localization_hom,
+    bezout_decompose, bezout_identity, canonical_hom, coarser_localization_hom,
+    decompose_modulo_power, ext_gcd, fraction_field_hom,
     localize, milnor_square_pullback, milnor_square_project_base,
     milnor_square_project_poly, milnor_square_ring, poly_ring, product_ring,
-    quotient, quotient_hom, reciprocal_localization_witness, ring_from_json,
+    quotient, reciprocal_localization_witness, ring_from_json,
     ring_to_json, substitution_hom,
 )
 from steinberg_lab.roots import build_root_system
+from steinberg_lab.simplicial import degeneracy_hom, face_hom
 from steinberg_lab.words import gen
 
 A2 = build_root_system("A", 2)
@@ -500,13 +503,81 @@ def test_fraction_field_hom():
     assert hom(L6.fraction(5, 2)).payload == Fraction(5, 36)
 
 
+def _pinned_maps():
+    """Every kind of map the library builds, through names that predate
+    ``canonical_hom``: faces and degeneracies to level 5, fraction-field
+    and coarser-localization maps, the four maps of three Zariski data,
+    and three substitutions (one per way a coefficient can enter)."""
+    Z, F5x = ZZ(), poly_ring(GF(5), ("x",))
+    x = F5x.var("x")
+    L2 = localize(Z, 2)
+    maps = []
+    for base in (Z, GF(7), F5x):
+        maps += [face_hom(base, n, i) for n in range(1, 6) for i in range(n + 1)]
+        maps += [degeneracy_hom(base, n, i) for n in range(5) for i in range(n + 1)]
+    maps += [fraction_field_hom(R) for R in
+             (Z, L2, localize(Z, 6), localize(L2, L2.from_base(3)), QQ())]
+    maps += [coarser_localization_hom(L2, localize(Z, 6)),
+             coarser_localization_hom(localize(F5x, x), localize(F5x, x * (x + 1)))]
+    for B, m, h in ((Z, 2, 3), (Z, 5, 3), (F5x, x, x + 1)):
+        d = zariski_datum(B, m, h)
+        maps += [d.lam_B, d.lam_A, d.iota, d.iota_loc]
+    Zt, F5xt = poly_ring(Z, ("t",)), poly_ring(F5x, ("t",))
+    L2s, L2su = poly_ring(L2, ("s",)), poly_ring(L2, ("s", "u"))
+    maps += [substitution_hom(Zt, quotient(Z, 6), {"t": 5}),
+             substitution_hom(F5xt, F5x, {"t": x + 1}),
+             substitution_hom(L2s, L2su, {"s": L2su.var("s") * L2su.var("u") + 1})]
+    return maps
+
+
+def test_ring_maps_are_pinned():
+    rng, digest = random.Random(21), hashlib.sha256()
+    for hom in _pinned_maps():
+        for _ in range(30):
+            digest.update(repr(hom(hom.domain.sample(rng)).payload).encode())
+    assert digest.hexdigest() == (
+        "93609da2b12a4d1880c2c95f897a1a083dc1dc3d951a71bbbcabb3291ad97a8a")
+
+
+def _canonical_pairs():
+    Z, F5x = ZZ(), poly_ring(GF(5), ("x",))
+    x, Zt, L2 = F5x.var("x"), poly_ring(Z, ("t",)), localize(Z, 2)
+    good = [(Z, quotient(Z, 6)), (Z, poly_ring(GF(7), ("x", "y"))),
+            (Z, quotient(Zt, Zt.var("t") ** 3)), (L2, localize(Z, 6)), (L2, QQ()),
+            (localize(Z, 5), quotient(Z, 6)), (localize(L2, L2.from_base(3)), QQ()),
+            (localize(F5x, x), localize(F5x, x * (x + 1)))]
+    bad = [(L2, localize(Z, 3)), (L2, quotient(Z, 6)), (QQ(), Z), (Zt, QQ())]
+    return good, bad
+
+
+CANONICAL_GOOD, CANONICAL_BAD = _canonical_pairs()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(CANONICAL_GOOD), st.integers(0, 2 ** 32))
+def test_canonical_hom_is_a_ring_homomorphism(pair, seed):
+    f, rng = canonical_hom(*pair), random.Random(seed)
+    x, y = pair[0].sample(rng, 9), pair[0].sample(rng, 9)
+    assert f(x + y) == f(x) + f(y)
+    assert f(x * y) == f(x) * f(y)
+    assert f(pair[0].one) == pair[1].one
+
+
+@pytest.mark.parametrize("pair", CANONICAL_BAD, ids=repr)
+def test_canonical_hom_raises_without_a_map(pair):
+    with pytest.raises(ValueError):
+        canonical_hom(*pair)
+    with pytest.raises(ValueError):
+        PatchDatum(*pair, 3)
+
+
 def test_quotient_hom_and_localization_hom():
     Z = ZZ()
     Z6 = quotient(Z, 6)
-    qh = quotient_hom(Z, Z6)
+    qh = canonical_hom(Z, Z6)
     assert qh(Z.from_int(10)).payload == 4
     L2 = localize(Z, 2)
-    lh = localization_hom(Z, L2)
+    lh = canonical_hom(Z, L2)
     assert lh(Z.from_int(12)).payload == (12, 0)
 
 
