@@ -40,10 +40,12 @@ class GlueingError(ValueError):
 
 class PatchDatum:
     """(B, A, h) with an effective decomposition A = A h^k + B; iota,
-    lambda_B, lambda_A and iota_h are the canonical maps of the square,
-    and ValueError is raised when B -> A has none."""
+    lambda_B, lambda_A and iota_h are the canonical maps of the square.
+    A is B or a localization B_m; ValueError otherwise."""
 
     def __init__(self, B: Ring, A: Ring, h: RingElement):
+        if not (A is B or isinstance(A, LocalizationRing) and A.base is B):
+            raise ValueError(f"{A} is neither {B} nor a localization of it")
         self.B = B
         self.A = A
         self.iota = canonical_hom(B, A)
@@ -339,99 +341,79 @@ def verify_translation_relations(datum: PatchDatum, system: RootSystem, rep,
     pair's letters u and v, and alpha, beta, c, c2, s as far as the law
     draws them."""
     failures = []
-    roots = system.roots
 
     def mu(p):
         return mu_image(datum, rep, p)
 
-    def fail(law, trial, p, **inputs):
-        record = {"law": law, "trial": trial,
-                  "u": _word_letters(p.u), "v": _word_letters(p.v)}
-        for key, val in inputs.items():
-            record[key] = (list(val) if isinstance(val, tuple)
-                           else str(val) if isinstance(val, RingElement) else val)
-        failures.append(record)
+    def translate(alpha, c, s, p, **choices):
+        return left_translation(datum, system, alpha, c, s, p, **choices)
 
-    n_rel = max(1, samples)
-    for trial in range(n_rel):
-        p = _random_pair(datum, system, rng)
-        s = rng.randint(0, 1)
-        alpha = roots[rng.randrange(len(roots))]
+    def check(holds, law, trial, p, **inputs):
+        if not holds:
+            failures.append({"law": law, "trial": trial,
+                             "u": _word_letters(p.u), "v": _word_letters(p.v),
+                             **{key: list(val) if isinstance(val, tuple)
+                                else str(val) if isinstance(val, RingElement) else val
+                                for key, val in inputs.items()}})
+
+    def root():
+        return system.roots[rng.randrange(len(system.roots))]
+
+    def draw():
+        return _random_pair(datum, system, rng), root(), rng.randint(0, 1), datum.A.sample(rng, 4)
+
+    # R1 on a single root, R2 / R3 on it and a random second root
+    for trial in range(max(1, samples)):
+        p, s, alpha = _random_pair(datum, system, rng), rng.randint(0, 1), root()
         c, c2 = datum.A.sample(rng, 4), datum.A.sample(rng, 4)
-        # R1 on a single root
-        lhs = left_translation(datum, system, alpha, c2, s,
-                               left_translation(datum, system, alpha, c, s, p))
-        rhs = left_translation(datum, system, alpha, c + c2, s, p)
-        if mu(lhs) != mu(rhs):
-            fail("R1", trial, p, alpha=alpha, c=c, c2=c2, s=s)
-        # R2 / R3 on a random second root
-        beta = roots[rng.randrange(len(roots))]
+        check(mu(translate(alpha, c2, s, translate(alpha, c, s, p)))
+              == mu(translate(alpha, c + c2, s, p)), "R1", trial, p, alpha=alpha, c=c, c2=c2, s=s)
+        beta = root()
         if beta == system.negate(alpha):
             continue
-        lhs = left_translation(datum, system, alpha, c, s,
-                               left_translation(datum, system, beta, c2, s, p))
+        lhs = translate(alpha, c, s, translate(beta, c2, s, p))
+        rhs = translate(beta, c2, s, translate(alpha, c, s, p))
         total = system.addition_table.get((alpha, beta))
-        base = left_translation(datum, system, beta, c2, s,
-                                left_translation(datum, system, alpha, c, s, p))
-        if total is None:
-            if mu(lhs) != mu(base):
-                fail("R2", trial, p, alpha=alpha, beta=beta, c=c, c2=c2, s=s)
-        else:
-            n = system.structure_constant(alpha, beta)
-            cc = c * c2
-            rhs = left_translation(datum, system, total,
-                                   cc if n == 1 else -cc, 2 * s, base)
-            if mu(lhs) != mu(rhs):
-                fail("R3", trial, p, alpha=alpha, beta=beta, c=c, c2=c2, s=s)
+        if total is not None:
+            rhs = translate(total, system.structure_constant(alpha, beta) * c * c2, 2 * s, rhs)
+        check(mu(lhs) == mu(rhs), "R2" if total is None else "R3", trial, p,
+              alpha=alpha, beta=beta, c=c, c2=c2, s=s)
 
     # independence: higher level and perturbed decomposition
     for trial in range(max(1, samples // 2)):
-        p = _random_pair(datum, system, rng)
-        alpha = roots[rng.randrange(len(roots))]
-        s = rng.randint(0, 1)
-        c = datum.A.sample(rng, 4)
-        base = left_translation(datum, system, alpha, c, s, p)
+        p, alpha, s, c = draw()
         k = conj_bound(p.u.inverse()) + s + rng.randint(1, 2)
-        deeper = left_translation(datum, system, alpha, c, s, p, k=k)
         shift = datum.B.from_int(rng.randint(-2, 2))
-        shifted = left_translation(datum, system, alpha, c, s, p, shift=shift)
-        m0 = mu(base)
-        if mu(deeper) != m0 or mu(shifted) != m0:
-            fail("independence", trial, p, alpha=alpha, c=c, s=s, k=k, shift=shift)
+        base = translate(alpha, c, s, p)
+        deeper, shifted = translate(alpha, c, s, p, k=k), translate(alpha, c, s, p, shift=shift)
+        check(mu(deeper) == mu(base) == mu(shifted), "independence", trial, p,
+              alpha=alpha, c=c, s=s, k=k, shift=shift)
 
     # equivariance
     for trial in range(max(1, samples // 2)):
-        p = _random_pair(datum, system, rng)
-        alpha = roots[rng.randrange(len(roots))]
-        s = rng.randint(0, 1)
-        c = datum.A.sample(rng, 4)
-        translated = left_translation(datum, system, alpha, c, s, p)
+        p, alpha, s, c = draw()
         x = gen(system, datum.A_h, alpha, datum.A_h.fraction(c, s))
-        if mu(translated) != reps.evaluate(x, rep) * mu(p):
-            fail("equivariance", trial, p, alpha=alpha, c=c, s=s)
+        check(mu(translate(alpha, c, s, p)) == reps.evaluate(x, rep) * mu(p),
+              "equivariance", trial, p, alpha=alpha, c=c, s=s)
 
     # unit laws: lambda_h(v).[1,1] = [1,v] and iota(u).[1,v] = [u,v]
+    one = PatchPair(identity_word(system, datum.B_h), identity_word(system, datum.A))
     for trial in range(max(1, samples // 4)):
-        p0 = PatchPair(identity_word(system, datum.B_h), identity_word(system, datum.A))
         v = _random_pair(datum, system, rng).v
-        pv = translate_by_word(datum, system, substitute(v, datum.lam_A), p0)
-        if mu(pv) != reps.evaluate(v, rep, hom=datum.lam_A):
-            fail("unit-law-v", trial, PatchPair(p0.u, v))
+        start = PatchPair(one.u, v)
+        pv = translate_by_word(datum, system, substitute(v, datum.lam_A), one)
+        check(mu(pv) == reps.evaluate(v, rep, hom=datum.lam_A), "unit-law-v", trial, start)
         u = _random_pair(datum, system, rng).u
-        start = PatchPair(identity_word(system, datum.B_h), v)
         pu = translate_by_word(datum, system, substitute(u, datum.iota_loc), start)
-        if not (pu.u == u and pu.v == v):
-            fail("unit-law-u", trial, PatchPair(u, v))
+        check(pu.u == u and pu.v == v, "unit-law-u", trial, PatchPair(u, v))
 
     # star invariance of mu
     for trial in range(max(1, samples // 2)):
         p = _random_pair(datum, system, rng)
         w = identity_word(system, datum.B)
         for _ in range(rng.randint(0, 3)):
-            root = roots[rng.randrange(len(roots))]
-            w = w * gen(system, datum.B, root, datum.B.sample(rng, 3))
-        if mu(star_reduce(datum, p, w)) != mu(p):
-            fail("star", trial, p, g=_word_letters(w))
+            w = w * gen(system, datum.B, root(), datum.B.sample(rng, 3))
+        check(mu(star_reduce(datum, p, w)) == mu(p), "star", trial, p, g=_word_letters(w))
 
     return PatchReport("translation-relations", samples, failures)
 

@@ -265,6 +265,8 @@ def evaluate(word, rep: Representation, hom: RingHom | None = None) -> GroupMatr
         ring = word.ring
         letters = ((root, arg.payload) for root, arg in word.letters)
     else:
+        if hom.domain is not word.ring:
+            raise ValueError("homomorphism domain does not match word ring")
         ring = hom.codomain
         letters = ((root, hom.map_payload(arg.payload)) for root, arg in word.letters)
     return GroupMatrix(ring, rep.dim, _image_rows(ring, rep, letters))

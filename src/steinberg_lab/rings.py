@@ -17,10 +17,9 @@ import threading
 import weakref
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd
 
 __all__ = [
-    "Ring", "RingElement", "Ideal", "RingHom",
+    "Ring", "RingElement", "RingHom",
     "IntegerRing", "PrimeFieldRing", "RationalField", "PolynomialRing",
     "LocalizationRing", "QuotientRing", "ProductRing", "MilnorSquareRing",
     "ZZ", "QQ", "GF", "poly_ring", "localize", "quotient", "product_ring",
@@ -677,8 +676,9 @@ class LocalizationRing(Ring):
         return self.base._factor_bound(a[0])
 
     def fraction(self, num, k: int) -> RingElement:
-        num = self.base.el(num)
-        return RingElement(self, self._norm(num.payload, k))
+        if k < 0:
+            raise ValueError(f"negative localization exponent {k}")
+        return RingElement(self, self._norm(self.base.el(num).payload, k))
 
     def base_part(self, x: RingElement):
         """Return the base preimage of x when its exponent is 0, else None."""
@@ -924,41 +924,6 @@ class MilnorSquareRing(Ring):
 ZZ, QQ, GF = IntegerRing, RationalField, PrimeFieldRing
 poly_ring, localize, quotient = PolynomialRing, LocalizationRing, QuotientRing
 product_ring, milnor_square_ring = ProductRing, MilnorSquareRing
-
-
-# ---------------------------------------------------------------------------
-# ideals
-# ---------------------------------------------------------------------------
-
-class Ideal:
-    """Finitely generated ideal; membership is decided for principal
-    ideals over rings with exact division (and gcd over ZZ)."""
-
-    def __init__(self, ring: Ring, generators):
-        self.ring = ring
-        self.generators = tuple(ring.el(g) for g in generators)
-
-    def __repr__(self):
-        return f"<{', '.join(map(repr, self.generators))}>"
-
-    def contains(self, x) -> bool:
-        x = self.ring.el(x)
-        if x.is_zero:
-            return True
-        if len(self.generators) == 1:
-            return x.try_divide(self.generators[0]) is not None
-        if isinstance(self.ring, IntegerRing):
-            g = 0
-            for gen in self.generators:
-                g = _int_gcd(g, gen.payload)
-            return g != 0 and x.payload % g == 0
-        raise ValueError("membership undecidable for this configuration")
-
-    def product(self, other: "Ideal") -> "Ideal":
-        if self.ring is not other.ring:
-            raise RingMismatchError("ideals live in different rings")
-        gens = [a * b for a in self.generators for b in other.generators]
-        return Ideal(self.ring, gens)
 
 
 # ---------------------------------------------------------------------------

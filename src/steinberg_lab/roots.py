@@ -10,23 +10,13 @@ so every sign in the tables is independently checkable.
 from __future__ import annotations
 
 __all__ = [
-    "Root", "RootSystem", "OPPOSITE", "build_root_system",
+    "Root", "RootSystem", "build_root_system",
     "defining_matrix", "SUPPORTED_RANKS",
 ]
 
 Root = tuple  # integer coordinate vector
 
 SUPPORTED_RANKS = {"A": range(2, 9), "D": range(4, 9)}
-
-
-class _Opposite:
-    """Sentinel returned by root_sum when the arguments cancel."""
-
-    def __repr__(self):
-        return "OPPOSITE"
-
-
-OPPOSITE = _Opposite()
 
 
 def _neg(root: Root) -> Root:
@@ -153,15 +143,6 @@ class RootSystem:
 
     def negate(self, root: Root) -> Root:
         return _neg(root)
-
-    def root_sum(self, alpha: Root, beta: Root):
-        """alpha + beta as a root; OPPOSITE when beta = -alpha; None when
-        the sum is not a root."""
-        if alpha not in self._root_set or beta not in self._root_set:
-            raise ValueError("arguments are not roots of this system")
-        if beta == _neg(alpha):
-            return OPPOSITE
-        return self.addition_table.get((alpha, beta))
 
     def structure_constant(self, alpha: Root, beta: Root) -> int:
         try:

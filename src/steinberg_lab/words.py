@@ -10,25 +10,28 @@ claims go through a matrix representation.
 
 from __future__ import annotations
 
-from math import gcd
-
-from .rings import (Ideal, IntegerRing, Ring, RingElement, RingHom, canonical_hom,
-                    quotient, ring_from_json, ring_to_json)
+from .rings import Ring, RingElement, RingHom, ring_from_json, ring_to_json
 from .roots import RootSystem, build_root_system
-from . import reps
 
 __all__ = [
     "SteinbergWord", "gen", "identity_word",
     "weyl_element", "torus_element", "steinberg_symbol",
     "opposite_commutator", "commutator",
-    "substitute", "commutator_reduce", "check_commutator_congruence",
+    "substitute", "commutator_reduce",
     "word_to_json", "word_from_json",
 ]
 
 
-def _normalize(ring: Ring, letters):
+def _normalize(system: RootSystem, ring: Ring, letters):
+    """The letters with zero arguments dropped and adjacent letters on one
+    root merged; ValueError on a root that is not a root of the system or
+    an argument that is not an element of the ring."""
     stack = []
     for root, arg in letters:
+        if root not in system.index:
+            raise ValueError(f"{root} is not a root of {system}")
+        if arg.ring is not ring:
+            raise ValueError(f"{arg!r} is not an element of {ring}")
         if arg.is_zero:
             continue
         if stack and stack[-1][0] == root:
@@ -50,7 +53,7 @@ class SteinbergWord:
     def __init__(self, system: RootSystem, ring: Ring, letters, symbols=None):
         self.system = system
         self.ring = ring
-        self.letters = _normalize(ring, tuple(letters))
+        self.letters = _normalize(system, ring, tuple(letters))
         self.symbols = symbols
 
     # -- constructors ------------------------------------------------------
@@ -96,10 +99,7 @@ def identity_word(system: RootSystem, ring: Ring) -> SteinbergWord:
 
 
 def gen(system: RootSystem, ring: Ring, root, arg) -> SteinbergWord:
-    root = tuple(root)
-    if not system.is_root(root):
-        raise ValueError(f"{root} is not a root of {system}")
-    return SteinbergWord(system, ring, ((root, ring.el(arg)),))
+    return SteinbergWord(system, ring, ((tuple(root), ring.el(arg)),))
 
 
 def weyl_element(system: RootSystem, ring: Ring, root, u) -> SteinbergWord:
@@ -179,41 +179,8 @@ def commutator_reduce(w: SteinbergWord) -> SteinbergWord:
                 if fuel <= 0:
                     break
             i += 1
-        letters = list(_normalize(ring, letters))
+        letters = list(_normalize(system, ring, letters))
     return SteinbergWord(system, ring, letters)
-
-
-# ---------------------------------------------------------------------------
-# congruence check for commutators across a pair of ideals
-# ---------------------------------------------------------------------------
-
-def check_commutator_congruence(system: RootSystem, root, a, b, c,
-                           ideal_a: Ideal, ideal_b: Ideal,
-                           rep_kind: str = "adjoint") -> bool:
-    """Necessary condition for the congruence
-    [x(a), x^-(cb)] = [x(ac), x^-(b)] modulo the relative subgroup of the
-    product ideal: equality of images in the quotient representation.
-    This is a matrix-level check, not a proof of the group congruence.
-    """
-    ring = ideal_a.ring
-    if ideal_b.ring is not ring:
-        raise ValueError("ideals over different rings")
-    a, b, c = ring.el(a), ring.el(b), ring.el(c)
-    if not ideal_a.contains(a):
-        raise ValueError(f"{a!r} is not in {ideal_a!r}")
-    if not ideal_b.contains(b):
-        raise ValueError(f"{b!r} is not in {ideal_b!r}")
-    if not isinstance(ring, IntegerRing):
-        raise ValueError("effective quotient available only over ZZ here")
-    n = gcd(*(g.payload for g in ideal_a.product(ideal_b).generators))
-    if n == 0:
-        raise ValueError("zero product ideal has no effective quotient")
-    q = quotient(ring, n)
-    hom = canonical_hom(ring, q)
-    w1 = opposite_commutator(system, ring, root, a, c * b)
-    w2 = opposite_commutator(system, ring, root, a * c, b)
-    rep = reps.build_representation(system, rep_kind)
-    return reps.evaluate(substitute(w1, hom), rep) == reps.evaluate(substitute(w2, hom), rep)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +203,6 @@ def _word_from_letters_json(system: RootSystem, ring: Ring, entries) -> Steinber
     a root of the system, or a sign that is not the integer 1 or -1."""
     letters = []
     for entry in entries:
-        if not system.is_root(entry["root"]):
-            raise ValueError(f"{entry['root']} is not a root of {system}")
         sign = entry.get("sign", 1)
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"letter sign must be 1 or -1, got {sign!r}")

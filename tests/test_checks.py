@@ -8,7 +8,7 @@ from functools import partial
 
 import pytest
 
-from steinberg_lab import checks, patching, simplicial, words
+from steinberg_lab import checks, patching, simplicial
 from steinberg_lab.milnor import TameSymbolImage, symbol
 from steinberg_lab.rings import GF, RingElement
 from steinberg_lab.roots import RootSystem
@@ -38,7 +38,7 @@ FAULTS = [
      lambda f, system, ring, root, u, v: f(system, ring, root, u, v * v)),
     (checks.reduce_soundness, 6, checks, "commutator_reduce",
      lambda f, w: _extra_letter(f(w))),
-    (checks.congruence_condition, 10, words, "opposite_commutator",
+    (checks.congruence_condition, 10, checks, "opposite_commutator",
      lambda f, system, ring, root, a, b: f(system, ring, root, a, b + ring.one)),
     (checks.word_examples, 1, checks, "opposite_commutator",
      lambda f, system, ring, root, a, b: _extra_letter(f(system, ring, root, a, b))),

@@ -1,12 +1,14 @@
 """Conjugation homomorphisms, orbit translation operators, glueing."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from steinberg_lab.rings import GF, QQ, ZZ, poly_ring, quotient
+from steinberg_lab.rings import GF, QQ, ZZ, localize, poly_ring, quotient
 from steinberg_lab.roots import build_root_system
-from steinberg_lab import checks, reps, words
+from steinberg_lab import checks, patching, reps, words
 from steinberg_lab.patching import (ConjugationHom, GlueingError,
                                     InsufficientLevelError, PatchDatum,
                                     PatchPair, conj_bound, glueing_demo,
@@ -39,8 +41,13 @@ def random_g(datum, rng, max_len=2, s_max=2):
 def test_datum_construction():
     datum = make_datum()
     assert datum.B_h.multiplier == Z.from_int(3)
+    assert PatchDatum(Z, localize(Z, 6), 5).kind == "zariski"
     with pytest.raises(ValueError):
         zariski_datum(Z, 2, 0)
+    # A is B or B_m: QQ receives the canonical map from ZZ but is neither
+    for A in (QQ(), poly_ring(Z, ("t",)), localize(localize(Z, 2), 3)):
+        with pytest.raises(ValueError, match="localization"):
+            PatchDatum(Z, A, 3)
 
 
 def test_datum_needs_coprime_m_and_h():
@@ -286,6 +293,21 @@ def test_translation_relations_identity_datum():
     assert datum.kind == "identity"
     report = verify_translation_relations(datum, A3, ADJ, 8, random.Random(10))
     assert report.ok, report.failures
+
+
+def test_translation_failure_records_are_pinned(monkeypatch):
+    """With every translation scalar c read as c + 1, the failure records
+    of seeds 0-3 at 1, 4 and 9 samples are fixed, draw for draw and byte
+    for byte (112 records: R1, R3, equivariance and both unit laws)."""
+    original = patching.left_translation
+    monkeypatch.setattr(patching, "left_translation",
+                        lambda datum, system, alpha, c, *a, **kw:
+                        original(datum, system, alpha, c + c.ring.one, *a, **kw))
+    datum = make_datum()
+    records = [verify_translation_relations(datum, A3, ADJ, samples, random.Random(seed)).failures
+               for seed in range(4) for samples in (1, 4, 9)]
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == (
+        "aac794e2b0048a904999631234655c6668744b183d65579749927d6b02bf4e47")
 
 
 def test_unit_laws_word_level():

@@ -11,8 +11,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from steinberg_lab.rings import (GF, QQ, ZZ, RationalField, RingElement, localize, poly_ring,
-                                 product_ring, quotient)
+from steinberg_lab.rings import (GF, QQ, ZZ, RationalField, RingElement, canonical_hom,
+                                 localize, poly_ring, product_ring, quotient)
 from steinberg_lab.roots import SUPPORTED_RANKS, build_root_system
 from steinberg_lab import _float_sweep, checks, reps, words
 from steinberg_lab.reps import GroupMatrix, build_representation, evaluate, k2_membership, verify_relations
@@ -252,6 +252,19 @@ def test_negated_table_coefficient_is_caught():
         assert not verify_relations(bad, ZZ(), 2, random.Random(0)).ok
 
 
+def test_evaluate_refuses_a_hom_from_another_ring():
+    """Mapping the payload 1/3 of ZZ[1/3] through a map out of ZZ[1/2]
+    would read it as 1/2."""
+    L2, L3, L6 = (localize(ZZ(), m) for m in (2, 3, 6))
+    A2 = build_root_system("A", 2)
+    a, rep = A2.simple_roots[0], build_representation(A2, "defining")
+    w = words.gen(A2, L3, a, L3.fraction(1, 1))
+    with pytest.raises(ValueError, match="domain"):
+        evaluate(w, rep, hom=canonical_hom(L2, L6))
+    assert (evaluate(w, rep, hom=canonical_hom(L3, L6))
+            == evaluate(words.gen(A2, L6, a, L6.fraction(2, 1)), rep))
+
+
 def test_evaluate_refuses_a_representation_of_another_system():
     """(1, -1, 0, 0) is a root of A3 and of D4, so only the systems tell
     an A3 word from a D4 one."""
@@ -453,7 +466,7 @@ def test_sweep_witness_replays_through_evaluate(key):
     assert report.violations
     for (law, alpha, beta), (a, b) in zip(report.violations, report.arguments):
         assert law == "R3" and a.ring is ring and b.ring is ring
-        s = system.root_sum(alpha, beta)
+        s = system.addition_table[alpha, beta]
         left = words.gen(system, ring, alpha, a) * words.gen(system, ring, beta, b)
         right = (words.gen(system, ring, s, system.structure_constant(alpha, beta) * a * b)
                  * words.gen(system, ring, beta, b) * words.gen(system, ring, alpha, a))

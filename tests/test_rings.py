@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from steinberg_lab import checks
 from steinberg_lab.patching import PatchDatum, zariski_datum
 from steinberg_lab.rings import (
-    GF, QQ, ZZ, CompatibilityError, DecompositionError, Ideal, NonUnitError, RingElement,
+    GF, QQ, ZZ, CompatibilityError, DecompositionError, NonUnitError, RingElement,
     bezout_decompose, bezout_identity, canonical_hom, coarser_localization_hom,
     decompose_modulo_power, ext_gcd, fraction_field_hom,
     localize, milnor_square_pullback, milnor_square_project_base,
@@ -80,6 +80,9 @@ def test_localization_normal_form_and_injectivity():
     L6 = localize(Z, 6)
     assert L6.fraction(12, 1).payload == (2, 0)
     assert L6.fraction(3, 1).payload == (3, 1)
+    # 1/2^-1 would be the payload (1, -1), which no normal form equals
+    with pytest.raises(ValueError, match="negative localization exponent"):
+        L2.fraction(1, -1)
 
 
 def test_localization_normal_form_takes_log_many_divisions(monkeypatch):
@@ -287,17 +290,6 @@ def test_polynomial_division_over_a_non_domain_raises():
     with pytest.raises(ValueError, match="does not decide"):
         (2 * t).try_divide(2 * t + 3)
     assert (2 * t * (t + 1)).try_divide(t + 1) == 2 * t
-
-
-def test_ideals():
-    Z = ZZ()
-    I2 = Ideal(Z, [2])
-    I3 = Ideal(Z, [3])
-    assert I2.contains(Z.from_int(10))
-    assert not I2.contains(Z.from_int(5))
-    I6 = I2.product(I3)
-    assert I6.contains(Z.from_int(12))
-    assert not I6.contains(Z.from_int(4))
 
 
 # -- Milnor square -----------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from steinberg_lab.reps import build_representation, evaluate
 from steinberg_lab.rings import ZZ
-from steinberg_lab.roots import OPPOSITE, RootSystem, build_root_system
+from steinberg_lab.roots import RootSystem, build_root_system
 from steinberg_lab.words import gen
 
 # ---------------------------------------------------------------------------
@@ -107,30 +107,15 @@ def test_a2_simple_constant_is_plus_one():
     assert A2.structure_constant(a2, a1) == -1
 
 
-def test_root_sum():
-    A2 = build_root_system("A", 2)
-    assert A2.root_sum((1, -1, 0), (0, 1, -1)) == (1, 0, -1)
-    assert A2.root_sum((1, -1, 0), (1, 0, -1)) is None
-    assert A2.root_sum((1, -1, 0), (-1, 1, 0)) is OPPOSITE
-    with pytest.raises(ValueError):
-        A2.root_sum((1, -1, 0), (2, 0, 0))
-
-
 def test_root_sum_consistent_with_table():
+    """The addition table holds exactly the pairs whose coordinate sum is
+    a root, and maps each to that sum."""
     for kind, rank in (("A", 3), ("D", 4)):
         system = build_root_system(kind, rank)
         for a in system.roots:
             for b in system.roots:
                 s = tuple(x + y for x, y in zip(a, b))
-                expected = system.addition_table.get((a, b))
-                got = system.root_sum(a, b)
-                if b == system.negate(a):
-                    assert got is OPPOSITE
-                elif expected is None:
-                    assert got is None
-                    assert not system.is_root(s)
-                else:
-                    assert got == s
+                assert system.addition_table.get((a, b)) == (s if system.is_root(s) else None)
 
 
 def test_commutator_decomposition_enumeration_examples():
