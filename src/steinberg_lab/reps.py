@@ -5,7 +5,9 @@ sl_(l+1) for type A, the vector representation of so_2l for type D, and
 the adjoint representation for both.  Every generator image is the exact
 polynomial exp(xi e) = I + xi M1 + xi^2 M2 with integer matrices M1, M2
 precomputed over ZZ, so evaluation is correct over any coefficient ring,
-including characteristic 2.
+including characteristic 2.  Over QQ and every localization tower of ZZ
+a matrix lives on integer rows (d, {column: int}), which only its dense
+view `GroupMatrix.rows` maps back to payloads.
 
 The relation sweep (`verify_relations`) proves each case at the generic
 point of ZZ[a, b] and specializes only the nonzero differences in the
@@ -17,12 +19,14 @@ products round and report false violations, which the benchmark asserts.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-from .rings import PrimeFieldRing, RationalField, Ring, RingElement, RingHom
+from .rings import (IntegerRing, LocalizationRing, PrimeFieldRing, RationalField, Ring,
+                    RingElement, RingHom, canonical_hom)
 from .roots import RootSystem
 
 __all__ = [
@@ -109,9 +113,14 @@ def build_representation(system: RootSystem, kind: str = "adjoint") -> Represent
 # ---------------------------------------------------------------------------
 
 class GroupMatrix:
-    """Square matrix of ring payloads with exact equality, stored as one
-    dict {column: payload} per row holding the nonzero entries only, so
-    equal matrices have equal rows."""
+    """Square matrix over a ring with exact equality, stored sparsely so
+    that equal matrices have equal rows.  Over QQ and a localization
+    tower of ZZ (ZZ[1/2], ZZ[1/2][1/3], ...) a row is (d, {column: int}),
+    the entries over one denominator d > 0 with gcd(d, entries) = 1,
+    which makes d the lcm of the entries' reduced denominators; over
+    every other ring it is {column: payload}.  Either way only the
+    nonzero entries are kept, and only the dense view `rows` holds
+    payloads."""
 
     __slots__ = ("ring", "dim", "_rows")
 
@@ -122,14 +131,22 @@ class GroupMatrix:
 
     @classmethod
     def identity(cls, ring: Ring, dim: int) -> "GroupMatrix":
+        if _into_rationals(ring):
+            return cls(ring, dim, [(1, {i: 1}) for i in range(dim)])
         one = ring._from_int(1)
         return cls(ring, dim, [{i: one} for i in range(dim)])
 
     @property
     def rows(self):
-        """Dense view: a fresh list of lists of payloads."""
-        zero = self.ring._from_int(0)
-        return [[row.get(j, zero) for j in range(self.dim)] for row in self._rows]
+        """Dense view: a fresh list of lists of payloads; an integer row
+        entry n over d is the payload n/d."""
+        ring, rows = self.ring, self._rows
+        if _into_rationals(ring):
+            frac = Fraction if isinstance(ring, RationalField) else (
+                lambda n, d: ring._try_divide(ring._from_int(n), ring._from_int(d)))
+            rows = [{j: frac(n, d) for j, n in row.items()} for d, row in rows]
+        zero = ring._from_int(0)
+        return [[row.get(j, zero) for j in range(self.dim)] for row in rows]
 
     def __mul__(self, other: "GroupMatrix") -> "GroupMatrix":
         if self.ring is not other.ring:
@@ -137,7 +154,7 @@ class GroupMatrix:
         if self.dim != other.dim:
             raise ValueError(f"matrices of dimensions {self.dim} and {other.dim}")
         ring = self.ring
-        if isinstance(ring, RationalField):
+        if _into_rationals(ring):
             return GroupMatrix(ring, self.dim, _rational_product(self._rows, other._rows))
         add, mul = ring._add, ring._mul
         zero = ring._from_int(0)
@@ -158,8 +175,7 @@ class GroupMatrix:
 
     @property
     def is_identity(self) -> bool:
-        one = self.ring._from_int(1)
-        return all(row == {i: one} for i, row in enumerate(self._rows))
+        return self._rows == GroupMatrix.identity(self.ring, self.dim)._rows
 
     def __repr__(self):
         body = "\n".join("[" + ", ".join(self.ring._payload_str(v) for v in row) + "]"
@@ -196,32 +212,26 @@ def _apply_letter(ring: Ring, rows, m1, m2, xi):
     return out
 
 
-def _fractions(num, den):
-    """Sparse Fraction rows of integer rows `num` over the denominators `den`."""
-    return [{j: Fraction(v, d) for j, v in row.items()} if d > 1 else
-            {j: Fraction(v) for j, v in row.items()} for d, row in zip(den, num)]
-
-
 def _rational_product(left, right):
-    """Sparse rows of left * right over QQ, multiplied on integers: the
-    right factor over the lcm of its denominators, each left row over its own."""
-    big = lcm(*(b.denominator for row in right for b in row.values()))
-    right = [{j: b.numerator * (big // b.denominator) for j, b in row.items()} for row in right]
-    num, den = [], []
-    for row in left:
-        d = lcm(*(a.denominator for a in row.values()))
+    """Integer rows (d, ints) of left * right: the right factor over the
+    lcm of its denominators, each left row over its own, multiply-added
+    on integers and divided by gcd(d, entries)."""
+    big = lcm(*(d for d, _ in right))
+    right = [{j: b * (big // d) for j, b in row.items()} if d < big else row for d, row in right]
+    out = []
+    for d, row in left:
         acc = {}
         for k, a in row.items():
-            a = a.numerator * (d // a.denominator)
             for j, b in right[k].items():
                 acc[j] = acc.get(j, 0) + a * b
-        num.append({j: v for j, v in acc.items() if v})
-        den.append(d * big)
-    return _fractions(num, den)
+        d *= big
+        g = gcd(d, *acc.values()) if d > 1 else 1
+        out.append((d // g, {j: v // g for j, v in acc.items() if v}))
+    return out
 
 
 def _rational_rows(rep: Representation, letters):
-    """`_image_rows` over QQ on integers: row i is num[i] / den[i].  A
+    """`_image_rows` on integer rows (d, ints), for Fraction letters.  A
     letter x_r(n/d) scales the rows it touches by s = d, or d^2 when the
     root has an M2 table, adds the integer terms and divides the row by
     gcd(den, entries).  At s = 1 the letter is unimodular, which keeps
@@ -240,15 +250,33 @@ def _rational_rows(rep: Representation, letters):
                     new[j] = new.get(j, 0) + v
                 g = gcd(den[r] * s, *new.values()) if s > 1 else 1
                 num[r], den[r] = {j: v // g for j, v in new.items() if v}, den[r] * s // g
-    return _fractions(num, den)
+    return list(zip(den, num))
+
+
+_INTO_RATIONALS = weakref.WeakKeyDictionary()
+
+
+def _into_rationals(ring: Ring):
+    """The payload map ring -> QQ when the ring is QQ or a localization
+    tower over ZZ, whose matrices live on integer rows; None for every
+    other ring.  Kept per ring, which it does not keep alive."""
+    if ring not in _INTO_RATIONALS:
+        root = ring
+        while isinstance(root, LocalizationRing):
+            root = root.base
+        tower = root is not ring and isinstance(root, IntegerRing)
+        _INTO_RATIONALS[ring] = (canonical_hom(ring, RationalField()).fn
+                                 if tower or isinstance(ring, RationalField) else None)
+    return _INTO_RATIONALS[ring]
 
 
 def _image_rows(ring: Ring, rep: Representation, letters):
     """Sparse rows of the product of x_root(xi) over (root, payload)
     letters, multiplied left to right."""
+    into = _into_rationals(ring)
+    if into:
+        return _rational_rows(rep, [(root, x) for root, xi in letters if (x := into(xi))])
     zero = ring._from_int(0)
-    if isinstance(ring, RationalField):
-        return _rational_rows(rep, [(root, xi) for root, xi in letters if xi != zero])
     rows = GroupMatrix.identity(ring, rep.dim)._rows
     for root, xi in letters:
         if xi != zero:

@@ -676,7 +676,7 @@ class LocalizationRing(Ring):
         return self.base._factor_bound(a[0])
 
     def fraction(self, num, k: int) -> RingElement:
-        if k < 0:
+        if _json_int(k) < 0:
             raise ValueError(f"negative localization exponent {k}")
         return RingElement(self, self._norm(self.base.el(num).payload, k))
 

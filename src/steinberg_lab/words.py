@@ -10,7 +10,7 @@ claims go through a matrix representation.
 
 from __future__ import annotations
 
-from .rings import Ring, RingElement, RingHom, ring_from_json, ring_to_json
+from .rings import Ring, RingElement, RingHom, _json_int, ring_from_json, ring_to_json
 from .roots import RootSystem, build_root_system
 
 __all__ = [
@@ -200,14 +200,14 @@ def word_to_json(w: SteinbergWord):
 def _word_from_letters_json(system: RootSystem, ring: Ring, entries) -> SteinbergWord:
     """The word of the JSON letters {"root", "arg", "sign"} (sign -1
     negates arg; a missing sign is 1); ValueError on a root that is not
-    a root of the system, or a sign that is not the integer 1 or -1."""
+    a root of the system or not integers, or a sign that is not 1 or -1."""
     letters = []
     for entry in entries:
         sign = entry.get("sign", 1)
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"letter sign must be 1 or -1, got {sign!r}")
         arg = RingElement(ring, ring._payload_from_json(entry["arg"]))
-        letters.append((tuple(entry["root"]), -arg if sign == -1 else arg))
+        letters.append((tuple(map(_json_int, entry["root"])), -arg if sign == -1 else arg))
     return SteinbergWord(system, ring, letters)
 
 

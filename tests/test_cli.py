@@ -217,6 +217,10 @@ INPUT_FILES = {
     # (1, 1, -2) is a weight of A2, not a root
     "not-a-root.json": {**_word_file(ZZ_JSON, 1),
                         "letters": [{"root": [1, 1, -2], "arg": 1, "sign": 1}]},
+    # True == 1 and 1.0 == 1, but a root's coordinates are integers
+    **{f"{name}-root.json": {**_word_file(ZZ_JSON, 1),
+                             "letters": [{"root": root, "arg": 3, "sign": 1}]}
+       for name, root in (("bool", [True, -1, 0]), ("float", [1.0, 0, -1]))},
     "generator-bad-conjugator.json": {
         "system": {"type": "A", "rank": 2}, "base": ZZ_JSON, "root": [1, -1, 0],
         "f": [[[0], 1]], "g": [{"root": [5, 5, 5], "arg": [[[0], 1]], "sign": 1}]},
@@ -288,6 +292,8 @@ def _assert_request_usage(argv, err):
     ["eval", "--word", "negative-exp.json"],
     ["eval", "--word", "short-exponents.json"],
     ["eval", "--word", "not-a-root.json", "--rep", "adjoint"],
+    ["eval", "--word", "bool-root.json"],
+    ["eval", "--word", "float-root.json"],
     ["word", "eval"],                             # evaluation is the `eval` command
     ["patch", "--relations"],                     # as is `patch verify`
     ["patch"],                                    # the action is required

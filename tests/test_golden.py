@@ -45,6 +45,17 @@ def test_word_fixture_evaluates_to_frozen_matrix():
     assert word_to_json(word_from_json(data["word"]["word"])) == data["word"]["word"]
 
 
+def test_word_rows_fixtures_are_canonical_payloads():
+    """The dense view maps each entry back to the ring's canonical
+    payload: a word over ZZ[1/2][1/3] in A3 adjoint, one over QQ in D4
+    vector."""
+    for entry in load()["word_rows"]:
+        w = word_from_json(entry["word"])
+        m = reps.evaluate(w, reps.build_representation(w.system, entry["rep"]))
+        assert [[m.ring._payload_to_json(v) for v in row] for row in m.rows] == entry["rows"]
+        assert m.rows == [[m.ring._payload_from_json(v) for v in row] for row in entry["rows"]]
+
+
 def _golden_rings():
     """Every construction of `checks.ring_constructions`, then nested towers."""
     F3s = poly_ring(GF(3), ("s",))

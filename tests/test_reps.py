@@ -5,14 +5,15 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from steinberg_lab.rings import (GF, QQ, ZZ, RationalField, RingElement, canonical_hom,
-                                 localize, poly_ring, product_ring, quotient)
+from steinberg_lab.rings import (GF, QQ, ZZ, LocalizationRing, RationalField, RingElement,
+                                 canonical_hom, localize, poly_ring, product_ring, quotient)
 from steinberg_lab.roots import SUPPORTED_RANKS, build_root_system
 from steinberg_lab import _float_sweep, checks, reps, words
 from steinberg_lab.reps import GroupMatrix, build_representation, evaluate, k2_membership, verify_relations
@@ -208,6 +209,24 @@ def _dense_product(m, n):
              for j in range(m.dim)] for i in range(m.dim)]
 
 
+def _dense_image(rep, w):
+    """Dense payload rows of the word's image, each letter applied as
+    rows + rows (xi M1 + xi^2 M2) in the ring's own `_add` and `_mul`."""
+    ring, dim = w.ring, rep.dim
+    rows = [[ring._from_int(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for root, arg in w.letters:
+        xi = arg.payload
+        terms = [(i, j, ring._mul(ring._from_int(c), x))
+                 for table, x in ((rep.m1[root], xi), (rep.m2[root], ring._mul(xi, xi)))
+                 for i, j, c in table]
+        new = [list(row) for row in rows]
+        for old, row in zip(rows, new):
+            for i, j, v in terms:
+                row[j] = ring._add(row[j], ring._mul(old[i], v))
+        rows = new
+    return rows
+
+
 def _random_word(system, ring, rng):
     return words.SteinbergWord(system, ring, [
         (system.roots[rng.randrange(len(system.roots))], ring.sample(rng, 4))
@@ -311,13 +330,20 @@ def _as_fractions(m):
     return [[Fraction(int(v.p), int(v.q)) for v in m.row(i)] for i in range(m.rows)]
 
 
+def _image(ring, rep, letters):
+    """The product of x_root(xi) over (root, payload) letters."""
+    return GroupMatrix(ring, rep.dim, reps._image_rows(ring, rep, letters))
+
+
 def _rational_image(rep, letters):
-    return GroupMatrix(QQ(), rep.dim, reps._image_rows(QQ(), rep, letters))
+    return _image(QQ(), rep, letters)
 
 
 def _stored(m):
-    """Every stored payload is a nonzero canonical Fraction."""
-    return all(type(v) is Fraction and v != 0 for row in m._rows for v in row.values())
+    """Every stored row is (d, ints), the canonical form: d > 0,
+    gcd(d, entries) = 1 and no zero entry."""
+    return all(type(d) is int and d > 0 and gcd(d, *row.values()) == 1
+               and all(type(v) is int and v != 0 for v in row.values()) for d, row in m._rows)
 
 
 _fractions = st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 9))
@@ -361,27 +387,65 @@ def test_rational_kernel_with_denominators_of_2_to_the_70(rep):
                (roots[1], Fraction(big + 1, big)), (roots[0], Fraction(5, 3 * big))]
     m = _rational_image(rep, letters)
     assert m.rows == _as_fractions(_sympy_image(rep, letters))
-    assert max(v.denominator for row in m._rows for v in row.values()) >= big
+    assert max(d for d, _ in m._rows) >= big
     inv = [(root, -x) for root, x in reversed(letters)]
     assert (m * _rational_image(rep, inv)).is_identity
     assert (m * m).rows == _as_fractions(_sympy_image(rep, letters + letters))
 
 
+A_H = localize(localize(ZZ(), 2), 3)
+
+
 def test_rational_matrices_use_no_ring_arithmetic(monkeypatch):
-    """Over QQ, words are evaluated and multiplied on integer rows, not
-    through the field's payload operations."""
+    """Over QQ and A_h = ZZ[1/2][1/3], words are evaluated, multiplied and
+    compared on integer rows, not through the ring's payload operations;
+    only the dense view `rows` maps entries back to payloads, which over
+    QQ takes no field operation either."""
     rep = RATIONAL_REPS[3]
-    w = _random_word(rep.system, QQ(), random.Random(5))
-    inv = w.inverse()
-    expected = evaluate(w, rep).rows, (evaluate(w, rep) * evaluate(inv, rep)).rows
 
     def refuse(*args):
         raise AssertionError("ring arithmetic on the rational path")
 
-    for name in ("_add", "_mul", "_neg"):
-        monkeypatch.setattr(RationalField, name, refuse)
-    m = evaluate(w, rep)
-    assert (m.rows, (m * evaluate(inv, rep)).rows) == expected
+    for ring, cls, names in ((QQ(), RationalField, ("_add", "_mul", "_neg")),
+                             (A_H, LocalizationRing, ("_add", "_mul", "_norm"))):
+        w = _random_word(rep.system, ring, random.Random(5))
+        inv = w.inverse()
+        expected = evaluate(w, rep).rows, (evaluate(w, rep) * evaluate(inv, rep)).rows
+        for name in names:
+            monkeypatch.setattr(cls, name, refuse)
+        m = evaluate(w, rep)
+        product = m * evaluate(inv, rep)
+        assert m == evaluate(w, rep) and product == GroupMatrix.identity(ring, rep.dim)
+        assert product.is_identity
+        if ring is A_H:
+            monkeypatch.undo()      # `rows` maps each entry back through the ring
+        assert (m.rows, product.rows) == expected
+        monkeypatch.undo()
+
+
+TOWERS = [localize(ZZ(), 2), localize(ZZ(), 6), A_H, localize(localize(ZZ(), 5), 2)]
+TOWER_REPS = [build_representation(build_root_system("A", 3), "adjoint"),
+              build_representation(build_root_system("D", 4), "vector")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TOWERS), st.sampled_from(TOWER_REPS), st.integers(0, 2 ** 32))
+def test_localization_towers_match_the_generic_path(ring, rep, seed):
+    """Over localization towers of ZZ, the integer rows give the dense
+    images, products, equalities and identity tests that the ring's own
+    arithmetic gives, and are stored in canonical form."""
+    rng = random.Random(seed)
+    w1, w2 = (_random_word(rep.system, ring, rng) for _ in range(2))
+    m1, m2 = evaluate(w1, rep), evaluate(w2, rep)
+    assert m1.rows == _dense_image(rep, w1) and m2.rows == _dense_image(rep, w2)
+    product = m1 * m2
+    assert product.rows == _dense_product(m1, m2) == _dense_image(rep, w1 * w2)
+    assert _stored(m1) and _stored(m2) and _stored(product)
+    assert (m1 == m2) == (m1.rows == m2.rows)
+    assert evaluate(w1 * w2, rep) == product
+    back = product * evaluate(w2.inverse(), rep)
+    assert back == m1 and back.is_identity == (m1.rows == GroupMatrix.identity(ring, rep.dim).rows)
+    assert (back * evaluate(w1.inverse(), rep)).is_identity
 
 
 # ---------------------------------------------------------------------------
@@ -505,12 +569,14 @@ def _replayed(rep, ring, letters):
         for root, x in letters))
 
 
-def _rows_difference(ring, left, right):
-    """{(r, c): payload} of the nonzero entries of left - right."""
+def _rows_difference(left, right):
+    """{(r, c): payload} of the nonzero entries of left - right, read
+    from the dense views of the two matrices."""
+    ring = left.ring
     zero, out = ring._from_int(0), {}
-    for r, (lrow, rrow) in enumerate(zip(left, right)):
-        for c in lrow.keys() | rrow.keys():
-            v = ring._add(lrow.get(c, zero), ring._neg(rrow.get(c, zero)))
+    for r, (lrow, rrow) in enumerate(zip(left.rows, right.rows)):
+        for c, (x, y) in enumerate(zip(lrow, rrow)):
+            v = ring._add(x, ring._neg(y))
             if v != zero:
                 out[r, c] = v
     return out
@@ -720,9 +786,8 @@ def test_difference_specializes_to_the_evaluated_sides(rep, law, data, ring, see
     case = data.draw(st.sampled_from([c for c in reps._cases(rep.system) if c[0][:2] == law]))
     rng = random.Random(seed)
     a, b = ring._sample(rng, 6), ring._sample(rng, 6)
-    left, right = (reps._image_rows(ring, rep, side) for side in _sides(ring, case, a, b))
-    assert reps._specialize(ring, _difference(rep, case), a, b) == \
-        _rows_difference(ring, left, right)
+    left, right = (_image(ring, rep, side) for side in _sides(ring, case, a, b))
+    assert reps._specialize(ring, _difference(rep, case), a, b) == _rows_difference(left, right)
 
 
 def test_difference_is_the_difference_over_the_polynomial_ring():
@@ -734,10 +799,10 @@ def test_difference_is_the_difference_over_the_polynomial_ring():
     for rep in (_rep("A", 2, "adjoint"), _flipped(_rep("A", 3, "defining"))):
         cases = reps._cases(rep.system)
         for case, diff in zip(cases, reps._differences(rep, cases)):
-            left, right = (reps._image_rows(P, rep, side)
+            left, right = (_image(P, rep, side)
                            for side in _sides(P, case, a.payload, b.payload))
             want = {}
             for (i, j, r, c), n in diff.items():
                 want[r, c] = want.get((r, c), P.zero) + n * a ** i * b ** j
-            got = {key: RingElement(P, v) for key, v in _rows_difference(P, left, right).items()}
+            got = {key: RingElement(P, v) for key, v in _rows_difference(left, right).items()}
             assert got == want, case

@@ -83,6 +83,10 @@ def test_localization_normal_form_and_injectivity():
     # 1/2^-1 would be the payload (1, -1), which no normal form equals
     with pytest.raises(ValueError, match="negative localization exponent"):
         L2.fraction(1, -1)
+    # an exponent is an integer: 1/2^1.5 is no element of ZZ[1/2]
+    for k in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="expected an integer"):
+            L2.fraction(1, k)
 
 
 def test_localization_normal_form_takes_log_many_divisions(monkeypatch):
