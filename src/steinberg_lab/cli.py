@@ -55,7 +55,7 @@ def _read_json(path: str, what: str, convert):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return convert(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"cannot read {what} from {path!r}: {exc}") from None
 
 
@@ -110,6 +110,18 @@ def parse_odd_prime(spec: str) -> int:
     raise argparse.ArgumentTypeError(f"{spec!r} is not an odd prime")
 
 
+def _batch_from_json(data):
+    if not isinstance(data, list):
+        raise ValueError(f"expected a list of jobs, got {type(data).__name__}")
+    return [(parse_symbol(",".join(map(str, item["symbol"]))), parse_odd_prime(str(item["prime"])))
+            for item in data]
+
+
+def parse_batch_file(path: str):
+    """A JSON list of {"symbol": [a, b], "prime": p}, read as an argparse type."""
+    return _read_json(path, "a tame-symbol batch", _batch_from_json)
+
+
 def positive_int(spec: str) -> int:
     """A count of samples or levels: a check of zero of them checks nothing.
     argparse reports the ValueError of a non-integer as a usage error too."""
@@ -120,6 +132,12 @@ def positive_int(spec: str) -> int:
 
 def _emit(data, pretty: bool):
     print(json.dumps(data, indent=2 if pretty else None, sort_keys=True))
+
+
+def _verdict(args, check: str, samples: int, failures) -> int:
+    """Print a verification's {"check", "samples", "failures"} JSON; return its exit code."""
+    _emit({"check": check, "samples": samples, "failures": len(failures)}, args.pretty)
+    return EXIT_VERIFICATION if failures else EXIT_OK
 
 
 def _matrix_json(m):
@@ -176,30 +194,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_k2m(args) -> int:
-    if args.batch:
-        try:
-            with open(args.batch, "r", encoding="utf-8") as fh:
-                jobs = [(parse_symbol(",".join(map(str, item["symbol"]))),
-                         parse_odd_prime(str(item["prime"]))) for item in json.load(fh)]
-        except (OSError, ValueError, KeyError, TypeError, argparse.ArgumentTypeError) as exc:
-            args.parser.error(f"bad batch file {args.batch!r}: {exc}")
-        out = []
-        for (a, b), p in jobs:
-            img = milnor.tame_symbol(milnor.symbol(a, b), p)
-            out.append({"symbol": [str(a), str(b)], "prime": img.prime,
-                        "value": img.value})
-        _emit(out, args.pretty)
+    if args.batch is None:
+        print(milnor.tame_symbol(milnor.symbol(*args.symbol), args.prime).value)
         return EXIT_OK
-    print(milnor.tame_symbol(milnor.symbol(*args.symbol), args.prime).value)
+    images = [(a, b, milnor.tame_symbol(milnor.symbol(a, b), p)) for (a, b), p in args.batch]
+    _emit([{"symbol": [str(a), str(b)], "prime": img.prime, "value": img.value}
+           for a, b, img in images], args.pretty)
     return EXIT_OK
 
 
 def cmd_simplicial_check(args) -> int:
     report = simplicial.simplicial_identity_report(args.ring, args.nmax)
-    bad = [name for name, ok in report if not ok]
-    _emit({"check": "simplicial-identities", "samples": len(report),
-           "failures": len(bad)}, args.pretty)
-    return EXIT_OK if not bad else EXIT_VERIFICATION
+    return _verdict(args, "simplicial-identities", len(report),
+                    [name for name, ok in report if not ok])
 
 
 def cmd_simplicial_lift(args) -> int:
@@ -211,8 +218,7 @@ def cmd_patch_verify(args) -> int:
     rep = reps.build_representation(args.phi, "adjoint")
     report = patching.verify_translation_relations(args.datum, args.phi, rep, args.samples,
                                                    random.Random(args.seed))
-    _emit(report.to_json(), args.pretty)
-    return EXIT_OK if report.ok else EXIT_VERIFICATION
+    return _verdict(args, report.check, report.samples, report.failures)
 
 
 def cmd_patch_demo(args) -> int:
@@ -231,9 +237,7 @@ def cmd_patch_demo(args) -> int:
 
 def cmd_milnor_square(args) -> int:
     bad = checks.milnor_square_roundtrip(random.Random(args.seed), args.samples)
-    _emit({"check": "milnor-square-roundtrip", "samples": 2 * args.samples,
-           "failures": len(bad)}, args.pretty)
-    return EXIT_VERIFICATION if bad else EXIT_OK
+    return _verdict(args, "milnor-square-roundtrip", 2 * args.samples, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = request(actions("k2m", "Milnor K2 tame symbols"), "tame", cmd_k2m, pretty)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--symbol", type=parse_symbol, help="a,b (with --prime)")
-    source.add_argument("--batch", help="JSON list of {symbol, prime}")
+    source.add_argument("--batch", type=parse_batch_file, help="JSON list of {symbol, prime}")
     p.add_argument("--prime", type=parse_odd_prime)
 
     cx = actions("simplicial", "simplicial ring checks")

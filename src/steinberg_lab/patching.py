@@ -307,10 +307,6 @@ class PatchReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_json(self):
-        return {"check": self.check, "samples": self.samples,
-                "failures": len(self.failures)}
-
 
 def _random_pair(datum: PatchDatum, system: RootSystem, rng) -> PatchPair:
     """Words u over B_h and v over A of at most two letters each; the

@@ -698,10 +698,8 @@ class LocalizationRing(Ring):
         return {"num": self.base._payload_to_json(a[0]), "exp": a[1]}
 
     def _payload_from_json(self, data):
-        k = _json_int(data["exp"])
-        if k < 0:
-            raise ValueError(f"negative localization exponent {k}")
-        return self._norm(self.base._payload_from_json(data["num"]), k)
+        num = RingElement(self.base, self.base._payload_from_json(data["num"]))
+        return self.fraction(num, data["exp"]).payload
 
 
 class QuotientRing(Ring):
@@ -861,32 +859,28 @@ class MilnorSquareRing(Ring):
     def _neg(self, a):
         return (self.base._neg(a[0]), self.poly._neg(a[1]))
 
-    def _loc_const(self, x):
-        return self.poly._from_base(self.loc._from_base(x))
+    # the ring is the subring of R_a[t] whose constant terms lie in R:
+    # (x, f) is lambda_a(x) + f, and products and quotients are taken there
+    def _lift(self, a):
+        # f has no constant term, so the constant goes last in grlex order
+        return a[1] + self.poly._from_base(self.loc._from_base(a[0]))
+
+    def _split(self, g):
+        """(numerator of g(0), g - g(0)), or None when g(0) is not in R."""
+        x, k = self.loc._from_int(0)
+        if g and g[-1][0] == (0,):
+            (x, k), g = g[-1][1], g[:-1]
+        return None if k else (x, g)
 
     def _mul(self, a, b):
-        x1, f1 = a
-        x2, f2 = b
-        f = self.poly._add(
-            self.poly._add(
-                self.poly._mul(self._loc_const(x1), f2),
-                self.poly._mul(self._loc_const(x2), f1)),
-            self.poly._mul(f1, f2))
-        return (self.base._mul(x1, x2), f)
+        return self._split(self.poly._mul(self._lift(a), self._lift(b)))
 
     def _from_int(self, n):
         return (self.base._from_int(n), ())
 
     def _try_divide(self, a, b):
-        # the ring is the subring of R_a[t] whose constant terms lie in R
-        q = self.poly._try_divide(self.poly._add(self._loc_const(a[0]), a[1]),
-                                  self.poly._add(self._loc_const(b[0]), b[1]))
-        if q is None:
-            return None
-        x, k = self.loc._from_int(0)
-        if q and q[-1][0] == (0,):
-            (x, k), q = q[-1][1], q[:-1]
-        return None if k else (x, q)
+        q = self.poly._try_divide(self._lift(a), self._lift(b))
+        return None if q is None else self._split(q)
 
     def _sample(self, rng, size):
         f = {}
@@ -1138,19 +1132,16 @@ def milnor_square_pullback(x: RingElement, g: RingElement,
     x and g(0) agree in the localization."""
     g = square.poly.el(g)
     x = square.base.el(x)
-    rest = dict(g.payload)
-    g0 = rest.pop((0,), square.loc._from_int(0))
-    if square.loc._from_base(x.payload) != g0:
+    e = square._split(g.payload)
+    if e is None or e[0] != x.payload:
         raise CompatibilityError(
             f"incompatible pair: image of {x!r} differs from constant term {g!r}")
-    return RingElement(square, (x.payload, _poly_canonical(rest)))
+    return RingElement(square, e)
 
 
 def milnor_square_project_poly(elem: RingElement) -> RingElement:
     """Projection to R_a[t] (restores the constant term)."""
-    square = elem.ring
-    x, f = elem.payload
-    return RingElement(square.poly, square.poly._add(square._loc_const(x), f))
+    return RingElement(elem.ring.poly, elem.ring._lift(elem.payload))
 
 
 def milnor_square_project_base(elem: RingElement) -> RingElement:

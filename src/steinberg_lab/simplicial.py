@@ -23,69 +23,52 @@ __all__ = [
 ]
 
 
-def _var_names(n: int):
-    return tuple(f"t{i}" for i in range(1, n + 1))
-
-
 def simplex_ring(base: Ring, n: int) -> Ring:
     """Level-n ring of the standard simplicial ring over `base`."""
     if n < 0:
         raise ValueError("level must be nonnegative")
     if n == 0:
         return base
-    return poly_ring(base, _var_names(n))
+    return poly_ring(base, tuple(f"t{i}" for i in range(1, n + 1)))
+
+
+def _theta_hom(base: Ring, n: int, m: int, theta, label: str) -> RingHom:
+    """theta^*: level n -> level m for a monotone theta: [m] -> [n], sending
+    t_k to the sum of the t_j with theta(j) = k, built as a canonical
+    payload.  Only d0 (theta misses 0) reaches t0 = 1 - (t1 + ... + tm)."""
+    codomain = simplex_ring(base, m)
+    one, minus = base._from_int(1), base._from_int(-1)
+    unit = [(0,) * m] + [(0,) * (j - 1) + (1,) + (0,) * (m - j) for j in range(1, m + 1)]
+    hits = [[] for _ in range(n + 1)]
+    for j in range(m + 1):
+        hits[theta(j)].append(j)
+    images = {}
+    for k in range(1, n + 1):
+        if m == 0:  # level 0 is the base, where t0 = 1
+            images[f"t{k}"] = RingElement(base, base._from_int(len(hits[k])))
+        elif 0 in hits[k]:  # t0 + (the other t_j hit) = 1 - (the t_j missed)
+            images[f"t{k}"] = RingElement(codomain, tuple(
+                (unit[j], minus) for j in range(1, m + 1) if j not in hits[k]) + ((unit[0], one),))
+        else:
+            images[f"t{k}"] = RingElement(codomain, tuple((unit[j], one) for j in hits[k]))
+    hom = (substitution_hom(simplex_ring(base, n), codomain, images) if n
+           else canonical_hom(base, codomain))
+    hom.label = label
+    return hom
 
 
 def face_hom(base: Ring, n: int, i: int) -> RingHom:
-    """d_i: level n -> level n-1; the i = 0 case reintroduces
-    t0 = 1 - sum of the remaining coordinates."""
+    """d_i: level n -> level n-1, theta^* of the map [n-1] -> [n] missing i."""
     if not 0 <= i <= n or n < 1:
         raise ValueError(f"face index {i} out of range for level {n}")
-    domain = simplex_ring(base, n)
-    codomain = simplex_ring(base, n - 1)
-    images = {}
-    if i == 0:
-        if n == 1:
-            images["t1"] = codomain.one
-        else:
-            t0 = codomain.one
-            for name in _var_names(n - 1):
-                t0 = t0 - codomain.var(name)
-            images["t1"] = t0
-            for j in range(2, n + 1):
-                images[f"t{j}"] = codomain.var(f"t{j - 1}")
-    else:
-        for j in range(1, n + 1):
-            if j < i:
-                images[f"t{j}"] = codomain.var(f"t{j}") if n > 1 else codomain.one
-            elif j == i:
-                images[f"t{j}"] = codomain.zero
-            else:
-                images[f"t{j}"] = codomain.var(f"t{j - 1}")
-    hom = substitution_hom(domain, codomain, images)
-    hom.label = f"d{i}"
-    return hom
+    return _theta_hom(base, n, n - 1, lambda j: j + (j >= i), f"d{i}")
 
 
 def degeneracy_hom(base: Ring, n: int, i: int) -> RingHom:
-    """s_i: level n -> level n+1."""
+    """s_i: level n -> level n+1, theta^* of the map [n+1] -> [n] hitting i twice."""
     if not 0 <= i <= n:
         raise ValueError(f"degeneracy index {i} out of range for level {n}")
-    codomain = simplex_ring(base, n + 1)
-    if n == 0:
-        return canonical_hom(base, codomain)
-    domain = simplex_ring(base, n)
-    images = {}
-    for j in range(1, n + 1):
-        if j < i:
-            images[f"t{j}"] = codomain.var(f"t{j}")
-        elif j == i:
-            images[f"t{j}"] = codomain.var(f"t{j}") + codomain.var(f"t{j + 1}")
-        else:
-            images[f"t{j}"] = codomain.var(f"t{j + 1}")
-    hom = substitution_hom(domain, codomain, images)
-    hom.label = f"s{i}"
-    return hom
+    return _theta_hom(base, n, n + 1, lambda j: j - (j > i), f"s{i}")
 
 
 def _homs_equal(base: Ring, h1: RingHom, h2: RingHom, n: int) -> bool:
@@ -94,7 +77,7 @@ def _homs_equal(base: Ring, h1: RingHom, h2: RingHom, n: int) -> bool:
     if n == 0:
         return h1.fn(base._from_int(1)) == h2.fn(base._from_int(1))
     domain = simplex_ring(base, n)
-    return all(h1(domain.var(v)) == h2(domain.var(v)) for v in _var_names(n))
+    return all(h1(domain.var(v)) == h2(domain.var(v)) for v in domain.names)
 
 
 def simplicial_identity_report(base: Ring, n_max: int):
@@ -187,9 +170,7 @@ class MooreGenerator:
     def in_moore_kernel(self) -> bool:
         """Level-1 generators die under d1; level-2 under d1 and d2
         (word-level, after normalization)."""
-        if self.level == 1:
-            return self.face(1).is_empty
-        return self.face(1).is_empty and self.face(2).is_empty
+        return all(self.face(i).is_empty for i in range(1, self.level + 1))
 
 
 def moore_lift(gen1: MooreGenerator) -> MooreGenerator:
@@ -199,8 +180,7 @@ def moore_lift(gen1: MooreGenerator) -> MooreGenerator:
     if gen1.level != 1:
         raise ValueError("lift expects a level-1 generator")
     base = gen1.base
-    lvl1, lvl2 = simplex_ring(base, 1), simplex_ring(base, 2)
-    shift = substitution_hom(lvl1, lvl2, {"t1": lvl2.var("t2")})
+    shift = degeneracy_hom(base, 1, 0)   # t1 -> t2
     f2 = -shift(gen1.f)
     g2 = substitute(gen1.conjugator, shift)
     return MooreGenerator(gen1.system, base, 2, gen1.root, f2, g2)
@@ -231,6 +211,8 @@ def crt_to_pair(x: RingElement, pair_ring: ProductRing | None = None) -> RingEle
         raise ValueError("element must live in the interval square ring")
     base = q.base.base
     prod = pair_ring or product_ring(base, base)
+    # two direct evaluations: through face_hom (d1, d0) a CRT round trip
+    # took 46 us instead of 30 (Python 3.11, 2 shared CPUs)
     ev0 = substitution_hom(q.base, base, {"t1": base.zero})
     ev1 = substitution_hom(q.base, base, {"t1": base.one})
     rep = RingElement(q.base, x.payload)

@@ -127,11 +127,7 @@ def steinberg_symbol(system: RootSystem, ring: Ring, root, u, v) -> SteinbergWor
 
 def opposite_commutator(system: RootSystem, ring: Ring, root, a, b) -> SteinbergWord:
     """[x_root(a), x_(-root)(b)]."""
-    a, b = ring.el(a), ring.el(b)
-    root = tuple(root)
-    neg = system.negate(root)
-    return SteinbergWord(system, ring,
-                         ((root, a), (neg, b), (root, -a), (neg, -b)))
+    return commutator(gen(system, ring, root, a), gen(system, ring, system.negate(tuple(root)), b))
 
 
 def commutator(w1: SteinbergWord, w2: SteinbergWord) -> SteinbergWord:

@@ -99,6 +99,26 @@ def test_simplicial_check(capsys):
     assert json.loads(out)["failures"] == 0
 
 
+@pytest.mark.parametrize("argv, owner, name, fault, verdict", [
+    (["patch", "verify", "--samples", "3"], cli.patching, "verify_translation_relations",
+     lambda f, *a: cli.patching.PatchReport(f(*a).check, f(*a).samples, ["R1"]),
+     {"check": "translation-relations", "samples": 3, "failures": 1}),
+    (["simplicial", "check", "--nmax", "2"], cli.simplicial, "simplicial_identity_report",
+     lambda f, *a: f(*a)[:2] + [("planted", False)],
+     {"check": "simplicial-identities", "samples": 3, "failures": 1}),
+    (["milnor-square", "verify", "--samples", "4"], cli.checks, "milnor_square_roundtrip",
+     lambda f, *a: f(*a) + [{"args": []}, {"args": []}],
+     {"check": "milnor-square-roundtrip", "samples": 8, "failures": 2}),
+], ids=["patch", "simplicial", "milnor-square"])
+def test_failed_verification_exits_1(argv, owner, name, fault, verdict, capsys, monkeypatch):
+    """Each verification prints {check, samples, failures} and exits 1
+    when a failure is planted under it."""
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: fault(original, *a))
+    code, out = run(capsys, *argv)
+    assert code == 1 and json.loads(out) == verdict
+
+
 def test_simplicial_lift(tmp_path, capsys):
     lvl1_descr = {"kind": "integers"}
     payload_f = [[[0], 1]]            # constant polynomial 1
@@ -238,11 +258,16 @@ INPUT_FILES = {
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     """A working directory holding INPUT_FILES, a glueing-demo word over
-    ZZ[1/2] (also with a bad sign) and a one-job k2m batch."""
+    ZZ[1/2] (also with a bad sign), a one-job k2m batch and four
+    malformed batches."""
     monkeypatch.chdir(tmp_path)
     files = {**INPUT_FILES, "demo-word.json": word_to_json(_demo_word()),
              "demo-sign.json": _signed(word_to_json(_demo_word()), True),
-             "batch.json": [{"symbol": ["2", "3"], "prime": 3}]}
+             "batch.json": [{"symbol": ["2", "3"], "prime": 3}],
+             "batch-one-entry.json": [{"symbol": [2], "prime": 3}],
+             "batch-prime-9.json": [{"symbol": [2, 3], "prime": 9}],
+             "batch-not-a-list.json": {"symbol": [2, 3], "prime": 3},
+             "batch-empty-object.json": {}}
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
     return tmp_path
@@ -326,6 +351,10 @@ def _assert_request_usage(argv, err):
     ["word", "reduce", "--word", "sign-1.json"],
     ["patch", "demo", "--word", "demo-sign.json"],
     ["simplicial", "lift", "--word", "generator-bad-sign.json"],
+    ["k2m", "tame", "--batch", "batch-one-entry.json"],
+    ["k2m", "tame", "--batch", "batch-prime-9.json"],
+    ["k2m", "tame", "--batch", "batch-not-a-list.json"],
+    ["k2m", "tame", "--batch", "batch-empty-object.json"],
 ])
 def test_input_errors_are_usage_errors(argv, capsys, workdir):
     code, err = _exit_code(argv, capsys)

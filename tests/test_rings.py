@@ -27,6 +27,7 @@ from steinberg_lab.simplicial import degeneracy_hom, face_hom
 from steinberg_lab.words import gen
 
 A2 = build_root_system("A", 2)
+F3S = poly_ring(GF(3), ("s",))
 
 
 def test_rings_are_interned():
@@ -497,6 +498,27 @@ def test_fraction_field_hom():
     hom = fraction_field_hom(L6)
     from fractions import Fraction
     assert hom(L6.fraction(5, 2)).payload == Fraction(5, 36)
+
+
+@pytest.mark.parametrize("base, mult", [(ZZ(), 2), (F3S, F3S.var("s"))], ids=["ZZ-2", "F3s-s"])
+def test_milnor_square_products_and_quotients_are_taken_in_r_a_t(base, mult):
+    """Projection to R_a[t] is multiplicative, and try_divide agrees with
+    division in R_a[t]: it returns the quotient when that has its constant
+    term in R, and None otherwise."""
+    square = milnor_square_ring(base, mult)
+    at_zero = substitution_hom(square.poly, square.loc, {"t": 0})
+    proj = milnor_square_project_poly
+    rng = random.Random(11)
+    for _ in range(60):
+        a, b = square.sample(rng, 5), square.sample(rng, 5)
+        assert proj(a * b) == proj(a) * proj(b)
+        for num, den in ((a, b), (a * b, b), (a * b * b, b * b)):
+            q = num.try_divide(den)
+            pq = proj(num).try_divide(proj(den))
+            if q is not None:
+                assert proj(q) == pq
+            else:
+                assert pq is None or square.loc.base_part(at_zero(pq)) is None
 
 
 def _pinned_maps():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from steinberg_lab.rings import ZZ
+from steinberg_lab.rings import GF, ZZ, PolynomialRing, poly_ring
 from steinberg_lab.roots import build_root_system
 from steinberg_lab import checks, words
 from steinberg_lab.simplicial import (MooreGenerator, degeneracy_hom, face_hom,
@@ -36,6 +36,60 @@ def test_index_ranges():
         face_hom(Z, 1, 2)
     with pytest.raises(ValueError):
         degeneracy_hom(Z, 1, 2)
+
+
+def _naive_theta_star(base, n, m, theta):
+    """The images of t1..tn under theta^*: level n -> level m, summed by
+    ring arithmetic with t0 = 1 - (t1 + ... + tm)."""
+    lvl = simplex_ring(base, m)
+    coords = [lvl.var(f"t{j}") for j in range(1, m + 1)]
+    t0 = lvl.one
+    for c in coords:
+        t0 = t0 - c
+    coords = [t0] + coords
+    images = []
+    for k in range(1, n + 1):
+        image = lvl.zero
+        for j in range(m + 1):
+            if theta(j) == k:
+                image = image + coords[j]
+        images.append(image)
+    return images
+
+
+@pytest.mark.parametrize("base", [Z, GF(7)], ids=["ZZ", "F7"])
+def test_faces_and_degeneracies_are_theta_star(base):
+    """d_i on levels 1-4 is theta^* of the map missing i, s_i on levels
+    0-3 of the map hitting i twice: same image of every variable, and
+    constants map to constants."""
+    # a monotone map [m] -> [n] as the list of its values
+    cases = [(face_hom(base, n, i), n, n - 1, [j for j in range(n + 1) if j != i])
+             for n in range(1, 5) for i in range(n + 1)]
+    cases += [(degeneracy_hom(base, n, i), n, n + 1, sorted([*range(n + 1), i]))
+              for n in range(4) for i in range(n + 1)]
+    for hom, n, m, theta in cases:
+        domain, codomain = simplex_ring(base, n), simplex_ring(base, m)
+        got = [hom(domain.var(f"t{k}")) for k in range(1, n + 1)]
+        assert got == _naive_theta_star(base, n, m, theta.__getitem__), hom.label
+        assert hom(domain.from_int(3)) == codomain.from_int(3), hom.label
+
+
+def test_face_maps_use_no_ring_arithmetic(monkeypatch):
+    """Every face and degeneracy map up to level 4 is built from canonical
+    payloads, with no polynomial addition, product or negation."""
+    bases = [Z, GF(7), poly_ring(GF(5), ("x",))]
+
+    def refuse(*args):
+        raise AssertionError("polynomial arithmetic while building a face map")
+
+    for name in ("_add", "_mul", "_neg"):
+        monkeypatch.setattr(PolynomialRing, name, refuse)
+    for base in bases:
+        for n in range(5):
+            for i in range(n + 1):
+                degeneracy_hom(base, n, i)
+                if n:
+                    face_hom(base, n, i)
 
 
 def test_simplicial_identities():
