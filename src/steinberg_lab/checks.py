@@ -284,12 +284,10 @@ def reduce_soundness(rng, n):
     """n random words of 0..5 letters over the sweep rings in A2 and D4 in
     turn: commutator_reduce preserves the adjoint image."""
     cases = [(kind, rank, ring) for kind, rank in (("A", 2), ("D", 4)) for ring in sweep_rings()]
-    adjoint, out = {}, []   # D4 is built only when n reaches it
+    out = []
     for i in range(n):
         kind, rank, ring = cases[i % len(cases)]
-        if (kind, rank) not in adjoint:
-            adjoint[kind, rank] = _rep(kind, rank, "adjoint")
-        rep = adjoint[kind, rank]
+        rep = _rep(kind, rank, "adjoint")   # D4 is built only when n reaches it
         roots = rep.system.roots
         w = SteinbergWord(rep.system, ring, [(roots[rng.randrange(len(roots))], ring.sample(rng, 3))
                                              for _ in range(rng.randint(0, 5))])

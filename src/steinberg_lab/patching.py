@@ -126,45 +126,36 @@ class ConjugationHom:
         self.system = system
         self.ring = ring
         self.h = ring.el(h)
-        self.g = g
         # letters as (root, numerator in ring, denominator exponent)
         self.g_letters = tuple((root, RingElement(ring, arg.payload[0]), arg.payload[1])
                                for root, arg in g.letters)
         self.bound = conj_bound(g)
 
     # -- letter-level case formulas ---------------------------------------
-    def _apply_plain(self, beta, a: RingElement, s: int, letter):
+    def _apply_letter(self, beta, a: RingElement, s: int, letter):
+        """Conjugate the leveled letter by x_beta(a / h^s).  A letter on -beta is
+        a commutator over g1 + g2 = -beta, g1, g2 != +-beta: its pieces are plain."""
         gamma, coeff, e = letter
+        if gamma == self.system.negate(beta):
+            m = e // 2
+            if m < s:
+                raise InsufficientLevelError(
+                    f"opposite-root case needs level >= {2 * s}, got {e}")
+            g1, g2 = self.system.commutator_decomposition(gamma)
+            c1 = coeff if self.system.structure_constant(g1, g2) == 1 else -coeff
+            one = self.ring.one
+            pieces = ((g1, c1, e - m), (g2, one, m), (g1, -c1, e - m), (g2, -one, m))
+            return [out for piece in pieces for out in self._apply_letter(beta, a, s, piece)]
         total = self.system.addition_table.get((beta, gamma))
         if total is None:
             return [letter]
         if e < s:
             raise InsufficientLevelError(
                 f"level {e} below denominator exponent {s}")
-        n = self.system.structure_constant(beta, gamma)
         new_coeff = a * coeff
-        if n == -1:
+        if self.system.structure_constant(beta, gamma) == -1:
             new_coeff = -new_coeff
         return [(total, new_coeff, e - s), letter]
-
-    def _apply_letter(self, beta, a: RingElement, s: int, letter):
-        gamma, coeff, e = letter
-        if gamma != self.system.negate(beta):
-            return self._apply_plain(beta, a, s, letter)
-        m = e // 2
-        if m < s:
-            raise InsufficientLevelError(
-                f"opposite-root case needs level >= {2 * s}, got {e}")
-        g1, g2 = self.system.commutator_decomposition(gamma)
-        n = self.system.structure_constant(g1, g2)
-        c1 = coeff if n == 1 else -coeff
-        one = self.ring.one
-        pieces = [(g1, c1, e - m), (g2, one, m),
-                  (g1, -c1, e - m), (g2, -one, m)]
-        out = []
-        for piece in pieces:
-            out.extend(self._apply_plain(beta, a, s, piece))
-        return out
 
     # -- word-level application -------------------------------------------
     def apply_leveled(self, letters) -> SteinbergWord:

@@ -717,14 +717,14 @@ class QuotientRing(Ring):
         self.base = base
         self.modulus = RingElement(base, modulus)
         if isinstance(base, IntegerRing):
-            if modulus == 0:
-                raise ValueError("modulus must be nonzero")
+            if modulus in (0, 1):   # Z/1 is the zero ring, where 1 == 0
+                raise ValueError("modulus must be nonzero and not a unit")
             self.n = modulus
             # a finite domain is a field
             self.is_domain = self.is_field = _is_prime(modulus)
         elif isinstance(base, PolynomialRing) and base.nvars == 1:
-            if not base.is_monic_univariate(modulus):
-                raise ValueError("polynomial modulus must be monic univariate")
+            if not base.is_monic_univariate(modulus) or modulus[0][0] == (0,):
+                raise ValueError("polynomial modulus must be monic univariate of degree >= 1")
             self.n = None
             self.is_domain = False
         else:

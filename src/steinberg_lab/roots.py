@@ -106,7 +106,6 @@ class RootSystem:
         self.positive_roots = tuple(pos)
         self.roots = tuple(pos + [_neg(r) for r in pos])
         self.index = {r: i for i, r in enumerate(self.roots)}
-        self._root_set = frozenset(self.roots)
         simples = [_root(self.dim, i, i + 1, -1) for i in range(self.dim - 1)]
         if kind == "D":
             simples.append(_root(self.dim, self.dim - 2, self.dim - 1, 1))
@@ -123,7 +122,7 @@ class RootSystem:
             ea = self._matrices[a]
             for b in self.roots:
                 s = tuple(x + y for x, y in zip(a, b))
-                if s not in self._root_set:
+                if s not in self.index:
                     continue
                 add[(a, b)] = s
                 bracket = _sparse_commutator(ea, self._matrices[b])
@@ -139,7 +138,7 @@ class RootSystem:
 
     # -- queries ----------------------------------------------------------
     def is_root(self, v) -> bool:
-        return tuple(v) in self._root_set
+        return tuple(v) in self.index
 
     def negate(self, root: Root) -> Root:
         return _neg(root)
@@ -163,7 +162,7 @@ class RootSystem:
             if gamma == beta or gamma == nbeta:
                 continue
             delta = tuple(x - y for x, y in zip(beta, gamma))
-            if delta in self._root_set:
+            if delta in self.index:
                 return gamma, delta
         raise ValueError(f"no commutator decomposition for {beta}")
 

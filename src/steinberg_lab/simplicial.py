@@ -9,6 +9,7 @@ generator shapes rather than kernel membership computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .rings import (PolynomialRing, QuotientRing, ProductRing, Ring,
                     RingElement, RingHom, canonical_hom, poly_ring,
@@ -82,37 +83,34 @@ def _homs_equal(base: Ring, h1: RingHom, h2: RingHom, n: int) -> bool:
 
 def simplicial_identity_report(base: Ring, n_max: int):
     """Verify all simplicial identities on levels <= n_max; returns a
-    list of (description, ok) entries."""
+    list of (description, ok) entries.  Each d_i and s_i is built once."""
+    d = cache(lambda n, i: face_hom(base, n, i))
+    s = cache(lambda n, i: degeneracy_hom(base, n, i))
     results = []
+
+    def check(name, n, lhs, rhs):
+        results.append((f"{name} on level {n}", _homs_equal(base, lhs, rhs, n)))
+
     for n in range(2, n_max + 1):
         for j in range(n + 1):
             for i in range(j):
-                lhs = face_hom(base, n - 1, i).compose(face_hom(base, n, j))
-                rhs = face_hom(base, n - 1, j - 1).compose(face_hom(base, n, i))
-                results.append((f"d{i} d{j} = d{j-1} d{i} on level {n}",
-                                _homs_equal(base, lhs, rhs, n)))
+                check(f"d{i} d{j} = d{j-1} d{i}", n, d(n - 1, i).compose(d(n, j)),
+                      d(n - 1, j - 1).compose(d(n, i)))
     for n in range(0, n_max - 1):
         for i in range(n + 1):
             for j in range(i, n + 1):
-                lhs = degeneracy_hom(base, n + 1, i).compose(degeneracy_hom(base, n, j))
-                rhs = degeneracy_hom(base, n + 1, j + 1).compose(degeneracy_hom(base, n, i))
-                results.append((f"s{i} s{j} = s{j+1} s{i} on level {n}",
-                                _homs_equal(base, lhs, rhs, n)))
+                check(f"s{i} s{j} = s{j+1} s{i}", n, s(n + 1, i).compose(s(n, j)),
+                      s(n + 1, j + 1).compose(s(n, i)))
     for n in range(0, n_max):
         for j in range(n + 1):
             for i in range(n + 2):
-                lhs = face_hom(base, n + 1, i).compose(degeneracy_hom(base, n, j))
+                lhs = d(n + 1, i).compose(s(n, j))
                 if i in (j, j + 1):
-                    ok = _homs_equal(base, lhs, canonical_hom(lhs.domain, lhs.domain), n)
-                    results.append((f"d{i} s{j} = id on level {n}", ok))
+                    check(f"d{i} s{j} = id", n, lhs, canonical_hom(lhs.domain, lhs.domain))
                 elif i < j:
-                    rhs = degeneracy_hom(base, n - 1, j - 1).compose(face_hom(base, n, i))
-                    results.append((f"d{i} s{j} = s{j-1} d{i} on level {n}",
-                                    _homs_equal(base, lhs, rhs, n)))
+                    check(f"d{i} s{j} = s{j-1} d{i}", n, lhs, s(n - 1, j - 1).compose(d(n, i)))
                 else:
-                    rhs = degeneracy_hom(base, n - 1, j).compose(face_hom(base, n, i - 1))
-                    results.append((f"d{i} s{j} = s{j} d{i-1} on level {n}",
-                                    _homs_equal(base, lhs, rhs, n)))
+                    check(f"d{i} s{j} = s{j} d{i-1}", n, lhs, s(n - 1, j).compose(d(n, i - 1)))
     return results
 
 

@@ -355,6 +355,7 @@ def _assert_request_usage(argv, err):
     ["k2m", "tame", "--batch", "batch-prime-9.json"],
     ["k2m", "tame", "--batch", "batch-not-a-list.json"],
     ["k2m", "tame", "--batch", "batch-empty-object.json"],
+    ["word", "symbol", "--ring", "Zmod:1"],        # the zero ring
 ])
 def test_input_errors_are_usage_errors(argv, capsys, workdir):
     code, err = _exit_code(argv, capsys)

@@ -163,7 +163,7 @@ def test_exact_division_recovers_factor(f, g):
 # -- division in quotient rings ----------------------------------------------
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 60), st.data())
+@given(st.integers(2, 60), st.data())   # Z/1, the zero ring, is refused
 def test_integer_quotient_division_matches_brute_force(n, data):
     a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     q = quotient(ZZ(), n).from_int(a).try_divide(b)

@@ -223,9 +223,6 @@ def test_quotient_rings():
     T3 = quotient(Pt, Pt.var("t") ** 3)
     u = T3.project(Pt.one + Pt.var("t"))
     assert u * u.inverse() == T3.one
-    # zero ring: unit ideal quotient
-    Z1 = quotient(Z, 1)
-    assert Z1.one == Z1.zero
     # quotients by zero divisors in ZZ[t]/(t^3) and F7[t]/(t^3)
     t = T3.project(Pt.var("t"))
     assert T3.from_int(2).try_divide(T3.from_int(2)) == T3.one
@@ -241,6 +238,21 @@ def test_quotient_rings():
     P = poly_ring(Z7, ("t",))
     i = quotient(P, P.var("t") ** 2 + 1).project(P.var("t"))
     assert i.inverse() == -i
+
+
+def test_unit_modulus_is_refused():
+    """Z/1 and (Z[t])/(1) are the zero ring, where t == 0 and t * 1 == t
+    cannot both hold for canonical payloads: every unit modulus is refused."""
+    Pt = poly_ring(ZZ(), ("t",))
+    for base, modulus in ((ZZ(), 1), (ZZ(), -1), (Pt, 1)):
+        with pytest.raises(ValueError):
+            quotient(base, modulus)
+
+
+def test_every_check_ring_is_nonzero():
+    for ring in checks.ring_constructions() + checks.sweep_rings():
+        assert ring.one != ring.zero, ring.describe()
+        assert poly_ring(ring, ("t",)).var("t") != 0, ring.describe()
 
 
 def test_quotient_units_over_integers():

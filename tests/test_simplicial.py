@@ -6,7 +6,7 @@ import pytest
 
 from steinberg_lab.rings import GF, ZZ, PolynomialRing, poly_ring
 from steinberg_lab.roots import build_root_system
-from steinberg_lab import checks, words
+from steinberg_lab import checks, simplicial, words
 from steinberg_lab.simplicial import (MooreGenerator, degeneracy_hom, face_hom,
                                       moore_lift, pi0_connectivity_witness,
                                       simplex_ring, simplicial_identity_report)
@@ -95,6 +95,23 @@ def test_face_maps_use_no_ring_arithmetic(monkeypatch):
 def test_simplicial_identities():
     assert len(simplicial_identity_report(Z, 3)) == 33
     assert checks.simplicial_identities(None, 3) == []
+
+
+def test_report_builds_each_face_and_degeneracy_once(monkeypatch):
+    built = []
+
+    def counted(name):
+        real = getattr(simplicial, name)
+
+        def build(base, n, i):
+            built.append((name, n, i))
+            return real(base, n, i)
+        return build
+
+    for name in ("face_hom", "degeneracy_hom"):
+        monkeypatch.setattr(simplicial, name, counted(name))
+    assert len(simplicial_identity_report(Z, 4)) == 69
+    assert built and len(built) == len(set(built))
 
 
 def test_degeneracy_then_face_is_identity():
