@@ -118,6 +118,8 @@ class ConjugationHom:
 
     def __init__(self, system: RootSystem, ring: Ring, h: RingElement,
                  g: SteinbergWord):
+        if g.system is not system:
+            raise ValueError(f"conjugator is a word over {g.system}, not {system}")
         loc = g.ring
         if not isinstance(loc, LocalizationRing) or loc.base is not ring:
             raise ValueError("conjugator must live over the localization of the ring")
@@ -420,6 +422,8 @@ def glueing_demo(datum: PatchDatum, system: RootSystem, rep,
     """
     if x.ring is not datum.A:
         raise ValueError("target word must live over A")
+    if x.system is not system:
+        raise ValueError(f"target is a word over {x.system}, not {system}")
     if x.is_empty:
         return identity_word(system, datum.B)
     start = PatchPair(identity_word(system, datum.B_h), identity_word(system, datum.A))

@@ -13,6 +13,7 @@ pure.
 
 from __future__ import annotations
 
+import operator
 import threading
 import weakref
 from fractions import Fraction
@@ -276,18 +277,8 @@ class IntegerRing(Ring):
     def describe(self):
         return "ZZ"
 
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _from_int(self, n):
-        return n
-
+    # payload operations are Python's own; builtins bind no self
+    _add, _neg, _mul, _from_int = operator.add, operator.neg, operator.mul, int
     _divmod = divmod   # Euclidean division, as PolynomialRing._divmod
 
     def _try_divide(self, a, b):
@@ -314,17 +305,7 @@ class RationalField(Ring):
     def describe(self):
         return "QQ"
 
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _from_int(self, n):
-        return Fraction(n)
+    _add, _neg, _mul, _from_int = operator.add, operator.neg, operator.mul, Fraction
 
     def _try_divide(self, a, b):
         if b == 0:

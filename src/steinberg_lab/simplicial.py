@@ -135,19 +135,18 @@ class MooreGenerator:
         self.root = tuple(self.root)
         if not self.system.is_root(self.root):
             raise ValueError(f"{self.root} is not a root of {self.system}")
-        ring = simplex_ring(self.base, self.level)
+        self.ring = ring = simplex_ring(self.base, self.level)
         if self.f.ring is not ring or self.conjugator.ring is not ring:
             raise ValueError("payload rings do not match the level")
+        if self.conjugator.system is not self.system:
+            raise ValueError(
+                f"conjugator is a word over {self.conjugator.system}, not {self.system}")
         if self.level == 2:
             for exps, _ in self.f.payload:
                 if exps[0]:
                     raise ValueError("level-2 coefficient must not involve t1")
         elif self.level != 1:
             raise ValueError("only levels 1 and 2 are represented")
-
-    @property
-    def ring(self) -> Ring:
-        return simplex_ring(self.base, self.level)
 
     def core_argument(self) -> RingElement:
         ring = self.ring

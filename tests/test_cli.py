@@ -9,7 +9,7 @@ import pytest
 
 from steinberg_lab import cli
 from steinberg_lab.cli import main, parse_ring
-from steinberg_lab.rings import GF, ZZ, localize, quotient
+from steinberg_lab.rings import GF, QQ, ZZ, localize, quotient
 from steinberg_lab.roots import build_root_system
 from steinberg_lab.words import commutator, gen, word_to_json
 
@@ -24,6 +24,7 @@ def run(capsys, *argv):
 
 def test_parse_ring():
     assert parse_ring("int") == ZZ()
+    assert parse_ring("rat") == QQ()
     assert parse_ring("Fp:7") == GF(7)
     assert parse_ring("Zmod:6") == quotient(ZZ(), 6)
     with pytest.raises(Exception):
@@ -36,6 +37,13 @@ def test_roots_constants_tsv(capsys):
     lines = [l for l in out.strip().splitlines() if l]
     assert len(lines) == 6
     assert any(l.startswith("1,-1,0\t0,1,-1\t1,0,-1\t+1") for l in lines)
+
+
+def test_roots_list_in_enumeration_order(capsys):
+    code, out = run(capsys, "roots", "--type", "A", "--rank", "2")
+    assert code == 0
+    assert out.splitlines() == [",".join(map(str, r)) for r in build_root_system("A", 2).roots]
+    assert len(out.splitlines()) == 6
 
 
 def test_word_symbol_eval_roundtrip(tmp_path, capsys):
@@ -170,6 +178,16 @@ def test_patch_verify_and_demo(tmp_path, capsys):
     assert result["ok"] is True and result["descended"]["letters"]
 
 
+def test_patch_demo_outside_the_kernel_exits_1(tmp_path, capsys):
+    A3, A = build_root_system("A", 3), localize(ZZ(), 2)
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(word_to_json(gen(A3, A, A3.simple_roots[0], 1))))
+    code, out = run(capsys, "patch", "demo", "--word", str(path))
+    assert code == 1
+    result = json.loads(out)
+    assert result["check"] == "glueing-demo" and result["ok"] is False and result["reason"]
+
+
 def test_milnor_square_verify(capsys):
     code, out = run(capsys, "milnor-square", "verify", "--samples", "10")
     assert code == 0
@@ -180,6 +198,18 @@ def test_selftest_quick(capsys):
     code, out = run(capsys, "selftest", "--quick", "--seed", "2")
     assert code == 0
     assert out.count("ok   ") == 8 and "FAIL" not in out
+
+
+def test_selftest_crash_exits_3_with_traceback(monkeypatch, capsys):
+    """A check that raises is a crash, not a failed verification."""
+    def crash(rng, n):
+        raise RuntimeError("planted crash")
+
+    (name, calls), *rest = cli.SELFTEST
+    monkeypatch.setattr(cli, "SELFTEST", [(name, [(crash, 1, 1), *calls[1:]]), *rest])
+    assert main(["selftest", "--quick"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: planted crash" in err
 
 
 def test_selftest_deterministic_output(capsys):
@@ -225,6 +255,8 @@ ZZT_JSON = {"kind": "polynomial", "base": ZZ_JSON, "vars": ["t"]}
 # input files written into the working directory of the usage-error tests
 INPUT_FILES = {
     "a2-word.json": _word_file(ZZ_JSON, 1),
+    "a2-demo-word.json": _word_file(
+        {"kind": "localization", "base": ZZ_JSON, "multiplier": 2}, {"num": 1, "exp": 1}),
     "generator.json": {"system": {"type": "A", "rank": 2}, "base": ZZ_JSON,
                        "root": [1, -1, 0], "f": [[[0], 1]], "g": []},
     "float-arg.json": _word_file(ZZ_JSON, 2.5),
@@ -356,6 +388,9 @@ def _assert_request_usage(argv, err):
     ["k2m", "tame", "--batch", "batch-not-a-list.json"],
     ["k2m", "tame", "--batch", "batch-empty-object.json"],
     ["word", "symbol", "--ring", "Zmod:1"],        # the zero ring
+    ["patch", "demo", "--word", "a2-demo-word.json"],            # A2 word, --phi A3
+    ["patch", "demo", "--word", "demo-word.json", "--phi", "D4"],  # A3 word
+    ["k2m", "tame", "--symbol", "2,3", "--prime", "x"],
 ])
 def test_input_errors_are_usage_errors(argv, capsys, workdir):
     code, err = _exit_code(argv, capsys)

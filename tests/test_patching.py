@@ -19,7 +19,7 @@ from steinberg_lab.patching import (ConjugationHom, GlueingError,
 from steinberg_lab.words import gen, identity_word, substitute
 
 Z = ZZ()
-A3 = build_root_system("A", 3)
+A2, A3, D4 = (build_root_system(t, r) for t, r in (("A", 2), ("A", 3), ("D", 4)))
 ADJ = reps.build_representation(A3, "adjoint")
 
 
@@ -136,6 +136,14 @@ def test_conj_empty_word_is_inclusion():
     assert ch.bound == 0
     x = gen(A3, datum.B, A3.simple_roots[0], 6)
     assert ch.apply_word(x, 1) == x
+
+
+@pytest.mark.parametrize("other", [A2, D4], ids=str)
+def test_conj_refuses_a_conjugator_over_another_system(other):
+    datum = make_datum()
+    g = gen(other, datum.B_h, other.simple_roots[0], datum.B_h.fraction(Z.one, 1))
+    with pytest.raises(ValueError, match=f"over {other}, not A3"):
+        ConjugationHom(A3, datum.B, datum.h, g)
 
 
 def test_conj_defining_identity_exact():
@@ -353,3 +361,15 @@ def test_glueing_demo_rejects_non_kernel_targets():
     datum = make_datum()
     with pytest.raises(GlueingError):
         glueing_demo(datum, A3, ADJ, gen(A3, datum.A, A3.simple_roots[0], datum.A.one))
+
+
+@pytest.mark.parametrize("other, phi", [(A2, A3), (A3, D4)], ids=["A2-in-A3", "A3-in-D4"])
+def test_glueing_demo_refuses_a_word_over_another_system(other, phi):
+    """An A3 word has D4-shaped roots, so without the refusal it runs
+    through D4's tables and fails as if it were outside the kernel."""
+    datum = make_datum()
+    c = datum.A.fraction(Z.from_int(5), 2)
+    x = words.commutator(gen(other, datum.A, other.simple_roots[0], c),
+                         gen(other, datum.A, other.simple_roots[-1], datum.A.one))
+    with pytest.raises(ValueError, match=f"over {other}, not {phi}"):
+        glueing_demo(datum, phi, reps.build_representation(phi, "adjoint"), x)

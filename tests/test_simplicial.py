@@ -146,6 +146,14 @@ def test_moore_level2_coefficient_must_avoid_t1():
                        words.identity_word(A2, lvl2))
 
 
+def test_moore_generator_refuses_a_conjugator_over_another_system():
+    lvl1 = simplex_ring(Z, 1)
+    A3 = build_root_system("A", 3)
+    g = words.gen(A3, lvl1, A3.simple_roots[0], lvl1.var("t1"))
+    with pytest.raises(ValueError, match="over A3, not A2"):
+        MooreGenerator(A2, Z, 1, A2.simple_roots[0], lvl1.one, g)
+
+
 def test_moore_lift_random_roundtrips():
     assert checks.moore_roundtrip(random.Random(12), 100) == []
 
