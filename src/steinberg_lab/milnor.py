@@ -9,9 +9,10 @@ claims are routed through tame-symbol images at odd primes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from .rings import _MR_LIMIT, RationalField, Ring, _is_prime
 
@@ -67,35 +68,22 @@ def _large_factors(n: int) -> list:
     return _large_factors(d) + _large_factors(n // d)
 
 
-def _pollard_rho(n: int, steps=None):
+def _pollard_rho(n: int, steps=inf):
     """A proper factor of the odd composite n, or None when n is not
     split within the given number of steps (no limit by default; n then
     always splits): Floyd cycle finding on x -> x^2 + c with one gcd per
-    64 steps, trying c = 1, 2, ... until the gcd is proper.  A batch whose
-    product falls to 0 mod n is replayed one step at a time."""
+    step, trying c = 1, 2, ... until the gcd is proper."""
     c = 0
-    while steps is None or steps > 0:
+    while steps > 0:
         c += 1
         x = y = 2
         d = 1
-        while d == 1 and (steps is None or steps > 0):
-            x0, y0 = x, y
-            q = 1
-            for _ in range(64):
-                x = (x * x + c) % n
-                y = (y * y + c) % n
-                y = (y * y + c) % n
-                q = q * (x - y) % n
-            d = gcd(q, n)
-            if d == n:
-                x, y, d = x0, y0, 1
-                while d == 1:
-                    x = (x * x + c) % n
-                    y = (y * y + c) % n
-                    y = (y * y + c) % n
-                    d = gcd(x - y, n)
-            if steps is not None:
-                steps -= 64
+        while d == 1 and steps > 0:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(x - y, n)
+            steps -= 1
         if 1 < d < n:
             return d
     return None
@@ -268,8 +256,5 @@ def steinberg_to_milnor(word) -> MilnorSymbolSum:
         raise ValueError("Milnor symbols require a field of coefficients")
     if len({r for r, _, _ in word.symbols}) > 1:
         raise ValueError("symbols sit on more than one root")
-    terms = {}
-    for _, u, v in word.symbols:
-        key = (u.payload, v.payload)
-        terms[key] = terms.get(key, 0) + 1
-    return MilnorSymbolSum(field, terms)
+    return MilnorSymbolSum(field, Counter((u.payload, v.payload)
+                                          for _, u, v in word.symbols))

@@ -174,6 +174,8 @@ class ConjugationHom:
 
     def apply_word(self, w: SteinbergWord, k: int) -> SteinbergWord:
         """Image of a word whose arguments all lie in h^k * ring."""
+        if w.system is not self.system:
+            raise ValueError(f"word is over {w.system}, not {self.system}")
         if k < self.bound:
             raise InsufficientLevelError(
                 f"level {k} below the bound n(g) = {self.bound}")
@@ -279,6 +281,8 @@ def translate_by_word(datum: PatchDatum, system: RootSystem,
     """Iterated translation g . pair for a word g over A_h."""
     if g.ring is not datum.A_h:
         raise ValueError("translating word must live over A_h")
+    if g.system is not system:
+        raise ValueError(f"translating word is over {g.system}, not {system}")
     for root, arg in reversed(g.letters):
         num, s = arg.payload
         pair = left_translation(datum, system, root, RingElement(datum.A, num), s,

@@ -96,14 +96,13 @@ def _base_and_payload(base, x):
 class Ring(metaclass=_Interned):
     """Base class: payload-level arithmetic plus element facade.
 
-    Subclasses implement the payload protocol: ``_add``, ``_neg``,
-    ``_mul``, ``_from_int``, ``_try_divide`` (a q with q*b = a, None when
-    there is none, ValueError when the ring cannot decide), ``_sample``
-    and ``_payload_from_json``.  A ring built over ``base`` (R[x], R_a,
-    R/(m)) implements ``_from_base``, the canonical map base -> ring on
-    payloads, and inherits ``_from_int`` and ``from_base`` from it."""
+    Subclasses set ``kind`` and implement ``describe()`` and the payload
+    protocol: ``_add``, ``_neg``, ``_mul``, ``_from_int``, ``_try_divide``
+    (a q with q*b = a, None when there is none, ValueError when the ring
+    cannot decide), ``_sample``, ``_payload_from_json``.  A ring built over
+    ``base`` (R[x], R_a, R/(m)) implements ``_from_base``, the canonical
+    map base -> ring on payloads, and inherits ``_from_int``, ``from_base``."""
 
-    kind = "abstract"
     is_domain = False
     is_field = False
 
@@ -123,9 +122,6 @@ class Ring(metaclass=_Interned):
 
     def __repr__(self):
         return self.describe()
-
-    def describe(self) -> str:
-        return self.kind
 
     def el(self, x) -> "RingElement":
         """Coerce x into this ring: an element of it, an int (not a bool),
@@ -194,13 +190,13 @@ class RingElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RingElement(self.ring, self.ring._add(self.payload, self.ring._neg(o.payload)))
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RingElement(self.ring, self.ring._add(o.payload, self.ring._neg(self.payload)))
+        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)

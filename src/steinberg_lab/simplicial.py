@@ -157,8 +157,8 @@ class MooreGenerator:
         return t1 * t2 * self.f
 
     def word(self) -> SteinbergWord:
-        core = gen(self.system, self.ring, self.root, self.core_argument())
-        return core.conjugated_by(self.conjugator)
+        g = self.conjugator
+        return g * gen(self.system, self.ring, self.root, self.core_argument()) * g.inverse()
 
     def face(self, i: int) -> SteinbergWord:
         hom = face_hom(self.base, self.level, i)

@@ -80,10 +80,6 @@ class SteinbergWord:
     def inverse(self) -> "SteinbergWord":
         return self._make(tuple((r, -a) for r, a in reversed(self.letters)))
 
-    def conjugated_by(self, g: "SteinbergWord") -> "SteinbergWord":
-        """g * self * g^-1."""
-        return g * self * g.inverse()
-
     def __eq__(self, other):
         return (isinstance(other, SteinbergWord) and self.system is other.system
                 and self.ring is other.ring and self.letters == other.letters)

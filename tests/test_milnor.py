@@ -29,6 +29,18 @@ def test_factor_positive():
         factor_positive(2 ** 89 - 1)
 
 
+def test_factor_positive_splits_products_of_primes_above_2_8():
+    """p*q and p^3 for primes 257 <= p <= q <= 997: their cycles mod p and
+    mod q are short and often close at the same rho step."""
+    primes = [p for p in range(257, 998) if all(p % d for d in range(2, 32))]
+    assert len(primes) == 114
+    for i, p in enumerate(primes):
+        assert factor_positive(p ** 3) == {p: 3}
+        assert factor_positive(p * p) == {p: 2}
+        for q in primes[i + 1:]:
+            assert factor_positive(p * q) == {p: 1, q: 1}
+
+
 def test_factor_positive_refuses_non_integers():
     for n in (2.5, True, Fraction(4), "6"):
         with pytest.raises(TypeError):

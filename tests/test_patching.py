@@ -146,6 +146,16 @@ def test_conj_refuses_a_conjugator_over_another_system(other):
         ConjugationHom(A3, datum.B, datum.h, g)
 
 
+def test_conj_apply_word_refuses_a_word_over_another_system():
+    """(0, 1, -1, 0) is a root of D4 and of A3, so without the refusal
+    the D4 word is read as an A3 word."""
+    datum = make_datum()
+    g = gen(A3, datum.B_h, A3.simple_roots[0], datum.B_h.fraction(Z.one, 1))
+    ch = ConjugationHom(A3, datum.B, datum.h, g)
+    with pytest.raises(ValueError, match="over D4, not A3"):
+        ch.apply_word(gen(D4, datum.B, (0, 1, -1, 0), 729), 2)
+
+
 def test_conj_defining_identity_exact():
     """image(c_g(x)) = g image(x) g^-1 over the localization, exactly."""
     datum = make_datum()
@@ -287,6 +297,16 @@ def test_translation_rejects_small_k():
     p = PatchPair(u, identity_word(A3, datum.A))
     with pytest.raises(InsufficientLevelError):
         left_translation(datum, A3, A3.simple_roots[1], datum.A.one, 0, p, k=0)
+
+
+def test_translation_by_word_refuses_a_word_over_another_system():
+    """(1, -1, 0, 0) is a root of D4 and of A3, so without the refusal
+    the D4 word is read as an A3 word."""
+    datum = make_datum()
+    p = PatchPair(identity_word(A3, datum.B_h), identity_word(A3, datum.A))
+    g = gen(D4, datum.A_h, (1, -1, 0, 0), 1)
+    with pytest.raises(ValueError, match="over D4, not A3"):
+        translate_by_word(datum, A3, g, p)
 
 
 def test_translation_relations_report():
