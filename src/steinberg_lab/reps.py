@@ -452,6 +452,8 @@ def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> Rela
     (`_float_sweep`), whose products round there and report the false
     violations that the benchmark's relation-sweep asserts until its
     next revision."""
+    if samples < 1:
+        raise ValueError(f"verify_relations needs samples >= 1, got {samples}")
     cases = _cases(rep.system)
     mod = ring.p if isinstance(ring, PrimeFieldRing) else getattr(ring, "n", None)
     if mod and rep.dim * (mod - 1) ** 2 >= 2 ** 53:

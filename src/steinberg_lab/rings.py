@@ -111,8 +111,11 @@ class Ring(metaclass=_Interned):
 
     def _factor_bound(self, a) -> int:
         """An upper bound on the number of prime factors of the nonzero
-        payload a, counted with multiplicity (0 over a field)."""
-        return 0
+        payload a, counted with multiplicity (0 over a field); ValueError
+        where the ring gives no such bound."""
+        if self.is_field:
+            return 0
+        raise ValueError(f"no bound on the prime factors of elements of {self}")
 
     # -- generic layer ----------------------------------------------------
     @staticmethod
@@ -400,12 +403,8 @@ class PrimeFieldRing(Ring):
 # Payload: tuple of (exponent_tuple, coeff_payload) sorted by graded
 # lexicographic order, descending, with no zero coefficients.
 
-def _grlex_key(exps):
-    return (sum(exps), exps)
-
-
 def _poly_canonical(terms: dict):
-    return tuple(sorted(terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True))
+    return tuple(sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True))
 
 
 class PolynomialRing(Ring):
@@ -541,14 +540,14 @@ class PolynomialRing(Ring):
         return [[list(e), self.base._payload_to_json(c)] for e, c in a]
 
     def _payload_from_json(self, data):
-        # summing term by term merges repeated monomials and drops zeros
-        acc = ()
+        # one sum merges repeated monomials and drops zeros
+        terms = []
         for e, c in data:
             e = tuple(_json_int(x) for x in e)
             if len(e) != self.nvars or min(e) < 0:
                 raise ValueError(f"bad exponent vector {list(e)} for {self}")
-            acc = self._add(acc, ((e, self.base._payload_from_json(c)),))
-        return acc
+            terms.append((e, self.base._payload_from_json(c)))
+        return self._add((), terms)
 
 
 # each localization caches its multiplier powers below this exponent
@@ -639,8 +638,8 @@ class LocalizationRing(Ring):
         if n2 == bz:
             return None
         # a/b = n1 a^(k2+t) / n2 / a^(k1+t) for any large enough t; the
-        # base is a UFD, so the number of prime factors of n2 bounds every
-        # valuation that the multiplier powers have to clear
+        # number of prime factors of n2 bounds every valuation that the
+        # multiplier powers have to clear (ValueError where none is known)
         num = self.base._mul(n1, self._power(k2))
         t = self.base._factor_bound(n2)
         q = self.base._try_divide(self.base._mul(num, self._power(t)), n2)
@@ -867,8 +866,6 @@ class MilnorSquareRing(Ring):
             if c != self.loc._from_int(0):
                 f[e] = c
         return (self.base._sample(rng, size), _poly_canonical(f))
-
-    _factor_bound = LocalizationRing._factor_bound
 
     def pair(self, x, f) -> RingElement:
         return RingElement(self, self._pair(self.base.el(x).payload, self.poly.el(f).payload))

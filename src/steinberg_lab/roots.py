@@ -48,28 +48,15 @@ def defining_matrix(kind: str, rank: int, root: Root):
     return {(j + l, i): 1, (i + l, j): -1}
 
 
-def _sparse_mul(a: dict, b: dict) -> dict:
+def _bracket(a: dict, b: dict) -> dict:
+    """ab - ba for sparse {(row, col): coeff} matrices."""
     out = {}
-    for (i, k), x in a.items():
-        for (k2, j), y in b.items():
-            if k == k2:
-                v = out.get((i, j), 0) + x * y
-                if v:
-                    out[(i, j)] = v
-                else:
-                    out.pop((i, j), None)
-    return out
-
-
-def _sparse_commutator(a: dict, b: dict) -> dict:
-    out = dict(_sparse_mul(a, b))
-    for key, v in _sparse_mul(b, a).items():
-        w = out.get(key, 0) - v
-        if w:
-            out[key] = w
-        else:
-            out.pop(key, None)
-    return out
+    for sign, x, y in ((1, a, b), (-1, b, a)):
+        for (i, k), u in x.items():
+            for (k2, j), v in y.items():
+                if k == k2:
+                    out[i, j] = out.get((i, j), 0) + sign * u * v
+    return {key: v for key, v in out.items() if v}
 
 
 _LIVE: dict = {}
@@ -125,7 +112,7 @@ class RootSystem:
                 if s not in self.index:
                     continue
                 add[(a, b)] = s
-                bracket = _sparse_commutator(ea, self._matrices[b])
+                bracket = _bracket(ea, self._matrices[b])
                 es = self._matrices[s]
                 if bracket == es:
                     const[(a, b)] = 1

@@ -218,12 +218,11 @@ def crt_to_pair(x: RingElement, pair_ring: ProductRing | None = None) -> RingEle
 
 def crt_from_pair(x: RingElement, square: QuotientRing) -> RingElement:
     """(a, b) |-> a + (b - a) t1 modulo t1^2 - t1."""
-    prod = x.ring
-    if not isinstance(prod, ProductRing):
-        raise ValueError("element must live in a product ring")
-    a, b = x.payload
-    lvl1 = square.base
+    prod, lvl1 = x.ring, square.base
     base = lvl1.base
+    if not isinstance(prod, ProductRing) or prod.left is not base or prod.right is not base:
+        raise ValueError(f"element must live in {base} x {base}")
+    a, b = x.payload
     av, bv = RingElement(base, a), RingElement(base, b)
     poly = lvl1.constant(av) + lvl1.constant(bv - av) * lvl1.var("t1")
     return square.project(poly)

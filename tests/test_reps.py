@@ -460,6 +460,18 @@ def _flipped(rep):
     return dataclasses.replace(rep, m1=m1)
 
 
+@pytest.mark.parametrize("ring", [GF(7), GF(1000000007)], ids=str)
+def test_verify_relations_refuses_a_sweep_without_samples(ring):
+    """A sweep of no trials refutes nothing, so it must not report that
+    every law holds; one trial already refutes the flipped rep.  GF(7)
+    takes the exact route and GF(1000000007) the float64 one."""
+    bad = _flipped(build_representation(build_root_system("A", 2), "adjoint"))
+    assert not verify_relations(bad, ring, 1, random.Random(0)).ok
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples >= 1"):
+            verify_relations(bad, ring, samples, random.Random(0))
+
+
 _Pt = poly_ring(ZZ(), ("t",))
 SWEEP_RINGS = {"Z6": quotient(ZZ(), 6), "F7": GF(7), "Zt3": quotient(_Pt, _Pt.var("t") ** 3),
                "ZZ": ZZ(), "Fbig": GF(1000000007)}

@@ -351,6 +351,22 @@ def test_milnor_square_division():
             assert (x * y).try_divide(y) == x
 
 
+def test_division_in_a_localization_of_a_non_ufd_is_undecided():
+    """S = ZZ + tZ[1/2][t] is not a UFD: t = 2^k (t/2^k) for every k and 2
+    is not a unit of S, so no power of 2 bounds the denominators a
+    quotient in S_2 needs.  t / 2t = 1/2 exists, so the answer is not
+    "no quotient" but "cannot decide"."""
+    S = milnor_square_ring(ZZ(), 2)
+    t = S.poly.var("t")
+    Sx = poly_ring(S, ("x",))
+    for R, into in ((S, S.el), (Sx, Sx.constant)):
+        L = localize(R, 2)
+        a, b = (L.from_base(into(S.pair(0, c * t))) for c in (1, 2))
+        assert L.fraction(R.one, 1) * b == a
+        with pytest.raises(ValueError, match="no bound on the prime factors"):
+            a.try_divide(b)
+
+
 @pytest.mark.parametrize("ring", checks.ring_constructions(), ids=str)
 def test_zero_over_zero_is_zero(ring):
     """q 0 = 0 for every q, so 0 / 0 has a quotient, 0, in every

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from steinberg_lab.rings import GF, ZZ, PolynomialRing, poly_ring
+from steinberg_lab.rings import GF, ZZ, PolynomialRing, poly_ring, product_ring
 from steinberg_lab.roots import build_root_system
 from steinberg_lab import checks, simplicial, words
 from steinberg_lab.simplicial import (MooreGenerator, degeneracy_hom, face_hom,
@@ -172,3 +172,10 @@ def test_pi0_connectivity_witness():
 
 def test_crt_roundtrip():
     assert checks.crt_roundtrip(random.Random(14), 100) == []
+
+
+@pytest.mark.parametrize("left, right", [(GF(7), GF(7)), (Z, GF(7)), (GF(7), Z)], ids=str)
+def test_crt_from_pair_refuses_a_pair_over_another_base(left, right):
+    with pytest.raises(ValueError, match="ZZ x ZZ"):
+        simplicial.crt_from_pair(product_ring(left, right).pair(3, 5),
+                                 simplicial.interval_square_ring(Z))
