@@ -167,7 +167,10 @@ def symbol(a, b) -> MilnorSymbolSum:
 
 
 def relevant_odd_primes(s: MilnorSymbolSum):
-    """Odd primes dividing a numerator or denominator of any entry."""
+    """Odd primes dividing a numerator or denominator of any entry of a
+    sum over QQ."""
+    if not isinstance(s.field, RationalField):
+        raise ValueError("tame symbols are defined over Q here")
     primes = set()
     for (a, b), _ in s.terms:
         for x in (a, b):

@@ -5,9 +5,11 @@ sl_(l+1) for type A, the vector representation of so_2l for type D, and
 the adjoint representation for both.  Every generator image is the exact
 polynomial exp(xi e) = I + xi M1 + xi^2 M2 with integer matrices M1, M2
 precomputed over ZZ, so evaluation is correct over any coefficient ring,
-including characteristic 2.  Over QQ and every localization tower of ZZ
-a matrix lives on integer rows (d, {column: int}), which only its dense
-view `GroupMatrix.rows` maps back to payloads.
+including characteristic 2.  So one sparse kernel serves every ring: a
+matrix row is (d, {column: entry}), with int entries over a denominator d
+over QQ and every localization tower of ZZ, and payload entries with
+d = 1 over every other ring.  Only the dense view `GroupMatrix.rows`
+maps int entries back to payloads.
 
 The relation sweep (`verify_relations`) proves each case at the generic
 point of ZZ[a, b] and specializes only the nonzero differences in the
@@ -19,6 +21,7 @@ products round and report false violations, which the benchmark asserts.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -114,13 +117,12 @@ def build_representation(system: RootSystem, kind: str = "adjoint") -> Represent
 
 class GroupMatrix:
     """Square matrix over a ring with exact equality, stored sparsely so
-    that equal matrices have equal rows.  Over QQ and a localization
-    tower of ZZ (ZZ[1/2], ZZ[1/2][1/3], ...) a row is (d, {column: int}),
-    the entries over one denominator d > 0 with gcd(d, entries) = 1,
-    which makes d the lcm of the entries' reduced denominators; over
-    every other ring it is {column: payload}.  Either way only the
-    nonzero entries are kept, and only the dense view `rows` holds
-    payloads."""
+    that equal matrices have equal rows.  Every row is (d, {column:
+    entry}), its nonzero entries over one denominator d > 0.  Over QQ and
+    a localization tower of ZZ (ZZ[1/2], ZZ[1/2][1/3], ...) the entries
+    are ints with gcd(d, entries) = 1, which makes d the lcm of the
+    entries' reduced denominators; over every other ring they are
+    payloads and d = 1.  Only the dense view `rows` holds payloads."""
 
     __slots__ = ("ring", "dim", "_rows")
 
@@ -131,43 +133,47 @@ class GroupMatrix:
 
     @classmethod
     def identity(cls, ring: Ring, dim: int) -> "GroupMatrix":
-        if _into_rationals(ring):
-            return cls(ring, dim, [(1, {i: 1}) for i in range(dim)])
-        one = ring._from_int(1)
-        return cls(ring, dim, [{i: one} for i in range(dim)])
+        one = _scalars(ring)[4]
+        return cls(ring, dim, [(1, {i: one}) for i in range(dim)])
 
     @property
     def rows(self):
-        """Dense view: a fresh list of lists of payloads; an integer row
-        entry n over d is the payload n/d."""
-        ring, rows = self.ring, self._rows
-        if _into_rationals(ring):
-            frac = Fraction if isinstance(ring, RationalField) else (
-                lambda n, d: ring._try_divide(ring._from_int(n), ring._from_int(d)))
-            rows = [{j: frac(n, d) for j, n in row.items()} for d, row in rows]
+        """Dense view: a fresh list of lists of payloads; an int entry n
+        over d is the payload n/d."""
+        ring = self.ring
+        payload = (Fraction if isinstance(ring, RationalField) else
+                   (lambda n, d: ring._try_divide(ring._from_int(n), ring._from_int(d)))
+                   if _scalars(ring)[-1] else lambda v, d: v)
         zero = ring._from_int(0)
-        return [[row.get(j, zero) for j in range(self.dim)] for row in rows]
+        return [[payload(row[j], d) if j in row else zero for j in range(self.dim)]
+                for d, row in self._rows]
 
     def __mul__(self, other: "GroupMatrix") -> "GroupMatrix":
+        """The right factor over the lcm of its denominators (all 1 on
+        payload rows), each left row over its own, multiply-added and
+        divided by gcd(d, entries) when d > 1."""
         if self.ring is not other.ring:
             raise ValueError("matrices over different rings")
         if self.dim != other.dim:
             raise ValueError(f"matrices of dimensions {self.dim} and {other.dim}")
-        ring = self.ring
-        if _into_rationals(ring):
-            return GroupMatrix(ring, self.dim, _rational_product(self._rows, other._rows))
-        add, mul = ring._add, ring._mul
-        zero = ring._from_int(0)
-        right = other._rows
+        add, mul, _, zero, *_ = _scalars(self.ring)
+        big = lcm(*(d for d, _ in other._rows))
+        right = [{j: b * (big // d) for j, b in row.items()} if d < big else row
+                 for d, row in other._rows]
         out = []
-        for row in self._rows:
+        for d, row in self._rows:
             acc = {}
             for k, a in row.items():
                 for j, b in right[k].items():
                     v = acc.get(j)
                     acc[j] = mul(a, b) if v is None else add(v, mul(a, b))
-            out.append({j: v for j, v in acc.items() if v != zero})
-        return GroupMatrix(ring, self.dim, out)
+            d *= big
+            if d > 1:
+                g = gcd(d, *acc.values())
+                out.append((d // g, {j: v // g for j, v in acc.items() if v}))
+            else:
+                out.append((1, {j: v for j, v in acc.items() if v != zero}))
+        return GroupMatrix(self.ring, self.dim, out)
 
     def __eq__(self, other):
         return (isinstance(other, GroupMatrix) and self.ring is other.ring
@@ -183,104 +189,69 @@ class GroupMatrix:
         return f"GroupMatrix over {self.ring}:\n{body}"
 
 
-def _apply_letter(ring: Ring, rows, m1, m2, xi):
-    """Sparse rows of rows * (I + xi M1 + xi^2 M2); rows the letter does
-    not touch are shared, not copied."""
-    zero = ring._from_int(0)
-    add, mul, neg = ring._add, ring._mul, ring._neg
-
-    def scaled(entries, x):
-        return [(i, j, x if c == 1 else neg(x) if c == -1 else mul(x, ring._from_int(c)))
-                for i, j, c in entries]
-
-    terms = scaled(m1, xi) + (scaled(m2, mul(xi, xi)) if m2 else [])
-    out = []
-    for row in rows:
-        new, touched = row, []
-        for i, j, s in terms:
-            p = row.get(i)
-            if p is not None:
-                if new is row:
-                    new = dict(row)
-                v = new.get(j)
-                new[j] = mul(p, s) if v is None else add(v, mul(p, s))
-                touched.append(j)
-        for j in touched:
-            if new.get(j) == zero:
-                del new[j]
-        out.append(new)
-    return out
-
-
-def _rational_product(left, right):
-    """Integer rows (d, ints) of left * right: the right factor over the
-    lcm of its denominators, each left row over its own, multiply-added
-    on integers and divided by gcd(d, entries)."""
-    big = lcm(*(d for d, _ in right))
-    right = [{j: b * (big // d) for j, b in row.items()} if d < big else row for d, row in right]
-    out = []
-    for d, row in left:
-        acc = {}
-        for k, a in row.items():
-            for j, b in right[k].items():
-                acc[j] = acc.get(j, 0) + a * b
-        d *= big
-        g = gcd(d, *acc.values()) if d > 1 else 1
-        out.append((d // g, {j: v // g for j, v in acc.items() if v}))
-    return out
-
-
-def _rational_rows(rep: Representation, letters):
-    """`_image_rows` on integer rows (d, ints), for Fraction letters.  A
-    letter x_r(n/d) scales the rows it touches by s = d, or d^2 when the
-    root has an M2 table, adds the integer terms and divides the row by
-    gcd(den, entries).  At s = 1 the letter is unimodular, which keeps
-    that gcd at 1, so it is not taken."""
-    num, den = [{i: 1} for i in range(rep.dim)], [1] * rep.dim
-    for root, xi in letters:
-        n, d, m2 = xi.numerator, xi.denominator, rep.m2[root]
-        s, e = (d * d, d) if m2 else (d, 1)
-        terms = [(i, j, c * n * e) for i, j, c in rep.m1[root]]
-        terms += [(i, j, c * n * n) for i, j, c in m2]
-        for r, row in enumerate(num):
-            hits = [(j, row[i] * c) for i, j, c in terms if i in row]
-            if hits:
-                new = {k: v * s for k, v in row.items()} if s > 1 else dict(row)
-                for j, v in hits:
-                    new[j] = new.get(j, 0) + v
-                g = gcd(den[r] * s, *new.values()) if s > 1 else 1
-                num[r], den[r] = {j: v // g for j, v in new.items() if v}, den[r] * s // g
-    return list(zip(den, num))
-
-
 _INTO_RATIONALS = weakref.WeakKeyDictionary()
 
 
-def _into_rationals(ring: Ring):
-    """The payload map ring -> QQ when the ring is QQ or a localization
-    tower over ZZ, whose matrices live on integer rows; None for every
-    other ring.  Kept per ring, which it does not keep alive."""
-    if ring not in _INTO_RATIONALS:
+def _scalars(ring: Ring):
+    """(add, mul, neg, zero, one, cast, into): the arithmetic of the row
+    entries, their int cast, and the payload map ring -> QQ.  Over QQ and
+    a localization tower of ZZ the entries are ints and `into` is
+    `canonical_hom(ring, QQ).fn`, kept per ring, which it does not keep
+    alive; over every other ring they are the ring's payloads and `into`
+    is None."""
+    into = _INTO_RATIONALS.get(ring, False)
+    if into is False:
         root = ring
         while isinstance(root, LocalizationRing):
             root = root.base
         tower = root is not ring and isinstance(root, IntegerRing)
-        _INTO_RATIONALS[ring] = (canonical_hom(ring, RationalField()).fn
-                                 if tower or isinstance(ring, RationalField) else None)
-    return _INTO_RATIONALS[ring]
+        into = _INTO_RATIONALS[ring] = (canonical_hom(ring, RationalField()).fn
+                                        if tower or isinstance(ring, RationalField) else None)
+    if into:
+        return operator.add, operator.mul, operator.neg, 0, 1, int, into
+    return ring._add, ring._mul, ring._neg, ring.zero.payload, ring.one.payload, ring._from_int, None
 
 
 def _image_rows(ring: Ring, rep: Representation, letters):
     """Sparse rows of the product of x_root(xi) over (root, payload)
-    letters, multiplied left to right."""
-    into = _into_rationals(ring)
-    if into:
-        return _rational_rows(rep, [(root, x) for root, xi in letters if (x := into(xi))])
-    zero = ring._from_int(0)
-    rows = GroupMatrix.identity(ring, rep.dim)._rows
+    letters, multiplied left to right.  A letter x_r(n/d) (d = 1 on
+    payload rows) scales each row it touches by s = d, or d^2 when the
+    root has an M2 table, adds its terms and divides the row by
+    gcd(s den, entries); at s = 1 the letter is unimodular, which keeps
+    that gcd at 1, so only the entries it touched are checked for zero."""
+    add, mul, neg, zero, one, cast, into = _scalars(ring)
+
+    def scaled(table, x):
+        return [(i, j, x if c == 1 else neg(x) if c == -1 else mul(x, cast(c)))
+                for i, j, c in table]
+
+    rows = [(1, {i: one}) for i in range(rep.dim)]
     for root, xi in letters:
-        if xi != zero:
-            rows = _apply_letter(ring, rows, rep.m1[root], rep.m2[root], xi)
+        n, d = ((x := into(xi)).numerator, x.denominator) if into else (xi, 1)
+        if n == zero:
+            continue
+        m2 = rep.m2[root]
+        s, e = (d * d, d) if m2 else (d, 1)
+        terms = scaled(rep.m1[root], n * e if e > 1 else n)
+        terms += scaled(m2, mul(n, n)) if m2 else []
+        for r, (den, row) in enumerate(rows):
+            new, touched = row, []
+            for i, j, v in terms:
+                p = row.get(i)
+                if p is not None:
+                    if new is row:
+                        new = {k: w * s for k, w in row.items()} if s > 1 else dict(row)
+                    w = new.get(j)
+                    new[j] = mul(p, v) if w is None else add(w, mul(p, v))
+                    touched.append(j)
+            if touched and s > 1:
+                g = gcd(den * s, *new.values())
+                rows[r] = den * s // g, {j: w // g for j, w in new.items() if w}
+            elif touched:
+                for j in touched:
+                    if new.get(j) == zero:
+                        del new[j]
+                rows[r] = den, new
     return rows
 
 
@@ -301,9 +272,12 @@ def evaluate(word, rep: Representation, hom: RingHom | None = None) -> GroupMatr
 
 
 def k2_membership(word, rep: Representation) -> bool:
-    """Whether the word lies in the kernel of the chosen representation;
-    for configurations faithful on the elementary subgroup this kernel
-    contains exactly the unstable K2 classes."""
+    """Whether the word lies in the kernel of the chosen representation.
+    That kernel is K2 only where the representation is faithful on G:
+    of the library's representations, only the type-A defining one is.
+    The adjoint representation kills the centre, and the D_l vector one
+    is SO(2l), not Spin(2l), so there a word is decided modulo the
+    centre and may answer True outside K2."""
     return evaluate(word, rep).is_identity
 
 

@@ -415,8 +415,9 @@ class PolynomialRing(Ring):
         return base, tuple(names)
 
     def __init__(self, base: Ring, names):
-        if not names:
-            raise ValueError("polynomial ring needs at least one variable")
+        if not (names and all(isinstance(n, str) and n.isidentifier() for n in names)
+                and len(set(names)) == len(names)):
+            raise ValueError(f"variables must be distinct identifiers, got {names!r}")
         self.base = base
         self.names = names
         self.nvars = len(names)

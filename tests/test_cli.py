@@ -388,6 +388,8 @@ def _assert_request_usage(argv, err):
     ["k2m", "tame", "--batch", "batch-not-a-list.json"],
     ["k2m", "tame", "--batch", "batch-empty-object.json"],
     ["word", "symbol", "--ring", "Zmod:1"],        # the zero ring
+    ["simplicial", "check", "--ring", "intpoly:", "--nmax", "1"],     # no variable name
+    ["simplicial", "check", "--ring", "intpoly:t,s", "--nmax", "1"],  # reads as ZZ[t,s]
     ["patch", "demo", "--word", "a2-demo-word.json"],            # A2 word, --phi A3
     ["patch", "demo", "--word", "demo-word.json", "--phi", "D4"],  # A3 word
     ["k2m", "tame", "--symbol", "2,3", "--prime", "x"],

@@ -62,6 +62,9 @@ REFUSALS = {
         (lambda: patching.glueing_demo(_datum(), A2, reps.build_representation(A2, "defining"),
                                        words.gen(A2, Z, a1, 1)), ValueError),
     "rings.poly_ring-no-variables": (lambda: poly_ring(Z, ()), ValueError),
+    "rings.poly_ring-repeated-variable": (lambda: poly_ring(Z, ("t", "t")), ValueError),
+    "rings.poly_ring-non-identifier-variable": (lambda: poly_ring(Z, ("t,s",)), ValueError),
+    "rings.poly_ring-empty-variable-name": (lambda: poly_ring(Z, ("",)), ValueError),
     "rings.localize-non-domain": (lambda: localize(quotient(Z, 6), 5), ValueError),
     "rings.localize-zero-multiplier": (lambda: localize(Z, 0), ValueError),
     "rings.quotient-unsupported-base": (lambda: quotient(Q, 2), ValueError),
@@ -106,6 +109,9 @@ REFUSALS = {
         (lambda: words.substitute(words.gen(A2, L2, a1, 1), canonical_hom(Z, Q)), ValueError),
     "milnor.MilnorSymbolSum.__add__-other-field":
         (lambda: milnor.symbol(2, 3) + milnor.MilnorSymbolSum(GF(7), {(2, 3): 1}), ValueError),
+    "milnor.relevant_odd_primes-over-F7":
+        (lambda: milnor.relevant_odd_primes(milnor.MilnorSymbolSum(GF(7), {(3, 5): 1})),
+         ValueError),
     "milnor.tame_symbol-over-F7":
         (lambda: milnor.tame_symbol(milnor.MilnorSymbolSum(GF(7), {(2, 3): 1}), 3), ValueError),
     "milnor.steinberg_to_milnor-over-ZZ":

@@ -13,7 +13,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from steinberg_lab.rings import (GF, QQ, ZZ, LocalizationRing, RationalField, RingElement,
-                                 canonical_hom, localize, poly_ring, product_ring, quotient)
+                                 canonical_hom, localize, milnor_square_ring, poly_ring,
+                                 product_ring, quotient)
 from steinberg_lab.roots import SUPPORTED_RANKS, build_root_system
 from steinberg_lab import _float_sweep, checks, reps, words
 from steinberg_lab.reps import GroupMatrix, build_representation, evaluate, k2_membership, verify_relations
@@ -194,9 +195,13 @@ def test_group_matrix_identity_and_mul():
 
 # -- the sparse-row kernel -----------------------------------------------------
 
-_Pt = poly_ring(ZZ(), ("t",))
+_Pt, _F3s = poly_ring(ZZ(), ("t",)), poly_ring(GF(3), ("s",))
+# the last three have a truthy zero payload: ((), 0), (0, ()) and (0, 0)
 KERNEL_RINGS = [ZZ(), QQ(), quotient(ZZ(), 6), quotient(_Pt, _Pt.var("t") ** 3),
-                localize(ZZ(), 2)]
+                localize(ZZ(), 2), GF(7), localize(localize(ZZ(), 2), 3),
+                localize(_F3s, _F3s.var("s")), milnor_square_ring(ZZ(), 2),
+                product_ring(GF(3), ZZ())]
+INT_ROW_RINGS = (QQ(), localize(ZZ(), 2), localize(localize(ZZ(), 2), 3))
 KERNEL_REPS = [build_representation(build_root_system("A", 2), "adjoint"),
                build_representation(build_root_system("A", 3), "defining"),
                build_representation(build_root_system("D", 4), "vector")]
@@ -243,6 +248,10 @@ def test_sparse_product_is_multiplicative_and_matches_dense(ring, rep, seed):
     assert evaluate(w1 * w2, rep) == product
     assert product.rows == _dense_product(m1, m2)
     assert product.is_identity == (product.rows == GroupMatrix.identity(ring, rep.dim).rows)
+    assert (m1 * evaluate(w1.inverse(), rep)).is_identity
+    for m in (m1, m2, product):
+        assert _stored(m) if ring in INT_ROW_RINGS else all(
+            d == 1 and ring.zero.payload not in row.values() for d, row in m._rows)
 
 
 def test_cancelled_entries_are_not_stored():
