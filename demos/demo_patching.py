@@ -40,12 +40,12 @@ image = cg.apply_word(x, cg.bound)
 print("conjugated opposite-root generator expands to", len(image), "letters")
 # verify_conjugation compares in G(B_h) and lists the failing arguments
 print("defining identity holds:",
-      verify_conjugation(datum, A3, adj, g, [(A3.negate(A3.simple_roots[0]), 4)]) == [])
+      verify_conjugation(datum, adj, g, [(A3.negate(A3.simple_roots[0]), 4)]) == [])
 
 # Orbit translation: each operator prepends the B-part to the first
 # component and pushes the deep part through the conjugation map.
 pair = PatchPair(identity_word(A3, datum.B_h), identity_word(A3, datum.A))
-moved = left_translation(datum, A3, A3.simple_roots[0], c, 0, pair, k=2)
+moved = left_translation(datum, A3.simple_roots[0], c, 0, pair, k=2)
 print("translated pair: u =", moved.u, "| v =", moved.v)
 print("orbit invariant is x(5/4):",
       mu_image(datum, adj, moved) == mu_image(

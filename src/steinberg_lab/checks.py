@@ -379,7 +379,7 @@ def conjugation_identity(rng, n):
         k = conj_bound(g) + rng.randint(0, 1)
         args = [(A3.roots[rng.randrange(len(A3.roots))], rng.randint(-4, 4))
                 for _ in range(20)]
-        for root, coeff in verify_conjugation(datum, A3, rep, g, args, k):
+        for root, coeff in verify_conjugation(datum, rep, g, args, k):
             x = gen(A3, datum.B, root, Z.from_int(coeff) * datum.h ** k)
             out.append({"ring": datum.B_h.describe(), "level": k, **_letters(g, x)})
     return out

@@ -222,9 +222,6 @@ def cmd_patch_verify(args) -> int:
 
 
 def cmd_patch_demo(args) -> int:
-    if args.word.ring is not args.datum.A or args.word.system is not args.phi:
-        args.parser.error(f"a word over {args.word.system} and {args.word.ring} does not match"
-                          f" --phi {args.phi} and the datum ring {args.datum.A}")
     rep = reps.build_representation(args.phi, "adjoint")
     try:
         y = patching.glueing_demo(args.datum, args.phi, rep, args.word)
@@ -345,9 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     patch = actions("patch", "patching demo and verification")
     p = request(patch, "verify", cmd_patch_verify, datum, seed, pretty)
     p.add_argument("--samples", type=positive_int, default=25)
-    p = request(patch, "demo", cmd_patch_demo, datum, pretty)
+    p = request(patch, "demo", cmd_patch_demo, pretty)
+    p.add_argument("--b", type=int, default=3, help="h, coprime to m in B")
     p.add_argument("--word", type=parse_word_file, required=True,
-                   help="target word JSON over the localized ring")
+                   help="target word JSON over some B_m, of rank >= 3; B, m and Phi are its")
 
     p = request(actions("milnor-square", "pullback round-trip checks"), "verify",
                 cmd_milnor_square, seed, pretty)
@@ -375,11 +373,16 @@ def main(argv=None) -> int:
                 error("k2m tame takes --symbol with --prime, or --batch alone")
             if args.pretty and args.batch is None:
                 error("--pretty indents the JSON of --batch; --symbol prints an integer")
-        if "phi" in args:
+        if "b" in args:
+            if "word" in args:   # patch demo: B_m and Phi are the word's
+                ring, args.phi = args.word.ring, args.word.system
+                if ring.kind != "localization" or args.phi.rank < 3:
+                    error(f"a word over {args.phi} and {ring} is not over some B_m of rank >= 3")
+                args.B, args.a = ring.base, ring.multiplier
             try:
                 args.datum = patching.zariski_datum(args.B, args.a, args.b)
             except ValueError as exc:
-                error(f"bad patch datum --B {args.B} --a {args.a} --b {args.b}: {exc}")
+                error(f"bad patch datum B = {args.B}, m = {args.a}, h = {args.b}: {exc}")
         return args.fn(args)
     except Exception:  # a crash must not look like a verdict or a usage error
         traceback.print_exc()

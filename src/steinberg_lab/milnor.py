@@ -230,10 +230,9 @@ def symbol_normalize(s: MilnorSymbolSum) -> MilnorSymbolSum:
     orient by skew-symmetry with -1 first and then the smaller entry, and
     reduce the 2-torsion symbols {-1, x} mod 2.  Every step is a K2
     relation, so all tame images are preserved; the result is not claimed
-    to be a complete normal form.  Over other fields only the
-    multiplicities are summed."""
+    to be a complete normal form.  ValueError over any field but Q."""
     if not isinstance(s.field, RationalField):
-        return MilnorSymbolSum(s.field, dict(s.terms))
+        raise ValueError("symbols are normalized over Q here")
     out = {}
     for (a, b), mult in s.terms:
         fb = _factor_rational(b)

@@ -189,15 +189,15 @@ class ConjugationHom:
         return self.apply_leveled(leveled)
 
 
-def verify_conjugation(datum: PatchDatum, system: RootSystem, rep,
-                       g: SteinbergWord, args, k: int | None = None) -> list:
+def verify_conjugation(datum: PatchDatum, rep, g: SteinbergWord, args, k: int = 0) -> list:
     """The exact matrix identity image(c_g(x)) = g image(x) g^-1 in G(B_h)
-    for g over B_h and x = x_root(coeff h^k) over B, k defaulting to the
-    bound n(g).  Returns the (root, coeff) pairs of `args` on which it
-    fails; an empty list means it holds on all of them."""
-    B = datum.B
+    for g over B_h and x = x_root(coeff h^k) over B, the root system being
+    g's and the level k raised to the bound n(g) where it is below.
+    Returns the (root, coeff) pairs of `args` on which it fails; an empty
+    list means it holds on all of them."""
+    B, system = datum.B, g.system
     cg = ConjugationHom(system, B, datum.h, g)
-    k = cg.bound if k is None else k
+    k = max(k, cg.bound)
     g_img = reps.evaluate(g, rep)
     g_inv_img = reps.evaluate(g.inverse(), rep)
     hk = datum.h ** k
@@ -239,34 +239,23 @@ def star_reduce(datum: PatchDatum, pair: PatchPair, g: SteinbergWord) -> PatchPa
     return PatchPair(u2, v2)
 
 
-def left_translation(datum: PatchDatum, system: RootSystem, alpha,
-                     c: RingElement, s: int, pair: PatchPair,
-                     k: int | None = None,
-                     shift: RingElement | None = None,
-                     min_level: int = 0) -> PatchPair:
-    """Translation operator for x_alpha(c/h^s) on orbit representatives:
-    with c = a h^k + b,
+def left_translation(datum: PatchDatum, alpha, c: RingElement, s: int,
+                     pair: PatchPair, k: int = 0, shift: RingElement = 0) -> PatchPair:
+    """Translation operator for x_alpha(c/h^s) on orbit representatives
+    over the root system of `pair`: with c = a h^k + b,
 
         (u, v) -> (x_alpha(b/h^s) u,  c_{|(u^-1)}(x_alpha(a h^(k-s))) v).
 
-    `k` may be any value >= n(u^-1) + s (the default is the smallest not
-    below `min_level`); `shift` perturbs the decomposition by an element
-    of B.  All of these choices leave the mu-image unchanged.
+    `k` is a floor, raised to n(u^-1) + s where it is below; `shift`
+    perturbs the decomposition by an element of B.  All of these choices
+    leave the mu-image unchanged.
     """
+    system = pair.u.system
     alpha = tuple(alpha)
-    c = datum.A.el(c)
-    uinv = pair.u.inverse()
-    g_conj = substitute(uinv, datum.iota_loc)
+    g_conj = substitute(pair.u.inverse(), datum.iota_loc)
     cg = ConjugationHom(system, datum.A, datum.h_in_A, g_conj)
-    k_min = cg.bound + s
-    if k is None:
-        k = max(k_min, min_level)
-    elif k < k_min:
-        raise InsufficientLevelError(f"k = {k} below n(u^-1) + s = {k_min}")
-    if shift is None:
-        a_part, b_part = datum.decompose(c, k)
-    else:
-        a_part, b_part = datum.decompose_shifted(c, k, shift)
+    k = max(k, cg.bound + s)
+    a_part, b_part = datum.decompose_shifted(datum.A.el(c), k, shift)
     new_u = gen(system, datum.B_h, alpha, datum.B_h.fraction(b_part, s)) * pair.u
     if a_part.is_zero:
         conj_word = identity_word(system, datum.A)
@@ -275,18 +264,17 @@ def left_translation(datum: PatchDatum, system: RootSystem, alpha,
     return PatchPair(new_u, conj_word * pair.v)
 
 
-def translate_by_word(datum: PatchDatum, system: RootSystem,
-                      g: SteinbergWord, pair: PatchPair,
-                      min_level: int = 0) -> PatchPair:
-    """Iterated translation g . pair for a word g over A_h."""
+def translate_by_word(datum: PatchDatum, g: SteinbergWord, pair: PatchPair,
+                      k: int = 0) -> PatchPair:
+    """Iterated translation g . pair for a word g over A_h, every letter
+    at the level floor `k`."""
     if g.ring is not datum.A_h:
         raise ValueError("translating word must live over A_h")
-    if g.system is not system:
-        raise ValueError(f"translating word is over {g.system}, not {system}")
+    if g.system is not pair.u.system:
+        raise ValueError(f"translating word is over {g.system}, not {pair.u.system}")
     for root, arg in reversed(g.letters):
         num, s = arg.payload
-        pair = left_translation(datum, system, root, RingElement(datum.A, num), s,
-                                pair, min_level=min_level)
+        pair = left_translation(datum, root, RingElement(datum.A, num), s, pair, k)
     return pair
 
 
@@ -339,7 +327,7 @@ def verify_translation_relations(datum: PatchDatum, system: RootSystem, rep,
         return mu_image(datum, rep, p)
 
     def translate(alpha, c, s, p, **choices):
-        return left_translation(datum, system, alpha, c, s, p, **choices)
+        return left_translation(datum, alpha, c, s, p, **choices)
 
     def check(holds, law, trial, p, **inputs):
         if not holds:
@@ -394,10 +382,10 @@ def verify_translation_relations(datum: PatchDatum, system: RootSystem, rep,
     for trial in range(max(1, samples // 4)):
         v = _random_pair(datum, system, rng).v
         start = PatchPair(one.u, v)
-        pv = translate_by_word(datum, system, substitute(v, datum.lam_A), one)
+        pv = translate_by_word(datum, substitute(v, datum.lam_A), one)
         check(mu(pv) == reps.evaluate(v, rep, hom=datum.lam_A), "unit-law-v", trial, start)
         u = _random_pair(datum, system, rng).u
-        pu = translate_by_word(datum, system, substitute(u, datum.iota_loc), start)
+        pu = translate_by_word(datum, substitute(u, datum.iota_loc), start)
         check(pu.u == u and pu.v == v, "unit-law-u", trial, PatchPair(u, v))
 
     # star invariance of mu
@@ -433,7 +421,7 @@ def glueing_demo(datum: PatchDatum, system: RootSystem, rep,
     start = PatchPair(identity_word(system, datum.B_h), identity_word(system, datum.A))
     # level 1 forces an honest split c = a h + b, so the B-side
     # actually accumulates the descended word
-    pair = translate_by_word(datum, system, substitute(x, datum.lam_A), start, min_level=1)
+    pair = translate_by_word(datum, substitute(x, datum.lam_A), start, k=1)
     letters = [(root, datum.B_h.base_part(arg)) for root, arg in pair.u.letters]
     if any(arg is None for _, arg in letters):
         raise GlueingError("orbit representative has a non-integral component")

@@ -120,7 +120,7 @@ class Ring(metaclass=_Interned):
     # -- generic layer ----------------------------------------------------
     @staticmethod
     def _canonical(*args):
-        """The constructor arguments that identify the ring, normalized."""
+        """The constructor arguments that identify the ring, checked and normalized."""
         return args
 
     def __repr__(self):
@@ -365,6 +365,7 @@ class PrimeFieldRing(Ring):
     kind = "prime_field"
     is_domain = True
     is_field = True
+    _canonical = staticmethod(lambda p: (_json_int(p),))
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -412,12 +413,13 @@ class PolynomialRing(Ring):
 
     @staticmethod
     def _canonical(base, names):
+        if not (isinstance(names, (list, tuple)) and names
+                and all(isinstance(n, str) and n.isidentifier() for n in names)
+                and len(set(names)) == len(names)):
+            raise ValueError(f"variables must be distinct identifiers, got {names!r}")
         return base, tuple(names)
 
     def __init__(self, base: Ring, names):
-        if not (names and all(isinstance(n, str) and n.isidentifier() for n in names)
-                and len(set(names)) == len(names)):
-            raise ValueError(f"variables must be distinct identifiers, got {names!r}")
         self.base = base
         self.names = names
         self.nvars = len(names)

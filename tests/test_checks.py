@@ -47,8 +47,7 @@ FAULTS = [
     (checks.conjugation_identity, 1, patching.ConjugationHom, "apply_word",
      lambda f, cg, x, k: _extra_letter(f(cg, x, k))),
     (checks.translation_operators, 2, patching, "left_translation",
-     lambda f, datum, system, alpha, c, *a, **kw: f(datum, system, alpha,
-                                                   c + c.ring.one, *a, **kw)),
+     lambda f, datum, alpha, c, *a, **kw: f(datum, alpha, c + c.ring.one, *a, **kw)),
     (checks.patching_examples, 1, checks, "star_reduce",
      lambda f, datum, pair, g: patching.PatchPair(f(datum, pair, g).u,
                                                   _extra_letter(f(datum, pair, g).v))),
@@ -80,8 +79,8 @@ def test_translation_witnesses_name_their_inputs(monkeypatch):
     scalars and denominator exponent it drew, in JSON-ready form."""
     original = patching.left_translation
     monkeypatch.setattr(patching, "left_translation",
-                        lambda datum, system, alpha, c, *a, **kw:
-                        original(datum, system, alpha, c + c.ring.one, *a, **kw))
+                        lambda datum, alpha, c, *a, **kw:
+                        original(datum, alpha, c + c.ring.one, *a, **kw))
     bad = checks.translation_operators(random.Random(1), 4)
     assert bad
     json.dumps(bad)

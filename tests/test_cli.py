@@ -257,6 +257,14 @@ INPUT_FILES = {
     "a2-word.json": _word_file(ZZ_JSON, 1),
     "a2-demo-word.json": _word_file(
         {"kind": "localization", "base": ZZ_JSON, "multiplier": 2}, {"num": 1, "exp": 1}),
+    "a3-word.json": {**_word_file(ZZ_JSON, 1), "system": {"type": "A", "rank": 3},
+                     "letters": [{"root": [1, -1, 0, 0], "arg": 1, "sign": 1}]},
+    "a3-word-zz2-3.json": {
+        "system": {"type": "A", "rank": 3},
+        "ring": {"kind": "localization", "multiplier": {"num": 3, "exp": 0},
+                 "base": {"kind": "localization", "base": ZZ_JSON, "multiplier": 2}},
+        "letters": [{"root": [1, -1, 0, 0], "arg": {"num": {"num": 1, "exp": 0}, "exp": 1}}]},
+    "p-float.json": _word_file({"kind": "prime_field", "p": 11.0}, 3),
     "generator.json": {"system": {"type": "A", "rank": 2}, "base": ZZ_JSON,
                        "root": [1, -1, 0], "f": [[[0], 1]], "g": []},
     "float-arg.json": _word_file(ZZ_JSON, 2.5),
@@ -390,9 +398,12 @@ def _assert_request_usage(argv, err):
     ["word", "symbol", "--ring", "Zmod:1"],        # the zero ring
     ["simplicial", "check", "--ring", "intpoly:", "--nmax", "1"],     # no variable name
     ["simplicial", "check", "--ring", "intpoly:t,s", "--nmax", "1"],  # reads as ZZ[t,s]
-    ["patch", "demo", "--word", "a2-demo-word.json"],            # A2 word, --phi A3
-    ["patch", "demo", "--word", "demo-word.json", "--phi", "D4"],  # A3 word
+    ["patch", "demo", "--word", "a2-demo-word.json"],            # A2 word over ZZ[1/2]
+    ["patch", "demo", "--word", "demo-word.json", "--phi", "D4"],  # Phi is the word's
     ["k2m", "tame", "--symbol", "2,3", "--prime", "x"],
+    ["eval", "--word", "p-float.json"],                          # F11.0 is not F11
+    ["patch", "demo", "--word", "a3-word.json"],                 # ZZ is not some B_m
+    ["patch", "demo", "--word", "a3-word-zz2-3.json", "--b", "5"],  # no Bezout rule in ZZ[1/2]
 ])
 def test_input_errors_are_usage_errors(argv, capsys, workdir):
     code, err = _exit_code(argv, capsys)
@@ -455,11 +466,11 @@ def test_each_request_takes_only_its_flags():
         "simplicial check": {"--nmax", "--ring", "--pretty"},
         "simplicial lift": {"--word", "--pretty"},
         "patch verify": datum | {"--samples", "--seed", "--pretty"},
-        "patch demo": datum | {"--word", "--pretty"},
+        "patch demo": {"--b", "--word", "--pretty"},
         "milnor-square verify": {"--samples", "--seed", "--pretty"},
         "selftest": {"--quick", "--seed"},
     }
-    assert sum(map(len, surface.values())) == 43
+    assert sum(map(len, surface.values())) == 40
 
 
 def test_crash_exits_3_with_traceback(monkeypatch, capsys):

@@ -164,7 +164,7 @@ def test_conj_defining_identity_exact():
         g = random_g(datum, rng)
         args = [(A3.roots[rng.randrange(len(A3.roots))], rng.randint(-3, 3))
                 for _ in range(5)]
-        assert verify_conjugation(datum, A3, ADJ, g, args) == [], (trial,)
+        assert verify_conjugation(datum, ADJ, g, args) == [], (trial,)
 
 
 def test_conj_identity_above_the_bound_too():
@@ -174,7 +174,7 @@ def test_conj_identity_above_the_bound_too():
     cb = ConjugationHom(A3, datum.B, datum.h, g).bound
     args = [(A3.roots[rng.randrange(len(A3.roots))], rng.randint(-2, 2))
             for _ in range(4)]
-    assert verify_conjugation(datum, A3, ADJ, g, args, k=cb + 2) == []
+    assert verify_conjugation(datum, ADJ, g, args, k=cb + 2) == []
 
 
 def test_conj_identity_names_the_failing_arguments(monkeypatch):
@@ -197,7 +197,7 @@ def test_conj_identity_names_the_failing_arguments(monkeypatch):
     monkeypatch.setattr(ConjugationHom, "apply_word", faulty)
     expected = [arg for arg in args if arg[0] == bad_root]
     assert 0 < len(expected) < len(args)
-    assert verify_conjugation(datum, A3, ADJ, g, args) == expected
+    assert verify_conjugation(datum, ADJ, g, args) == expected
 
 
 def test_conj_rejects_levels_below_bound():
@@ -262,7 +262,7 @@ def test_translation_b_only_argument():
     p = PatchPair(identity_word(A3, datum.B_h), identity_word(A3, datum.A))
     alpha = A3.simple_roots[0]
     c = datum.iota(Z.from_int(7))
-    q = left_translation(datum, A3, alpha, c, 1, p)
+    q = left_translation(datum, alpha, c, 1, p)
     assert q.u == gen(A3, datum.B_h, alpha, datum.B_h.fraction(Z.from_int(7), 1))
     assert q.v.is_empty
 
@@ -276,7 +276,7 @@ def test_translation_pure_deep_argument():
     # inclusion, so v picks up exactly x_alpha(a h^(k-s))
     a = datum.A.fraction(Z.from_int(5), 2)
     c = a * datum.h_in_A ** 2
-    q = left_translation(datum, A3, alpha, c, 0, p, k=2)
+    q = left_translation(datum, alpha, c, 0, p, k=2)
     assert q.u.is_empty
     assert q.v == gen(A3, datum.A, alpha, c)
 
@@ -291,12 +291,21 @@ def test_translation_independence_of_choices():
     assert checks.translation_operators(random.Random(8), 20) == []
 
 
-def test_translation_rejects_small_k():
+def test_translation_level_is_a_floor():
+    """Every level below n(u^-1) + s is raised to it: each gives the pair
+    of k = n(u^-1) + s, letter for letter, and one level deeper does not."""
     datum = make_datum()
     u = gen(A3, datum.B_h, A3.simple_roots[0], datum.B_h.fraction(Z.from_int(1), 1))
     p = PatchPair(u, identity_word(A3, datum.A))
-    with pytest.raises(InsufficientLevelError):
-        left_translation(datum, A3, A3.simple_roots[1], datum.A.one, 0, p, k=0)
+    alpha, c, s = A3.simple_roots[1], datum.A.fraction(Z.from_int(5), 2), 1
+    floor = conj_bound(u.inverse()) + s
+
+    def pair(k):
+        q = left_translation(datum, alpha, c, s, p, k=k)
+        return q.u, q.v
+
+    assert [pair(k) for k in range(floor)] == [pair(floor)] * floor
+    assert pair(floor + 1) != pair(floor)
 
 
 def test_translation_by_word_refuses_a_word_over_another_system():
@@ -306,7 +315,7 @@ def test_translation_by_word_refuses_a_word_over_another_system():
     p = PatchPair(identity_word(A3, datum.B_h), identity_word(A3, datum.A))
     g = gen(D4, datum.A_h, (1, -1, 0, 0), 1)
     with pytest.raises(ValueError, match="over D4, not A3"):
-        translate_by_word(datum, A3, g, p)
+        translate_by_word(datum, g, p)
 
 
 def test_translation_relations_report():
@@ -329,8 +338,8 @@ def test_translation_failure_records_are_pinned(monkeypatch):
     for byte (112 records: R1, R3, equivariance and both unit laws)."""
     original = patching.left_translation
     monkeypatch.setattr(patching, "left_translation",
-                        lambda datum, system, alpha, c, *a, **kw:
-                        original(datum, system, alpha, c + c.ring.one, *a, **kw))
+                        lambda datum, alpha, c, *a, **kw:
+                        original(datum, alpha, c + c.ring.one, *a, **kw))
     datum = make_datum()
     records = [verify_translation_relations(datum, A3, ADJ, samples, random.Random(seed)).failures
                for seed in range(4) for samples in (1, 4, 9)]
@@ -344,10 +353,10 @@ def test_unit_laws_word_level():
     p0 = PatchPair(identity_word(A3, datum.B_h), identity_word(A3, datum.A))
     v = gen(A3, datum.A, A3.simple_roots[0], datum.A.fraction(Z.from_int(5), 1)) * \
         gen(A3, datum.A, A3.simple_roots[2], datum.A.fraction(Z.from_int(1), 2))
-    pv = translate_by_word(datum, A3, substitute(v, datum.lam_A), p0)
+    pv = translate_by_word(datum, substitute(v, datum.lam_A), p0)
     assert mu_image(datum, ADJ, pv) == reps.evaluate(v, ADJ, hom=datum.lam_A)
     u = random_g(datum, rng, s_max=1)
-    pu = translate_by_word(datum, A3, substitute(u, datum.iota_loc),
+    pu = translate_by_word(datum, substitute(u, datum.iota_loc),
                            PatchPair(identity_word(A3, datum.B_h), v))
     assert pu.u == u and pu.v == v
 
@@ -381,6 +390,25 @@ def test_glueing_demo_rejects_non_kernel_targets():
     datum = make_datum()
     with pytest.raises(GlueingError):
         glueing_demo(datum, A3, ADJ, gen(A3, datum.A, A3.simple_roots[0], datum.A.one))
+
+
+@pytest.mark.parametrize("hom, reason", [("lam_B", "does not die in the localization"),
+                                         ("iota", "does not reproduce the target")])
+def test_glueing_demo_certifies_its_candidate(hom, reason, monkeypatch):
+    """Negative control: with a letter planted in the image of the
+    candidate y under lambda_B or iota, that certification refuses it."""
+    datum = make_datum()
+    x = words.commutator(gen(A3, datum.A, A3.simple_roots[0], datum.A.fraction(Z.from_int(5), 2)),
+                         gen(A3, datum.A, A3.simple_roots[2], datum.A.fraction(Z.from_int(7), 1)))
+    original = patching.substitute
+
+    def faulty(w, f):
+        out = original(w, f)
+        return out * gen(A3, out.ring, A3.roots[0], 1) if f is getattr(datum, hom) else out
+
+    monkeypatch.setattr(patching, "substitute", faulty)
+    with pytest.raises(GlueingError, match=reason):
+        glueing_demo(datum, A3, ADJ, x)
 
 
 @pytest.mark.parametrize("other, phi", [(A2, A3), (A3, D4)], ids=["A2-in-A3", "A3-in-D4"])

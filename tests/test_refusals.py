@@ -9,8 +9,8 @@ from steinberg_lab import milnor, patching, reps, simplicial, words
 from steinberg_lab.rings import (GF, QQ, ZZ, IntegerRing, NonUnitError, RingMismatchError,
                                  bezout_decompose, canonical_hom, ext_gcd, localize,
                                  milnor_square_ring, poly_ring, quotient,
-                                 reciprocal_localization_witness, ring_to_json,
-                                 substitution_hom)
+                                 reciprocal_localization_witness, ring_from_json,
+                                 ring_to_json, substitution_hom)
 from steinberg_lab.roots import build_root_system
 
 Z, Q = ZZ(), QQ()
@@ -50,18 +50,29 @@ REFUSALS = {
     "patching.ConjugationHom-unlocalized-conjugator":
         (lambda: _conj(g=words.gen(A2, Z, a1, 1)), ValueError),
     "patching.ConjugationHom-h-not-inverted": (lambda: _conj(h=3), ValueError),
+    "patching.ConjugationHom.apply_leveled-level-below-s":
+        (lambda: _conj(g=words.gen(A2, L2, a1, L2.fraction(1, 1)))
+         .apply_leveled([(A2.simple_roots[1], Z.one, 0)]), patching.InsufficientLevelError),
     "patching.ConjugationHom.apply_word-indivisible-argument":
         (lambda: _conj().apply_word(words.gen(A2, Z, a1, 3), 1), ValueError),
     "patching.star_reduce-word-over-another-ring":
         (lambda: patching.star_reduce(_datum(), _pair(_datum()), words.gen(A2, Q, a1, 1)),
          ValueError),
     "patching.translate_by_word-word-over-another-ring":
-        (lambda: patching.translate_by_word(_datum(), A2, words.gen(A2, Z, a1, 1),
+        (lambda: patching.translate_by_word(_datum(), words.gen(A2, Z, a1, 1),
                                             _pair(_datum())), ValueError),
     "patching.glueing_demo-target-over-another-ring":
         (lambda: patching.glueing_demo(_datum(), A2, reps.build_representation(A2, "defining"),
                                        words.gen(A2, Z, a1, 1)), ValueError),
     "rings.poly_ring-no-variables": (lambda: poly_ring(Z, ()), ValueError),
+    "rings.poly_ring-string-of-variables": (lambda: poly_ring(Z, "ts"), ValueError),
+    "rings.ring_from_json-string-of-variables":
+        (lambda: ring_from_json({"kind": "polynomial", "base": {"kind": "integers"},
+                                 "vars": "ts"}), ValueError),
+    "rings.GF-float-prime": (lambda: GF(7.0), ValueError),
+    "rings.ring_from_json-float-prime":
+        (lambda: ring_from_json({"kind": "prime_field", "p": 7.0}), ValueError),
+    "rings.RingElement.__add__-mixed-rings": (lambda: Z.one + GF(7).one, RingMismatchError),
     "rings.poly_ring-repeated-variable": (lambda: poly_ring(Z, ("t", "t")), ValueError),
     "rings.poly_ring-non-identifier-variable": (lambda: poly_ring(Z, ("t,s",)), ValueError),
     "rings.poly_ring-empty-variable-name": (lambda: poly_ring(Z, ("",)), ValueError),
@@ -114,6 +125,9 @@ REFUSALS = {
          ValueError),
     "milnor.tame_symbol-over-F7":
         (lambda: milnor.tame_symbol(milnor.MilnorSymbolSum(GF(7), {(2, 3): 1}), 3), ValueError),
+    "milnor.symbol_normalize-over-F7":
+        (lambda: milnor.symbol_normalize(milnor.MilnorSymbolSum(GF(7), {(3, 5): 1})),
+         ValueError),
     "milnor.steinberg_to_milnor-over-ZZ":
         (lambda: milnor.steinberg_to_milnor(words.steinberg_symbol(A2, Z, a1, -1, -1)),
          ValueError),

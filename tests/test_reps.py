@@ -27,6 +27,7 @@ def test_defining_generator_image():
     m = evaluate(words.gen(A2, Z, (1, -1, 0), 7), rep)
     assert m.rows[0][1] == 7
     assert all(m.rows[i][i] == 1 for i in range(3))
+    assert repr(m) == "GroupMatrix over ZZ:\n[1, 7, 0]\n[0, 1, 0]\n[0, 0, 1]"
 
 
 def test_vector_generator_image_d4():

@@ -209,6 +209,8 @@ def test_polynomial_ring_exact_division():
     f = (x + y) * (x - y + 1)
     assert f.try_divide(x + y) == x - y + 1
     assert f.try_divide(x + 2 * y) is None
+    assert P.degree(P.zero.payload) == -1 and P.degree(f.payload) == 2
+    assert not P.is_monic_univariate(x.payload)
 
 
 def test_quotient_rings():
@@ -518,6 +520,10 @@ def test_substitution_hom():
     t1, t2 = P.var("t1"), P.var("t2")
     hom = substitution_hom(P, P, {"t1": P.one - t1, "t2": t1})
     assert hom(t1 * t2) == (P.one - t1) * t1
+
+
+def test_hom_repr():
+    assert repr(canonical_hom(ZZ(), QQ())) == "canonical: ZZ -> QQ"
 
 
 def test_fraction_field_hom():

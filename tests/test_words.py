@@ -27,6 +27,7 @@ def test_generator_normalization():
     assert gen(A2, Z, a1, 2) * gen(A2, Z, a1, 3) == gen(A2, Z, a1, 5)
     assert gen(A2, Z, a1, 2).inverse() == gen(A2, Z, a1, -2)
     assert (gen(A2, Z, a1, 2) * gen(A2, Z, a1, -2)).is_empty
+    assert repr(gen(A2, Z, a1, 0)) == "1"
 
 
 def test_normalization_cascades():
