@@ -70,10 +70,10 @@ class PatchDatum:
 
     def decompose_shifted(self, c: RingElement, k: int, d: RingElement):
         """A second valid decomposition, perturbed by d in B:
-        (a - iota(d), b + d h^k)."""
-        a, b = self.decompose(c, k)
+        (a - iota(d), b + d h^k); the decomposition itself at d = 0."""
         d = self.B.el(d)
-        return a - self.iota(d), b + d * self.h ** k
+        a, b = self.decompose(c, k)
+        return (a, b) if d.is_zero else (a - self.iota(d), b + d * self.h ** k)
 
 
 def zariski_datum(B: Ring, m, h) -> PatchDatum:

@@ -12,11 +12,11 @@ d = 1 over every other ring.  Only the dense view `GroupMatrix.rows`
 maps int entries back to payloads.
 
 The relation sweep (`verify_relations`) proves each case at the generic
-point of ZZ[a, b] and specializes only the nonzero differences in the
-ring, at trials that `Ring._sample` draws, over every ring but Z/m with
-d (m - 1)^2 >= 2^53.  There, as over GF(1000000007), every case is still
-evaluated in float64 (`_float_sweep`, the only user of numpy), whose
-products round and report false violations, which the benchmark asserts.
+point of ZZ[a, b], once per representation and its tables, and specializes
+only the nonzero differences in the ring, at trials that `Ring._sample`
+draws, over every ring but Z/m with d (m - 1)^2 >= 2^53.  There, as over
+GF(1000000007), every case is evaluated in float64 (`_float_sweep`, the
+only user of numpy), whose products round and report false violations.
 """
 
 from __future__ import annotations
@@ -360,6 +360,22 @@ def _differences(rep: Representation, cases):
         yield {key: n for key, n in left.items() if n}
 
 
+_CERTIFICATES = weakref.WeakKeyDictionary()
+
+
+def _certificate(rep: Representation, cases):
+    """The generic differences of `cases` and the count of zero ones,
+    kept while `rep` lives and rebuilt when its tables or the cases
+    differ from those they were built from (a table edited in place, or
+    a patched structure constant, which changes the cases' laws)."""
+    built_from = (tuple(rep.m1.items()), tuple(rep.m2.items()), tuple(cases))
+    entry = _CERTIFICATES.get(rep)
+    if entry is None or entry[0] != built_from:
+        diffs = list(_differences(rep, cases))
+        entry = _CERTIFICATES[rep] = built_from, diffs, diffs.count({})
+    return entry[1:]
+
+
 def _specialize(ring: Ring, diff, a, b) -> dict:
     """The nonzero entries {(r, c): payload} of a generic difference at
     the payloads a, b of the ring: sum n a^i b^j per entry."""
@@ -382,8 +398,9 @@ def _cases(system):
     b != -a, as (law, a, b, a + b); law "R3-" when N(a, b) = -1."""
     cases = [("R1", alpha, alpha, None) for alpha in system.roots]
     for alpha in system.roots:
+        minus = system.negate(alpha)
         for beta in system.roots:
-            if beta != system.negate(alpha):
+            if beta != minus:
                 s = system.addition_table.get((alpha, beta))
                 law = ("R2" if s is None else
                        "R3-" if system.structure_constant(alpha, beta) == -1 else "R3")
@@ -417,12 +434,13 @@ def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> Rela
     """Check the three Steinberg relations as matrix identities,
     exhaustively over root pairs (`_cases`) and at `samples` trials (a, b)
     each; violations are in case order.  Each case is certified at the
-    generic point of ZZ[a, b] (`_differences`): a zero difference holds
-    at every (a, b) of every commutative ring and draws nothing from
-    `rng`, and a nonzero one is specialized (`_specialize`) at trials
-    drawn by `Ring._sample` up to the first that fails.  So an intact
-    sweep leaves `rng` as it was.  Over Z/m with d (m - 1)^2 >= 2^53, as
-    GF(1000000007), every case is instead evaluated in float64
+    generic point of ZZ[a, b] (`_differences`), once per representation
+    until its tables or cases change (`_certificate`): a zero difference
+    holds at every (a, b) of every commutative ring and draws nothing
+    from `rng`, and a nonzero one is specialized (`_specialize`) at
+    trials drawn by `Ring._sample` up to the first that fails.  So an
+    intact sweep leaves `rng` as it was.  Over Z/m with d (m - 1)^2 >=
+    2^53, as GF(1000000007), every case is instead evaluated in float64
     (`_float_sweep`), whose products round there and report the false
     violations that the benchmark's relation-sweep asserts until its
     next revision."""
@@ -434,6 +452,6 @@ def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> Rela
         from ._float_sweep import first_failures
         return _report(rep, ring, samples, cases,
                        first_failures(rep, ring, samples, cases, mod, rng), 0)
-    diffs = list(_differences(rep, cases))
+    diffs, certified = _certificate(rep, cases)
     return _report(rep, ring, samples, cases, _first_failures(ring, diffs, samples, rng),
-                   diffs.count({}))
+                   certified)

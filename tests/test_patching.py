@@ -66,6 +66,16 @@ def test_decompose_shifted_reconstructs():
     assert checks.bezout_reconstruction(random.Random(2), 50) == []
 
 
+def test_decompose_shifted_by_zero_is_the_decomposition():
+    datum = zariski_datum(ZZ(), 2, 3)
+    rng = random.Random(5)
+    for _ in range(20):
+        c = datum.A.sample(rng)
+        for k in range(1, 5):
+            for zero in (0, datum.B.zero):
+                assert datum.decompose_shifted(c, k, zero) == datum.decompose(c, k)
+
+
 # -- conjugation case formulas (letter level) ---------------------------------
 
 def test_conj_case_formulas():

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+import weakref
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -166,9 +167,12 @@ def test_verify_relations_sweeps():
                                                    for ring in checks.sweep_rings()]) == []
 
 
-def test_intact_sweep_draws_nothing():
+def test_intact_sweep_draws_nothing(monkeypatch):
     """Every case of an intact rep is certified, and a certified case
-    draws no trial, so the sweep leaves the rng state as it was."""
+    draws no trial, so the sweep leaves the rng state as it was, both
+    when it builds the rep's certificate (the first ring) and when it
+    finds it built (the others)."""
+    monkeypatch.setattr(reps, "_CERTIFICATES", weakref.WeakKeyDictionary())
     Pt = poly_ring(ZZ(), ("t",))
     for ring in (ZZ(), quotient(ZZ(), 6), GF(7), quotient(Pt, Pt.var("t") ** 3),
                  localize(ZZ(), 2)):
@@ -177,6 +181,7 @@ def test_intact_sweep_draws_nothing():
             state = rng.getstate()
             assert verify_relations(rep, ring, 10, rng).ok
             assert rng.getstate() == state, (rep.describe(), ring)
+            assert rep in reps._CERTIFICATES
 
 
 def test_relations_hold_over_product_rings():
@@ -699,6 +704,31 @@ def _assert_refuted_with_witnesses(bad, ring, report):
         assert a.ring is ring and b.ring is ring
         left, right = _sides(ring, case, a.payload, b.payload)
         assert _replayed(bad, ring, left) != _replayed(bad, ring, right), case
+
+
+def test_sweep_rebuilds_the_certificate_of_a_table_edited_in_place():
+    """A certificate is kept per representation, and an edit of its
+    table in place, the one `_flipped` makes, must rebuild it."""
+    intact = _rep("A", 3, "defining")
+    rep = dataclasses.replace(intact, m1=dict(intact.m1))
+    assert verify_relations(rep, GF(7), 10, random.Random(0)).ok
+    rep.m1[rep.system.simple_roots[0]] = _flipped(intact).m1[rep.system.simple_roots[0]]
+    _assert_refuted_with_witnesses(rep, GF(7), verify_relations(rep, GF(7), 10, random.Random(1)))
+
+
+@pytest.mark.parametrize("key", list(SWEEP_PINS))
+def test_warm_sweep_reports_as_the_cold_one(key, monkeypatch):
+    """A second sweep of the same rep, which finds its certificate built
+    on every exact route, and one after the certificates are dropped
+    give the cold sweep's report."""
+    monkeypatch.setattr(reps, "_CERTIFICATES", weakref.WeakKeyDictionary())
+    rep, cold = _pinned_sweep(key)
+    ring = key.split("/")[1]
+    assert (rep in reps._CERTIFICATES) == (ring != "Fbig")
+    for _ in range(2):
+        assert verify_relations(rep, SWEEP_RINGS[ring], SWEEP_SAMPLES[ring],
+                                random.Random(key)) == cold
+        reps._CERTIFICATES.clear()
 
 
 def test_exactness_threshold_at_dimension_45():
