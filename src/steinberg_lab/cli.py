@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import checks, milnor, patching, reps, simplicial, words
-from .rings import GF, QQ, ZZ, RingElement, _is_prime, poly_ring, quotient, ring_from_json
+from .rings import GF, QQ, ZZ, RingElement, poly_ring, quotient, ring_from_json
 from .roots import SUPPORTED_RANKS, build_root_system
 from .words import word_from_json, word_to_json
 
@@ -103,11 +103,11 @@ def parse_symbol(spec: str):
 
 def parse_odd_prime(spec: str) -> int:
     try:
-        if int(spec) != 2 and _is_prime(int(spec)):
-            return int(spec)
-    except ValueError:   # not an integer, or too large to decide
-        pass
-    raise argparse.ArgumentTypeError(f"{spec!r} is not an odd prime")
+        p = int(spec)
+        milnor._check_odd_prime(p)
+    except ValueError:   # not an integer, not an odd prime, or too large to decide
+        raise argparse.ArgumentTypeError(f"{spec!r} is not an odd prime") from None
+    return p
 
 
 def _batch_from_json(data):

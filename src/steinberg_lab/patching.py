@@ -1,9 +1,9 @@
 """Patching across a localization square: conjugation homomorphisms, the
 orbit-set translation operators, and a glueing demo.
 
-The construction works over a datum (B, A, h) with B/h = A/h effective
-and every map of the square canonical; the supported instances are the
-identity case A = B and the Zariski case A = B_m with m coprime to h.
+The construction works over the Zariski square B -> A = B_m with m and
+h coprime in B, so that c = a h^k + b splits effectively, and every map
+of the square is canonical.
 All group-level equalities are asserted at matrix-image level: the orbit
 map mu sends a pair (u, v) to image(u) * image(v) in G(A_h), and every
 operator is checked against it.  The degree bounds attached to
@@ -39,29 +39,32 @@ class GlueingError(ValueError):
 
 
 class PatchDatum:
-    """(B, A, h) with an effective decomposition A = A h^k + B; iota,
-    lambda_B, lambda_A and iota_h are the canonical maps of the square.
-    A is B or a localization B_m; ValueError otherwise."""
+    """The Zariski square B -> A = B_m with h, where m and h are nonzero
+    and coprime in B, so that A = A h^k + B effectively.  Over a field
+    nonzero is enough; elsewhere a Bezout identity certifies coprimality,
+    so ValueError is raised when m and h are not coprime or where that
+    cannot be decided (`ext_gcd` covers ZZ and F[t]).  iota, lambda_B,
+    lambda_A and iota_h are the canonical maps of the square; m = 1 gives
+    A = B_1, a copy of B."""
 
-    def __init__(self, B: Ring, A: Ring, h: RingElement):
-        if not (A is B or isinstance(A, LocalizationRing) and A.base is B):
-            raise ValueError(f"{A} is neither {B} nor a localization of it")
-        self.B = B
-        self.A = A
-        self.iota = canonical_hom(B, A)
-        self.h = B.el(h)
-        if self.h.is_zero:
-            raise ValueError("h must be nonzero")
-        self.kind = "identity" if A is B else "zariski"
-        self.h_in_A = self.iota(self.h)
-        self.B_h = localize(B, self.h)
-        self.A_h = localize(A, self.h_in_A)
+    def __init__(self, B: Ring, m, h):
+        m, h = B.el(m), B.el(h)
+        if m.is_zero or h.is_zero:
+            raise ValueError(f"m = {m!r} and h = {h!r} must be nonzero")
+        if not B.is_field:
+            bezout_identity(m, h)
+        self.B, self.h = B, h
+        self.A = localize(B, m)
+        self.iota = canonical_hom(B, self.A)
+        self.h_in_A = self.iota(h)
+        self.B_h = localize(B, h)
+        self.A_h = localize(self.A, self.h_in_A)
         self.lam_B = canonical_hom(B, self.B_h)
-        self.lam_A = canonical_hom(A, self.A_h)
+        self.lam_A = canonical_hom(self.A, self.A_h)
         self.iota_loc = canonical_hom(self.B_h, self.A_h)
 
     def __repr__(self):
-        return f"PatchDatum[{self.kind}]({self.B} -> {self.A}, h={self.h!r})"
+        return f"PatchDatum({self.B} -> {self.A}, h={self.h!r})"
 
     def decompose(self, c: RingElement, k: int):
         """c = a h^k + b with a in A, b in B; elements already coming
@@ -76,18 +79,7 @@ class PatchDatum:
         return (a, b) if d.is_zero else (a - self.iota(d), b + d * self.h ** k)
 
 
-def zariski_datum(B: Ring, m, h) -> PatchDatum:
-    """B -> B_m with m and h nonzero and coprime in B: the localization
-    instance of the excision square.  Over a field nonzero is enough;
-    elsewhere a Bezout identity certifies coprimality, so ValueError is
-    raised when m and h are not coprime or where that cannot be decided
-    (`ext_gcd` covers ZZ and F[t])."""
-    m, h = B.el(m), B.el(h)
-    if m.is_zero or h.is_zero:
-        raise ValueError(f"m = {m!r} and h = {h!r} must be nonzero")
-    if not B.is_field:
-        bezout_identity(m, h)
-    return PatchDatum(B, localize(B, m), h)
+zariski_datum = PatchDatum
 
 
 # ---------------------------------------------------------------------------

@@ -1044,10 +1044,8 @@ def ext_gcd(a: RingElement, b: RingElement):
     return tuple(RingElement(ring, p) for p in _euclid(ring, a.payload, b.payload))
 
 
-def bezout_identity(a: RingElement, b: RingElement, s: int = 1, t: int | None = None):
+def bezout_identity(a: RingElement, b: RingElement, s: int = 1, t: int = 1):
     """(x, y) with x*a^s + y*b^t = 1; requires a, b coprime."""
-    if t is None:
-        t = s
     A = a ** s
     B = b ** t
     g, x, y = ext_gcd(A, B)
@@ -1080,7 +1078,7 @@ def bezout_decompose(x: RingElement, b: RingElement, s: int):
     r = RingElement(R, num) * a ** (s - k)
     if s == 0:
         return loc.zero, r
-    xx, yy = bezout_identity(a, b, s)
+    xx, yy = bezout_identity(a, b, s, s)
     principal = loc.fraction(r * yy * b ** s, s)
     integral = r * xx
     return principal, integral
@@ -1133,14 +1131,12 @@ def milnor_square_project_base(elem: RingElement) -> RingElement:
 def decompose_modulo_power(c: RingElement, k: int, h: RingElement, B: Ring):
     """Write c in A as a*h^k + b with a in A and b from B.
 
-    Supported configurations: the identity instance (A == B) and the
-    Zariski instance A = B_m with m and h coprime in B.  Elements whose
-    payload is already h-integral decompose with a = 0.
+    A must be a localization B_m with m and h coprime in B (the Zariski
+    square); DecompositionError otherwise.  Elements whose payload is
+    already h-integral decompose with a = 0.
     """
     A = c.ring
     h = B.el(h)
-    if A is B:
-        return A.zero, c
     if not (isinstance(A, LocalizationRing) and A.base is B):
         raise DecompositionError(f"no effective decomposition for {A} over {B}")
     num, s = c.payload

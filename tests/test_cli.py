@@ -9,7 +9,7 @@ import pytest
 
 from steinberg_lab import cli
 from steinberg_lab.cli import main, parse_ring
-from steinberg_lab.rings import GF, QQ, ZZ, localize, quotient
+from steinberg_lab.rings import _MR_LIMIT, GF, QQ, ZZ, localize, quotient
 from steinberg_lab.roots import build_root_system
 from steinberg_lab.words import commutator, gen, word_to_json
 
@@ -404,6 +404,7 @@ def _assert_request_usage(argv, err):
     ["eval", "--word", "p-float.json"],                          # F11.0 is not F11
     ["patch", "demo", "--word", "a3-word.json"],                 # ZZ is not some B_m
     ["patch", "demo", "--word", "a3-word-zz2-3.json", "--b", "5"],  # no Bezout rule in ZZ[1/2]
+    *(["k2m", "tame", "--symbol", "2,3", "--prime", p] for p in ("2", "-3", str(_MR_LIMIT))),
 ])
 def test_input_errors_are_usage_errors(argv, capsys, workdir):
     code, err = _exit_code(argv, capsys)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from steinberg_lab.rings import GF, QQ, ZZ, localize, poly_ring, quotient
+from steinberg_lab.rings import GF, QQ, ZZ, RingMismatchError, localize, poly_ring, quotient
 from steinberg_lab.roots import build_root_system
 from steinberg_lab import checks, patching, reps, words
 from steinberg_lab.patching import (ConjugationHom, GlueingError,
@@ -41,13 +41,15 @@ def random_g(datum, rng, max_len=2, s_max=2):
 def test_datum_construction():
     datum = make_datum()
     assert datum.B_h.multiplier == Z.from_int(3)
-    assert PatchDatum(Z, localize(Z, 6), 5).kind == "zariski"
+    assert zariski_datum is PatchDatum
+    datum = PatchDatum(ZZ(), 2, 3)
+    assert datum.A is localize(ZZ(), 2) and datum.A_h is localize(datum.A, datum.h_in_A)
+    assert repr(datum) == "PatchDatum(ZZ -> (ZZ)_[2], h=3)"
     with pytest.raises(ValueError):
         zariski_datum(Z, 2, 0)
-    # A is B or B_m: QQ receives the canonical map from ZZ but is neither
-    for A in (QQ(), poly_ring(Z, ("t",)), localize(localize(Z, 2), 3)):
-        with pytest.raises(ValueError, match="localization"):
-            PatchDatum(Z, A, 3)
+    for m in (GF(7).from_int(2), localize(Z, 2).from_int(2)):
+        with pytest.raises(RingMismatchError):
+            PatchDatum(Z, m, 3)
 
 
 def test_datum_needs_coprime_m_and_h():
@@ -60,6 +62,9 @@ def test_datum_needs_coprime_m_and_h():
                     (poly_ring(Z, ("t",)), 2, 3)]:
         with pytest.raises(ValueError):
             zariski_datum(B, m, h)
+    for m, h in [(2, 2), (6, 3), (2, 4)]:
+        with pytest.raises(ValueError, match="coprime"):
+            PatchDatum(Z, m, h)
 
 
 def test_decompose_shifted_reconstructs():
@@ -336,8 +341,8 @@ def test_translation_relations_report():
 
 
 def test_translation_relations_identity_datum():
-    datum = PatchDatum(Z, Z, Z.el(3))
-    assert datum.kind == "identity"
+    """m = 1 gives A = B_1, a copy of B: the square B -> B with h = 3."""
+    datum = zariski_datum(ZZ(), 1, 3)
     report = verify_translation_relations(datum, A3, ADJ, 8, random.Random(10))
     assert report.ok, report.failures
 

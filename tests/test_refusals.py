@@ -46,7 +46,7 @@ class _UnlistedIntegers(IntegerRing):
 
 
 REFUSALS = {
-    "patching.PatchDatum-zero-h": (lambda: patching.PatchDatum(Z, Z, 0), ValueError),
+    "patching.PatchDatum-zero-h": (lambda: patching.PatchDatum(Z, 2, 0), ValueError),
     "patching.ConjugationHom-unlocalized-conjugator":
         (lambda: _conj(g=words.gen(A2, Z, a1, 1)), ValueError),
     "patching.ConjugationHom-h-not-inverted": (lambda: _conj(h=3), ValueError),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinberg_lab import checks
-from steinberg_lab.patching import PatchDatum, zariski_datum
+from steinberg_lab.patching import zariski_datum
 from steinberg_lab.rings import (
     GF, QQ, ZZ, CompatibilityError, DecompositionError, NonUnitError, RingElement,
     bezout_decompose, bezout_identity, canonical_hom, coarser_localization_hom,
@@ -490,8 +490,11 @@ def test_decompose_modulo_power_examples():
 
 
 def test_decompose_modulo_power_identity_instance():
+    """A = B is not a Zariski square; m = 1 (A = B_1) stands for it."""
     Z = ZZ()
-    a, b = decompose_modulo_power(Z.from_int(9), 4, Z.from_int(3), Z)
+    with pytest.raises(DecompositionError):
+        decompose_modulo_power(Z.from_int(9), 4, Z.from_int(3), Z)
+    a, b = decompose_modulo_power(localize(Z, 1).from_int(9), 4, Z.from_int(3), Z)
     assert a.is_zero and b.payload == 9
 
 
@@ -619,8 +622,6 @@ def test_canonical_hom_is_a_ring_homomorphism(pair, seed):
 def test_canonical_hom_raises_without_a_map(pair):
     with pytest.raises(ValueError):
         canonical_hom(*pair)
-    with pytest.raises(ValueError):
-        PatchDatum(*pair, 3)
 
 
 def test_quotient_hom_and_localization_hom():
