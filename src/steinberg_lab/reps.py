@@ -11,12 +11,14 @@ over QQ and every localization tower of ZZ, and payload entries with
 d = 1 over every other ring.  Only the dense view `GroupMatrix.rows`
 maps int entries back to payloads.
 
-The relation sweep (`verify_relations`) proves each case at the generic
-point of ZZ[a, b], once per representation and its tables, and specializes
-only the nonzero differences in the ring, at trials that `Ring._sample`
-draws, over every ring but Z/m with d (m - 1)^2 >= 2^53.  There, as over
-GF(1000000007), every case is evaluated in float64 (`_float_sweep`, the
-only user of numpy), whose products round and report false violations.
+The relation sweep (`verify_relations`) builds its cases once per root
+system and structure-constant method, proves each at the generic point
+of ZZ[a, b] once per representation and its tables, keeps only the open
+cases, those with a nonzero difference, and specializes them in the ring
+at trials that `Ring._sample` draws, over every ring but Z/m with
+d (m - 1)^2 >= 2^53.  There, as over GF(1000000007), every case is
+evaluated in float64 (`_float_sweep`, the only user of numpy), whose
+products round and report false violations.
 """
 
 from __future__ import annotations
@@ -363,17 +365,18 @@ def _differences(rep: Representation, cases):
 _CERTIFICATES = weakref.WeakKeyDictionary()
 
 
-def _certificate(rep: Representation, cases):
-    """The generic differences of `cases` and the count of zero ones,
-    kept while `rep` lives and rebuilt when its tables or the cases
-    differ from those they were built from (a table edited in place, or
-    a patched structure constant, which changes the cases' laws)."""
-    built_from = (tuple(rep.m1.items()), tuple(rep.m2.items()), tuple(cases))
+def _certificate(rep: Representation, cases) -> dict:
+    """{case index: generic difference} over the cases whose difference
+    is nonzero, in case order, kept while `rep` lives and rebuilt when
+    its tables differ from those it was built from (a table edited in
+    place) or `cases` is not the table it was built from (`_cases`
+    rebuilds that under a patched structure constant)."""
+    tables = (tuple(rep.m1.items()), tuple(rep.m2.items()))
     entry = _CERTIFICATES.get(rep)
-    if entry is None or entry[0] != built_from:
-        diffs = list(_differences(rep, cases))
-        entry = _CERTIFICATES[rep] = built_from, diffs, diffs.count({})
-    return entry[1:]
+    if entry is None or entry[0] is not cases or entry[1] != tables:
+        diffs = enumerate(_differences(rep, cases))
+        entry = _CERTIFICATES[rep] = cases, tables, {n: diff for n, diff in diffs if diff}
+    return entry[2]
 
 
 def _specialize(ring: Ring, diff, a, b) -> dict:
@@ -393,36 +396,45 @@ def _specialize(ring: Ring, diff, a, b) -> dict:
     return {key: v for key, v in entries.items() if v != zero}
 
 
-def _cases(system):
+_CASES: dict = {}
+
+
+def _cases(system) -> tuple:
     """R1 on every root a, then R2 or R3 on every pair (a, b) with
-    b != -a, as (law, a, b, a + b); law "R3-" when N(a, b) = -1."""
-    cases = [("R1", alpha, alpha, None) for alpha in system.roots]
-    for alpha in system.roots:
-        minus = system.negate(alpha)
-        for beta in system.roots:
-            if beta != minus:
-                s = system.addition_table.get((alpha, beta))
-                law = ("R2" if s is None else
-                       "R3-" if system.structure_constant(alpha, beta) == -1 else "R3")
-                cases.append((law, alpha, beta, s))
-    return cases
+    b != -a, as (law, a, b, a + b); law "R3-" when N(a, b) = -1.  Built
+    once per root system (they are interned) and rebuilt when
+    `system.structure_constant` is not the method it was built with, so
+    a patch on the class or the instance, and its undo, are both seen."""
+    constant = system.structure_constant
+    entry = _CASES.get(system)
+    if entry is None or entry[0] != constant:
+        cases = [("R1", alpha, alpha, None) for alpha in system.roots]
+        for alpha in system.roots:
+            minus = system.negate(alpha)
+            for beta in system.roots:
+                if beta != minus:
+                    s = system.addition_table.get((alpha, beta))
+                    law = "R2" if s is None else "R3-" if constant(alpha, beta) == -1 else "R3"
+                    cases.append((law, alpha, beta, s))
+        entry = _CASES[system] = constant, tuple(cases)
+    return entry[1]
 
 
-def _first_failures(ring: Ring, diffs, samples: int, rng):
-    """For each case, the payloads (a, b) of its first trial at which its
-    generic difference specializes to nonzero, None if there is none.
-    Only a case with a nonzero difference draws trials: a, then b, from
-    `Ring._sample`, trial by trial, up to the first that fails."""
+def _first_failures(ring: Ring, open_cases: dict, samples: int, rng) -> dict:
+    """{case index: (a, b)} over the open cases (`_certificate`), in
+    index order, that fail: the payloads of the first trial at which the
+    case's generic difference specializes to nonzero.  Each open case
+    draws trials, a then b from `Ring._sample`, up to its first failure."""
     def trials():
         for _ in range(samples):
             yield ring._sample(rng, 6), ring._sample(rng, 6)
 
-    return [next((ab for ab in trials() if _specialize(ring, diff, *ab)), None) if diff
-            else None for diff in diffs]
+    return {n: ab for n, diff in open_cases.items()
+            if (ab := next((t for t in trials() if _specialize(ring, diff, *t)), None))}
 
 
-def _report(rep, ring, samples, cases, failures, certified) -> RelationReport:
-    failed = [(case, ab) for case, ab in zip(cases, failures) if ab is not None]
+def _report(rep, ring, samples, cases, failures: dict, certified) -> RelationReport:
+    failed = [(cases[n], ab) for n, ab in failures.items()]
     return RelationReport(
         rep.describe(), ring.describe(), samples, len(cases),
         [(law[:2], alpha) if law == "R1" else (law[:2], alpha, beta)
@@ -432,26 +444,29 @@ def _report(rep, ring, samples, cases, failures, certified) -> RelationReport:
 
 def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> RelationReport:
     """Check the three Steinberg relations as matrix identities,
-    exhaustively over root pairs (`_cases`) and at `samples` trials (a, b)
-    each; violations are in case order.  Each case is certified at the
-    generic point of ZZ[a, b] (`_differences`), once per representation
-    until its tables or cases change (`_certificate`): a zero difference
-    holds at every (a, b) of every commutative ring and draws nothing
-    from `rng`, and a nonzero one is specialized (`_specialize`) at
-    trials drawn by `Ring._sample` up to the first that fails.  So an
-    intact sweep leaves `rng` as it was.  Over Z/m with d (m - 1)^2 >=
-    2^53, as GF(1000000007), every case is instead evaluated in float64
-    (`_float_sweep`), whose products round there and report the false
-    violations that the benchmark's relation-sweep asserts until its
-    next revision."""
-    if samples < 1:
-        raise ValueError(f"verify_relations needs samples >= 1, got {samples}")
+    exhaustively over root pairs (`_cases`, built once per root system)
+    and at `samples` trials (a, b) each, `samples` an int >= 1;
+    violations are in case order.  Each case is certified at the generic
+    point of ZZ[a, b] (`_differences`), once per representation until
+    its tables or cases change (`_certificate`, which keeps only the open
+    cases, those with a nonzero difference): a zero difference holds at
+    every (a, b) of every commutative ring and draws nothing from `rng`,
+    and a nonzero one is specialized (`_specialize`) at trials drawn by
+    `Ring._sample` up to the first that fails.  So an intact sweep leaves
+    `rng` as it was, and a warm one does work only on the open cases.
+    Over Z/m with d (m - 1)^2 >= 2^53, as GF(1000000007), every case is
+    instead evaluated in float64 (`_float_sweep`), whose products round
+    there and report the false violations that the benchmark's
+    relation-sweep asserts until its next revision."""
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        raise ValueError(f"verify_relations needs an int samples >= 1, got {samples!r}")
     cases = _cases(rep.system)
     mod = ring.p if isinstance(ring, PrimeFieldRing) else getattr(ring, "n", None)
     if mod and rep.dim * (mod - 1) ** 2 >= 2 ** 53:
         from ._float_sweep import first_failures
+        failures = first_failures(rep, ring, samples, cases, mod, rng)
         return _report(rep, ring, samples, cases,
-                       first_failures(rep, ring, samples, cases, mod, rng), 0)
-    diffs, certified = _certificate(rep, cases)
-    return _report(rep, ring, samples, cases, _first_failures(ring, diffs, samples, rng),
-                   certified)
+                       {n: ab for n, ab in enumerate(failures) if ab is not None}, 0)
+    open_cases = _certificate(rep, cases)
+    return _report(rep, ring, samples, cases, _first_failures(ring, open_cases, samples, rng),
+                   len(cases) - len(open_cases))

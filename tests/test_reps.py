@@ -478,13 +478,19 @@ def _flipped(rep):
 @pytest.mark.parametrize("ring", [GF(7), GF(1000000007)], ids=str)
 def test_verify_relations_refuses_a_sweep_without_samples(ring):
     """A sweep of no trials refutes nothing, so it must not report that
-    every law holds; one trial already refutes the flipped rep.  GF(7)
-    takes the exact route and GF(1000000007) the float64 one."""
-    bad = _flipped(build_representation(build_root_system("A", 2), "adjoint"))
+    every law holds; one trial already refutes the flipped rep.  A count
+    that is not an int, or is a bool, is refused before any work, on
+    the intact rep too, which would otherwise report ok.  GF(7) takes
+    the exact route and GF(1000000007) the float64 one."""
+    intact = build_representation(build_root_system("A", 2), "adjoint")
+    bad = _flipped(intact)
     assert not verify_relations(bad, ring, 1, random.Random(0)).ok
-    for samples in (0, -1):
-        with pytest.raises(ValueError, match="samples >= 1"):
-            verify_relations(bad, ring, samples, random.Random(0))
+    for samples in (0, -1, 2.5, 1.0, True, "3", None):
+        for rep in (intact, bad):
+            rng = random.Random(0)
+            with pytest.raises(ValueError, match="int samples >= 1"):
+                verify_relations(rep, ring, samples, rng)
+            assert rng.getstate() == random.Random(0).getstate()
 
 
 _Pt = poly_ring(ZZ(), ("t",))
@@ -716,19 +722,52 @@ def test_sweep_rebuilds_the_certificate_of_a_table_edited_in_place():
     _assert_refuted_with_witnesses(rep, GF(7), verify_relations(rep, GF(7), 10, random.Random(1)))
 
 
+def test_sweep_sees_a_patched_structure_constant_and_its_undo(monkeypatch):
+    """The case table is kept per root system and the certificate per
+    rep, yet a sweep sees a structure constant patched on the class or
+    on the instance, and the undo of either: the intact rep is certified,
+    refuted with replayable witnesses under the negated N, and certified
+    again once the patch is undone."""
+    rep, ring = _rep("A", 2, "adjoint"), GF(7)
+    system, original = rep.system, type(rep.system).structure_constant
+
+    def certified():
+        report = verify_relations(rep, ring, 10, random.Random(0))
+        return report.ok and report.certified == report.pairs_checked
+
+    assert certified()
+    for owner, negated in ((type(system), lambda self, a, b: -original(self, a, b)),
+                           (system, lambda a, b: -original(system, a, b))):
+        monkeypatch.setattr(owner, "structure_constant", negated)
+        report = verify_relations(rep, ring, 10, random.Random(1))
+        _assert_refuted_with_witnesses(rep, ring, report)
+        monkeypatch.undo()
+        assert certified()
+
+
 @pytest.mark.parametrize("key", list(SWEEP_PINS))
 def test_warm_sweep_reports_as_the_cold_one(key, monkeypatch):
-    """A second sweep of the same rep, which finds its certificate built
-    on every exact route, and one after the certificates are dropped
-    give the cold sweep's report."""
+    """A second sweep of the same rep finds its case table and, on every
+    exact route, its certificate built: it builds no difference, and on
+    an intact rep specializes none, and gives the cold sweep's report,
+    as does one after the certificates are dropped."""
     monkeypatch.setattr(reps, "_CERTIFICATES", weakref.WeakKeyDictionary())
     rep, cold = _pinned_sweep(key)
-    ring = key.split("/")[1]
-    assert (rep in reps._CERTIFICATES) == (ring != "Fbig")
-    for _ in range(2):
-        assert verify_relations(rep, SWEEP_RINGS[ring], SWEEP_SAMPLES[ring],
-                                random.Random(key)) == cold
-        reps._CERTIFICATES.clear()
+    name = key.split("/")[1]
+    ring, samples = SWEEP_RINGS[name], SWEEP_SAMPLES[name]
+    assert (rep in reps._CERTIFICATES) == (name != "Fbig")
+    assert reps._cases(rep.system) is reps._cases(rep.system)
+
+    def unused(*args):
+        raise AssertionError("a warm sweep did per-case work")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(reps, "_differences", unused)
+        if "~flip" not in key:
+            patched.setattr(reps, "_specialize", unused)
+        assert verify_relations(rep, ring, samples, random.Random(key)) == cold
+    reps._CERTIFICATES.clear()
+    assert verify_relations(rep, ring, samples, random.Random(key)) == cold
 
 
 def test_exactness_threshold_at_dimension_45():
