@@ -4,7 +4,9 @@ Symbols {a, b} are stored as formal multisets with integer
 multiplicities.  Simplification applies only sound K2 relations
 (bilinearity via prime factorization, skew-symmetry, {u,-u} and
 {u,1-u} vanishing); no complete normal form is attempted, and equality
-claims are routed through tame-symbol images at odd primes.
+claims are routed through tame-symbol images at odd primes.  Terms are
+merged and ordered on (str(a), str(b)) of the payloads, hashing no Fraction;
+two caches of 256 int entries keep factorizations and primality answers.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, inf
 
 from .rings import _MR_LIMIT, RationalField, Ring, _is_prime
@@ -25,18 +28,25 @@ __all__ = [
 
 _SMALL_PRIMES = tuple(p for p in range(1 << 8) if _is_prime(p))
 _RHO_STEPS = 1 << 18   # Pollard rho steps tried on a cofactor at or above psi_13
+_is_prime_cached = lru_cache(maxsize=256)(_is_prime)
 
 
 def factor_positive(n: int) -> dict:
-    """Prime factorization of a positive integer, keys ascending.  Trial
-    division by the primes below 2^8, then Miller-Rabin and Pollard rho
-    on the cofactor.  A cofactor at or above psi_13, where Miller-Rabin
-    is not exact, gets _RHO_STEPS rho steps (about half a second);
-    ValueError if they find no factor."""
+    """Prime factorization of a positive integer, keys ascending, as a
+    fresh dict.  Trial division by the primes below 2^8, then Miller-Rabin
+    and Pollard rho on the cofactor.  A cofactor at or above psi_13, where
+    Miller-Rabin is not exact, gets _RHO_STEPS rho steps (about half a
+    second); ValueError if they find no factor."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"cannot factor {n!r}: not an integer")
     if n <= 0:
         raise ValueError("argument must be positive")
+    return dict(_factorization(n))
+
+
+@lru_cache(maxsize=256)
+def _factorization(n: int) -> tuple:
+    """The (prime, exponent) pairs of n > 0, primes ascending."""
     out = {}
     for p in _SMALL_PRIMES:
         if p * p > n:
@@ -47,7 +57,7 @@ def factor_positive(n: int) -> dict:
     if n > 1:
         for p in _large_factors(n):
             out[p] = out.get(p, 0) + 1
-    return dict(sorted(out.items()))
+    return tuple(sorted(out.items()))
 
 
 def _large_factors(n: int) -> list:
@@ -93,13 +103,22 @@ def _factor_rational(x: Fraction) -> dict:
     """{entry: exponent} with x the product of entry^exponent over -1
     (first, when x < 0) and the primes of x, ascending; denominator
     primes get negative exponents."""
-    if x == 0:
-        raise ValueError("zero has no symbol factorization")
     fac = {-1: 1} if x < 0 else {}
     fac.update(factor_positive(abs(x.numerator)))
     for p, e in factor_positive(x.denominator).items():
         fac[p] = fac.get(p, 0) - e
     return {p: e for p, e in fac.items() if e}
+
+
+def _clean(field: Ring, items):
+    """Payload terms of the items ((a, b), mult), without symbols on 1."""
+    zero, one = field._from_int(0), field._from_int(1)
+    for (a, b), mult in items:
+        a, b = field.el(a).payload, field.el(b).payload
+        if a == zero or b == zero:
+            raise ValueError("symbol entries must be nonzero")
+        if a != one and b != one:
+            yield (a, b), mult
 
 
 class MilnorSymbolSum:
@@ -108,31 +127,26 @@ class MilnorSymbolSum:
     __slots__ = ("field", "terms")
 
     def __init__(self, field: Ring, terms):
+        self._collect(field, _clean(field, terms.items()))
+
+    def _collect(self, field: Ring, terms) -> "MilnorSymbolSum":
+        """Set the sum of payload terms ((a, b), mult), merged on (str(a), str(b))."""
+        keys, mults = {}, {}
+        for k, m in terms:
+            s = (str(k[0]), str(k[1]))
+            keys[s] = k
+            mults[s] = mults.get(s, 0) + m
         self.field = field
-        clean = {}
-        one = field._from_int(1)
-        for (a, b), mult in terms.items():
-            a, b = field.el(a), field.el(b)
-            if a.is_zero or b.is_zero:
-                raise ValueError("symbol entries must be nonzero")
-            if a.payload == one or b.payload == one or mult == 0:
-                continue
-            key = (a.payload, b.payload)
-            clean[key] = clean.get(key, 0) + mult
-        self.terms = tuple(sorted(
-            ((k, m) for k, m in clean.items() if m),
-            key=lambda km: (str(km[0][0]), str(km[0][1]))))
+        self.terms = tuple((keys[s], mults[s]) for s in sorted(mults) if mults[s])
+        return self
 
     def __add__(self, other: "MilnorSymbolSum") -> "MilnorSymbolSum":
         if other.field != self.field:
             raise ValueError("symbol sums over different fields")
-        terms = dict(self.terms)
-        for k, m in other.terms:
-            terms[k] = terms.get(k, 0) + m
-        return MilnorSymbolSum(self.field, terms)
+        return object.__new__(MilnorSymbolSum)._collect(self.field, self.terms + other.terms)
 
     def __neg__(self) -> "MilnorSymbolSum":
-        return MilnorSymbolSum(self.field, {k: -m for k, m in self.terms})
+        return object.__new__(MilnorSymbolSum)._collect(self.field, ((k, -m) for k, m in self.terms))
 
     def __sub__(self, other: "MilnorSymbolSum") -> "MilnorSymbolSum":
         return self + (-other)
@@ -163,7 +177,8 @@ class TameSymbolImage:
 
 
 def symbol(a, b) -> MilnorSymbolSum:
-    return MilnorSymbolSum(RationalField(), {(a, b): 1})
+    field = RationalField()
+    return object.__new__(MilnorSymbolSum)._collect(field, _clean(field, (((a, b), 1),)))
 
 
 def relevant_odd_primes(s: MilnorSymbolSum):
@@ -171,11 +186,9 @@ def relevant_odd_primes(s: MilnorSymbolSum):
     sum over QQ."""
     if not isinstance(s.field, RationalField):
         raise ValueError("tame symbols are defined over Q here")
-    primes = set()
-    for (a, b), _ in s.terms:
-        for x in (a, b):
-            primes.update(p for p in _factor_rational(Fraction(x)) if p > 2)
-    return sorted(primes)
+    parts = {n for (a, b), _ in s.terms
+             for x in (a, b) for n in (abs(x.numerator), x.denominator)}
+    return sorted({p for n in parts for p in factor_positive(n) if p > 2})
 
 
 # ---------------------------------------------------------------------------
@@ -183,28 +196,29 @@ def relevant_odd_primes(s: MilnorSymbolSum):
 # ---------------------------------------------------------------------------
 
 def _check_odd_prime(p) -> None:
-    if not isinstance(p, int) or isinstance(p, bool) or p == 2 or not _is_prime(p):
+    if not isinstance(p, int) or isinstance(p, bool) or p == 2 or not _is_prime_cached(p):
         raise ValueError("tame symbols are computed at odd primes only")
 
 
-def _unit_split(x, p: int):
-    """(v_p(x), unit part of x mod p) for a nonzero rational x, read off
-    its numerator and denominator."""
-    num, den = x.numerator, x.denominator
-    v = 0
+def _strip(x, p: int):
+    """(v_p(x), numerator, denominator) of a rational x != 0, p taken out."""
+    num, den, v = x.numerator, x.denominator, 0
     while num % p == 0:
         num //= p
         v += 1
     while den % p == 0:
         den //= p
         v -= 1
-    return v, num * pow(den, -1, p) % p
+    return v, num, den
 
 
 def _tame_term(a, b, p: int) -> int:
-    va, ua = _unit_split(a, p)
-    vb, ub = _unit_split(b, p)
-    val = pow(ua, vb, p) * pow(ub, -va, p) % p
+    """(-1)^(v(a) v(b)) a^v(b) / b^v(a) mod p; a zero exponent takes no inverse."""
+    va, na, da = _strip(a, p)
+    vb, nb, db = _strip(b, p)
+    if not (va or vb):
+        return 1
+    val = pow(na, vb, p) * pow(da, -vb, p) * pow(nb, -va, p) * pow(db, va, p) % p
     return p - val if (va * vb) % 2 else val
 
 

@@ -5,10 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from steinberg_lab.milnor import (MilnorSymbolSum, TameSymbolImage, factor_positive,
-                                  steinberg_to_milnor, symbol,
+                                  relevant_odd_primes, steinberg_to_milnor, symbol,
                                   symbol_normalize, tame_symbol)
 from steinberg_lab.rings import GF, QQ
 from steinberg_lab.roots import build_root_system
@@ -27,6 +28,12 @@ def test_factor_positive():
     # 2^89 - 1 is prime, above the bound where Miller-Rabin is exact
     with pytest.raises(ValueError):
         factor_positive(2 ** 89 - 1)
+
+
+def test_factor_positive_returns_a_fresh_dict():
+    factor_positive(360)[7] = 1
+    factor_positive(360).clear()
+    assert factor_positive(360) == {2: 3, 3: 2, 5: 1}
 
 
 def test_factor_positive_splits_products_of_primes_above_2_8():
@@ -78,6 +85,14 @@ def test_tame_symbol_term_refuses_primes_that_are_not_odd_primes():
             _term(2, 3, p)
 
 
+def test_prime_refusals_hold_after_a_cached_tame_symbol():
+    """3 is in the primality cache, and 3.0 and True hash like 3 and 1."""
+    assert _term(2, 3, 3) == 2
+    for p in (9, 2, 1, -1, -3, True, 3.0):
+        with pytest.raises(ValueError, match="odd primes only"):
+            _term(2, 3, p)
+
+
 def _fraction_tame_term(a, b, p):
     """The tame symbol term computed through Fraction unit parts, as a
     reference for the integer version."""
@@ -108,6 +123,99 @@ def test_tame_symbol_term_matches_fraction_formula(p, data):
 
     a, b = entry(), entry()
     assert _term(a, b, p) == _fraction_tame_term(a, b, p)
+
+
+def _prime_to(rng, p):
+    n = rng.randint(1, 10 ** 6)
+    return n + 1 if n % p == 0 else n
+
+
+@pytest.mark.parametrize("divides", ["neither", "a", "b", "both"])
+def test_tame_symbol_term_fast_paths_match_fraction_formula(divides):
+    """Terms where p divides neither entry (the value is 1), one entry
+    (one unit part is read), or both."""
+    rng = random.Random(divides)
+    for p in (3, 5, 7, 65537):
+        for _ in range(100):
+            def entry(divisible):
+                v = rng.choice([-2, -1, 1, 2]) if divisible else 0
+                return (Fraction(rng.choice([-1, 1]) * _prime_to(rng, p), _prime_to(rng, p))
+                        * Fraction(p) ** v)
+
+            a, b = entry(divides in ("a", "both")), entry(divides in ("b", "both"))
+            assert _term(a, b, p) == _fraction_tame_term(a, b, p)
+            if divides == "neither":
+                assert _term(a, b, p) == 1
+
+
+def _reference_terms(field, items):
+    """The terms of a sum as collected before: a dict keyed by pairs of
+    payloads, then sorted by the strings of both entries."""
+    clean, one = {}, field._from_int(1)
+    for (a, b), mult in items:
+        a, b = field.el(a), field.el(b)
+        if a.is_zero or b.is_zero:
+            raise ValueError("symbol entries must be nonzero")
+        if a.payload == one or b.payload == one or mult == 0:
+            continue
+        key = (a.payload, b.payload)
+        clean[key] = clean.get(key, 0) + mult
+    return tuple(sorted(((k, m) for k, m in clean.items() if m),
+                        key=lambda km: (str(km[0][0]), str(km[0][1]))))
+
+
+_ENTRIES = {"QQ": st.one_of(st.integers(-4, 4).filter(bool),
+                            st.builds(Fraction, st.integers(-4, 4).filter(bool),
+                                      st.integers(1, 3))),
+            "F7": st.integers(-9, 16).filter(lambda n: n % 7)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(_ENTRIES)), st.data())
+def test_sums_match_the_reference_collector(name, data):
+    """Construction, +, - and negation against the old collector, on
+    entries that repeat (2 and 4/2 over QQ, 2 and 9 over F7), equal 1,
+    and multiplicities that cancel."""
+    field = QQ() if name == "QQ" else GF(7)
+
+    def terms():
+        pairs = st.tuples(st.tuples(_ENTRIES[name], _ENTRIES[name]), st.integers(-2, 2))
+        return dict(data.draw(st.lists(pairs, max_size=6)))
+
+    s_in, t_in = terms(), terms()
+    s, t = MilnorSymbolSum(field, s_in), MilnorSymbolSum(field, t_in)
+    assert s.terms == _reference_terms(field, s_in.items())
+    assert (s + t).terms == _reference_terms(field, s.terms + t.terms)
+    assert (-s).terms == _reference_terms(field, [(k, -m) for k, m in s.terms])
+    assert (s - t).terms == _reference_terms(field, s.terms + (-t).terms)
+    assert (s - s).is_empty
+    if name == "QQ":
+        a, b = data.draw(_ENTRIES[name]), data.draw(_ENTRIES[name])
+        assert symbol(a, b).terms == _reference_terms(field, [((a, b), 1)])
+
+
+def test_sum_terms_keep_field_payloads():
+    s = MilnorSymbolSum(GF(7), {(2, 3): 1, (9, 10): 2, (1, 5): 4, (3, 2): -1})
+    assert s.terms == (((2, 3), 3), ((3, 2), -1))
+    with pytest.raises(ValueError):
+        MilnorSymbolSum(GF(7), {(7, 3): 1})
+    assert symbol(Fraction(4, 2), 3).terms == (((Fraction(2), Fraction(3)), 1),)
+
+
+_BIG_ENTRIES = st.one_of(
+    st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9).filter(bool), st.integers(1, 10 ** 9)),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_BIG_ENTRIES, _BIG_ENTRIES, _BIG_ENTRIES)
+def test_relevant_odd_primes_of_a_sum_sharing_an_entry(a, b, c):
+    """The odd primes of the entries of every term, as sympy finds them;
+    the entry a is shared by both terms."""
+    s = symbol(a, b) + symbol(a, c)
+    expected = sorted({p for (x, y), _ in s.terms for z in (x, y)
+                       for p in sympy.primefactors(z.numerator * z.denominator) if p > 2})
+    assert relevant_odd_primes(s) == expected
 
 
 def test_symbol_entries_validated():

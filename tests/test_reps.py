@@ -727,7 +727,9 @@ def test_sweep_sees_a_patched_structure_constant_and_its_undo(monkeypatch):
     rep, yet a sweep sees a structure constant patched on the class or
     on the instance, and the undo of either: the intact rep is certified,
     refuted with replayable witnesses under the negated N, and certified
-    again once the patch is undone."""
+    again once the patch is undone.  The instance patch goes into its
+    ``__dict__``, so the undo deletes it rather than leaving the saved
+    bound method there to shadow the class in later tests."""
     rep, ring = _rep("A", 2, "adjoint"), GF(7)
     system, original = rep.system, type(rep.system).structure_constant
 
@@ -736,13 +738,16 @@ def test_sweep_sees_a_patched_structure_constant_and_its_undo(monkeypatch):
         return report.ok and report.certified == report.pairs_checked
 
     assert certified()
-    for owner, negated in ((type(system), lambda self, a, b: -original(self, a, b)),
-                           (system, lambda a, b: -original(system, a, b))):
-        monkeypatch.setattr(owner, "structure_constant", negated)
+    for patch in (lambda: monkeypatch.setattr(type(system), "structure_constant",
+                                              lambda self, a, b: -original(self, a, b)),
+                  lambda: monkeypatch.setitem(vars(system), "structure_constant",
+                                              lambda a, b: -original(system, a, b))):
+        patch()
         report = verify_relations(rep, ring, 10, random.Random(1))
         _assert_refuted_with_witnesses(rep, ring, report)
         monkeypatch.undo()
         assert certified()
+    assert "structure_constant" not in vars(system)
 
 
 @pytest.mark.parametrize("key", list(SWEEP_PINS))
