@@ -212,13 +212,15 @@ class RingElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return self.ring.one
+        # left to right from the top bit: bit_length - 1 squarings and
+        # popcount - 1 products by self
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):
@@ -233,7 +235,7 @@ class RingElement:
 
     @property
     def is_zero(self) -> bool:
-        return self.payload == self.ring._from_int(0)
+        return self.payload == self.ring.zero.payload
 
     def __bool__(self):
         return not self.is_zero
@@ -402,10 +404,27 @@ class PrimeFieldRing(Ring):
 # -- sparse multivariate polynomials ----------------------------------------
 #
 # Payload: tuple of (exponent_tuple, coeff_payload) sorted by graded
-# lexicographic order, descending, with no zero coefficients.
+# lexicographic order, descending, with no zero coefficients.  Every
+# payload operation assumes canonical operands; only _payload_from_json
+# takes raw terms.
+
+def _grlex(term):
+    return (sum(term[0]), term[0])
+
 
 def _poly_canonical(terms: dict):
-    return tuple(sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True))
+    if len(terms) < 2:
+        return tuple(terms.items())
+    return tuple(sorted(terms.items(), key=_grlex, reverse=True))
+
+
+def _poly_collect(base, terms):
+    """The canonical payload of a sum of (exponents, coefficient) terms."""
+    acc, badd = {}, base._add
+    for e, c in terms:
+        acc[e] = badd(acc[e], c) if e in acc else c
+    bz = base.zero.payload
+    return _poly_canonical({e: c for e, c in acc.items() if c != bz})
 
 
 class PolynomialRing(Ring):
@@ -434,19 +453,24 @@ class PolynomialRing(Ring):
         return RingElement(self, ((exps, self.base._from_int(1)),))
 
     def _from_base(self, c):
-        return () if c == self.base._from_int(0) else (((0,) * self.nvars, c),)
+        return () if c == self.base.zero.payload else (((0,) * self.nvars, c),)
 
     constant = Ring.from_base
 
     def _add(self, a, b):
+        if not a or not b:
+            return a or b
         terms = dict(a)
-        bz = self.base._from_int(0)
-        for exps, c in b:
-            s = self.base._add(terms.get(exps, bz), c)
-            if s == bz:
-                terms.pop(exps, None)
+        bz, badd = self.base.zero.payload, self.base._add
+        for e, c in b:
+            if e in terms:
+                s = badd(terms[e], c)
+                if s == bz:
+                    del terms[e]
+                else:
+                    terms[e] = s
             else:
-                terms[exps] = s
+                terms[e] = c
         return _poly_canonical(terms)
 
     def _neg(self, a):
@@ -455,18 +479,13 @@ class PolynomialRing(Ring):
     def _mul(self, a, b):
         if not a or not b:
             return ()
-        terms = {}
-        bz = self.base._from_int(0)
-        badd, bmul = self.base._add, self.base._mul
-        for e1, c1 in a:
-            for e2, c2 in b:
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = badd(terms.get(e, bz), bmul(c1, c2))
-                if s == bz:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return _poly_canonical(terms)
+        bmul = self.base._mul
+        if len(a) == 1 == len(b):   # a monomial times a monomial
+            (e1, c1), (e2, c2) = a[0], b[0]
+            c = bmul(c1, c2)
+            return () if c == self.base.zero.payload else ((tuple(map(operator.add, e1, e2)), c),)
+        return _poly_collect(self.base, ((tuple(map(operator.add, e1, e2)), bmul(c1, c2))
+                                         for e1, c1 in a for e2, c2 in b))
 
     def _divmod(self, a, b):
         """Leading-term division of a by b != 0: (quotient, remainder).
@@ -502,7 +521,7 @@ class PolynomialRing(Ring):
 
     def _sample(self, rng, size):
         terms = {}
-        bz = self.base._from_int(0)
+        bz = self.base.zero.payload
         for _ in range(rng.randint(0, 3)):
             exps = tuple(rng.randint(0, 2) for _ in range(self.nvars))
             c = self.base._sample(rng, size)
@@ -543,14 +562,13 @@ class PolynomialRing(Ring):
         return [[list(e), self.base._payload_to_json(c)] for e, c in a]
 
     def _payload_from_json(self, data):
-        # one sum merges repeated monomials and drops zeros
         terms = []
         for e, c in data:
             e = tuple(_json_int(x) for x in e)
             if len(e) != self.nvars or min(e) < 0:
                 raise ValueError(f"bad exponent vector {list(e)} for {self}")
             terms.append((e, self.base._payload_from_json(c)))
-        return self._add((), terms)
+        return _poly_collect(self.base, terms)
 
 
 # each localization caches its multiplier powers below this exponent
@@ -594,7 +612,7 @@ class LocalizationRing(Ring):
         return powers[k]
 
     def _norm(self, num, k):
-        bz = self.base._from_int(0)
+        bz = self.base.zero.payload
         if num == bz:
             return (bz, 0)
         # strip m^1, m^2, m^4, ... while they divide, then the halving
@@ -635,7 +653,7 @@ class LocalizationRing(Ring):
     def _try_divide(self, a, b):
         n1, k1 = a
         n2, k2 = b
-        bz = self.base._from_int(0)
+        bz = self.base.zero.payload
         if n1 == bz:
             return (bz, 0)
         if n2 == bz:
@@ -846,7 +864,7 @@ class MilnorSquareRing(Ring):
 
     def _split(self, g):
         """(numerator of g(0), g - g(0)), or None when g(0) is not in R."""
-        x, k = self.loc._from_int(0)
+        x, k = self.loc.zero.payload
         if g and g[-1][0] == (0,):
             (x, k), g = g[-1][1], g[:-1]
         return None if k else (x, g)
@@ -866,7 +884,7 @@ class MilnorSquareRing(Ring):
         for _ in range(rng.randint(0, 2)):
             e = (rng.randint(1, 3),)
             c = self.loc._sample(rng, size)
-            if c != self.loc._from_int(0):
+            if c != self.loc.zero.payload:
                 f[e] = c
         return (self.base._sample(rng, size), _poly_canonical(f))
 
@@ -978,7 +996,7 @@ def substitution_hom(domain: PolynomialRing, codomain: Ring, images) -> RingHom:
     coeff_fn = _canonical_fn(domain.base, codomain)
 
     def fn(payload):
-        acc = codomain._from_int(0)
+        acc = codomain.zero.payload
         for exps, c in payload:
             term = coeff_fn(c)
             for base_img, e in zip(img, exps):

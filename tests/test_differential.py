@@ -251,3 +251,102 @@ def test_ext_gcd_over_f7_matches_sympy(ca, cb):
     else:
         monic = g * GF(7).el(g.payload[0][1]).inverse().payload
         assert _to_sympy(monic, x, 7) == want
+
+
+# -- polynomial arithmetic against sympy and a dict reference ----------------
+
+def _grlex_payload(terms):
+    """The canonical payload of {exponents: coefficient}, built without
+    the ring: nonzero terms in descending graded-lex order."""
+    return tuple(sorted(((e, c) for e, c in terms.items() if c),
+                        key=lambda t: (sum(t[0]), t[0]), reverse=True))
+
+
+def _assert_canonical(f):
+    """A tuple of (exponents, coefficient) pairs, strictly descending in
+    graded-lex order, with no zero coefficient."""
+    p, zero = f.payload, f.ring.base.zero.payload
+    assert isinstance(p, tuple) and all(c != zero for _, c in p), p
+    keys = [(sum(e), e) for e, _ in p]
+    assert all(k > l for k, l in zip(keys, keys[1:])), p
+
+
+def _polys(P, coeffs, max_size):
+    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * P.nvars), coeffs,
+                           max_size=max_size).map(lambda t: RingElement(P, _grlex_payload(t)))
+
+
+# (ring, sympy options, coefficients)
+SYMPY_RINGS = {
+    "ZZ[x,y,z]": (poly_ring(ZZ(), ("x", "y", "z")), {"domain": "ZZ"}, st.integers(-6, 6)),
+    "F7[x]": (poly_ring(GF(7), ("x",)), {"modulus": 7}, st.integers(0, 6)),
+}
+
+
+def _sympy_poly(f, opts):
+    gens = sympy.symbols(f.ring.names)
+    return sympy.Poly.from_dict({e: int(c) for e, c in f.payload} or {(0,) * len(gens): 0},
+                                *gens, **opts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SYMPY_RINGS)), st.data())
+def test_polynomial_arithmetic_matches_sympy(name, data):
+    P, opts, coeffs = SYMPY_RINGS[name]
+    f, g = data.draw(_polys(P, coeffs, 4)), data.draw(_polys(P, coeffs, 4))
+    n = data.draw(st.integers(0, 12))
+    sf, sg = _sympy_poly(f, opts), _sympy_poly(g, opts)
+    for got, want in ((f + g, sf + sg), (f - g, sf - sg), (f * g, sf * sg), (f ** n, sf ** n)):
+        _assert_canonical(got)
+        assert _sympy_poly(got, opts) == want
+
+
+Z6X = poly_ring(quotient(ZZ(), 6), ("x",))
+
+
+def _z6_mul(a, b):
+    out = {}
+    for (i,), c in a.items():
+        for (j,), d in b.items():
+            out[(i + j,)] = (out.get((i + j,), 0) + c * d) % 6
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_polys(Z6X, st.integers(1, 5), 3), _polys(Z6X, st.integers(1, 5), 3),
+       st.integers(0, 12))
+def test_polynomial_arithmetic_over_z6_matches_a_dict_reference(f, g, n):
+    """Over Z/6 a product of nonzero coefficients can vanish, in the
+    monomial path (2x * 3x = 0) as in the general one."""
+    a, b = dict(f.payload), dict(g.payload)
+    add = {e: (a.get(e, 0) + b.get(e, 0)) % 6 for e in a.keys() | b.keys()}
+    sub = {e: (a.get(e, 0) - b.get(e, 0)) % 6 for e in a.keys() | b.keys()}
+    power = {(0,): 1}
+    for _ in range(n):
+        power = _z6_mul(power, a)
+    for got, want in ((f + g, add), (f - g, sub), (f * g, _z6_mul(a, b)), (f ** n, power)):
+        _assert_canonical(got)
+        assert got.payload == _grlex_payload(want)
+    x = Z6X.var("x")
+    assert (2 * x) * (3 * x) == 0 and ((2 * x) * (3 * x)).payload == ()
+
+
+XY = poly_ring(ZZ(), ("x", "y"))
+
+
+def test_json_payload_merges_drops_and_sorts_raw_terms():
+    raw = [[[0, 1], 2], [[1, 0], 3], [[0, 1], -2], [[2, 0], 0], [[0, 0], 5],
+           [[1, 1], 4], [[1, 0], 1]]
+    assert XY._payload_from_json(raw) == (((1, 1), 4), ((1, 0), 4), ((0, 0), 5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                          st.integers(-3, 3)), max_size=8))
+def test_json_payload_of_raw_terms_is_their_canonical_sum(raw):
+    want = {}
+    for e, c in raw:
+        want[e] = want.get(e, 0) + c
+    got = RingElement(XY, XY._payload_from_json([[list(e), c] for e, c in raw]))
+    _assert_canonical(got)
+    assert got.payload == _grlex_payload(want)

@@ -76,6 +76,15 @@ def test_ring_descriptors_match_the_golden_format():
         assert ring_from_json(entry["descriptor"]) is ring
 
 
+@pytest.mark.parametrize("ring", _golden_rings(), ids=str)
+def test_is_zero_compares_with_the_interned_zero(ring, monkeypatch):
+    """`is_zero` reads `ring.zero` and builds no zero of its own."""
+    zero, one = RingElement(ring, ring._from_int(0)), ring.one
+    monkeypatch.setattr(ring, "_from_int", None)
+    assert zero.is_zero and ring.zero.is_zero and (one - one).is_zero
+    assert not one.is_zero and not (one + one).is_zero and not (-one).is_zero
+
+
 def test_unknown_ring_kind_is_refused():
     with pytest.raises(ValueError):
         ring_from_json({"kind": "bogus"})

@@ -61,6 +61,37 @@ def test_basic_arithmetic_examples():
     assert (L2.fraction(3, 1) + L2.fraction(1, 2)).payload == (7, 2)
 
 
+# (ring, x, a unit u); over ZZ[t], x is t + 2
+POW_CASES = [(ZZ(), 3, -1), (GF(7), 3, 5), (QQ(), Fraction(-2, 3), Fraction(-2, 3)),
+             (localize(ZZ(), 2), 6, 2), (poly_ring(ZZ(), ("t",)), None, -1)]
+
+
+@pytest.mark.parametrize("ring, x, u", POW_CASES, ids=str)
+def test_power_is_repeated_multiplication(ring, x, u):
+    x = ring.var("t") + 2 if x is None else ring.el(x)
+    want = ring.one
+    for n in range(21):
+        assert x ** n == want, n
+        want = want * x
+    assert x ** 0 is ring.one
+    u = ring.el(u)
+    assert u ** -3 == u.inverse() * u.inverse() * u.inverse()
+    assert u ** -3 * u ** 3 == ring.one
+
+
+def test_power_of_a_polynomial_takes_the_binary_number_of_products(monkeypatch):
+    """t ** n costs bit_length(n) - 1 squarings and popcount(n) - 1
+    products by t: no product by one, and no squaring after the last bit."""
+    P = poly_ring(ZZ(), ("t",))
+    t, calls = P.var("t"), []
+    mul = type(P)._mul
+    monkeypatch.setattr(type(P), "_mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    for n in range(65):
+        calls.clear()
+        assert (t ** n).payload == (((n,), 1),)
+        assert len(calls) == max(n.bit_length() - 1, 0) + max(n.bit_count() - 1, 0), n
+
+
 def test_localization_normal_form_and_injectivity():
     Z = ZZ()
     L2 = localize(Z, 2)
