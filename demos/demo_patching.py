@@ -53,8 +53,8 @@ print("orbit invariant is x(5/4):",
                                 gen(A3, datum.A, A3.simple_roots[0], c))))
 
 report = verify_translation_relations(datum, A3, adj, 20, random.Random(0))
-print("translation relation sweep:", report.samples, "samples,",
-      len(report.failures), "failures")
+print("translation suite (equivariance chains, unit law, star):",
+      report.samples, "samples,", len(report.failures), "failures")
 
 # Descend: a word over A with trivial localized image comes from B.
 x = commutator(gen(A3, datum.A, A3.simple_roots[0], c),

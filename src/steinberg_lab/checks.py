@@ -386,8 +386,8 @@ def conjugation_identity(rng, n):
 
 
 def translation_operators(rng, n):
-    """patching.verify_translation_relations with n relation trials on the
-    Zariski datum (ZZ, a=2, h=3) in A3 adjoint."""
+    """patching.verify_translation_relations at n samples (ceil(n / 2)
+    equivariance chains) on the Zariski datum (ZZ, a=2, h=3) in A3 adjoint."""
     rep = _rep("A", 3, "adjoint")
     datum = zariski_datum(Z, 2, 3)
     report = verify_translation_relations(datum, rep.system, rep, n, rng)

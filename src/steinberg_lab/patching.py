@@ -304,89 +304,63 @@ def _word_letters(w: SteinbergWord):
     return [[list(root), str(arg)] for root, arg in w.letters]
 
 
+_CHAIN_STEPS = 4
+
+
 def verify_translation_relations(datum: PatchDatum, system: RootSystem, rep,
                                  samples: int, rng) -> PatchReport:
-    """The translation operators satisfy the three Steinberg relations at
-    mu-image level; also checks independence of the decomposition level
-    and of the decomposition itself, equivariance, and the two unit laws.
-    Scalars c, c2 are drawn from A and denominator exponents s from {0, 1}.
-    Each failure is a dict naming the law, the trial and its inputs: the
-    pair's letters u and v, and alpha, beta, c, c2, s as far as the law
-    draws them."""
+    """Check the translation operators at mu-image level, `samples` an int >= 1.
+
+    equivariance, on ceil(samples / 2) chains of `_CHAIN_STEPS` steps from
+    a `_random_pair`: each step draws alpha, s in {0, 1}, c in A, a level
+    floor k (below n(u^-1) + s in a quarter of the steps) and a shift in B,
+    and checks mu(T_x p) = image(x) mu(p) for x = x_alpha(c / h^s).  With
+    the relations in G, which the relation sweep certifies, this gives
+    R1-R3, independence of the level and of the decomposition, and the
+    unit law lambda_h(v).[1, 1] = [1, v].  unit-law-u, on ceil(samples / 4)
+    pairs, is iota(u).[1, v] = [u, v] word for word; star, on
+    ceil(samples / 2) pairs, is mu(g * p) = mu(p) for g over B.  Only
+    mu-images are compared: that the operators act on orbits is decided
+    nowhere in the library.  Each failure is a dict of the law, the trial,
+    the letters u and v of the pair it starts from, and what it drew:
+    alpha, c, s, k, shift and step, or g."""
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        raise ValueError(f"verify_translation_relations needs an int samples >= 1, "
+                         f"got {samples!r}")
     failures = []
-
-    def mu(p):
-        return mu_image(datum, rep, p)
-
-    def translate(alpha, c, s, p, **choices):
-        return left_translation(datum, alpha, c, s, p, **choices)
 
     def check(holds, law, trial, p, **inputs):
         if not holds:
-            failures.append({"law": law, "trial": trial,
-                             "u": _word_letters(p.u), "v": _word_letters(p.v),
-                             **{key: list(val) if isinstance(val, tuple)
-                                else str(val) if isinstance(val, RingElement) else val
-                                for key, val in inputs.items()}})
+            failures.append({"law": law, "trial": trial, "u": _word_letters(p.u),
+                             "v": _word_letters(p.v), **inputs})
 
-    def root():
-        return system.roots[rng.randrange(len(system.roots))]
+    for trial in range(-(-samples // 2)):
+        p = _random_pair(datum, system, rng)
+        mu_p = mu_image(datum, rep, p)
+        for step in range(_CHAIN_STEPS):
+            alpha, s, c = rng.choice(system.roots), rng.randint(0, 1), datum.A.sample(rng, 4)
+            k = conj_bound(p.u.inverse()) + s + rng.randint(-1, 2)
+            shift = datum.B.from_int(rng.randint(-2, 2))
+            q = left_translation(datum, alpha, c, s, p, k, shift)
+            mu_q = mu_image(datum, rep, q)
+            x = gen(system, datum.A_h, alpha, datum.A_h.fraction(c, s))
+            check(mu_q == reps.evaluate(x, rep) * mu_p, "equivariance", trial, p,
+                  alpha=list(alpha), c=str(c), s=s, k=k, shift=str(shift), step=step)
+            p, mu_p = q, mu_q
 
-    def draw():
-        return _random_pair(datum, system, rng), root(), rng.randint(0, 1), datum.A.sample(rng, 4)
+    for trial in range(-(-samples // 4)):
+        p = _random_pair(datum, system, rng)
+        start = PatchPair(identity_word(system, datum.B_h), p.v)
+        check(translate_by_word(datum, substitute(p.u, datum.iota_loc), start) == p,
+              "unit-law-u", trial, p)
 
-    # R1 on a single root, R2 / R3 on it and a random second root
-    for trial in range(max(1, samples)):
-        p, s, alpha = _random_pair(datum, system, rng), rng.randint(0, 1), root()
-        c, c2 = datum.A.sample(rng, 4), datum.A.sample(rng, 4)
-        check(mu(translate(alpha, c2, s, translate(alpha, c, s, p)))
-              == mu(translate(alpha, c + c2, s, p)), "R1", trial, p, alpha=alpha, c=c, c2=c2, s=s)
-        beta = root()
-        if beta == system.negate(alpha):
-            continue
-        lhs = translate(alpha, c, s, translate(beta, c2, s, p))
-        rhs = translate(beta, c2, s, translate(alpha, c, s, p))
-        total = system.addition_table.get((alpha, beta))
-        if total is not None:
-            rhs = translate(total, system.structure_constant(alpha, beta) * c * c2, 2 * s, rhs)
-        check(mu(lhs) == mu(rhs), "R2" if total is None else "R3", trial, p,
-              alpha=alpha, beta=beta, c=c, c2=c2, s=s)
-
-    # independence: higher level and perturbed decomposition
-    for trial in range(max(1, samples // 2)):
-        p, alpha, s, c = draw()
-        k = conj_bound(p.u.inverse()) + s + rng.randint(1, 2)
-        shift = datum.B.from_int(rng.randint(-2, 2))
-        base = translate(alpha, c, s, p)
-        deeper, shifted = translate(alpha, c, s, p, k=k), translate(alpha, c, s, p, shift=shift)
-        check(mu(deeper) == mu(base) == mu(shifted), "independence", trial, p,
-              alpha=alpha, c=c, s=s, k=k, shift=shift)
-
-    # equivariance
-    for trial in range(max(1, samples // 2)):
-        p, alpha, s, c = draw()
-        x = gen(system, datum.A_h, alpha, datum.A_h.fraction(c, s))
-        check(mu(translate(alpha, c, s, p)) == reps.evaluate(x, rep) * mu(p),
-              "equivariance", trial, p, alpha=alpha, c=c, s=s)
-
-    # unit laws: lambda_h(v).[1,1] = [1,v] and iota(u).[1,v] = [u,v]
-    one = PatchPair(identity_word(system, datum.B_h), identity_word(system, datum.A))
-    for trial in range(max(1, samples // 4)):
-        v = _random_pair(datum, system, rng).v
-        start = PatchPair(one.u, v)
-        pv = translate_by_word(datum, substitute(v, datum.lam_A), one)
-        check(mu(pv) == reps.evaluate(v, rep, hom=datum.lam_A), "unit-law-v", trial, start)
-        u = _random_pair(datum, system, rng).u
-        pu = translate_by_word(datum, substitute(u, datum.iota_loc), start)
-        check(pu.u == u and pu.v == v, "unit-law-u", trial, PatchPair(u, v))
-
-    # star invariance of mu
-    for trial in range(max(1, samples // 2)):
+    for trial in range(-(-samples // 2)):
         p = _random_pair(datum, system, rng)
         w = identity_word(system, datum.B)
         for _ in range(rng.randint(0, 3)):
-            w = w * gen(system, datum.B, root(), datum.B.sample(rng, 3))
-        check(mu(star_reduce(datum, p, w)) == mu(p), "star", trial, p, g=_word_letters(w))
+            w = w * gen(system, datum.B, rng.choice(system.roots), datum.B.sample(rng, 3))
+        check(mu_image(datum, rep, star_reduce(datum, p, w)) == mu_image(datum, rep, p),
+              "star", trial, p, g=_word_letters(w))
 
     return PatchReport("translation-relations", samples, failures)
 

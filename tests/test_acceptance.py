@@ -107,8 +107,10 @@ def test_criterion_08_conjugation_homomorphisms():
 
 
 def test_criterion_09_translation_operator_suite():
-    """relations, independence of the decomposition, equivariance and the
-    unit laws for the translation operators, at mu-image level."""
+    """equivariance of the translation operators at every step of 25
+    four-step chains (which gives the relations, independence of the
+    decomposition and one unit law at mu-image level), the other unit law
+    word for word, and star invariance of mu."""
     t0 = time.monotonic()
     report("criterion-09 translation-operators",
            checks.translation_operators(random.Random(9), 50), t0, 300)

@@ -75,8 +75,9 @@ def test_planted_fault_is_witnessed(check, n, owner, name, fault, monkeypatch):
 
 
 def test_translation_witnesses_name_their_inputs(monkeypatch):
-    """A failed translation trial names the pair's letters and the roots,
-    scalars and denominator exponent it drew, in JSON-ready form."""
+    """A failed translation trial names the pair's letters and the root,
+    scalar, denominator exponent, level, shift and chain step it drew, in
+    JSON-ready form."""
     original = patching.left_translation
     monkeypatch.setattr(patching, "left_translation",
                         lambda datum, alpha, c, *a, **kw:
@@ -86,11 +87,10 @@ def test_translation_witnesses_name_their_inputs(monkeypatch):
     json.dumps(bad)
     for w in bad:
         assert {"ring", "rep", "law", "trial", "u", "v"} <= set(w), w
-    relations = [w for w in bad if w["law"] in ("R1", "R2", "R3")]
-    assert relations
-    for w in relations:
-        assert {"alpha", "c", "c2", "s"} <= set(w), w
-        assert ("beta" in w) == (w["law"] != "R1"), w
+    steps = [w for w in bad if w["law"] == "equivariance"]
+    assert steps
+    for w in steps:
+        assert {"alpha", "c", "s", "k", "shift", "step"} <= set(w), w
 
 
 def test_relation_witnesses_name_their_arguments(monkeypatch):

@@ -297,12 +297,12 @@ def test_translation_pure_deep_argument():
 
 
 def test_translation_equivariance():
-    # the suite draws samples // 2 equivariance trials: 15 here
+    # the suite runs ceil(samples / 2) equivariance chains: 15 here
     assert checks.translation_operators(random.Random(7), 30) == []
 
 
 def test_translation_independence_of_choices():
-    # the suite draws samples // 2 independence trials: 10 here
+    # each chain step draws a level floor and a shift: 40 steps here
     assert checks.translation_operators(random.Random(8), 20) == []
 
 
@@ -350,7 +350,8 @@ def test_translation_relations_identity_datum():
 def test_translation_failure_records_are_pinned(monkeypatch):
     """With every translation scalar c read as c + 1, the failure records
     of seeds 0-3 at 1, 4 and 9 samples are fixed, draw for draw and byte
-    for byte (112 records: R1, R3, equivariance and both unit laws)."""
+    for byte (145 records: 128 equivariance, 17 unit-law-u), and each of
+    the 12 runs has at least one."""
     original = patching.left_translation
     monkeypatch.setattr(patching, "left_translation",
                         lambda datum, alpha, c, *a, **kw:
@@ -358,8 +359,53 @@ def test_translation_failure_records_are_pinned(monkeypatch):
     datum = make_datum()
     records = [verify_translation_relations(datum, A3, ADJ, samples, random.Random(seed)).failures
                for seed in range(4) for samples in (1, 4, 9)]
+    assert all(records)
     assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == (
-        "aac794e2b0048a904999631234655c6668744b183d65579749927d6b02bf4e47")
+        "842fc6601f61f2925060bc4016a6ffb3b2d283f02e079246ad18d436c945bb4f")
+
+
+def _n_sign_dropped(f, cg, beta, a, s, letter):
+    out = f(cg, beta, a, s, letter)
+    if cg.system.addition_table.get((beta, letter[0])) is None:
+        return out
+    (total, coeff, e), rest = out
+    return [(total, coeff if cg.system.structure_constant(beta, letter[0]) == 1 else -coeff, e),
+            rest]
+
+
+def _opposite_letter_negated(f, cg, beta, a, s, letter):
+    root, coeff, e = letter
+    return f(cg, beta, a, s, (root, -coeff, e) if root == cg.system.negate(beta) else letter)
+
+
+PLANTED_FAULTS = {
+    "c-read-as-c-plus-1": (patching, "left_translation",
+                           lambda f, datum, alpha, c, *a, **kw:
+                           f(datum, alpha, c + c.ring.one, *a, **kw)),
+    "shift-keeps-a": (PatchDatum, "decompose_shifted",
+                      lambda f, datum, c, k, d: (f(datum, c, k, 0)[0], f(datum, c, k, d)[1])),
+    "N-sign-dropped": (ConjugationHom, "_apply_letter", _n_sign_dropped),
+    "opposite-letter-negated": (ConjugationHom, "_apply_letter", _opposite_letter_negated),
+}
+
+
+@pytest.mark.parametrize("owner, name, fault", PLANTED_FAULTS.values(), ids=PLANTED_FAULTS)
+def test_translation_suite_refutes_planted_faults(owner, name, fault, monkeypatch):
+    """The intact 12-sample suite holds on seeds 0-5, and each planted
+    fault is refuted on every one of them: a wrong scalar, a shifted
+    decomposition that keeps its A-part, conjugation with the sign of
+    N(beta, gamma) dropped, and a letter on -beta conjugated with its
+    coefficient negated."""
+    datum = make_datum()
+
+    def unrefuted():
+        return [seed for seed in range(6)
+                if verify_translation_relations(datum, A3, ADJ, 12, random.Random(seed)).ok]
+
+    assert unrefuted() == list(range(6))
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **kw: fault(original, *a, **kw))
+    assert unrefuted() == []
 
 
 def test_unit_laws_word_level():

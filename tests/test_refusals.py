@@ -1,6 +1,7 @@
 """Every public argument refusal raises its documented exception, and
 negative powers go through the inverse."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,11 @@ REFUSALS = {
     "patching.glueing_demo-target-over-another-ring":
         (lambda: patching.glueing_demo(_datum(), A2, reps.build_representation(A2, "defining"),
                                        words.gen(A2, Z, a1, 1)), ValueError),
+    **{f"patching.verify_translation_relations-samples-{samples!r}":
+       (lambda samples=samples: patching.verify_translation_relations(
+           _datum(), A2, reps.build_representation(A2, "adjoint"), samples, random.Random(0)),
+        ValueError)
+       for samples in (0, True, 2.5)},
     "rings.poly_ring-no-variables": (lambda: poly_ring(Z, ()), ValueError),
     "rings.poly_ring-string-of-variables": (lambda: poly_ring(Z, "ts"), ValueError),
     "rings.ring_from_json-string-of-variables":
