@@ -105,8 +105,8 @@ def parse_odd_prime(spec: str) -> int:
     try:
         p = int(spec)
         milnor._check_odd_prime(p)
-    except ValueError:   # not an integer, not an odd prime, or too large to decide
-        raise argparse.ArgumentTypeError(f"{spec!r} is not an odd prime") from None
+    except ValueError as exc:   # not an integer, not an odd prime, or too large to decide
+        raise argparse.ArgumentTypeError(f"bad prime {spec!r}: {exc}") from None
     return p
 
 
@@ -151,8 +151,7 @@ def _matrix_json(m):
 def cmd_roots(args) -> int:
     system = build_root_system(args.type, args.rank)
     if args.constants:
-        for (a, b), n in sorted(system.constants_table.items(),
-                                key=lambda kv: (system.index[kv[0][0]], system.index[kv[0][1]])):
+        for (a, b), n in system.constants_table.items():   # (a, b) in enumeration order
             if system.index[a] < system.index[b]:
                 s = system.addition_table[(a, b)]
                 print("\t".join([",".join(map(str, a)), ",".join(map(str, b)),

@@ -13,12 +13,12 @@ maps int entries back to payloads.
 
 The relation sweep (`verify_relations`) builds its cases once per root
 system and structure-constant method, proves each at the generic point
-of ZZ[a, b] once per representation and its tables, keeps only the open
-cases, those with a nonzero difference, and specializes them in the ring
-at trials that `Ring._sample` draws, over every ring but Z/m with
-d (m - 1)^2 >= 2^53.  There, as over GF(1000000007), every case is
-evaluated in float64 (`_float_sweep`, the only user of numpy), whose
-products round and report false violations.
+of ZZ[a, b] once per representation (its tables are read-only), keeps
+only the open cases, those with a nonzero difference, and specializes
+them in the ring at trials that `Ring._sample` draws, over every ring
+but Z/m with d (m - 1)^2 >= 2^53.  There, as over GF(1000000007), every
+case is evaluated in float64 (`_float_sweep`, the only user of numpy),
+whose products round and report false violations.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .rings import (IntegerRing, LocalizationRing, PrimeFieldRing, RationalField, Ring,
                     RingElement, RingHom, canonical_hom)
@@ -46,13 +47,17 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """Integer generator tables: x_root(xi) acts as I + xi*M1 + xi^2*M2."""
+    """Read-only integer generator tables: x_root(xi) acts as I + xi*M1 + xi^2*M2."""
 
     system: RootSystem
     kind: str                      # "defining" | "vector" | "adjoint"
     dim: int
     m1: dict = field(repr=False)   # root -> tuple[(i, j, coeff)]
     m2: dict = field(repr=False)
+
+    def __post_init__(self):
+        for name in ("m1", "m2"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     def describe(self) -> str:
         return f"{self.kind}({self.system})"
@@ -367,16 +372,14 @@ _CERTIFICATES = weakref.WeakKeyDictionary()
 
 def _certificate(rep: Representation, cases) -> dict:
     """{case index: generic difference} over the cases whose difference
-    is nonzero, in case order, kept while `rep` lives and rebuilt when
-    its tables differ from those it was built from (a table edited in
-    place) or `cases` is not the table it was built from (`_cases`
+    is nonzero, in case order, kept while `rep` lives (its tables are
+    read-only) until `cases` is not the table it was built from (`_cases`
     rebuilds that under a patched structure constant)."""
-    tables = (tuple(rep.m1.items()), tuple(rep.m2.items()))
     entry = _CERTIFICATES.get(rep)
-    if entry is None or entry[0] is not cases or entry[1] != tables:
+    if entry is None or entry[0] is not cases:
         diffs = enumerate(_differences(rep, cases))
-        entry = _CERTIFICATES[rep] = cases, tables, {n: diff for n, diff in diffs if diff}
-    return entry[2]
+        entry = _CERTIFICATES[rep] = cases, {n: diff for n, diff in diffs if diff}
+    return entry[1]
 
 
 def _specialize(ring: Ring, diff, a, b) -> dict:
@@ -447,8 +450,8 @@ def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> Rela
     exhaustively over root pairs (`_cases`, built once per root system)
     and at `samples` trials (a, b) each, `samples` an int >= 1;
     violations are in case order.  Each case is certified at the generic
-    point of ZZ[a, b] (`_differences`), once per representation until
-    its tables or cases change (`_certificate`, which keeps only the open
+    point of ZZ[a, b] (`_differences`), once per read-only representation
+    until its cases change (`_certificate`, which keeps only the open
     cases, those with a nonzero difference): a zero difference holds at
     every (a, b) of every commutative ring and draws nothing from `rng`,
     and a nonzero one is specialized (`_specialize`) at trials drawn by

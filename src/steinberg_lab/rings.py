@@ -1064,8 +1064,7 @@ def ext_gcd(a: RingElement, b: RingElement):
 
 def bezout_identity(a: RingElement, b: RingElement, s: int = 1, t: int = 1):
     """(x, y) with x*a^s + y*b^t = 1; requires a, b coprime."""
-    A = a ** s
-    B = b ** t
+    A, B = a ** s, b ** t
     g, x, y = ext_gcd(A, B)
     ring = a.ring
     ginv = ring._try_divide(ring._from_int(1), g.payload)
@@ -1078,6 +1077,12 @@ def bezout_identity(a: RingElement, b: RingElement, s: int = 1, t: int = 1):
     return x, y
 
 
+def _bezout_split(A: LocalizationRing, r: RingElement, h: RingElement, s: int, k: int):
+    """(r*y/m^s in A, r*x), a split of r/m^s along x*m^s + y*h^k = 1, m the multiplier of A."""
+    x, y = bezout_identity(A.multiplier, h, s, k)
+    return A.fraction(r * y, s), r * x
+
+
 def bezout_decompose(x: RingElement, b: RingElement, s: int):
     """Split r/a^s into a principal part in b*R_a and an integral part in R.
 
@@ -1087,19 +1092,16 @@ def bezout_decompose(x: RingElement, b: RingElement, s: int):
     loc = x.ring
     if not isinstance(loc, LocalizationRing):
         raise ValueError("input must live in a localization")
-    R = loc.base
+    R, a = loc.base, loc.multiplier
     b = R.el(b)
-    a = loc.multiplier
     num, k = x.payload
     if k > s:
         raise ValueError(f"input has denominator exponent {k} > s = {s}")
     r = RingElement(R, num) * a ** (s - k)
     if s == 0:
         return loc.zero, r
-    xx, yy = bezout_identity(a, b, s, s)
-    principal = loc.fraction(r * yy * b ** s, s)
-    integral = r * xx
-    return principal, integral
+    part, integral = _bezout_split(loc, r, b, s, s)
+    return part * loc.from_base(b ** s), integral
 
 
 def reciprocal_localization_witness(f: RingElement) -> RingElement:
@@ -1164,12 +1166,7 @@ def decompose_modulo_power(c: RingElement, k: int, h: RingElement, B: Ring):
     q = c.try_divide(A.from_base(h) ** k)
     if q is not None:
         return q, B.zero
-    m = A.multiplier
-    x, y = bezout_identity(m, h, s, k)
-    r = RingElement(B, num)
-    b_part = r * x
-    a_part = A.fraction(r * y, s)
-    return a_part, b_part
+    return _bezout_split(A, RingElement(B, num), h, s, k)
 
 
 # ---------------------------------------------------------------------------

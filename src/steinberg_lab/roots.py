@@ -9,6 +9,8 @@ so every sign in the tables is independently checkable.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 __all__ = [
     "Root", "RootSystem", "build_root_system",
     "defining_matrix", "SUPPORTED_RANKS",
@@ -64,10 +66,10 @@ _LIVE: dict = {}
 
 class RootSystem:
     """Root list in a fixed enumeration order (positive roots first,
-    ordered by index pairs, negatives mirroring), together with the
-    addition table and the structure constants.  There is one instance
-    per (kind, rank): words and representations compare systems by
-    identity, so `RootSystem(kind, rank)` returns the live one."""
+    ordered by index pairs, negatives mirroring), with read-only tables:
+    root index, addition, structure constants, defining matrices.  There
+    is one instance per (kind, rank): words and representations compare
+    systems by identity, so `RootSystem(kind, rank)` returns the live one."""
 
     def __new__(cls, kind: str, rank: int):
         self = _LIVE.get((kind, rank))
@@ -92,12 +94,12 @@ class RootSystem:
                for i in range(self.dim) for j in range(i + 1, self.dim)]
         self.positive_roots = tuple(pos)
         self.roots = tuple(pos + [_neg(r) for r in pos])
-        self.index = {r: i for i, r in enumerate(self.roots)}
+        self.index = MappingProxyType({r: i for i, r in enumerate(self.roots)})
         simples = [_root(self.dim, i, i + 1, -1) for i in range(self.dim - 1)]
         if kind == "D":
             simples.append(_root(self.dim, self.dim - 2, self.dim - 1, 1))
         self.simple_roots = tuple(simples)
-        self._matrices = {r: defining_matrix(kind, rank, r) for r in self.roots}
+        self._matrices = {r: MappingProxyType(defining_matrix(kind, rank, r)) for r in self.roots}
         self.addition_table, self.constants_table = self._build_tables()
 
     def __repr__(self):
@@ -106,13 +108,12 @@ class RootSystem:
     def _build_tables(self):
         add, const = {}, {}
         for a in self.roots:
-            ea = self._matrices[a]
             for b in self.roots:
                 s = tuple(x + y for x, y in zip(a, b))
                 if s not in self.index:
                     continue
                 add[(a, b)] = s
-                bracket = _bracket(ea, self._matrices[b])
+                bracket = _bracket(self._matrices[a], self._matrices[b])
                 es = self._matrices[s]
                 if bracket == es:
                     const[(a, b)] = 1
@@ -121,7 +122,7 @@ class RootSystem:
                 else:
                     raise AssertionError(
                         f"bracket of {a}, {b} is not +-e_({s}) in {self}")
-        return add, const
+        return MappingProxyType(add), MappingProxyType(const)
 
     # -- queries ----------------------------------------------------------
     def is_root(self, v) -> bool:
@@ -136,7 +137,7 @@ class RootSystem:
         except KeyError:
             raise ValueError(f"{alpha} + {beta} is not a root") from None
 
-    def defining_matrix(self, root: Root) -> dict:
+    def defining_matrix(self, root: Root) -> MappingProxyType:
         return self._matrices[root]
 
     def commutator_decomposition(self, beta: Root):

@@ -89,6 +89,25 @@ def test_k2m_tame(capsys):
     assert out.strip() == "2"
 
 
+def test_k2m_tame_of_an_entry_past_the_primality_bound(capsys):
+    """The entry 2^89 - 1 is past psi_13, where primality is not decided,
+    yet its tame symbol at 5 needs only v_5."""
+    code, out = run(capsys, "k2m", "tame", "--symbol", "618970019642690137449562111,3",
+                    "--prime", "5")
+    assert code == 0
+    assert out.strip() == "1"
+
+
+def test_a_prime_past_the_primality_bound_is_refused_with_the_reason(capsys):
+    """2^89 - 1 is a prime, but one past psi_13, where primality is not
+    decided: the usage error says so rather than that it is not prime."""
+    code, err = _exit_code(["k2m", "tame", "--symbol", "2,3",
+                            "--prime", "618970019642690137449562111"], capsys)
+    assert code == 2
+    assert f"primality is decided only below {_MR_LIMIT}" in err
+    assert "not an odd prime" not in err
+
+
 def test_k2m_batch(tmp_path, capsys):
     path = tmp_path / "batch.json"
     path.write_text(json.dumps([{"symbol": ["2", "3"], "prime": 3},

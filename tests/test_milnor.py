@@ -63,6 +63,15 @@ def test_tame_symbol_examples():
         tame_symbol(symbol(2, 3), 9)
 
 
+def test_tame_symbol_at_p_needs_only_the_valuation_at_p():
+    """2^89 - 1 is a prime above psi_13, where primality is not decided
+    and `relevant_odd_primes` of these sums raises ValueError; the tame
+    symbol at 5 reads only v_5 of each entry."""
+    mersenne = 2 ** 89 - 1
+    assert tame_symbol(symbol(mersenne, 3), 5).value == 1
+    assert tame_symbol(symbol(5 * mersenne, 3), 5).value == 2
+
+
 def _term(a, b, p):
     """The tame symbol of the one symbol {a, b} at p."""
     return tame_symbol(symbol(a, b), p).value

@@ -712,14 +712,30 @@ def _assert_refuted_with_witnesses(bad, ring, report):
         assert _replayed(bad, ring, left) != _replayed(bad, ring, right), case
 
 
-def test_sweep_rebuilds_the_certificate_of_a_table_edited_in_place():
-    """A certificate is kept per representation, and an edit of its
-    table in place, the one `_flipped` makes, must rebuild it."""
+def test_tables_are_read_only_and_a_rep_copies_the_dicts_it_is_given():
+    """A certificate is kept per representation, which its tables make
+    safe: item assignment raises TypeError on the tables of the cached
+    rep and of its interned root system (each assignment rewrites the
+    value there, so a table that takes it is left as it was), and a rep
+    built by `dataclasses.replace` keeps a copy of the dict passed, which
+    a later edit does not reach.  A flipped copy is refuted with
+    replayable witnesses."""
     intact = _rep("A", 3, "defining")
-    rep = dataclasses.replace(intact, m1=dict(intact.m1))
+    system, root = intact.system, intact.system.simple_roots[0]
+    pair = next(iter(system.addition_table))
+    for table, key in ((intact.m1, root), (intact.m2, root), (system.index, root),
+                       (system.addition_table, pair), (system.constants_table, pair),
+                       (system.defining_matrix(root), next(iter(system.defining_matrix(root))))):
+        with pytest.raises(TypeError):
+            table[key] = table[key]
+    m1 = dict(intact.m1)
+    rep = dataclasses.replace(intact, m1=m1)
     assert verify_relations(rep, GF(7), 10, random.Random(0)).ok
-    rep.m1[rep.system.simple_roots[0]] = _flipped(intact).m1[rep.system.simple_roots[0]]
-    _assert_refuted_with_witnesses(rep, GF(7), verify_relations(rep, GF(7), 10, random.Random(1)))
+    m1[root] = _flipped(intact).m1[root]
+    assert rep.m1 == intact.m1 and rep.m1[root] != m1[root]
+    assert verify_relations(rep, GF(7), 10, random.Random(1)).ok
+    bad = _flipped(intact)
+    _assert_refuted_with_witnesses(bad, GF(7), verify_relations(bad, GF(7), 10, random.Random(1)))
 
 
 def test_sweep_sees_a_patched_structure_constant_and_its_undo(monkeypatch):
