@@ -1,8 +1,9 @@
 """The float64 route of the relation sweep, over Z/m with d (m - 1)^2 >= 2^53
-as GF(1000000007): every case at every trial in batched float64 products,
-whose sums round past 2^53 and report false violations, which the
-benchmark asserts.  `reps.verify_relations` imports this module on that
-branch alone, so numpy is loaded only here."""
+as GF(1000000007): batched float64 products, whose sums round past 2^53
+and report false violations, which the benchmark asserts.  Each case is
+evaluated at trial 0, and at its later trials only if it held there.
+`reps.verify_relations` imports this module on that branch alone, so
+numpy is loaded only here."""
 
 from __future__ import annotations
 
@@ -12,18 +13,28 @@ from .reps import Representation
 from .rings import Ring
 
 
-def first_failures(rep: Representation, ring: Ring, samples: int, cases, mod: int, rng):
-    """The payloads (a, b) of each case's first failing trial, None where
-    the law held.  Every trial is drawn in one numpy call, seeded by one
-    `rng.randrange(2 ** 63)`."""
+def first_failures(rep: Representation, ring: Ring, samples: int, cases, mod: int, rng) -> dict:
+    """{case index: (a, b)}, in index order, over the cases that fail:
+    the payloads of each one's first failing trial.  Every trial is drawn
+    in one numpy call, seeded by one `rng.randrange(2 ** 63)`.  Trial 0
+    is evaluated for every case, and trials 1 to samples - 1, in one more
+    pass, only for the cases that held at trial 0."""
     draws = np.random.default_rng(rng.randrange(2 ** 63)).integers(
         0, mod, size=(len(cases), 2, samples), dtype=np.int64)
-    return _FloatKernel(rep, ring, samples, mod).run(cases, draws)
+    tables = _letter_tables(rep)
+    failed = _FloatKernel(rep, tables, 1, mod).run(cases, range(len(cases)), draws[:, :, :1])
+    if samples > 1:
+        held = [n for n in range(len(cases)) if n not in failed]
+        later = _FloatKernel(rep, tables, samples - 1, mod).run(cases, held, draws[:, :, 1:])
+        failed.update((n, s + 1) for n, s in later.items())
+    return {n: tuple(ring._from_int(int(x)) for x in draws[n, :, failed[n]])
+            for n in sorted(failed)}
 
 
-# matrix entries in one batch of images: on the small representations
-# 2^12 takes nearly twice as long, and 2^16 saves under a tenth of the
-# time for 4 MB more peak memory
+# matrix entries in one batch of images: over the twelve representations
+# of the benchmark's relation sweep (10 trials, 2 shared CPUs), 2^12 takes
+# 1.4 to 1.9 times as long, and 2^16 is at best a tenth faster for 3 to 4
+# MB more peak RSS
 _BATCH_ENTRIES = 2 ** 14
 
 
@@ -45,48 +56,49 @@ def _letter_tables(rep: Representation):
 
 
 class _FloatKernel:
-    """Every case of a sweep over Z/m evaluated at every trial in float64
-    products, which are exact only while d (m - 1)^2 < 2^53 and serve
-    only the moduli past that bound (see `verify_relations`).  The cases
-    of one law are evaluated together, at most `_BATCH_ENTRIES` matrix
-    entries at a time, or one case when a case is larger.  Over a batch
-    of B = cases x samples, a scalar is a (B,) int64 array and an image a
-    (B, d, d) int64 array, both reduced mod m."""
+    """Cases of a sweep over Z/m evaluated at `samples` trials each in
+    float64 products, which are exact only while d (m - 1)^2 < 2^53 and
+    serve only the moduli past that bound (see `verify_relations`).  The
+    cases of one law are evaluated together, at most `_BATCH_ENTRIES`
+    matrix entries at a time, or one case when a case is larger.  Over a
+    batch of B = cases x samples, a scalar is a (B,) int64 array and an
+    image a (B, d, d) float64 array of integers reduced mod m, so exact."""
 
     # a law builds at most six images per batch: R3's three letters and
     # three products
     SLOTS = 6
 
-    def __init__(self, rep: Representation, ring: Ring, samples: int, mod: int):
-        self.rep, self.ring, self.samples, self.mod = rep, ring, samples, mod
-        self.tables = _letter_tables(rep)
+    def __init__(self, rep: Representation, tables, samples: int, mod: int):
+        self.rep, self.tables, self.samples, self.mod = rep, tables, samples, mod
         case_entries = samples * rep.dim ** 2
         self.chunk = max(1, _BATCH_ENTRIES // case_entries)
-        # a batch's images, and a product's float64 operands and result,
-        # are written into these buffers: fresh arrays for every batch
-        # cost more in page faults than the products at d = 45
-        self.slots = np.empty((self.SLOTS, self.chunk * case_entries), dtype=np.int64)
-        self.floats = np.empty((3, self.chunk * case_entries))
+        # a batch's images, and a product's int64 reduction, are written
+        # into these buffers: fresh arrays for every batch cost more in
+        # page faults than the products at d = 45
+        size = self.chunk * case_entries
+        self.slots = np.empty((self.SLOTS, size))
+        self.ints = np.empty((2, size), dtype=np.int64)
+        self.eye = np.tile(np.eye(rep.dim).reshape(-1), self.chunk * samples)
         self.used = 0
 
-    def run(self, cases, draws):
-        """The payloads (a, b) of each case's first failing trial, None
-        where the law held; `draws` has shape (cases, 2, samples)."""
+    def run(self, cases, members, draws) -> dict:
+        """{case index: its first failing trial} over `members`, the
+        indices of the cases to evaluate; `draws` has shape (cases, 2,
+        samples)."""
         laws = {}
-        for n, case in enumerate(cases):
-            laws.setdefault(case[0], []).append(n)
-        out = [None] * len(cases)
-        for law, members in laws.items():
-            for start in range(0, len(members), self.chunk):
-                part = members[start:start + self.chunk]
+        for n in members:
+            laws.setdefault(cases[n][0], []).append(n)
+        failed = {}
+        for law, indices in laws.items():
+            for start in range(0, len(indices), self.chunk):
+                part = indices[start:start + self.chunk]
                 a, b = (draws[part, t].reshape(-1) for t in (0, 1))
                 self.used = 0
                 held = _holds(self, law, [cases[n] for n in part], a, b)
-                for n, trials in zip(part, held):
-                    if not trials.all():
-                        s = int(np.argmin(trials))
-                        out[n] = tuple(self.ring._from_int(int(x)) for x in draws[n, :, s])
-        return out
+                bad = ~held.all(axis=1)
+                failed.update(zip(np.compress(bad, part).tolist(),
+                                  held[bad].argmin(axis=1).tolist()))
+        return failed
 
     def _buffer(self, flat, batch):
         d = self.rep.dim
@@ -99,7 +111,7 @@ class _FloatKernel:
     def letter(self, roots, xi):
         """x_root(xi) for each root of the batch, over its samples: the
         identity with the root's table entries scattered in."""
-        d, batch = self.rep.dim, len(xi)
+        batch = len(xi)
         index = self.rep.system.index
         idx = np.repeat([index[r] for r in roots], self.samples)
         pos, c1, c2 = (t[idx] for t in self.tables)
@@ -107,22 +119,22 @@ class _FloatKernel:
         if c2.any():
             vals += (xi * xi % self.mod)[:, None] * c2
         x = self._image(batch)
-        x.fill(0)
-        flat = x.reshape(batch, d * d)
-        flat[:, ::d + 1] = 1
-        flat[np.arange(batch)[:, None], pos] = vals % self.mod
+        np.copyto(x, self._buffer(self.eye, batch))
+        x.reshape(batch, -1)[np.arange(batch)[:, None], pos] = vals % self.mod
         return x
 
     def product(self, x, y):
-        # taken in float64, so the BLAS kernels apply, then truncated to
-        # int64 and reduced; past 2^53 the float sums round
-        xf, yf, acc = (self._buffer(f, len(x)) for f in self.floats)
-        np.copyto(xf, x)
-        np.copyto(yf, y)
-        np.matmul(xf, yf, out=acc)
+        # a BLAS float64 product, truncated to int64 and reduced as
+        # n - m floor(n / m), which is faster here than np.remainder;
+        # past 2^53 the float sums round
         out = self._image(len(x))
-        np.copyto(out, acc, casting="unsafe")
-        np.remainder(out, self.mod, out=out)
+        np.matmul(x, y, out=out)
+        n, q = (self._buffer(row, len(x)) for row in self.ints)
+        np.copyto(n, out, casting="unsafe")
+        np.floor_divide(n, self.mod, out=q)
+        q *= self.mod
+        n -= q
+        np.copyto(out, n)
         return out
 
     def equal(self, x, y):

@@ -16,15 +16,18 @@ system and structure-constant method, proves each at the generic point
 of ZZ[a, b] once per representation (its tables are read-only), keeps
 only the open cases, those with a nonzero difference, and specializes
 them in the ring at trials that `Ring._sample` draws, over every ring
-but Z/m with d (m - 1)^2 >= 2^53.  There, as over GF(1000000007), every
-case is evaluated in float64 (`_float_sweep`, the only user of numpy),
-whose products round and report false violations.
+but Z/m with d (m - 1)^2 >= 2^53 and w (m - 1)^2 < 2^63, w the widest
+row of a letter (`_row_width`).  There, as over GF(1000000007), every
+case is evaluated in float64 (`_float_sweep`, the only user of numpy) up
+to its first failing trial, and the products round and report false
+violations.
 """
 
 from __future__ import annotations
 
 import operator
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -436,6 +439,17 @@ def _first_failures(ring: Ring, open_cases: dict, samples: int, rng) -> dict:
             if (ab := next((t for t in trials() if _specialize(ring, diff, *t)), None))}
 
 
+def _row_width(rep: Representation) -> int:
+    """The most nonzero entries in a row of any letter I + M1 + M2 (a
+    root vector is nilpotent, so M1 and M2 miss the diagonal): a product
+    with a letter on the left sums at most that many terms."""
+    rows = Counter()
+    for root in rep.system.roots:
+        entries = {(i, j) for i, j, _ in (*rep.m1[root], *rep.m2[root])}
+        rows.update((root, i) for i, _ in entries)
+    return 1 + max(rows.values(), default=0)
+
+
 def _report(rep, ring, samples, cases, failures: dict, certified) -> RelationReport:
     failed = [(cases[n], ab) for n, ab in failures.items()]
     return RelationReport(
@@ -458,18 +472,20 @@ def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> Rela
     `Ring._sample` up to the first that fails.  So an intact sweep leaves
     `rng` as it was, and a warm one does work only on the open cases.
     Over Z/m with d (m - 1)^2 >= 2^53, as GF(1000000007), every case is
-    instead evaluated in float64 (`_float_sweep`), whose products round
-    there and report the false violations that the benchmark's
-    relation-sweep asserts until its next revision."""
+    instead evaluated in float64 (`_float_sweep`) up to its first failing
+    trial, after one `rng.randrange(2 ** 63)`; the products round there
+    and report the false violations that the benchmark's relation-sweep
+    asserts until its next revision.  That route is taken only while its
+    int64 products hold w (m - 1)^2 < 2^63 (w from `_row_width`), so a
+    larger modulus, as Z/2^64, takes the exact route."""
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         raise ValueError(f"verify_relations needs an int samples >= 1, got {samples!r}")
     cases = _cases(rep.system)
     mod = ring.p if isinstance(ring, PrimeFieldRing) else getattr(ring, "n", None)
-    if mod and rep.dim * (mod - 1) ** 2 >= 2 ** 53:
+    if mod and rep.dim * (mod - 1) ** 2 >= 2 ** 53 and _row_width(rep) * (mod - 1) ** 2 < 2 ** 63:
         from ._float_sweep import first_failures
         failures = first_failures(rep, ring, samples, cases, mod, rng)
-        return _report(rep, ring, samples, cases,
-                       {n: ab for n, ab in enumerate(failures) if ab is not None}, 0)
+        return _report(rep, ring, samples, cases, failures, 0)
     open_cases = _certificate(rep, cases)
     return _report(rep, ring, samples, cases, _first_failures(ring, open_cases, samples, rng),
                    len(cases) - len(open_cases))

@@ -821,7 +821,9 @@ def test_truncated_polynomials_past_the_old_float_bound_are_certified():
 def test_numpy_sweep_evaluates_no_certified_case(monkeypatch):
     """Over Z/6, F7 and Z[t]/(t^3) an intact sweep certifies every case
     and evaluates none; over GF(1000000007), where float64 products can
-    round, it certifies none and evaluates every case once."""
+    round, it certifies none, evaluates every case once at trial 0, and
+    evaluates at later trials, once, exactly the cases that held at trial
+    0.  The violations are the cases that failed in either pass."""
     holds = _float_sweep._holds
 
     def unused(*args):
@@ -834,17 +836,59 @@ def test_numpy_sweep_evaluates_no_certified_case(monkeypatch):
             report = verify_relations(rep, SWEEP_RINGS[name], SWEEP_SAMPLES[name],
                                       random.Random(key))
             assert report.ok and report.certified == report.pairs_checked, (key, name)
-    seen = []
-
     def counted(kernel, law, cases, a, b):
-        seen.extend(cases)
-        return holds(kernel, law, cases, a, b)
+        held = holds(kernel, law, cases, a, b)
+        passes[len(a) // len(cases)].extend(zip(cases, held.all(axis=1)))
+        return held
 
     monkeypatch.setattr(_float_sweep, "_holds", counted)
-    rep = _rep("A", 3, "defining")
-    report = verify_relations(rep, SWEEP_RINGS["Fbig"], 10, random.Random(0))
-    assert report.certified == 0
-    assert sorted(seen, key=repr) == sorted(reps._cases(rep.system), key=repr)
+    for rep in (_rep("A", 3, "defining"), _rep("A", 3, "adjoint")):
+        passes = {1: [], 9: []}
+        report = verify_relations(rep, SWEEP_RINGS["Fbig"], 10, random.Random(0))
+        assert report.certified == 0
+        cases = reps._cases(rep.system)
+        first = dict(passes[1])
+        assert len(passes[1]) == len(first) == len(cases) and set(first) == set(cases)
+        later = dict(passes[9])
+        assert len(passes[9]) == len(later)
+        assert set(later) == {case for case, held in first.items() if held}
+        assert 0 < len(later) < len(cases)
+        failed = {case for case, held in (*first.items(), *later.items()) if not held}
+        assert report.violations == [_named(case) for case in cases if case in failed]
+
+
+def test_float_sweep_draws_one_seed_from_rng():
+    """A GF(1000000007) sweep, intact or flipped, leaves `rng` where one
+    `randrange(2 ** 63)` leaves a fresh `random.Random(seed)`, whatever
+    its verdicts."""
+    rep = _rep("A", 3, "adjoint")
+    for seed in range(3):
+        expected = random.Random(seed)
+        expected.randrange(2 ** 63)
+        for swept in (rep, _flipped(rep)):
+            rng = random.Random(seed)
+            verify_relations(swept, SWEEP_RINGS["Fbig"], 10, rng)
+            assert rng.getstate() == expected.getstate()
+
+
+@pytest.mark.parametrize("ring, mod", [(quotient(ZZ(), 2 ** 64), 2 ** 64),
+                                       (quotient(ZZ(), 3 ** 50), 3 ** 50),
+                                       (GF(2 ** 61 - 1), 2 ** 61 - 1)],
+                         ids=["Z/2^64", "Z/3^50", "GF(2^61-1)"])
+def test_moduli_past_int64_products_take_the_exact_route(ring, mod):
+    """A float64 product, truncated to int64, holds w (m - 1)^2 only
+    below 2^63, w the most nonzero entries in a row of a letter; past
+    that, drawing failed (Z/2^64, Z/3^50) or products wrapped into false
+    violations (GF(2^61 - 1)).  Such a modulus takes the exact route:
+    intact reps certify every case, and flipped ones are refuted with
+    replayable witnesses."""
+    for key in ("A2-defining", "A2-adjoint", "D4-vector"):
+        rep = _rep(key[0], int(key[1]), key.split("-")[1])
+        report = verify_relations(rep, ring, 3, random.Random(key))
+        assert report.ok and report.certified == report.pairs_checked, key
+        bad = _flipped(rep)
+        _assert_refuted_with_witnesses(bad, ring, verify_relations(bad, ring, 3, random.Random(key)))
+        assert reps._row_width(rep) * (mod - 1) ** 2 >= 2 ** 63
 
 
 def test_report_counts_the_certified_cases():
