@@ -1,9 +1,10 @@
 """The float64 route of the relation sweep, over Z/m with d (m - 1)^2 >= 2^53
 as GF(1000000007): batched float64 products, whose sums round past 2^53
-and report false violations, which the benchmark asserts.  Each case is
-evaluated at trial 0, and at its later trials only if it held there.
-`reps.verify_relations` imports this module on that branch alone, so
-numpy is loaded only here."""
+and report false violations, which the benchmark asserts.  A certified
+case that float64 computes exactly (`_exact_cases`) is skipped; every
+other case is evaluated at trial 0, and at its later trials only if it
+held there.  `reps.verify_relations` imports this module on that branch
+alone, so numpy is loaded only here."""
 
 from __future__ import annotations
 
@@ -13,22 +14,51 @@ from .reps import Representation
 from .rings import Ring
 
 
-def first_failures(rep: Representation, ring: Ring, samples: int, cases, mod: int, rng) -> dict:
-    """{case index: (a, b)}, in index order, over the cases that fail:
-    the payloads of each one's first failing trial.  Every trial is drawn
-    in one numpy call, seeded by one `rng.randrange(2 ** 63)`.  Trial 0
-    is evaluated for every case, and trials 1 to samples - 1, in one more
-    pass, only for the cases that held at trial 0."""
+def first_failures(rep: Representation, ring: Ring, samples: int, cases, open_cases: dict,
+                   mod: int, rng) -> tuple[dict, int]:
+    """({case index: (a, b)}, skipped): over the cases that fail, in
+    index order, the payloads of each one's first failing trial, and the
+    number of cases skipped by `_exact_cases`.  Every trial of every case
+    is drawn in one numpy call, seeded by one `rng.randrange(2 ** 63)`,
+    so a skip moves no draw.  Trial 0 is evaluated for every case not
+    skipped, and trials 1 to samples - 1, in one more pass, only for the
+    cases that held at trial 0."""
     draws = np.random.default_rng(rng.randrange(2 ** 63)).integers(
         0, mod, size=(len(cases), 2, samples), dtype=np.int64)
+    skipped = _exact_cases(rep, cases, open_cases)
+    members = [n for n in range(len(cases)) if n not in skipped]
     tables = _letter_tables(rep)
-    failed = _FloatKernel(rep, tables, 1, mod).run(cases, range(len(cases)), draws[:, :, :1])
-    if samples > 1:
-        held = [n for n in range(len(cases)) if n not in failed]
+    failed = _FloatKernel(rep, tables, 1, mod).run(cases, members, draws[:, :, :1])
+    held = [n for n in members if n not in failed]
+    if samples > 1 and held:
         later = _FloatKernel(rep, tables, samples - 1, mod).run(cases, held, draws[:, :, 1:])
         failed.update((n, s + 1) for n, s in later.items())
-    return {n: tuple(ring._from_int(int(x)) for x in draws[n, :, failed[n]])
-            for n in sorted(failed)}
+    order = sorted(failed)
+    pairs = draws[order, :, [failed[n] for n in order]].tolist()
+    return {n: tuple(map(ring._from_int, ab)) for n, ab in zip(order, pairs)}, len(skipped)
+
+
+def _exact_cases(rep: Representation, cases, open_cases: dict) -> set:
+    """The indices of the certified R1 and R2 cases, those not in
+    `open_cases`, whose letter products multiply no two root-vector
+    entries: no column of one root's M1 and M2 entries is a row of the
+    other root's, either way round, and neither root has an entry on the
+    diagonal.  Every nonzero term of such a product then has a factor 1
+    from a letter's diagonal, so BLAS returns the exact integers, in any
+    summation order, and the case holds at every trial."""
+    support = {}
+    for root in rep.system.roots:
+        entries = {(i, j) for i, j, _ in (*rep.m1[root], *rep.m2[root])}
+        # rows and columns as bit masks
+        support[root] = (sum({1 << i for i, _ in entries}), sum({1 << j for _, j in entries}),
+                         any(i == j for i, j in entries))
+
+    def apart(alpha, beta):
+        (ra, ca, da), (rb, cb, db) = support[alpha], support[beta]
+        return not (da or db or ca & rb or cb & ra)
+
+    return {n for n, (law, alpha, beta, _) in enumerate(cases)
+            if law in ("R1", "R2") and n not in open_cases and apart(alpha, beta)}
 
 
 # matrix entries in one batch of images: over the twelve representations
@@ -72,12 +102,10 @@ class _FloatKernel:
         self.rep, self.tables, self.samples, self.mod = rep, tables, samples, mod
         case_entries = samples * rep.dim ** 2
         self.chunk = max(1, _BATCH_ENTRIES // case_entries)
-        # a batch's images, and a product's int64 reduction, are written
-        # into these buffers: fresh arrays for every batch cost more in
-        # page faults than the products at d = 45
-        size = self.chunk * case_entries
-        self.slots = np.empty((self.SLOTS, size))
-        self.ints = np.empty((2, size), dtype=np.int64)
+        # a batch's images are written into these buffers: fresh arrays
+        # for every batch cost more in page faults than the products at
+        # d = 45
+        self.slots = np.empty((self.SLOTS, self.chunk * case_entries))
         self.eye = np.tile(np.eye(rep.dim).reshape(-1), self.chunk * samples)
         self.used = 0
 
@@ -124,17 +152,11 @@ class _FloatKernel:
         return x
 
     def product(self, x, y):
-        # a BLAS float64 product, truncated to int64 and reduced as
-        # n - m floor(n / m), which is faster here than np.remainder;
-        # past 2^53 the float sums round
+        # a BLAS float64 product, rounded past 2^53; its entries are
+        # integers below 2^63, so fmod reduces those >= m exactly
         out = self._image(len(x))
         np.matmul(x, y, out=out)
-        n, q = (self._buffer(row, len(x)) for row in self.ints)
-        np.copyto(n, out, casting="unsafe")
-        np.floor_divide(n, self.mod, out=q)
-        q *= self.mod
-        n -= q
-        np.copyto(out, n)
+        np.fmod(out, self.mod, out=out, where=out >= self.mod)
         return out
 
     def equal(self, x, y):

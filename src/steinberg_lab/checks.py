@@ -203,13 +203,13 @@ def root_tables(rng, n):
 
 
 def tame_laws(rng, n):
-    """d_3{2, 3} = 2; then n random a, b, c > 0 and u in Q: bilinearity
+    """d_3{2, 3} = 2 and d_5{2, 5} = 2, which an inverted symbol would
+    make 3; then n random a, b, c > 0 and u in Q: bilinearity
     {a, bc} = {a, b} + {a, c}, skew-symmetry {a, b} + {b, a} = 0 and the
     Steinberg relation {u, 1 - u} = 0, compared through tame symbols at
     every relevant odd prime."""
-    out = []
-    if tame_symbol(symbol(2, 3), 3).value != 2:
-        out.append({"ring": "QQ", "laws": ["d_3"], "args": ["2", "3"]})
+    out = [{"ring": "QQ", "laws": [f"d_{p}"], "args": ["2", str(p)]}
+           for p in (3, 5) if tame_symbol(symbol(2, p), p).value != 2]
     for _ in range(n):
         a, b, c = (Fraction(rng.randint(1, 50), rng.randint(1, 50)) for _ in range(3))
         u = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
@@ -456,11 +456,14 @@ def moore_roundtrip(rng, n):
 
 
 def crt_roundtrip(rng, n):
-    """n random x in ZZ[t1]/(t1^2 - t1) and n random pairs in ZZ x ZZ: the
-    two CRT maps are mutually inverse."""
+    """The class of t1 goes to (0, 1); then n random x in ZZ[t1]/(t1^2 -
+    t1) and n random pairs in ZZ x ZZ: the two CRT maps are mutually
+    inverse, which they stay when both swap the pair."""
     square, pairs = interval_square_ring(Z), product_ring(Z, Z)
     lvl1 = simplex_ring(Z, 1)
-    out = []
+    t1 = square.project(lvl1.var("t1"))
+    out = ([] if crt_to_pair(t1, pairs).payload == (0, 1) else
+           [{"ring": square.describe(), "args": [str(t1), "(0, 1)"]}])
     for _ in range(n):
         x = square.project(_level1_poly(lvl1, rng, 4, 9))
         pair = pairs.pair(Z.sample(rng, 9), Z.sample(rng, 9))

@@ -17,10 +17,10 @@ of ZZ[a, b] once per representation (its tables are read-only), keeps
 only the open cases, those with a nonzero difference, and specializes
 them in the ring at trials that `Ring._sample` draws, over every ring
 but Z/m with d (m - 1)^2 >= 2^53 and w (m - 1)^2 < 2^63, w the widest
-row of a letter (`_row_width`).  There, as over GF(1000000007), every
-case is evaluated in float64 (`_float_sweep`, the only user of numpy) up
-to its first failing trial, and the products round and report false
-violations.
+row of a letter (`_row_width`).  There, as over GF(1000000007), the
+open cases and every case whose products can round are evaluated in
+float64 (`_float_sweep`, the only user of numpy) up to their first
+failing trial, and the products round and report false violations.
 """
 
 from __future__ import annotations
@@ -300,7 +300,9 @@ class RelationReport:
     """`violations` names each failing law, ("R1", a) or (law, a, b);
     `arguments` holds, at the same position, the (a, b) of its first
     failing trial as ring elements.  `certified` counts the cases proved
-    at the generic point, not evaluated; 0 when evaluation decided all."""
+    at the generic point, not evaluated; 0 when evaluation decided all.
+    On the float64 route those are the certified R1 and R2 cases that
+    float64 computes exactly (`_float_sweep._exact_cases`)."""
 
     representation: str
     ring: str
@@ -471,21 +473,22 @@ def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> Rela
     and a nonzero one is specialized (`_specialize`) at trials drawn by
     `Ring._sample` up to the first that fails.  So an intact sweep leaves
     `rng` as it was, and a warm one does work only on the open cases.
-    Over Z/m with d (m - 1)^2 >= 2^53, as GF(1000000007), every case is
-    instead evaluated in float64 (`_float_sweep`) up to its first failing
-    trial, after one `rng.randrange(2 ** 63)`; the products round there
-    and report the false violations that the benchmark's relation-sweep
-    asserts until its next revision.  That route is taken only while its
-    int64 products hold w (m - 1)^2 < 2^63 (w from `_row_width`), so a
-    larger modulus, as Z/2^64, takes the exact route."""
+    Over Z/m with d (m - 1)^2 >= 2^53, as GF(1000000007), every case but
+    the certified ones that float64 computes exactly is instead evaluated
+    in float64 (`_float_sweep`) up to its first failing trial, after one
+    `rng.randrange(2 ** 63)`; the products round there and report the
+    false violations that the benchmark's relation-sweep asserts until
+    its next revision.  That route is taken only while w (m - 1)^2 <
+    2^63 (w from `_row_width`), so a larger modulus, as Z/2^64, takes the
+    exact route."""
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         raise ValueError(f"verify_relations needs an int samples >= 1, got {samples!r}")
     cases = _cases(rep.system)
+    open_cases = _certificate(rep, cases)
     mod = ring.p if isinstance(ring, PrimeFieldRing) else getattr(ring, "n", None)
     if mod and rep.dim * (mod - 1) ** 2 >= 2 ** 53 and _row_width(rep) * (mod - 1) ** 2 < 2 ** 63:
         from ._float_sweep import first_failures
-        failures = first_failures(rep, ring, samples, cases, mod, rng)
-        return _report(rep, ring, samples, cases, failures, 0)
-    open_cases = _certificate(rep, cases)
+        failures, skipped = first_failures(rep, ring, samples, cases, open_cases, mod, rng)
+        return _report(rep, ring, samples, cases, failures, skipped)
     return _report(rep, ring, samples, cases, _first_failures(ring, open_cases, samples, rng),
                    len(cases) - len(open_cases))

@@ -19,7 +19,13 @@ def _extra_letter(w):
     return w * gen(w.system, w.ring, w.system.roots[0], 1)
 
 
-# (check, n, where the fault goes, attribute, fault(original, *args))
+def _swapped(pair):
+    return pair.ring.pair(*reversed(pair.payload))
+
+
+# (check, n, where the fault goes, attribute, fault(original, *args)); a
+# fault planted in several attributes of one owner names them in a tuple,
+# with one fault each
 FAULTS = [
     (checks.ring_axioms, 3, RingElement, "__mul__", lambda f, a, b: f(a, b) + a),
     (checks.milnor_square_roundtrip, 5, checks, "milnor_square_project_base",
@@ -32,6 +38,8 @@ FAULTS = [
      lambda f, system, a, b: abs(f(system, a, b))),
     (checks.tame_laws, 20, checks, "tame_symbol",
      lambda f, s, p: TameSymbolImage(p, f(s, p).value % (p - 1) + 1)),
+    (checks.tame_laws, 20, checks, "tame_symbol",
+     lambda f, s, p: TameSymbolImage(p, pow(f(s, p).value, -1, p))),
     (checks.normalize_tame_images, 10, checks, "symbol_normalize",
      lambda f, s: f(s) + symbol(2, 3)),
     (checks.kernel_words, 20, checks, "steinberg_symbol",
@@ -57,17 +65,30 @@ FAULTS = [
      lambda f, m: f(dataclasses.replace(m, f=m.f + 1))),
     (checks.crt_roundtrip, 5, checks, "crt_from_pair",
      lambda f, x, square: f(x, square) + 1),
+    (checks.crt_roundtrip, 5, checks, ("crt_to_pair", "crt_from_pair"),
+     (lambda f, x, pairs: _swapped(f(x, pairs)), lambda f, x, square: f(_swapped(x), square))),
     (checks.simplicial_examples, 1, checks, "pi0_connectivity_witness",
      lambda f, *a: _extra_letter(f(*a))),
 ]
 
 
-@pytest.mark.parametrize("check, n, owner, name, fault", FAULTS,
-                         ids=[getattr(c[0], "__name__", "relations") for c in FAULTS])
+def _planted(fault, original):
+    return lambda *a, **kw: fault(original, *a, **kw)
+
+
+def _fault_ids():
+    """Each check's name; its k-th fault after the first is "<name>-k"."""
+    names = [getattr(check, "__name__", "relations") for check, *_ in FAULTS]
+    return [name if (k := names[:n].count(name)) == 0 else f"{name}-{k + 1}"
+            for n, name in enumerate(names)]
+
+
+@pytest.mark.parametrize("check, n, owner, name, fault", FAULTS, ids=_fault_ids())
 def test_planted_fault_is_witnessed(check, n, owner, name, fault, monkeypatch):
     assert check(random.Random(1), n) == []
-    original = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *a, **kw: fault(original, *a, **kw))
+    names, faults = (name, fault) if isinstance(name, tuple) else ((name,), (fault,))
+    for attr, planted in zip(names, faults, strict=True):
+        monkeypatch.setattr(owner, attr, _planted(planted, getattr(owner, attr)))
     bad = check(random.Random(1), n)
     assert bad, "the planted fault went unnoticed"
     for w in bad:

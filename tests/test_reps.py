@@ -5,7 +5,7 @@ import hashlib
 import random
 import weakref
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from math import gcd
 
 import numpy as np
@@ -528,12 +528,16 @@ SWEEP_PINS = {
 }
 
 
-def _pinned_sweep(key):
-    name, ring = key.split("/")
+def _named_rep(name):
+    """The rep "<kind><rank>-<rep>[~flip]"."""
     system, kind = name.split("~")[0].split("-")
     rep = build_representation(build_root_system(system[0], int(system[1:])), kind)
-    if name.endswith("~flip"):
-        rep = _flipped(rep)
+    return _flipped(rep) if name.endswith("~flip") else rep
+
+
+def _pinned_sweep(key):
+    name, ring = key.split("/")
+    rep = _named_rep(name)
     return rep, verify_relations(rep, SWEEP_RINGS[ring], SWEEP_SAMPLES[ring], random.Random(key))
 
 
@@ -768,15 +772,15 @@ def test_sweep_sees_a_patched_structure_constant_and_its_undo(monkeypatch):
 
 @pytest.mark.parametrize("key", list(SWEEP_PINS))
 def test_warm_sweep_reports_as_the_cold_one(key, monkeypatch):
-    """A second sweep of the same rep finds its case table and, on every
-    exact route, its certificate built: it builds no difference, and on
-    an intact rep specializes none, and gives the cold sweep's report,
-    as does one after the certificates are dropped."""
+    """A second sweep of the same rep finds its case table and its
+    certificate built, on every ring, the float64 route's too: it builds
+    no difference, and on an intact rep specializes none, and gives the
+    cold sweep's report, as does one after the certificates are dropped."""
     monkeypatch.setattr(reps, "_CERTIFICATES", weakref.WeakKeyDictionary())
     rep, cold = _pinned_sweep(key)
     name = key.split("/")[1]
     ring, samples = SWEEP_RINGS[name], SWEEP_SAMPLES[name]
-    assert (rep in reps._CERTIFICATES) == (name != "Fbig")
+    assert rep in reps._CERTIFICATES
     assert reps._cases(rep.system) is reps._cases(rep.system)
 
     def unused(*args):
@@ -818,12 +822,27 @@ def test_truncated_polynomials_past_the_old_float_bound_are_certified():
     _assert_refuted_with_witnesses(bad, ring, verify_relations(bad, ring, 10, random.Random(2)))
 
 
+def _float_exact(rep, case):
+    """Whether float64 computes both letter products of a case exactly:
+    an R1 or R2 case whose two roots have no diagonal entry, and whose
+    M1 + M2 supports multiply to zero in both orders, so that every
+    nonzero term of a product has a factor 1 from a letter's diagonal."""
+    law, alpha, beta, _ = case
+    if law not in ("R1", "R2"):
+        return False
+    a, b = (np.abs(_dense(rep.dim, rep.m1[r])) + np.abs(_dense(rep.dim, rep.m2[r]))
+            for r in (alpha, beta))
+    return not (a.diagonal().any() or b.diagonal().any() or (a @ b).any() or (b @ a).any())
+
+
 def test_numpy_sweep_evaluates_no_certified_case(monkeypatch):
     """Over Z/6, F7 and Z[t]/(t^3) an intact sweep certifies every case
-    and evaluates none; over GF(1000000007), where float64 products can
-    round, it certifies none, evaluates every case once at trial 0, and
-    evaluates at later trials, once, exactly the cases that held at trial
-    0.  The violations are the cases that failed in either pass."""
+    and evaluates none.  Over GF(1000000007), where float64 products can
+    round, it skips the certified cases that float64 computes exactly
+    (`_float_exact`: 96 of A3 defining's 144, none of A3 adjoint's), so
+    trial 0 evaluates, once, exactly the cases that are open or fail that
+    test, and later trials, once, exactly those of them that held at
+    trial 0.  The violations are the cases that failed in either pass."""
     holds = _float_sweep._holds
 
     def unused(*args):
@@ -845,16 +864,95 @@ def test_numpy_sweep_evaluates_no_certified_case(monkeypatch):
     for rep in (_rep("A", 3, "defining"), _rep("A", 3, "adjoint")):
         passes = {1: [], 9: []}
         report = verify_relations(rep, SWEEP_RINGS["Fbig"], 10, random.Random(0))
-        assert report.certified == 0
         cases = reps._cases(rep.system)
+        skipped = {case for case, diff in zip(cases, reps._differences(rep, cases))
+                   if not diff and _float_exact(rep, case)}
+        assert report.certified == len(skipped) == (96 if rep.kind == "defining" else 0)
         first = dict(passes[1])
-        assert len(passes[1]) == len(first) == len(cases) and set(first) == set(cases)
+        assert len(passes[1]) == len(first) and set(first) == set(cases) - skipped
         later = dict(passes[9])
         assert len(passes[9]) == len(later)
         assert set(later) == {case for case, held in first.items() if held}
-        assert 0 < len(later) < len(cases)
+        assert 0 < len(later) < len(first)
         failed = {case for case, held in (*first.items(), *later.items()) if not held}
         assert report.violations == [_named(case) for case in cases if case in failed]
+
+
+def _diagonal(rep):
+    """Copy of rep with the entry 1 planted on the diagonal of M1 of the
+    first simple root, at the first index its entries miss."""
+    root = rep.system.simple_roots[0]
+    used = {k for i, j, _ in rep.m1[root] for k in (i, j)}
+    k = min(set(range(rep.dim)) - used)
+    return dataclasses.replace(rep, m1={**rep.m1, root: (*rep.m1[root], (k, k, 1))})
+
+
+def _square_term(rep):
+    """Copy of rep whose first simple root also has M2 = M1, so that R1
+    on it fails by 2ab M1 although no entry of the root meets another."""
+    root = rep.system.simple_roots[0]
+    return dataclasses.replace(rep, m2={**rep.m2, root: rep.m1[root]})
+
+
+# the twelve reps of the benchmark's relation sweep and its four flipped
+# controls, the mutated tables, an open R1 case whose products multiply
+# no two entries, and a planted diagonal entry
+SKIP_REPS = {
+    **{name: partial(_named_rep, name) for name in (
+        "A2-defining", "A3-defining", "A4-defining", "A5-defining", "A2-adjoint",
+        "A3-adjoint", "D4-vector", "D5-vector", "D6-vector", "D4-adjoint", "A5-adjoint",
+        "D5-adjoint", "A2-defining~flip", "D4-vector~flip", "A3-adjoint~flip",
+        "A3-defining~flip")},
+    **MUTATIONS,
+    "square-A3-defining": lambda: _square_term(_rep("A", 3, "defining")),
+    "diagonal-A3-defining": lambda: _diagonal(_rep("A", 3, "defining")),
+}
+
+
+@pytest.mark.parametrize("name", list(SKIP_REPS))
+def test_float_skip_changes_no_output(name, monkeypatch):
+    """With the skip of `_float_sweep._exact_cases` turned off, every
+    sweep over GF(1000000007) and GF(14147797), at 1, 3 and 10 samples on
+    three seeds, reports the same violations with the same arguments and
+    leaves the rng in the same state.  Over GF(14147797) only D5 adjoint
+    (d = 45) takes the float64 route.  An adjoint rep skips no case, so
+    there is nothing to compare."""
+    rep = SKIP_REPS[name]()
+    cases = reps._cases(rep.system)
+    skipped = _float_sweep._exact_cases(rep, cases, reps._certificate(rep, cases))
+    assert bool(skipped) == (rep.kind != "adjoint")
+    if not skipped:
+        return
+    for ring in (GF(1000000007), GF(14147797)):
+        for samples in (1, 3, 10):
+            for seed in range(3):
+                runs = []
+                for skip in (True, False):
+                    with monkeypatch.context() as patched:
+                        if not skip:
+                            patched.setattr(_float_sweep, "_exact_cases", lambda *args: set())
+                        rng = random.Random(seed)
+                        report = verify_relations(rep, ring, samples, rng)
+                        runs.append((report.violations, report.arguments, rng.random()))
+                assert runs[0] == runs[1], (ring, samples, seed)
+
+
+def test_float_skip_passes_over_a_root_with_a_diagonal_entry():
+    """A letter whose root has a diagonal entry has a diagonal entry
+    other than 1, so none of that root's cases is skipped, although a
+    certified R2 case of it has supports that multiply to zero both ways
+    round.  Every other root's skipped cases are skipped as before."""
+    intact, planted = _rep("A", 3, "defining"), _diagonal(_rep("A", 3, "defining"))
+    root, cases = planted.system.simple_roots[0], reps._cases(planted.system)
+    skipped = {n: _float_sweep._exact_cases(rep, cases, reps._certificate(rep, cases))
+               for n, rep in (("intact", intact), ("planted", planted))}
+    assert skipped["planted"] == {n for n in skipped["intact"] if root not in cases[n][1:3]}
+    certified = reps._certificate(planted, cases)
+    support = {r: np.abs(_dense(planted.dim, planted.m1[r])) for r in planted.system.roots}
+    assert any(law == "R2" and alpha == root and n not in certified
+               and not (support[alpha] @ support[beta]).any()
+               and not (support[beta] @ support[alpha]).any()
+               for n, (law, alpha, beta, _) in enumerate(cases))
 
 
 def test_float_sweep_draws_one_seed_from_rng():
@@ -893,14 +991,16 @@ def test_moduli_past_int64_products_take_the_exact_route(ring, mod):
 
 def test_report_counts_the_certified_cases():
     """`certified` is every case with a zero generic difference over ZZ
-    and F7, and 0 over GF(1000000007)."""
+    and F7, and over GF(1000000007) the cases that the float64 route
+    skips: A3 defining's 12 R1 and 84 R2 cases, 96 of 144, intact and
+    flipped."""
     for rep in (_rep("A", 3, "defining"), _flipped(_rep("A", 3, "defining"))):
         cases = reps._cases(rep.system)
         zero = sum(not diff for diff in reps._differences(rep, cases))
         for name in ("ZZ", "F7", "Fbig"):
             report = verify_relations(rep, SWEEP_RINGS[name], 2, random.Random(name))
-            assert report.pairs_checked == len(cases)
-            assert report.certified == (0 if name == "Fbig" else zero), (rep.describe(), name)
+            assert report.pairs_checked == len(cases) == 144
+            assert report.certified == (96 if name == "Fbig" else zero), (rep.describe(), name)
     assert zero < len(cases)
 
 
