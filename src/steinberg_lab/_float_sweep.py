@@ -1,12 +1,15 @@
 """The float64 route of the relation sweep, over Z/m with d (m - 1)^2 >= 2^53
 as GF(1000000007): batched float64 products, whose sums round past 2^53
-and report false violations, which the benchmark asserts.  A certified
-case that float64 computes exactly (`_exact_cases`) is skipped; every
-other case is evaluated at trial 0, and at its later trials only if it
-held there.  `reps.verify_relations` imports this module on that branch
-alone, so numpy is loaded only here."""
+and report false violations, which the benchmark asserts.  A rep's
+tables are read once (`_table`).  A certified case that float64
+computes exactly (`_exact_cases`) is skipped; every other case is
+evaluated at trial 0, and at its later trials only if it held there.
+`reps.verify_relations` imports this module on that branch alone, so
+numpy is loaded only here."""
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -15,23 +18,26 @@ from .rings import Ring
 
 
 def first_failures(rep: Representation, ring: Ring, samples: int, cases, open_cases: dict,
-                   mod: int, rng) -> tuple[dict, int]:
+                   mod: int, rng) -> tuple[dict, int] | None:
     """({case index: (a, b)}, skipped): over the cases that fail, in
     index order, the payloads of each one's first failing trial, and the
-    number of cases skipped by `_exact_cases`.  Every trial of every case
-    is drawn in one numpy call, seeded by one `rng.randrange(2 ** 63)`,
-    so a skip moves no draw.  Trial 0 is evaluated for every case not
-    skipped, and trials 1 to samples - 1, in one more pass, only for the
-    cases that held at trial 0."""
+    number of cases skipped by `_exact_cases`; None, drawing nothing,
+    when `_table` finds a diagonal entry or w (m - 1)^2 >= 2^63, past
+    int64.  Every trial of every case is drawn in one numpy call, seeded
+    by one `rng.randrange(2 ** 63)`, so a skip moves no draw.  Trial 0 is
+    evaluated for every case not skipped, and trials 1 to samples - 1, in
+    one more pass, only for the cases that held at trial 0."""
+    letters, _, width, nilpotent = _table(rep)
+    if not nilpotent or width * (mod - 1) ** 2 >= 2 ** 63:
+        return None
     draws = np.random.default_rng(rng.randrange(2 ** 63)).integers(
         0, mod, size=(len(cases), 2, samples), dtype=np.int64)
     skipped = _exact_cases(rep, cases, open_cases)
     members = [n for n in range(len(cases)) if n not in skipped]
-    tables = _letter_tables(rep)
-    failed = _FloatKernel(rep, tables, 1, mod).run(cases, members, draws[:, :, :1])
+    failed = _FloatKernel(rep, letters, 1, mod).run(cases, members, draws[:, :, :1])
     held = [n for n in members if n not in failed]
     if samples > 1 and held:
-        later = _FloatKernel(rep, tables, samples - 1, mod).run(cases, held, draws[:, :, 1:])
+        later = _FloatKernel(rep, letters, samples - 1, mod).run(cases, held, draws[:, :, 1:])
         failed.update((n, s + 1) for n, s in later.items())
     order = sorted(failed)
     pairs = draws[order, :, [failed[n] for n in order]].tolist()
@@ -41,21 +47,15 @@ def first_failures(rep: Representation, ring: Ring, samples: int, cases, open_ca
 def _exact_cases(rep: Representation, cases, open_cases: dict) -> set:
     """The indices of the certified R1 and R2 cases, those not in
     `open_cases`, whose letter products multiply no two root-vector
-    entries: no column of one root's M1 and M2 entries is a row of the
-    other root's, either way round, and neither root has an entry on the
-    diagonal.  Every nonzero term of such a product then has a factor 1
-    from a letter's diagonal, so BLAS returns the exact integers, in any
-    summation order, and the case holds at every trial."""
-    support = {}
-    for root in rep.system.roots:
-        entries = {(i, j) for i, j, _ in (*rep.m1[root], *rep.m2[root])}
-        # rows and columns as bit masks
-        support[root] = (sum({1 << i for i, _ in entries}), sum({1 << j for _, j in entries}),
-                         any(i == j for i, j in entries))
+    entries: no column of one root's entries is a row of the other's,
+    either way round.  With no diagonal entry (`first_failures`), every
+    nonzero term of such a product has a factor 1 from a letter's
+    diagonal, so BLAS returns the exact integers and the case holds."""
+    support = _table(rep)[1]
 
     def apart(alpha, beta):
-        (ra, ca, da), (rb, cb, db) = support[alpha], support[beta]
-        return not (da or db or ca & rb or cb & ra)
+        (ra, ca), (rb, cb) = support[alpha], support[beta]
+        return not (ca & rb or cb & ra)
 
     return {n for n, (law, alpha, beta, _) in enumerate(cases)
             if law in ("R1", "R2") and n not in open_cases and apart(alpha, beta)}
@@ -68,21 +68,31 @@ def _exact_cases(rep: Representation, cases, open_cases: dict) -> set:
 _BATCH_ENTRIES = 2 ** 14
 
 
-def _letter_tables(rep: Representation):
-    """Per root, in enumeration order, the flat positions p = i d + j of
-    the entries of M1 and M2 and their coefficients there: three int64
-    arrays of shape (roots, width).  A root vector is nilpotent, so none
-    of these entries is on the diagonal.  A root with fewer entries
-    repeats its first one, which writes the same value again."""
-    d = rep.dim
-    rows = []
-    for root in rep.system.roots:
-        m1 = {i * d + j: c for i, j, c in rep.m1[root]}
-        m2 = {i * d + j: c for i, j, c in rep.m2[root]}
-        rows.append([(p, m1.get(p, 0), m2.get(p, 0)) for p in {**m1, **m2}])
-    width = max(map(len, rows))
-    table = np.array([row + row[:1] * (width - len(row)) for row in rows], dtype=np.int64)
-    return tuple(np.moveaxis(table, 2, 0))
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def _table(rep: Representation):
+    """(letters, support, w, nilpotent), read from the M1 and M2 entries
+    of `rep` in one pass and kept while it lives.  letters: per root, the
+    flat positions p = i d + j of its entries and their M1 and M2
+    coefficients, three int64 arrays of shape (roots, entries), a root
+    with fewer entries repeating its first one.  support: root -> its
+    entries' rows and columns as bit masks.  w: the most nonzero entries
+    in a row of a letter I + M1 + M2.  nilpotent: no diagonal entry."""
+    table = _TABLES.get(rep)
+    if table is None:
+        d, rows, support, w, nilpotent = rep.dim, [], {}, 0, True
+        for root in rep.system.roots:
+            m1, m2 = ({(i, j): c for i, j, c in t} for t in (rep.m1[root], rep.m2[root]))
+            rows.append([(i * d + j, m1.get((i, j), 0), m2.get((i, j), 0)) for i, j in m1 | m2])
+            rs, cs = zip(*(m1 | m2))
+            support[root] = sum({1 << r for r in rs}), sum({1 << c for c in cs})
+            w = max(w, 1 + max(map(rs.count, rs)))
+            nilpotent &= all(r != c for r, c in zip(rs, cs))
+        n = max(map(len, rows))
+        letters = np.array([row + row[:1] * (n - len(row)) for row in rows], dtype=np.int64)
+        table = _TABLES[rep] = tuple(np.moveaxis(letters, 2, 0)), support, w, nilpotent
+    return table
 
 
 class _FloatKernel:

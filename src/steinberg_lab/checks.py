@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .milnor import (MilnorSymbolSum, relevant_odd_primes, steinberg_to_milnor,
+from .milnor import (MilnorSymbolSum, real_symbol, relevant_odd_primes, steinberg_to_milnor,
                      symbol, symbol_normalize, tame_symbol)
 from .patching import (GlueingError, PatchPair, conj_bound, glueing_demo,
                        mu_image, star_reduce, verify_conjugation,
@@ -232,22 +232,23 @@ def tame_laws(rng, n):
 
 
 def normalize_tame_images(rng, n):
-    """n random sums of 1..4 symbols: symbol_normalize preserves the tame
-    image at every relevant odd prime."""
+    """n random sums of 1..4 symbols, entries of both signs: symbol_normalize
+    keeps the tame image at every relevant odd prime and the real symbol."""
     out = []
     for _ in range(n):
         terms = {}
         for _ in range(rng.randint(1, 4)):
-            a = Fraction(rng.randint(1, 30), rng.randint(1, 30))
-            b = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30))
+            a, b = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30))
+                    for _ in range(2))
             if a != 1 and b != 1:
                 terms[(a, b)] = terms.get((a, b), 0) + rng.choice([-2, -1, 1, 2])
         s = MilnorSymbolSum(QQ(), terms)
         normal = symbol_normalize(s)
         primes = set(relevant_odd_primes(s)) | set(relevant_odd_primes(normal))
         bad = sorted(p for p in primes if tame_symbol(s, p) != tame_symbol(normal, p))
-        if bad:
-            out.append({"ring": "QQ", "args": [repr(s)], "primes": bad})
+        real = real_symbol(s) != real_symbol(normal)
+        if bad or real:
+            out.append({"ring": "QQ", "args": [repr(s)], "primes": bad, "real": real})
     return out
 
 

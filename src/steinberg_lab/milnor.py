@@ -4,9 +4,10 @@ Symbols {a, b} are stored as formal multisets with integer
 multiplicities.  Simplification applies only sound K2 relations
 (bilinearity via prime factorization, skew-symmetry, {u,-u} and
 {u,1-u} vanishing); no complete normal form is attempted, and equality
-claims are routed through tame-symbol images at odd primes.  Terms are
-merged and ordered on (str(a), str(b)) of the payloads, hashing no Fraction;
-two caches of 256 int entries keep factorizations and primality answers.
+claims are routed through tame symbols at odd primes and the real symbol,
+which decide it in K2(Q).  Terms are merged and ordered on (str(a), str(b))
+of the payloads, hashing no Fraction; two caches of 256 int entries keep
+factorizations and primality answers.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .rings import _MR_LIMIT, RationalField, Ring, _is_prime
 
 __all__ = [
     "MilnorSymbolSum", "TameSymbolImage", "symbol", "symbol_normalize",
-    "tame_symbol", "steinberg_to_milnor",
+    "tame_symbol", "real_symbol", "steinberg_to_milnor",
     "relevant_odd_primes", "factor_positive",
 ]
 
@@ -231,6 +232,15 @@ def tame_symbol(s: MilnorSymbolSum, p: int) -> TameSymbolImage:
     for (a, b), mult in s.terms:
         val = val * pow(_tame_term(a, b, p), mult, p) % p
     return TameSymbolImage(p, val)
+
+
+def real_symbol(s: MilnorSymbolSum) -> int:
+    """Image in K2(R) -> {+-1}, as 0 or 1: the multiplicity of the terms
+    {a, b} with a < 0 and b < 0, mod 2.  With the tame symbols at the odd
+    primes it decides equality in K2(Q) (Tate; Milnor, section 11)."""
+    if not isinstance(s.field, RationalField):
+        raise ValueError("real symbols are defined over Q here")
+    return sum(mult for (a, b), mult in s.terms if a < 0 and b < 0) % 2
 
 
 # ---------------------------------------------------------------------------

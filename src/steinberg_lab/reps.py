@@ -12,22 +12,20 @@ d = 1 over every other ring.  Only the dense view `GroupMatrix.rows`
 maps int entries back to payloads.
 
 The relation sweep (`verify_relations`) builds its cases once per root
-system and structure-constant method, proves each at the generic point
-of ZZ[a, b] once per representation (its tables are read-only), keeps
-only the open cases, those with a nonzero difference, and specializes
-them in the ring at trials that `Ring._sample` draws, over every ring
-but Z/m with d (m - 1)^2 >= 2^53 and w (m - 1)^2 < 2^63, w the widest
-row of a letter (`_row_width`).  There, as over GF(1000000007), the
-open cases and every case whose products can round are evaluated in
-float64 (`_float_sweep`, the only user of numpy) up to their first
-failing trial, and the products round and report false violations.
+system and proves each at the generic point of ZZ[a, b] once per
+representation, since both are interned or read-only; it keeps only
+the open cases, those with a nonzero difference, and specializes them
+in the ring at trials that `Ring._sample` draws, over every ring but
+Z/m with d (m - 1)^2 >= 2^53.  There, as over GF(1000000007), the open
+cases and every case whose products can round are evaluated in float64
+(`_float_sweep`, the only user of numpy) up to their first failing
+trial, and the products round and report false violations.
 """
 
 from __future__ import annotations
 
 import operator
 import weakref
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -67,18 +65,16 @@ class Representation:
 
 
 def _simple_coordinates(system: RootSystem) -> dict:
-    """root -> its coordinates in the simple roots.  A positive root that
-    is not simple is a positive root plus a simple root a_i, so its
-    coordinates are those of the smaller root plus 1 at i."""
-    unit = [tuple(int(i == j) for j in range(system.rank)) for i in range(system.rank)]
-    coords = dict(zip(system.simple_roots, unit))
-    while len(coords) < len(system.positive_roots):
-        for root in system.positive_roots:
-            for i, s in enumerate(system.simple_roots):
-                rest = tuple(x - y for x, y in zip(root, s))
-                if rest in coords and root not in coords:
-                    coords[root] = tuple(c + u for c, u in zip(coords[rest], unit[i]))
-    coords.update({system.negate(r): tuple(-c for c in v) for r, v in list(coords.items())})
+    """root -> its coordinates in the simple roots.  With a_i = e_i -
+    e_(i+1) they are the partial sums of the root's entries; in type D
+    the last simple root is e_(l-2) + e_(l-1), so the last two are
+    (P - x_(l-1))/2 and (P + x_(l-1))/2, P the partial sum up to l - 2."""
+    coords = {}
+    for root in system.roots:
+        sums = [sum(root[:k + 1]) for k in range(system.rank)]
+        if system.kind == "D":
+            sums[-2:] = (sums[-2] - root[-1]) // 2, (sums[-2] + root[-1]) // 2
+        coords[root] = tuple(sums)
     return coords
 
 
@@ -301,8 +297,9 @@ class RelationReport:
     `arguments` holds, at the same position, the (a, b) of its first
     failing trial as ring elements.  `certified` counts the cases proved
     at the generic point, not evaluated; 0 when evaluation decided all.
-    On the float64 route those are the certified R1 and R2 cases that
-    float64 computes exactly (`_float_sweep._exact_cases`)."""
+    On the float64 route, taken only by a table with no diagonal entry,
+    those are the certified R1 and R2 cases that float64 computes
+    exactly (`_float_sweep._exact_cases`)."""
 
     representation: str
     ring: str
@@ -375,16 +372,15 @@ def _differences(rep: Representation, cases):
 _CERTIFICATES = weakref.WeakKeyDictionary()
 
 
-def _certificate(rep: Representation, cases) -> dict:
-    """{case index: generic difference} over the cases whose difference
-    is nonzero, in case order, kept while `rep` lives (its tables are
-    read-only) until `cases` is not the table it was built from (`_cases`
-    rebuilds that under a patched structure constant)."""
-    entry = _CERTIFICATES.get(rep)
-    if entry is None or entry[0] is not cases:
-        diffs = enumerate(_differences(rep, cases))
-        entry = _CERTIFICATES[rep] = cases, {n: diff for n, diff in diffs if diff}
-    return entry[1]
+def _certificate(rep: Representation) -> dict:
+    """{case index: generic difference} over the cases of `_cases` whose
+    difference is nonzero, in case order, built once and kept while
+    `rep` lives (its tables are read-only)."""
+    open_cases = _CERTIFICATES.get(rep)
+    if open_cases is None:
+        diffs = enumerate(_differences(rep, _cases(rep.system)))
+        open_cases = _CERTIFICATES[rep] = {n: diff for n, diff in diffs if diff}
+    return open_cases
 
 
 def _specialize(ring: Ring, diff, a, b) -> dict:
@@ -404,28 +400,21 @@ def _specialize(ring: Ring, diff, a, b) -> dict:
     return {key: v for key, v in entries.items() if v != zero}
 
 
-_CASES: dict = {}
-
-
+@cache
 def _cases(system) -> tuple:
     """R1 on every root a, then R2 or R3 on every pair (a, b) with
     b != -a, as (law, a, b, a + b); law "R3-" when N(a, b) = -1.  Built
-    once per root system (they are interned) and rebuilt when
-    `system.structure_constant` is not the method it was built with, so
-    a patch on the class or the instance, and its undo, are both seen."""
-    constant = system.structure_constant
-    entry = _CASES.get(system)
-    if entry is None or entry[0] != constant:
-        cases = [("R1", alpha, alpha, None) for alpha in system.roots]
-        for alpha in system.roots:
-            minus = system.negate(alpha)
-            for beta in system.roots:
-                if beta != minus:
-                    s = system.addition_table.get((alpha, beta))
-                    law = "R2" if s is None else "R3-" if constant(alpha, beta) == -1 else "R3"
-                    cases.append((law, alpha, beta, s))
-        entry = _CASES[system] = constant, tuple(cases)
-    return entry[1]
+    once per interned root system, whose tables are read-only."""
+    constant = system.constants_table
+    cases = [("R1", alpha, alpha, None) for alpha in system.roots]
+    for alpha in system.roots:
+        minus = system.negate(alpha)
+        for beta in system.roots:
+            if beta != minus:
+                s = system.addition_table.get((alpha, beta))
+                law = "R2" if s is None else "R3-" if constant[alpha, beta] == -1 else "R3"
+                cases.append((law, alpha, beta, s))
+    return tuple(cases)
 
 
 def _first_failures(ring: Ring, open_cases: dict, samples: int, rng) -> dict:
@@ -439,17 +428,6 @@ def _first_failures(ring: Ring, open_cases: dict, samples: int, rng) -> dict:
 
     return {n: ab for n, diff in open_cases.items()
             if (ab := next((t for t in trials() if _specialize(ring, diff, *t)), None))}
-
-
-def _row_width(rep: Representation) -> int:
-    """The most nonzero entries in a row of any letter I + M1 + M2 (a
-    root vector is nilpotent, so M1 and M2 miss the diagonal): a product
-    with a letter on the left sums at most that many terms."""
-    rows = Counter()
-    for root in rep.system.roots:
-        entries = {(i, j) for i, j, _ in (*rep.m1[root], *rep.m2[root])}
-        rows.update((root, i) for i, _ in entries)
-    return 1 + max(rows.values(), default=0)
 
 
 def _report(rep, ring, samples, cases, failures: dict, certified) -> RelationReport:
@@ -467,28 +445,29 @@ def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> Rela
     and at `samples` trials (a, b) each, `samples` an int >= 1;
     violations are in case order.  Each case is certified at the generic
     point of ZZ[a, b] (`_differences`), once per read-only representation
-    until its cases change (`_certificate`, which keeps only the open
-    cases, those with a nonzero difference): a zero difference holds at
-    every (a, b) of every commutative ring and draws nothing from `rng`,
-    and a nonzero one is specialized (`_specialize`) at trials drawn by
-    `Ring._sample` up to the first that fails.  So an intact sweep leaves
-    `rng` as it was, and a warm one does work only on the open cases.
-    Over Z/m with d (m - 1)^2 >= 2^53, as GF(1000000007), every case but
-    the certified ones that float64 computes exactly is instead evaluated
-    in float64 (`_float_sweep`) up to its first failing trial, after one
+    (`_certificate`, which keeps only the open cases, those with a
+    nonzero difference): a zero difference holds at every (a, b) of
+    every commutative ring and draws nothing from `rng`, and a nonzero
+    one is specialized (`_specialize`) at trials drawn by `Ring._sample`
+    up to the first that fails.  So an intact sweep leaves `rng` as it
+    was, and a warm one does work only on the open cases.  Over Z/m with
+    d (m - 1)^2 >= 2^53, as GF(1000000007), every case but the certified
+    ones that float64 computes exactly is instead evaluated in float64
+    (`_float_sweep`) up to its first failing trial, after one
     `rng.randrange(2 ** 63)`; the products round there and report the
     false violations that the benchmark's relation-sweep asserts until
-    its next revision.  That route is taken only while w (m - 1)^2 <
-    2^63 (w from `_row_width`), so a larger modulus, as Z/2^64, takes the
-    exact route."""
+    its next revision.  `_float_sweep.first_failures` declines, before it
+    draws, a table with a diagonal entry or a modulus whose products
+    pass int64, as Z/2^64; those take the exact route."""
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         raise ValueError(f"verify_relations needs an int samples >= 1, got {samples!r}")
     cases = _cases(rep.system)
-    open_cases = _certificate(rep, cases)
+    open_cases = _certificate(rep)
     mod = ring.p if isinstance(ring, PrimeFieldRing) else getattr(ring, "n", None)
-    if mod and rep.dim * (mod - 1) ** 2 >= 2 ** 53 and _row_width(rep) * (mod - 1) ** 2 < 2 ** 63:
+    if mod and rep.dim * (mod - 1) ** 2 >= 2 ** 53:
         from ._float_sweep import first_failures
-        failures, skipped = first_failures(rep, ring, samples, cases, open_cases, mod, rng)
-        return _report(rep, ring, samples, cases, failures, skipped)
+        found = first_failures(rep, ring, samples, cases, open_cases, mod, rng)
+        if found is not None:
+            return _report(rep, ring, samples, cases, *found)
     return _report(rep, ring, samples, cases, _first_failures(ring, open_cases, samples, rng),
                    len(cases) - len(open_cases))

@@ -9,7 +9,7 @@ from functools import partial
 import pytest
 
 from steinberg_lab import checks, patching, simplicial
-from steinberg_lab.milnor import TameSymbolImage, symbol
+from steinberg_lab.milnor import MilnorSymbolSum, TameSymbolImage, symbol
 from steinberg_lab.rings import GF, RingElement
 from steinberg_lab.roots import RootSystem
 from steinberg_lab.words import gen
@@ -21,6 +21,19 @@ def _extra_letter(w):
 
 def _swapped(pair):
     return pair.ring.pair(*reversed(pair.payload))
+
+
+def _flipped(rep):
+    """Copy of rep with e_alpha negated for the first simple root alpha,
+    so R3 fails on (alpha, beta) whenever 2 N a b != 0."""
+    root = rep.system.simple_roots[0]
+    m1 = {**rep.m1, root: tuple((i, j, -c) for i, j, c in rep.m1[root])}
+    return dataclasses.replace(rep, m1=m1)
+
+
+def _without_minus_one_squared(s):
+    """s without its {-1, -1} term, which no tame symbol at an odd prime sees."""
+    return MilnorSymbolSum(s.field, {k: m for k, m in s.terms if k != (-1, -1)})
 
 
 # (check, n, where the fault goes, attribute, fault(original, *args)); a
@@ -42,6 +55,8 @@ FAULTS = [
      lambda f, s, p: TameSymbolImage(p, pow(f(s, p).value, -1, p))),
     (checks.normalize_tame_images, 10, checks, "symbol_normalize",
      lambda f, s: f(s) + symbol(2, 3)),
+    (checks.normalize_tame_images, 10, checks, "symbol_normalize",
+     lambda f, s: _without_minus_one_squared(f(s))),
     (checks.kernel_words, 20, checks, "steinberg_symbol",
      lambda f, system, ring, root, u, v: f(system, ring, root, u, v * v)),
     (checks.reduce_soundness, 6, checks, "commutator_reduce",
@@ -51,7 +66,7 @@ FAULTS = [
     (checks.word_examples, 1, checks, "opposite_commutator",
      lambda f, system, ring, root, a, b: _extra_letter(f(system, ring, root, a, b))),
     (partial(checks.relations, cases=[(("A", 2, "adjoint"), GF(7))]), 3,
-     RootSystem, "structure_constant", lambda f, system, a, b: -f(system, a, b)),
+     checks, "build_representation", lambda f, system, kind: _flipped(f(system, kind))),
     (checks.conjugation_identity, 1, patching.ConjugationHom, "apply_word",
      lambda f, cg, x, k: _extra_letter(f(cg, x, k))),
     (checks.translation_operators, 2, patching, "left_translation",
@@ -116,9 +131,9 @@ def test_translation_witnesses_name_their_inputs(monkeypatch):
 
 def test_relation_witnesses_name_their_arguments(monkeypatch):
     """A relation witness carries the a and b of the first failing trial."""
-    original = RootSystem.structure_constant
-    monkeypatch.setattr(RootSystem, "structure_constant",
-                        lambda system, a, b: -original(system, a, b))
+    original = checks.build_representation
+    monkeypatch.setattr(checks, "build_representation",
+                        lambda system, kind: _flipped(original(system, kind)))
     bad = checks.relations(random.Random(1), 3, [(("A", 2, "adjoint"), GF(7))])
     assert bad
     json.dumps(bad)

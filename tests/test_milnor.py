@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from steinberg_lab.milnor import (MilnorSymbolSum, TameSymbolImage, factor_positive,
-                                  relevant_odd_primes, steinberg_to_milnor, symbol,
+                                  real_symbol, relevant_odd_primes, steinberg_to_milnor, symbol,
                                   symbol_normalize, tame_symbol)
 from steinberg_lab.rings import GF, QQ
 from steinberg_lab.roots import build_root_system
@@ -278,6 +278,17 @@ def test_tame_bilinearity_sweep():
 
 def test_normalize_preserves_tame_images():
     assert checks.normalize_tame_images(random.Random(7), 150) == []
+
+
+def test_real_symbol_sees_minus_one_squared():
+    """{-1, -1} has every tame image trivial and real symbol 1, the
+    generator of K2(Z); the real symbol is bilinear in the signs."""
+    assert real_symbol(symbol(-1, -1)) == 1
+    assert all(tame_symbol(symbol(-1, -1), p).value == 1 for p in (3, 5, 7))
+    assert real_symbol(symbol(-2, Fraction(-3, 5))) == 1
+    assert real_symbol(symbol(-2, 3) + symbol(2, -3)) == 0
+    assert real_symbol(symbol(-1, -1) + symbol(-6, -5)) == 0
+    assert real_symbol(symbol_normalize(symbol(-6, -5))) == 1
 
 
 def test_tame_image_type_invariants():

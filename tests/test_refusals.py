@@ -131,6 +131,8 @@ REFUSALS = {
          ValueError),
     "milnor.tame_symbol-over-F7":
         (lambda: milnor.tame_symbol(milnor.MilnorSymbolSum(GF(7), {(2, 3): 1}), 3), ValueError),
+    "milnor.real_symbol-over-F7":
+        (lambda: milnor.real_symbol(milnor.MilnorSymbolSum(GF(7), {(3, 5): 1})), ValueError),
     "milnor.symbol_normalize-over-F7":
         (lambda: milnor.symbol_normalize(milnor.MilnorSymbolSum(GF(7), {(3, 5): 1})),
          ValueError),

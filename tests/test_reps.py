@@ -17,7 +17,7 @@ from steinberg_lab.rings import (GF, QQ, ZZ, LocalizationRing, RationalField, Ri
                                  canonical_hom, localize, milnor_square_ring, poly_ring,
                                  product_ring, quotient)
 from steinberg_lab.roots import SUPPORTED_RANKS, build_root_system
-from steinberg_lab import _float_sweep, checks, reps, words
+from steinberg_lab import _float_sweep, checks, reps, roots, words
 from steinberg_lab.reps import GroupMatrix, build_representation, evaluate, k2_membership, verify_relations
 
 
@@ -115,6 +115,20 @@ def test_adjoint_tables_match_the_defining_realization(kind, rank):
         m1, m2 = _dense(rep.dim, rep.m1[root]), _dense(rep.dim, rep.m2[root])
         assert (combine(m1) == x @ basis - basis @ x).all(), root
         assert (combine(m2) == -(x @ basis @ x)).all(), root
+
+
+@pytest.mark.parametrize("kind,rank", [(kind, rank) for kind in SUPPORTED_RANKS
+                                       for rank in SUPPORTED_RANKS[kind]])
+def test_simple_coordinates_sum_to_the_root(kind, rank):
+    """Every root of every supported system is the sum of the simple
+    roots weighted by its coordinates."""
+    system = build_root_system(kind, rank)
+    coords = reps._simple_coordinates(system)
+    assert set(coords) == set(system.roots)
+    for root, c in coords.items():
+        total = [sum(ci * s[k] for ci, s in zip(c, system.simple_roots, strict=True))
+                 for k in range(system.dim)]
+        assert tuple(total) == root, (root, c)
 
 
 def test_generator_nilpotency_degrees():
@@ -742,32 +756,28 @@ def test_tables_are_read_only_and_a_rep_copies_the_dicts_it_is_given():
     _assert_refuted_with_witnesses(bad, GF(7), verify_relations(bad, GF(7), 10, random.Random(1)))
 
 
-def test_sweep_sees_a_patched_structure_constant_and_its_undo(monkeypatch):
+def test_sweep_refutes_a_wrong_constant_in_the_tables_as_built(monkeypatch):
     """The case table is kept per root system and the certificate per
-    rep, yet a sweep sees a structure constant patched on the class or
-    on the instance, and the undo of either: the intact rep is certified,
-    refuted with replayable witnesses under the negated N, and certified
-    again once the patch is undone.  The instance patch goes into its
-    ``__dict__``, so the undo deletes it rather than leaving the saved
-    bound method there to shadow the class in later tests."""
-    rep, ring = _rep("A", 2, "adjoint"), GF(7)
-    system, original = rep.system, type(rep.system).structure_constant
-
-    def certified():
-        report = verify_relations(rep, ring, 10, random.Random(0))
-        return report.ok and report.certified == report.pairs_checked
-
-    assert certified()
-    for patch in (lambda: monkeypatch.setattr(type(system), "structure_constant",
-                                              lambda self, a, b: -original(self, a, b)),
-                  lambda: monkeypatch.setitem(vars(system), "structure_constant",
-                                              lambda a, b: -original(system, a, b))):
-        patch()
-        report = verify_relations(rep, ring, 10, random.Random(1))
-        _assert_refuted_with_witnesses(rep, ring, report)
-        monkeypatch.undo()
-        assert certified()
-    assert "structure_constant" not in vars(system)
+    rep, both read from tables fixed when they are built, so a wrong
+    constant is planted where a system reads it off: a fresh A2 whose
+    bracket of its two simple roots, in that order, has the wrong sign.
+    Its defining rep is intact, so over F7 exactly that R3 case is
+    refuted, with a witness that replays through `evaluate`."""
+    intact = build_root_system("A", 2)
+    a1, a2 = intact.simple_roots
+    first = tuple(roots.defining_matrix("A", 2, r) for r in (a1, a2))
+    bracket = roots._bracket
+    monkeypatch.setattr(roots, "_LIVE", {})
+    monkeypatch.setattr(reps, "_REP_CACHE", {})
+    monkeypatch.setattr(roots, "_bracket", lambda a, b: {
+        k: -v if (a, b) == first else v for k, v in bracket(a, b).items()})
+    system = build_root_system("A", 2)
+    assert system is not intact
+    assert system.constants_table[a1, a2] == -intact.constants_table[a1, a2]
+    rep = build_representation(system, "defining")
+    report = verify_relations(rep, GF(7), 10, random.Random(0))
+    assert report.violations == [("R3", a1, a2)]
+    _assert_refuted_with_witnesses(rep, GF(7), report)
 
 
 @pytest.mark.parametrize("key", list(SWEEP_PINS))
@@ -919,7 +929,7 @@ def test_float_skip_changes_no_output(name, monkeypatch):
     there is nothing to compare."""
     rep = SKIP_REPS[name]()
     cases = reps._cases(rep.system)
-    skipped = _float_sweep._exact_cases(rep, cases, reps._certificate(rep, cases))
+    skipped = _float_sweep._exact_cases(rep, cases, reps._certificate(rep))
     assert bool(skipped) == (rep.kind != "adjoint")
     if not skipped:
         return
@@ -937,22 +947,21 @@ def test_float_skip_changes_no_output(name, monkeypatch):
                 assert runs[0] == runs[1], (ring, samples, seed)
 
 
-def test_float_skip_passes_over_a_root_with_a_diagonal_entry():
-    """A letter whose root has a diagonal entry has a diagonal entry
-    other than 1, so none of that root's cases is skipped, although a
-    certified R2 case of it has supports that multiply to zero both ways
-    round.  Every other root's skipped cases are skipped as before."""
-    intact, planted = _rep("A", 3, "defining"), _diagonal(_rep("A", 3, "defining"))
-    root, cases = planted.system.simple_roots[0], reps._cases(planted.system)
-    skipped = {n: _float_sweep._exact_cases(rep, cases, reps._certificate(rep, cases))
-               for n, rep in (("intact", intact), ("planted", planted))}
-    assert skipped["planted"] == {n for n in skipped["intact"] if root not in cases[n][1:3]}
-    certified = reps._certificate(planted, cases)
-    support = {r: np.abs(_dense(planted.dim, planted.m1[r])) for r in planted.system.roots}
-    assert any(law == "R2" and alpha == root and n not in certified
-               and not (support[alpha] @ support[beta]).any()
-               and not (support[beta] @ support[alpha]).any()
-               for n, (law, alpha, beta, _) in enumerate(cases))
+def test_a_diagonal_entry_takes_the_exact_route():
+    """A letter whose root has a diagonal entry is not the identity with
+    the root's entries scattered in, so the float64 route declines such
+    a table before it draws, and over GF(1000000007) the diagonal-planted
+    A3 defining rep is refuted on exactly its 17 cases with a nonzero
+    generic difference, as over F7, each with a replayable witness."""
+    planted, ring = _diagonal(_rep("A", 3, "defining")), SWEEP_RINGS["Fbig"]
+    rng = random.Random(0)
+    assert _float_sweep.first_failures(planted, ring, 10, reps._cases(planted.system),
+                                       reps._certificate(planted), ring.p, rng) is None
+    assert rng.getstate() == random.Random(0).getstate()
+    for swept in (GF(7), ring):
+        report = verify_relations(planted, swept, 10, random.Random(1))
+        assert len(report.violations) == 17
+        _assert_refuted_with_witnesses(planted, swept, report)
 
 
 def test_float_sweep_draws_one_seed_from_rng():
@@ -986,7 +995,7 @@ def test_moduli_past_int64_products_take_the_exact_route(ring, mod):
         assert report.ok and report.certified == report.pairs_checked, key
         bad = _flipped(rep)
         _assert_refuted_with_witnesses(bad, ring, verify_relations(bad, ring, 3, random.Random(key)))
-        assert reps._row_width(rep) * (mod - 1) ** 2 >= 2 ** 63
+        assert _float_sweep._table(rep)[2] * (mod - 1) ** 2 >= 2 ** 63
 
 
 def test_report_counts_the_certified_cases():
