@@ -13,7 +13,7 @@ import weakref
 
 import numpy as np
 
-from .reps import Representation
+from .reps import Representation, _chain
 from .rings import Ring
 
 
@@ -27,7 +27,7 @@ def first_failures(rep: Representation, ring: Ring, samples: int, cases, open_ca
     by one `rng.randrange(2 ** 63)`, so a skip moves no draw.  Trial 0 is
     evaluated for every case not skipped, and trials 1 to samples - 1, in
     one more pass, only for the cases that held at trial 0."""
-    letters, _, width, nilpotent = _table(rep)
+    letters, width, nilpotent = _table(rep)
     if not nilpotent or width * (mod - 1) ** 2 >= 2 ** 63:
         return None
     draws = np.random.default_rng(rng.randrange(2 ** 63)).integers(
@@ -47,18 +47,12 @@ def first_failures(rep: Representation, ring: Ring, samples: int, cases, open_ca
 def _exact_cases(rep: Representation, cases, open_cases: dict) -> set:
     """The indices of the certified R1 and R2 cases, those not in
     `open_cases`, whose letter products multiply no two root-vector
-    entries: no column of one root's entries is a row of the other's,
-    either way round.  With no diagonal entry (`first_failures`), every
-    nonzero term of such a product has a factor 1 from a letter's
-    diagonal, so BLAS returns the exact integers and the case holds."""
-    support = _table(rep)[1]
-
-    def apart(alpha, beta):
-        (ra, ca), (rb, cb) = support[alpha], support[beta]
-        return not (ca & rb or cb & ra)
-
+    entries: the two roots do not chain (`reps._chain`).  With no
+    diagonal entry (`first_failures`), every nonzero term of such a
+    product has a factor 1 from a letter's diagonal, so BLAS returns the
+    exact integers and the case holds."""
     return {n for n, (law, alpha, beta, _) in enumerate(cases)
-            if law in ("R1", "R2") and n not in open_cases and apart(alpha, beta)}
+            if law in ("R1", "R2") and n not in open_cases and not _chain(rep, alpha, beta)}
 
 
 # matrix entries in one batch of images: over the twelve representations
@@ -72,26 +66,25 @@ _TABLES = weakref.WeakKeyDictionary()
 
 
 def _table(rep: Representation):
-    """(letters, support, w, nilpotent), read from the M1 and M2 entries
-    of `rep` in one pass and kept while it lives.  letters: per root, the
-    flat positions p = i d + j of its entries and their M1 and M2
+    """(letters, w, nilpotent), read from the M1 and M2 entries of `rep`
+    in one pass and kept while it lives.  letters: per root, the flat
+    positions p = i d + j of its entries and their M1 and M2
     coefficients, three int64 arrays of shape (roots, entries), a root
-    with fewer entries repeating its first one.  support: root -> its
-    entries' rows and columns as bit masks.  w: the most nonzero entries
-    in a row of a letter I + M1 + M2.  nilpotent: no diagonal entry."""
+    with fewer entries repeating its first one.  w: the most nonzero
+    entries in a row of a letter I + M1 + M2.  nilpotent: no diagonal
+    entry."""
     table = _TABLES.get(rep)
     if table is None:
-        d, rows, support, w, nilpotent = rep.dim, [], {}, 0, True
+        d, rows, w, nilpotent = rep.dim, [], 0, True
         for root in rep.system.roots:
             m1, m2 = ({(i, j): c for i, j, c in t} for t in (rep.m1[root], rep.m2[root]))
             rows.append([(i * d + j, m1.get((i, j), 0), m2.get((i, j), 0)) for i, j in m1 | m2])
             rs, cs = zip(*(m1 | m2))
-            support[root] = sum({1 << r for r in rs}), sum({1 << c for c in cs})
             w = max(w, 1 + max(map(rs.count, rs)))
             nilpotent &= all(r != c for r, c in zip(rs, cs))
         n = max(map(len, rows))
         letters = np.array([row + row[:1] * (n - len(row)) for row in rows], dtype=np.int64)
-        table = _TABLES[rep] = tuple(np.moveaxis(letters, 2, 0)), support, w, nilpotent
+        table = _TABLES[rep] = tuple(np.moveaxis(letters, 2, 0)), w, nilpotent
     return table
 
 

@@ -16,10 +16,10 @@ system and proves each at the generic point of ZZ[a, b] once per
 representation, since both are interned or read-only; it keeps only
 the open cases, those with a nonzero difference, and specializes them
 in the ring at trials that `Ring._sample` draws, over every ring but
-Z/m with d (m - 1)^2 >= 2^53.  There, as over GF(1000000007), the open
-cases and every case whose products can round are evaluated in float64
-(`_float_sweep`, the only user of numpy) up to their first failing
-trial, and the products round and report false violations.
+Z/m with 2^53 <= d (m - 1)^2, (m - 1)^2 < 2^63.  There, as over
+GF(1000000007), the open cases and every case whose products can round
+are evaluated in float64 (`_float_sweep`, the only user of numpy) up to
+their first failing trial, where the products round into false ones.
 """
 
 from __future__ import annotations
@@ -55,10 +55,14 @@ class Representation:
     dim: int
     m1: dict = field(repr=False)   # root -> tuple[(i, j, coeff)]
     m2: dict = field(repr=False)
+    support: dict = field(init=False, repr=False)  # root -> (row mask, column mask) of M1 + M2
 
     def __post_init__(self):
         for name in ("m1", "m2"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        object.__setattr__(self, "support", MappingProxyType({
+            root: (sum({1 << i for i, _, _ in t}), sum({1 << j for _, j, _ in t}))
+            for root in self.system.roots for t in [self.m1[root] + self.m2[root]]}))
 
     def describe(self) -> str:
         return f"{self.kind}({self.system})"
@@ -330,17 +334,28 @@ def _nilpotent(rep: Representation, root, xi):
     return out
 
 
-def _then(x, y):
-    """(I + x)(I + y) - I = x + y + x y, for parts as `_nilpotent` gives."""
-    out = dict(x)
-    for key, n in y.items():
-        out[key] = out.get(key, 0) + n
-    rows = {}
-    for (i, j, k, c), n in y.items():
-        rows.setdefault(k, []).append((i, j, c, n))
+def _chain(rep: Representation, alpha, beta) -> bool:
+    """Whether a column of one root's entries is a row of the other's; if not, XY = YX = 0."""
+    (ra, ca), (rb, cb) = rep.support[alpha], rep.support[beta]
+    return bool(ca & rb or cb & ra)
+
+
+def _plus(out: dict, sign: int, x: dict) -> dict:
+    """out += sign x, in place."""
+    for key, n in x.items():
+        out[key] = out.get(key, 0) + sign * n
+    return out
+
+
+def _times(out: dict, sign: int, x: dict, rows: dict) -> dict:
+    """out += sign x y, in place, for parts as `_nilpotent` gives and
+    `rows` the entries of y indexed by row, {row: [(i, j, column, n)]}."""
+    get = out.get
     for (i, j, r, k), n in x.items():
+        n *= sign
         for i2, j2, c, m in rows.get(k, ()):
-            out[i + i2, j + j2, r, c] = out.get((i + i2, j + j2, r, c), 0) + n * m
+            key = i + i2, j + j2, r, c
+            out[key] = get(key, 0) + n * m
     return out
 
 
@@ -348,25 +363,37 @@ def _differences(rep: Representation, cases):
     """Left side minus right side of each sweep case's law, R1
     x_a(a) x_a(b) = x_a(a + b), R2 x_a(a) x_b(b) = x_b(b) x_a(a) or R3
     x_a(a) x_b(b) = x_s(N ab) x_b(b) x_a(a) (law "R3-" when N = -1), at
-    the generic point (a, b) of ZZ[a, b]: {(i, j, r, c): n},
-    the nonzero n a^i b^j at entry (r, c).  Evaluation at any (a, b) of
-    any commutative ring is a ring map, so an empty difference means the
-    law holds there, and a nonzero one fails exactly where it specializes
-    to a nonzero matrix.  Each root's part at each argument is built once."""
-    part = cache(lambda root, *terms: _nilpotent(rep, root, dict(terms)))
+    the generic point (a, b) of ZZ[a, b]: {(i, j, r, c): n}, the nonzero
+    n a^i b^j at entry (r, c).  Evaluation is a ring map, so an empty
+    difference means the law holds at every (a, b) of every commutative
+    ring, and a nonzero one fails exactly where it specializes to a
+    nonzero matrix.  With the parts X, Y, S of x_a(a), x_b(b), x_s(N ab)
+    (`_nilpotent`), built once per root and argument and indexed by row,
+    they are R1 X + Y + XY - part(a, a + b), R2 XY - YX, and R3 XY - YX -
+    S - SY - SX - (SY)X, every right factor X or Y; an R2 case whose
+    roots do not chain (`_chain`) is empty, with no product."""
+    @cache
+    def part(root, *terms):
+        x, rows = _nilpotent(rep, root, dict(terms)), {}
+        for (i, j, k, c), n in x.items():
+            rows.setdefault(k, []).append((i, j, c, n))
+        return x, rows
+
     a, b = ((1, 0), 1), ((0, 1), 1)
     for law, alpha, beta, s in cases:
-        xa = part(alpha, a)
+        if law == "R2" and not _chain(rep, alpha, beta):
+            yield {}
+            continue
+        (x, rx), (y, ry) = part(alpha, a), part(beta, b)
         if law == "R1":
-            left, right = _then(xa, part(alpha, b)), part(alpha, a, b)
+            out = _plus(_times(_plus(dict(x), 1, y), 1, x, ry), -1, part(alpha, a, b)[0])
         else:
-            xb = part(beta, b)
-            left, right = _then(xa, xb), _then(xb, xa)
+            out = _times(_times({}, 1, x, ry), -1, y, rx)
             if law != "R2":
-                right = _then(part(s, ((1, 1), -1 if law == "R3-" else 1)), right)
-        for key, n in right.items():
-            left[key] = left.get(key, 0) - n
-        yield {key: n for key, n in left.items() if n}
+                sx = part(s, ((1, 1), -1 if law == "R3-" else 1))[0]
+                for z in (sx, _times({}, 1, sx, ry)):
+                    _times(_plus(out, -1, z), -1, z, rx)
+        yield {key: n for key, n in out.items() if n}
 
 
 _CERTIFICATES = weakref.WeakKeyDictionary()
@@ -456,15 +483,15 @@ def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> Rela
     (`_float_sweep`) up to its first failing trial, after one
     `rng.randrange(2 ** 63)`; the products round there and report the
     false violations that the benchmark's relation-sweep asserts until
-    its next revision.  `_float_sweep.first_failures` declines, before it
-    draws, a table with a diagonal entry or a modulus whose products
-    pass int64, as Z/2^64; those take the exact route."""
+    its next revision.  A modulus with (m - 1)^2 >= 2^63, as Z/2^64, and
+    a table that `_float_sweep.first_failures` declines before it draws
+    (a diagonal entry, or w (m - 1)^2 >= 2^63) take the exact route."""
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         raise ValueError(f"verify_relations needs an int samples >= 1, got {samples!r}")
     cases = _cases(rep.system)
     open_cases = _certificate(rep)
     mod = ring.p if isinstance(ring, PrimeFieldRing) else getattr(ring, "n", None)
-    if mod and rep.dim * (mod - 1) ** 2 >= 2 ** 53:
+    if mod and rep.dim * (mod - 1) ** 2 >= 2 ** 53 and (mod - 1) ** 2 < 2 ** 63:
         from ._float_sweep import first_failures
         found = first_failures(rep, ring, samples, cases, open_cases, mod, rng)
         if found is not None:

@@ -2,11 +2,15 @@
 
 import dataclasses
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -995,7 +999,27 @@ def test_moduli_past_int64_products_take_the_exact_route(ring, mod):
         assert report.ok and report.certified == report.pairs_checked, key
         bad = _flipped(rep)
         _assert_refuted_with_witnesses(bad, ring, verify_relations(bad, ring, 3, random.Random(key)))
-        assert _float_sweep._table(rep)[2] * (mod - 1) ** 2 >= 2 ** 63
+        assert _float_sweep._table(rep)[1] * (mod - 1) ** 2 >= 2 ** 63
+
+
+def test_moduli_past_int64_leave_numpy_unloaded():
+    """(m - 1)^2 >= 2^63 is decided before the float64 route is
+    imported, so in a fresh process sweeps over Z/2^64, Z/3^50 and
+    GF(2^61 - 1) certify every case and leave numpy unloaded."""
+    code = "\n".join([
+        "import random, sys",
+        "from steinberg_lab.rings import GF, ZZ, quotient",
+        "from steinberg_lab.roots import build_root_system",
+        "from steinberg_lab.reps import build_representation, verify_relations",
+        "rep = build_representation(build_root_system('A', 2), 'adjoint')",
+        "for ring in (quotient(ZZ(), 2 ** 64), quotient(ZZ(), 3 ** 50), GF(2 ** 61 - 1)):",
+        "    report = verify_relations(rep, ring, 3, random.Random(0))",
+        "    print(report.ok, report.certified == report.pairs_checked == 36)",
+        "print('numpy' in sys.modules)"])
+    env = {**os.environ, "PYTHONPATH": str(Path(reps.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.split() == ["True"] * 6 + ["False"]
 
 
 def test_report_counts_the_certified_cases():
@@ -1071,3 +1095,93 @@ def test_difference_is_the_difference_over_the_polynomial_ring():
                 want[r, c] = want.get((r, c), P.zero) + n * a ** i * b ** j
             got = {key: RingElement(P, v) for key, v in _rows_difference(left, right).items()}
             assert got == want, case
+
+
+# ---------------------------------------------------------------------------
+# the certificate's formula against a composition oracle
+# ---------------------------------------------------------------------------
+
+def _then(x, y):
+    """(I + x)(I + y) - I = x + y + x y, for parts as `reps._nilpotent`
+    gives."""
+    out = dict(x)
+    for key, n in y.items():
+        out[key] = out.get(key, 0) + n
+    rows = {}
+    for (i, j, k, c), n in y.items():
+        rows.setdefault(k, []).append((i, j, c, n))
+    for (i, j, r, k), n in x.items():
+        for i2, j2, c, m in rows.get(k, ()):
+            out[i + i2, j + j2, r, c] = out.get((i + i2, j + j2, r, c), 0) + n * m
+    return out
+
+
+def _composed_differences(rep, cases):
+    """The oracle for `reps._differences`: each side of each law composed
+    letter by letter with `_then`, the right side subtracted from the
+    left, and the zero terms dropped."""
+    part = cache(lambda root, *terms: reps._nilpotent(rep, root, dict(terms)))
+    a, b = ((1, 0), 1), ((0, 1), 1)
+    for law, alpha, beta, s in cases:
+        xa = part(alpha, a)
+        if law == "R1":
+            left, right = _then(xa, part(alpha, b)), part(alpha, a, b)
+        else:
+            xb = part(beta, b)
+            left, right = _then(xa, xb), _then(xb, xa)
+            if law != "R2":
+                right = _then(part(s, ((1, 1), -1 if law == "R3-" else 1)), right)
+        for key, n in right.items():
+            left[key] = left.get(key, 0) - n
+        yield {key: n for key, n in left.items() if n}
+
+
+def _dropped(rep):
+    """Copy of rep whose first simple root acts as the identity, empty M1
+    and M2: it chains with no root, so its R3 cases fail by -S - SX."""
+    root = rep.system.simple_roots[0]
+    return dataclasses.replace(rep, m1={**rep.m1, root: ()}, m2={**rep.m2, root: ()})
+
+
+# every supported rep, and every planted table: the flipped controls of
+# the benchmark, the mutations, and the square, diagonal and dropped ones
+ORACLE_REPS = {
+    **{f"{kind}{rank}-{repkind}": partial(_rep, kind, rank, repkind)
+       for kind in SUPPORTED_RANKS for rank in SUPPORTED_RANKS[kind]
+       for repkind in ("defining" if kind == "A" else "vector", "adjoint")},
+    **SKIP_REPS,
+    "dropped-A3-defining": lambda: _dropped(_rep("A", 3, "defining")),
+    "dropped-A3-adjoint": lambda: _dropped(_rep("A", 3, "adjoint")),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_REPS))
+def test_differences_match_the_composition_oracle(name):
+    """`reps._differences`, which forms each law's difference from the
+    parts directly, equals the oracle's composed one, key for key and
+    value for value, on every case."""
+    rep = ORACLE_REPS[name]()
+    cases = reps._cases(rep.system)
+    assert list(reps._differences(rep, cases)) == list(_composed_differences(rep, cases))
+
+
+def test_certificate_builds_each_part_once_and_no_product_for_apart_r2_cases(monkeypatch):
+    """One D5-adjoint certificate builds at most five parts per root, at
+    a, b, a + b, ab and -ab.  An R2 case of D6 vector whose roots do not
+    chain is empty with no part built at all."""
+    nilpotent, calls = reps._nilpotent, []
+    monkeypatch.setattr(reps, "_nilpotent", lambda *args: calls.append(args) or nilpotent(*args))
+    rep = _rep("D", 5, "adjoint")
+    assert not any(reps._differences(rep, reps._cases(rep.system)))
+    assert 0 < len(calls) <= 5 * len(rep.system.roots)
+
+    def unused(*args):
+        raise AssertionError("a part was built")
+
+    monkeypatch.setattr(reps, "_nilpotent", unused)
+    rep = _rep("D", 6, "vector")
+    apart = [case for case in reps._cases(rep.system)
+             if case[0] == "R2" and not reps._chain(rep, case[1], case[2])]
+    assert apart
+    for case in apart:
+        assert _difference(rep, case) == {}
