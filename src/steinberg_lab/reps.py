@@ -13,13 +13,16 @@ maps int entries back to payloads.
 
 The relation sweep (`verify_relations`) builds its cases once per root
 system and proves each at the generic point of ZZ[a, b] once per
-representation, since both are interned or read-only; it keeps only
-the open cases, those with a nonzero difference, and specializes them
-in the ring at trials that `Ring._sample` draws, over every ring but
-Z/m with 2^53 <= d (m - 1)^2, (m - 1)^2 < 2^63.  There, as over
-GF(1000000007), the open cases and every case whose products can round
-are evaluated in float64 (`_float_sweep`, the only user of numpy) up to
-their first failing trial, where the products round into false ones.
+representation, since both are interned or read-only, forming each
+unordered root pair's commutator once; it keeps only the open cases,
+those with a nonzero difference, and specializes them in the ring at
+trials that `Ring._sample` draws, over every ring but Z/m with 2^53 <=
+d (m - 1)^2, (m - 1)^2 < 2^63.  There, as over GF(1000000007), the open
+cases and every case whose products can round are evaluated in float64
+(`_float_sweep`, the only user of numpy, which keeps its case tables
+per representation), one trial per pass over the cases that held at
+every earlier trial, so each stops at its first failing trial, where
+the products round into false ones.
 """
 
 from __future__ import annotations
@@ -303,7 +306,8 @@ class RelationReport:
     at the generic point, not evaluated; 0 when evaluation decided all.
     On the float64 route, taken only by a table with no diagonal entry,
     those are the certified R1 and R2 cases that float64 computes
-    exactly (`_float_sweep._exact_cases`)."""
+    exactly (`_float_sweep._exact_cases`), which that route's case
+    tables, kept per representation, leave out."""
 
     representation: str
     ring: str
@@ -371,7 +375,10 @@ def _differences(rep: Representation, cases):
     (`_nilpotent`), built once per root and argument and indexed by row,
     they are R1 X + Y + XY - part(a, a + b), R2 XY - YX, and R3 XY - YX -
     S - SY - SX - (SY)X, every right factor X or Y; an R2 case whose
-    roots do not chain (`_chain`) is empty, with no product."""
+    roots do not chain (`_chain`) is empty, with no product.  XY - YX of
+    the pair (beta, alpha) is -sigma(XY - YX) of (alpha, beta), sigma
+    swapping the exponents of a and b, so each unordered pair's
+    commutator is formed once and the other order derived from it."""
     @cache
     def part(root, *terms):
         x, rows = _nilpotent(rep, root, dict(terms)), {}
@@ -380,6 +387,7 @@ def _differences(rep: Representation, cases):
         return x, rows
 
     a, b = ((1, 0), 1), ((0, 1), 1)
+    swapped = {}
     for law, alpha, beta, s in cases:
         if law == "R2" and not _chain(rep, alpha, beta):
             yield {}
@@ -388,7 +396,10 @@ def _differences(rep: Representation, cases):
         if law == "R1":
             out = _plus(_times(_plus(dict(x), 1, y), 1, x, ry), -1, part(alpha, a, b)[0])
         else:
-            out = _times(_times({}, 1, x, ry), -1, y, rx)
+            out = swapped.pop((alpha, beta), None)
+            if out is None:
+                out = _times(_times({}, 1, x, ry), -1, y, rx)
+                swapped[beta, alpha] = {(j, i, r, c): -n for (i, j, r, c), n in out.items() if n}
             if law != "R2":
                 sx = part(s, ((1, 1), -1 if law == "R3-" else 1))[0]
                 for z in (sx, _times({}, 1, sx, ry)):
@@ -463,7 +474,7 @@ def _report(rep, ring, samples, cases, failures: dict, certified) -> RelationRep
         rep.describe(), ring.describe(), samples, len(cases),
         [(law[:2], alpha) if law == "R1" else (law[:2], alpha, beta)
          for (law, alpha, beta, _), _ in failed],
-        [tuple(RingElement(ring, x) for x in ab) for _, ab in failed], certified)
+        [(RingElement(ring, a), RingElement(ring, b)) for _, (a, b) in failed], certified)
 
 
 def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> RelationReport:
@@ -471,21 +482,24 @@ def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> Rela
     exhaustively over root pairs (`_cases`, built once per root system)
     and at `samples` trials (a, b) each, `samples` an int >= 1;
     violations are in case order.  Each case is certified at the generic
-    point of ZZ[a, b] (`_differences`), once per read-only representation
-    (`_certificate`, which keeps only the open cases, those with a
-    nonzero difference): a zero difference holds at every (a, b) of
-    every commutative ring and draws nothing from `rng`, and a nonzero
-    one is specialized (`_specialize`) at trials drawn by `Ring._sample`
-    up to the first that fails.  So an intact sweep leaves `rng` as it
-    was, and a warm one does work only on the open cases.  Over Z/m with
-    d (m - 1)^2 >= 2^53, as GF(1000000007), every case but the certified
-    ones that float64 computes exactly is instead evaluated in float64
-    (`_float_sweep`) up to its first failing trial, after one
-    `rng.randrange(2 ** 63)`; the products round there and report the
-    false violations that the benchmark's relation-sweep asserts until
-    its next revision.  A modulus with (m - 1)^2 >= 2^63, as Z/2^64, and
-    a table that `_float_sweep.first_failures` declines before it draws
-    (a diagonal entry, or w (m - 1)^2 >= 2^63) take the exact route."""
+    point of ZZ[a, b] (`_differences`, one commutator per unordered root
+    pair), once per read-only representation (`_certificate`, which
+    keeps only the open cases, those with a nonzero difference): a zero
+    difference holds at every (a, b) of every commutative ring and draws
+    nothing from `rng`, and a nonzero one is specialized (`_specialize`)
+    at trials drawn by `Ring._sample` up to the first that fails.  So an
+    intact sweep leaves `rng` as it was, and a warm one does work only
+    on the open cases.  Over Z/m with d (m - 1)^2 >= 2^53, as
+    GF(1000000007), every case but the certified ones that float64
+    computes exactly is instead evaluated in float64 (`_float_sweep`,
+    from case tables kept per representation), one trial per pass over
+    the cases that held at every earlier trial, so up to its first
+    failing trial, after one `rng.randrange(2 ** 63)`; the products
+    round there and report the false violations that the benchmark's
+    relation-sweep asserts until its next revision.  A modulus with
+    (m - 1)^2 >= 2^63, as Z/2^64, and a table that
+    `_float_sweep.first_failures` declines before it draws (a diagonal
+    entry, or w (m - 1)^2 >= 2^63) take the exact route."""
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         raise ValueError(f"verify_relations needs an int samples >= 1, got {samples!r}")
     cases = _cases(rep.system)
@@ -493,7 +507,7 @@ def verify_relations(rep: Representation, ring: Ring, samples: int, rng) -> Rela
     mod = ring.p if isinstance(ring, PrimeFieldRing) else getattr(ring, "n", None)
     if mod and rep.dim * (mod - 1) ** 2 >= 2 ** 53 and (mod - 1) ** 2 < 2 ** 63:
         from ._float_sweep import first_failures
-        found = first_failures(rep, ring, samples, cases, open_cases, mod, rng)
+        found = first_failures(rep, ring, samples, mod, rng)
         if found is not None:
             return _report(rep, ring, samples, cases, *found)
     return _report(rep, ring, samples, cases, _first_failures(ring, open_cases, samples, rng),
